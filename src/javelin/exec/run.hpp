@@ -7,9 +7,10 @@
 //     item's sparsified spin-waits on the shared ProgressCounters, after it
 //     it publishes its own monotone counter — threads speed ahead of each
 //     other (paper §III-A).
-//   * kBarrier: each thread recomputes its contiguous slice of every level
-//     (the same partition_range slices the builder assigned) and the whole
-//     team crosses a spin barrier between levels — the CSR-LS baseline.
+//   * kBarrier: each thread recomputes its slice of every level (the same
+//     level_slice — a contiguous run of whole chunk_rows items — that the
+//     builder assigned) and the whole team crosses a spin barrier between
+//     levels — the CSR-LS baseline.
 //
 // Both backends execute identical (row, thread) assignments with identical
 // per-row orders, so they are bitwise-interchangeable; only synchronization
@@ -217,7 +218,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
       const auto items_here = [&](index_t l) {
         const index_t lsz = s.level_ptr[static_cast<std::size_t>(l) + 1] -
                             s.level_ptr[static_cast<std::size_t>(l)];
-        const index_t r = partition_range(lsz, s.threads, t).size();
+        const index_t r = level_slice(lsz, s.threads, t, chunk).size();
         return (r + chunk - 1) / chunk;
       };
       index_t item = s.thread_ptr[static_cast<std::size_t>(t)];
@@ -286,7 +287,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
             const index_t base = s.level_ptr[static_cast<std::size_t>(lv)];
             const index_t lsz =
                 s.level_ptr[static_cast<std::size_t>(lv) + 1] - base;
-            const Range rr = partition_range(lsz, s.threads, t);
+            const Range rr = level_slice(lsz, s.threads, t, chunk);
             std::int64_t t0 = 0;
             if constexpr (Obs::kOn) t0 = obs::now_ns();
             for (index_t k = base + rr.begin; k < base + rr.end; ++k) {
@@ -399,7 +400,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
         if (watch && abort->aborted()) break;
         const index_t base = s.level_ptr[static_cast<std::size_t>(l)];
         const index_t lsz = s.level_ptr[static_cast<std::size_t>(l) + 1] - base;
-        const Range rr = partition_range(lsz, s.threads, t);
+        const Range rr = level_slice(lsz, s.threads, t, s.chunk_rows);
         std::int64_t t0 = 0;
         if constexpr (Obs::kOn) t0 = obs::now_ns();
         bool live = true;

@@ -1,9 +1,7 @@
 #include "javelin/exec/schedule.hpp"
 
 #include <algorithm>
-
-#include "javelin/graph/levels.hpp"
-#include "javelin/support/parallel.hpp"
+#include <utility>
 
 namespace javelin {
 
@@ -100,8 +98,8 @@ void build_sparsified_waits(int threads,
 }
 
 ExecSchedule build_exec_schedule(ExecBackend backend, index_t n_total,
-                                 std::span<const index_t> level_ptr,
-                                 std::span<const index_t> rows_by_level,
+                                 std::vector<index_t> level_ptr,
+                                 std::vector<index_t> rows_by_level,
                                  const DepsFn& deps, int threads,
                                  index_t chunk_rows) {
   ExecSchedule s;
@@ -109,17 +107,17 @@ ExecSchedule build_exec_schedule(ExecBackend backend, index_t n_total,
   s.threads = std::max(1, threads);
   s.n_total = n_total;
   s.num_levels = static_cast<index_t>(level_ptr.size()) - 1;
-  s.level_ptr.assign(level_ptr.begin(), level_ptr.end());
-  s.serial_order.assign(rows_by_level.begin(), rows_by_level.end());
+  s.level_ptr = std::move(level_ptr);
+  s.serial_order = std::move(rows_by_level);
 
   const index_t chunk = std::max<index_t>(1, chunk_rows);
   s.chunk_rows = chunk;
-  const index_t n_rows = static_cast<index_t>(rows_by_level.size());
+  const index_t n_rows = static_cast<index_t>(s.serial_order.size());
   const int T = s.threads;
 
-  // Pass 1: assign each level's rows to threads in contiguous slices, block
-  // each (level, thread) slice into items of up to `chunk` rows, and record
-  // (owner, item position) per row. Chunks never cross a level boundary —
+  // Pass 1: give each thread its level_slice of every level, block each
+  // (level, thread) slice into items of up to `chunk` rows, and record
+  // (owner, item position) per row. Items never cross a level boundary —
   // that keeps every item's dependencies in strictly earlier items on every
   // thread (deadlock freedom). The barrier executor recomputes the SAME
   // slices from level_ptr at run time, so the two backends execute
@@ -127,10 +125,10 @@ ExecSchedule build_exec_schedule(ExecBackend backend, index_t n_total,
   std::vector<index_t> row_count(static_cast<std::size_t>(T), 0);
   std::vector<index_t> item_count(static_cast<std::size_t>(T), 0);
   for (index_t l = 0; l < s.num_levels; ++l) {
-    const index_t lsz = level_ptr[static_cast<std::size_t>(l) + 1] -
-                        level_ptr[static_cast<std::size_t>(l)];
+    const index_t lsz = s.level_ptr[static_cast<std::size_t>(l) + 1] -
+                        s.level_ptr[static_cast<std::size_t>(l)];
     for (int t = 0; t < T; ++t) {
-      const index_t r = partition_range(lsz, T, t).size();
+      const index_t r = level_slice(lsz, T, t, chunk).size();
       row_count[static_cast<std::size_t>(t)] += r;
       item_count[static_cast<std::size_t>(t)] += (r + chunk - 1) / chunk;
     }
@@ -152,15 +150,16 @@ ExecSchedule build_exec_schedule(ExecBackend backend, index_t n_total,
   std::vector<index_t> rcursor(row_base.begin(), row_base.end() - 1);
   std::vector<index_t> icursor(s.thread_ptr.begin(), s.thread_ptr.end() - 1);
   for (index_t l = 0; l < s.num_levels; ++l) {
-    const index_t base = level_ptr[static_cast<std::size_t>(l)];
-    const index_t lsz = level_ptr[static_cast<std::size_t>(l) + 1] - base;
+    const index_t base = s.level_ptr[static_cast<std::size_t>(l)];
+    const index_t lsz = s.level_ptr[static_cast<std::size_t>(l) + 1] - base;
     for (int t = 0; t < T; ++t) {
-      const Range rr = partition_range(lsz, T, t);
+      const Range rr = level_slice(lsz, T, t, chunk);
       for (index_t idx = rr.begin; idx < rr.end;) {
         const index_t take = std::min<index_t>(chunk, rr.end - idx);
         const index_t item = icursor[static_cast<std::size_t>(t)]++;
         for (index_t i = 0; i < take; ++i) {
-          const index_t row = rows_by_level[static_cast<std::size_t>(base + idx + i)];
+          const index_t row =
+              s.serial_order[static_cast<std::size_t>(base + idx + i)];
           const index_t p = rcursor[static_cast<std::size_t>(t)]++;
           s.rows[static_cast<std::size_t>(p)] = row;
           owner[static_cast<std::size_t>(row)] = static_cast<index_t>(t);
@@ -267,7 +266,7 @@ void apply_level_tags(ExecSchedule& s, std::span<const std::uint8_t> tags) {
   for (index_t l = 0; l < L; ++l) {
     const index_t lsz = s.level_ptr[uz(l) + 1] - s.level_ptr[uz(l)];
     for (int t = 0; t < T; ++t) {
-      const index_t r = partition_range(lsz, T, t).size();
+      const index_t r = level_slice(lsz, T, t, chunk).size();
       cum_items[static_cast<std::size_t>(t)][uz(l) + 1] =
           cum_items[static_cast<std::size_t>(t)][uz(l)] + (r + chunk - 1) / chunk;
     }
@@ -337,16 +336,37 @@ ExecSchedule build_upper_forward_schedule(const CsrMatrix& lu,
   // the identity listing.
   std::vector<index_t> rows(static_cast<std::size_t>(n_upper));
   for (index_t r = 0; r < n_upper; ++r) rows[static_cast<std::size_t>(r)] = r;
-  return build_exec_schedule(backend, lu.rows(), upper_level_ptr, rows,
-                             lower_triangular_deps(lu), threads, chunk_rows);
+  return build_exec_schedule(
+      backend, lu.rows(), {upper_level_ptr.begin(), upper_level_ptr.end()},
+      std::move(rows), lower_triangular_deps(lu), threads, chunk_rows);
 }
 
-ExecSchedule build_backward_schedule(const CsrMatrix& lu, ExecBackend backend,
-                                     int threads, index_t chunk_rows) {
-  const LevelSets ls = compute_level_sets_upper(lu);
-  return build_exec_schedule(backend, lu.rows(), ls.level_ptr,
-                             ls.rows_by_level, upper_triangular_deps(lu),
-                             threads, chunk_rows);
+ExecSchedule build_backward_schedule(const CsrMatrix& lu,
+                                     std::span<const index_t> upper_level_ptr,
+                                     std::span<const index_t> lower_level_ptr,
+                                     ExecBackend backend, int threads,
+                                     index_t chunk_rows) {
+  const index_t n = lu.rows();
+  JAVELIN_CHECK(!upper_level_ptr.empty() && upper_level_ptr.front() == 0,
+                "backward schedule: plan levels must start at row 0");
+  const index_t n_upper = upper_level_ptr.back();
+  JAVELIN_CHECK(
+      n_upper + (lower_level_ptr.empty() ? 0 : lower_level_ptr.back()) == n,
+      "backward schedule: plan levels must cover every row");
+  // Plan level k covers rows [b_k, b_k+1); listed last to first with rows
+  // descending, it occupies serial positions [n - b_k+1, n - b_k).
+  std::vector<index_t> level_ptr;
+  level_ptr.reserve(upper_level_ptr.size() + lower_level_ptr.size());
+  for (std::size_t k = lower_level_ptr.size(); k-- > 1;) {
+    level_ptr.push_back(n - n_upper - lower_level_ptr[k]);
+  }
+  for (std::size_t k = upper_level_ptr.size(); k-- > 0;) {
+    level_ptr.push_back(n - upper_level_ptr[k]);
+  }
+  std::vector<index_t> rows(static_cast<std::size_t>(n));
+  for (index_t k = 0; k < n; ++k) rows[static_cast<std::size_t>(k)] = n - 1 - k;
+  return build_exec_schedule(backend, n, std::move(level_ptr), std::move(rows),
+                             upper_triangular_deps(lu), threads, chunk_rows);
 }
 
 }  // namespace javelin

@@ -2,8 +2,9 @@
 //
 // One build, two runtime backends (exec/run.hpp):
 //
-//   * kP2P — point-to-point level scheduling (paper §III-A, Fig. 4): rows of
-//     each level are mapped to threads in contiguous slices; each thread
+//   * kP2P — point-to-point level scheduling (paper §III-A, Fig. 4): each
+//     level is cut into ITEMS of up to chunk_rows consecutive rows, and each
+//     thread takes a contiguous run of whole items (level_slice); each thread
 //     executes its rows level-by-level in a fixed order. That fixed order is
 //     the "implied ordering" that lets dependencies be pruned:
 //       - same-thread dependencies vanish (program order),
@@ -19,12 +20,13 @@
 //     instead of spin-waiting on sparsified dependencies. This is the §VI
 //     baseline the point-to-point scheme is measured against.
 //
-// Rows are additionally blocked into ITEMS — chunks of up to chunk_rows
-// consecutive rows of one (level, thread) slice. For the P2P backend the
-// chunk is the synchronization granule: one merged wait list up front, one
-// counter publish at the end. Chunks never cross a level boundary, which
-// keeps the schedule deadlock-free (an item's dependencies always live in
-// strictly earlier levels, hence strictly earlier items on every thread).
+// For the P2P backend the item is the synchronization granule: one merged
+// wait list up front, one counter publish at the end. Items never cross a
+// level boundary, which keeps the schedule deadlock-free (an item's
+// dependencies always live in strictly earlier levels, hence strictly
+// earlier items on every thread). Because threads receive whole items, a
+// level of at most chunk_rows rows runs on one thread, so a chain of narrow
+// levels carries no cross-thread waits at all.
 //
 // Schedules are RUNTIME-RETARGETABLE: retarget() re-chunks the (level,
 // thread) slices and rebuilds the sparsified waits for any team size from
@@ -41,8 +43,25 @@
 
 #include "javelin/exec/backend.hpp"
 #include "javelin/sparse/csr.hpp"
+#include "javelin/support/parallel.hpp"
 
 namespace javelin {
+
+/// Thread t's slice of a level of `rows` rows, as offsets into the level:
+/// the level is cut into ceil(rows / chunk_rows) items of chunk_rows
+/// consecutive rows (the last may be short) and thread t takes a contiguous
+/// run of whole items (partition_range over items). The slice therefore
+/// starts on an item boundary and holds ceil(size / chunk_rows) items. The
+/// schedule builder and every executor that re-derives slices at run time
+/// (barrier, hybrid, fused, panel) call this one function, so they cannot
+/// disagree on which thread runs a row. chunk_rows < 1 is treated as 1.
+inline Range level_slice(index_t rows, int threads, int t,
+                         index_t chunk_rows) noexcept {
+  const index_t chunk = std::max<index_t>(1, chunk_rows);
+  const Range items = partition_range((rows + chunk - 1) / chunk, threads, t);
+  return {std::min(rows, items.begin * chunk),
+          std::min(rows, items.end * chunk)};
+}
 
 struct ExecSchedule {
   ExecBackend backend = ExecBackend::kP2P;
@@ -52,7 +71,7 @@ struct ExecSchedule {
 
   /// Execution order: thread t runs items [thread_ptr[t] .. thread_ptr[t+1]);
   /// item i covers rows[item_ptr[i] .. item_ptr[i+1]) (a contiguous chunk of
-  /// one (level, thread) slice, executed in stored order).
+  /// one (level, thread) level_slice, executed in stored order).
   std::vector<index_t> thread_ptr;
   std::vector<index_t> item_ptr;
   std::vector<index_t> rows;
@@ -180,14 +199,15 @@ void build_sparsified_waits(int threads,
 inline constexpr index_t kDefaultChunkRows = 32;
 
 /// Build a schedule from explicit level sets (level-major lists of rows).
-/// `levels_rows` / `levels_ptr` follow the LevelSets layout. `deps` is
+/// `rows_by_level` / `level_ptr` follow the LevelSets layout and become the
+/// schedule's serial_order / level_ptr (move them in to skip a copy). `deps` is
 /// consulted once per row at build time. `chunk_rows` bounds the rows per
 /// item (blocking granule); values < 1 are clamped to 1. The wait lists are
 /// built for EITHER backend (they are what retarget() and a later backend
 /// switch rely on); the barrier executor simply never consults them.
 ExecSchedule build_exec_schedule(ExecBackend backend, index_t n_total,
-                                 std::span<const index_t> level_ptr,
-                                 std::span<const index_t> rows_by_level,
+                                 std::vector<index_t> level_ptr,
+                                 std::vector<index_t> rows_by_level,
                                  const DepsFn& deps, int threads,
                                  index_t chunk_rows = kDefaultChunkRows);
 
@@ -228,10 +248,19 @@ ExecSchedule build_upper_forward_schedule(const CsrMatrix& lu,
                                           ExecBackend backend, int threads,
                                           index_t chunk_rows = kDefaultChunkRows);
 
-/// Backward schedule over ALL rows: dependencies are the strictly-upper
-/// columns of `lu`; levels computed on that pattern, processed high-to-low.
-ExecSchedule build_backward_schedule(const CsrMatrix& lu, ExecBackend backend,
-                                     int threads,
+/// Backward schedule over ALL rows, on the plan's own levels: the upper
+/// levels (`upper_level_ptr`) followed by the moved ones (n_upper +
+/// `lower_level_ptr`, which may be empty), listed last to first with rows
+/// descending inside each level, so serial_order is n-1 … 0 and every level
+/// is one contiguous row range. Dependencies are the strictly-upper columns
+/// of `lu`. This is the co-design of paper §III: the plan's levels are
+/// level-major on lower(S+Sᵀ) and lu = P S Pᵀ, so a U entry (r, c), c > r,
+/// joins two rows adjacent in S+Sᵀ and level(c) > level(r) — the reversed
+/// plan levels are a valid U order.
+ExecSchedule build_backward_schedule(const CsrMatrix& lu,
+                                     std::span<const index_t> upper_level_ptr,
+                                     std::span<const index_t> lower_level_ptr,
+                                     ExecBackend backend, int threads,
                                      index_t chunk_rows = kDefaultChunkRows);
 
 }  // namespace javelin

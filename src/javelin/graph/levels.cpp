@@ -8,19 +8,35 @@
 
 namespace javelin {
 
-namespace {
+LevelSets::Stats LevelSets::stats() const {
+  Stats s;
+  s.num_levels = num_levels();
+  if (s.num_levels == 0) return s;
+  std::vector<index_t> sizes(static_cast<std::size_t>(s.num_levels));
+  for (index_t l = 0; l < s.num_levels; ++l) sizes[static_cast<std::size_t>(l)] = level_size(l);
+  s.min_rows = min_value(std::span<const index_t>(sizes));
+  s.max_rows = max_value(std::span<const index_t>(sizes));
+  s.median_rows = median(std::span<const index_t>(sizes));
+  return s;
+}
 
-/// Shared worker: levels from a "for each row r, iterate dependency columns
-/// c < r" accessor.
-template <class DepCols>
-LevelSets levels_from_deps(index_t n, DepCols dep_cols) {
+LevelSets compute_level_sets(const CsrMatrix& a) {
+  JAVELIN_CHECK(a.square(), "level scheduling requires a square matrix");
+  return compute_level_sets_lower(pattern_symmetrize(a));
+}
+
+LevelSets compute_level_sets_lower(const CsrMatrix& lower) {
+  JAVELIN_CHECK(lower.square(), "level scheduling requires a square matrix");
+  const index_t n = lower.rows();
   LevelSets ls;
   ls.level.assign(static_cast<std::size_t>(n), 0);
   index_t max_level = -1;
   for (index_t r = 0; r < n; ++r) {
     index_t lv = 0;
-    for (index_t c : dep_cols(r)) {
-      // Callers guarantee c < r, so level[c] is final.
+    for (index_t c : lower.row_cols(r)) {
+      // Columns are sorted; only c < r are dependencies, and their level is
+      // already final.
+      if (c >= r) break;
       lv = std::max(lv, ls.level[static_cast<std::size_t>(c)] + 1);
     }
     ls.level[static_cast<std::size_t>(r)] = lv;
@@ -35,83 +51,6 @@ LevelSets levels_from_deps(index_t n, DepCols dep_cols) {
   ls.rows_by_level.resize(static_cast<std::size_t>(n));
   std::vector<index_t> cursor(ls.level_ptr.begin(), ls.level_ptr.end() - 1);
   for (index_t r = 0; r < n; ++r) {
-    ls.rows_by_level[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(ls.level[static_cast<std::size_t>(r)])]++)] = r;
-  }
-  return ls;
-}
-
-}  // namespace
-
-LevelSets::Stats LevelSets::stats() const {
-  Stats s;
-  s.num_levels = num_levels();
-  if (s.num_levels == 0) return s;
-  std::vector<index_t> sizes(static_cast<std::size_t>(s.num_levels));
-  for (index_t l = 0; l < s.num_levels; ++l) sizes[static_cast<std::size_t>(l)] = level_size(l);
-  s.min_rows = min_value(std::span<const index_t>(sizes));
-  s.max_rows = max_value(std::span<const index_t>(sizes));
-  s.median_rows = median(std::span<const index_t>(sizes));
-  return s;
-}
-
-LevelSets compute_level_sets(const CsrMatrix& a, LevelPattern pattern) {
-  JAVELIN_CHECK(a.square(), "level scheduling requires a square matrix");
-  if (pattern == LevelPattern::kLowerA) {
-    return levels_from_deps(a.rows(), [&](index_t r) {
-      auto cols = a.row_cols(r);
-      // Columns are sorted; keep only c < r.
-      const auto it = std::lower_bound(cols.begin(), cols.end(), r);
-      return std::span<const index_t>(cols.begin(), it);
-    });
-  }
-  const CsrMatrix sym = pattern_symmetrize(a);
-  return levels_from_deps(sym.rows(), [&](index_t r) {
-    auto cols = sym.row_cols(r);
-    const auto it = std::lower_bound(cols.begin(), cols.end(), r);
-    return std::span<const index_t>(cols.begin(), it);
-  });
-}
-
-LevelSets compute_level_sets_lower(const CsrMatrix& lower) {
-  JAVELIN_CHECK(lower.square(), "level scheduling requires a square matrix");
-  return levels_from_deps(lower.rows(), [&](index_t r) {
-    auto cols = lower.row_cols(r);
-    const auto it = std::lower_bound(cols.begin(), cols.end(), r);
-    return std::span<const index_t>(cols.begin(), it);
-  });
-}
-
-LevelSets compute_level_sets_upper(const CsrMatrix& upper) {
-  JAVELIN_CHECK(upper.square(), "level scheduling requires a square matrix");
-  const index_t n = upper.rows();
-  // Dependencies of the backward solve: row r depends on rows c > r. Process
-  // rows in reverse so dependencies are final when read.
-  LevelSets ls;
-  ls.level.assign(static_cast<std::size_t>(n), 0);
-  index_t max_level = -1;
-  for (index_t r = n - 1; r >= 0; --r) {
-    index_t lv = 0;
-    auto cols = upper.row_cols(r);
-    const auto it = std::upper_bound(cols.begin(), cols.end(), r);
-    for (auto p = it; p != cols.end(); ++p) {
-      lv = std::max(lv, ls.level[static_cast<std::size_t>(*p)] + 1);
-    }
-    ls.level[static_cast<std::size_t>(r)] = lv;
-    max_level = std::max(max_level, lv);
-  }
-  const index_t nlev = max_level + 1;
-  ls.level_ptr.assign(static_cast<std::size_t>(std::max<index_t>(nlev, 0)) + 1, 0);
-  for (index_t r = 0; r < n; ++r) {
-    ++ls.level_ptr[static_cast<std::size_t>(ls.level[static_cast<std::size_t>(r)]) + 1];
-  }
-  inclusive_scan_inplace(std::span<index_t>(ls.level_ptr).subspan(1));
-  ls.rows_by_level.resize(static_cast<std::size_t>(n));
-  std::vector<index_t> cursor(ls.level_ptr.begin(), ls.level_ptr.end() - 1);
-  // Fill in *descending* row order within each level: the backward solve
-  // walks rows high-to-low, and keeping that order makes the implied-order
-  // pruning of the point-to-point schedule valid for U as well.
-  for (index_t r = n - 1; r >= 0; --r) {
     ls.rows_by_level[static_cast<std::size_t>(
         cursor[static_cast<std::size_t>(ls.level[static_cast<std::size_t>(r)])]++)] = r;
   }

@@ -5,9 +5,10 @@
 // Rows in the same level are mutually independent and can be factored/solved
 // concurrently (paper §II "level scheduling", Fig. 2).
 //
-// Javelin computes levels either for lower(A) or lower(A + Aᵀ); the latter is
-// the default because it additionally guarantees that columns inside a level
-// have no U-side coupling, which the SR lower stage requires (paper §III-B).
+// Javelin computes levels on lower(A + Aᵀ) only (paper §VII recommends it
+// always): it guarantees that rows inside a level have no coupling in either
+// triangle, which the SR lower stage requires (paper §III-B) and which lets
+// the backward U-solve run on the same levels reversed.
 #pragma once
 
 #include <span>
@@ -16,12 +17,6 @@
 #include "javelin/sparse/csr.hpp"
 
 namespace javelin {
-
-/// Which pattern drives the level computation (paper §III, §VII Table IV).
-enum class LevelPattern {
-  kLowerA,          ///< strictly-lower pattern of A itself
-  kLowerASymmetric  ///< strictly-lower pattern of A + Aᵀ (default)
-};
 
 /// The result of level scheduling.
 struct LevelSets {
@@ -54,18 +49,13 @@ struct LevelSets {
   Stats stats() const;
 };
 
-/// Compute level sets of the strictly-lower triangular dependency pattern of
-/// `a` (pattern selected by `pattern`). The matrix must be square.
-LevelSets compute_level_sets(const CsrMatrix& a,
-                             LevelPattern pattern = LevelPattern::kLowerASymmetric);
+/// Compute level sets of the strictly-lower pattern of a + aᵀ. The matrix
+/// must be square.
+LevelSets compute_level_sets(const CsrMatrix& a);
 
 /// Level sets for a matrix that is *already* strictly lower triangular (or
 /// for any matrix where only entries with col < row should be considered).
 LevelSets compute_level_sets_lower(const CsrMatrix& lower);
-
-/// Level sets of the strictly-UPPER pattern processed in reverse row order —
-/// the dependency structure of the backward (U) triangular solve.
-LevelSets compute_level_sets_upper(const CsrMatrix& upper);
 
 /// New-to-old permutation that orders rows by (level, row). This is the
 /// level-set ordering ("LS-*" orderings of paper Table II).

@@ -1,10 +1,10 @@
 // The complete Javelin factorization object: symbolic pattern, two-stage
-// plan, execution schedules (factorization + forward solve share one;
-// backward solve has its own; both run under the pluggable exec/ backend —
-// P2P spin-waits or barrier CSR-LS), and the numeric factor itself. Built
-// once, then reused by thousands of triangular solves (paper §VI: "the
-// incomplete factorization may only be formed once, but stri may be called
-// thousands of times").
+// plan, execution schedules (factorization + forward solve share one; the
+// backward solve runs the same plan levels reversed; both run under the
+// pluggable exec/ backend — P2P spin-waits or barrier CSR-LS), and the
+// numeric factor itself. Built once, then reused by thousands of triangular
+// solves (paper §VI: "the incomplete factorization may only be formed once,
+// but stri may be called thousands of times").
 #pragma once
 
 #include <memory>
@@ -97,7 +97,9 @@ struct Factorization {
   /// Upper-stage schedule (factorization + forward solve), built for the
   /// backend opts.exec_backend selects.
   ExecSchedule fwd;
-  /// Backward-solve schedule over all rows.
+  /// Backward-solve schedule over all rows: the plan's levels (upper, then
+  /// moved) last to first, rows descending, so serial_order is n-1 … 0
+  /// (build_backward_schedule).
   ExecSchedule bwd;
   /// SR tiling (empty unless plan.method == kSegmentedRows).
   SrTiling sr;

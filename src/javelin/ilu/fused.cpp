@@ -489,7 +489,7 @@ void ilu_apply_spmv(const Factorization& f, const CsrMatrix& a,
           const index_t base = s->level_ptr[static_cast<std::size_t>(l)];
           const index_t lsz =
               s->level_ptr[static_cast<std::size_t>(l) + 1] - base;
-          const Range rr = partition_range(lsz, s->threads, tid);
+          const Range rr = level_slice(lsz, s->threads, tid, s->chunk_rows);
           for (index_t k = base + rr.begin; k < base + rr.end; ++k) {
             if (!backward_scatter(
                     s->serial_order[static_cast<std::size_t>(k)])) {

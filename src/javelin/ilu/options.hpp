@@ -1,12 +1,13 @@
 // User-facing options of the Javelin framework (paper §III: fill level k,
-// drop tolerance τ, modified ILU, level pattern choice, lower-stage method
-// and the planner sensitivity knobs of Tables III/IV).
+// drop tolerance τ, modified ILU, lower-stage method and the planner
+// sensitivity knobs of Tables III/IV). Levels are always computed on
+// lower(A+Aᵀ) (paper §VII: "we by default always recommend using the
+// lower(A+Aᵀ) pattern").
 #pragma once
 
 #include <functional>
 
 #include "javelin/exec/backend.hpp"
-#include "javelin/graph/levels.hpp"
 #include "javelin/support/types.hpp"
 
 namespace javelin {
@@ -52,10 +53,6 @@ struct IluOptions {
   double pivot_threshold = 1e-14;
 
   // --- scheduling options ------------------------------------------------
-  /// Pattern driving the level computation. lower(A+Aᵀ) is the default; it
-  /// enables SR and stri tiling (paper §VII: "we by default always recommend
-  /// using the lower(A+Aᵀ) pattern").
-  LevelPattern level_pattern = LevelPattern::kLowerASymmetric;
   /// Lower-stage method.
   LowerMethod lower_method = LowerMethod::kAuto;
   /// A level is "too small" for the upper stage when it has fewer rows than

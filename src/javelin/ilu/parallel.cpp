@@ -402,8 +402,9 @@ Factorization ilu_prepare(const CsrMatrix& a, const IluOptions& opts) {
   f.fwd = build_upper_forward_schedule(f.lu, f.plan.upper_level_ptr,
                                        opts.exec_backend, f.plan.threads,
                                        chunk);
-  f.bwd = build_backward_schedule(f.lu, opts.exec_backend, f.plan.threads,
-                                  chunk);
+  f.bwd = build_backward_schedule(f.lu, f.plan.upper_level_ptr,
+                                  f.plan.lower_level_ptr, opts.exec_backend,
+                                  f.plan.threads, chunk);
   // Spin-wait escalation budget: carried by the schedules (retarget
   // preserves it) so every executor branch sees the configured ladder.
   f.fwd.spin_budget = opts.spin_max_pauses;

@@ -27,8 +27,6 @@ struct TwoStagePlan {
   std::vector<index_t> lower_level_ptr;
   /// Resolved lower-stage method (never kAuto).
   LowerMethod method = LowerMethod::kNone;
-  /// Pattern the levels were computed on.
-  LevelPattern pattern = LevelPattern::kLowerASymmetric;
   /// Thread count the plan targets.
   int threads = 1;
 
@@ -54,8 +52,7 @@ struct TwoStagePlan {
 ///   * only whole trailing levels move, which guarantees no upper-stage row
 ///     ever depends on a lower-stage row.
 /// Method resolution for kAuto (paper §III-B): SR when fewer moved rows than
-/// threads or when their nonzero counts are highly imbalanced, otherwise ER;
-/// lower(A) pattern forces ER (SR needs the A+Aᵀ independence guarantee).
+/// threads or when their nonzero counts are highly imbalanced, otherwise ER.
 TwoStagePlan build_two_stage_plan(const CsrMatrix& s, const IluOptions& opts);
 
 }  // namespace javelin

@@ -20,10 +20,9 @@ TwoStagePlan build_two_stage_plan(const CsrMatrix& s, const IluOptions& opts) {
   JAVELIN_CHECK(s.square(), "planning requires a square matrix");
   TwoStagePlan plan;
   plan.n = s.rows();
-  plan.pattern = opts.level_pattern;
   plan.threads = opts.num_threads > 0 ? opts.num_threads : max_threads();
 
-  const LevelSets ls = compute_level_sets(s, opts.level_pattern);
+  const LevelSets ls = compute_level_sets(s);
   const index_t nlev = ls.num_levels();
   plan.total_levels = nlev;
   plan.level_stats = ls.stats();
@@ -78,29 +77,22 @@ TwoStagePlan build_two_stage_plan(const CsrMatrix& s, const IluOptions& opts) {
   } else if (opts.lower_method == LowerMethod::kEvenRows) {
     plan.method = LowerMethod::kEvenRows;
   } else if (opts.lower_method == LowerMethod::kSegmentedRows) {
-    JAVELIN_CHECK(opts.level_pattern == LevelPattern::kLowerASymmetric,
-                  "SR requires the lower(A+A^T) level pattern (paper §III-B)");
     plan.method = LowerMethod::kSegmentedRows;
   } else {  // kAuto
-    if (opts.level_pattern == LevelPattern::kLowerA) {
-      plan.method = LowerMethod::kEvenRows;
-    } else {
-      // Nonzero imbalance among the moved rows (permuted tail).
-      index_t max_nnz = 0;
-      double sum_nnz = 0;
-      for (index_t i = plan.n_upper; i < plan.n; ++i) {
-        const index_t nz = s.row_nnz(plan.perm[static_cast<std::size_t>(i)]);
-        max_nnz = std::max(max_nnz, nz);
-        sum_nnz += static_cast<double>(nz);
-      }
-      const double mean_nnz =
-          sum_nnz / static_cast<double>(std::max<index_t>(1, plan.rows_moved));
-      const bool few_rows =
-          plan.rows_moved < static_cast<index_t>(plan.threads);
-      const bool imbalanced = static_cast<double>(max_nnz) > 4.0 * mean_nnz;
-      plan.method = (few_rows || imbalanced) ? LowerMethod::kSegmentedRows
-                                             : LowerMethod::kEvenRows;
+    // Nonzero imbalance among the moved rows (permuted tail).
+    index_t max_nnz = 0;
+    double sum_nnz = 0;
+    for (index_t i = plan.n_upper; i < plan.n; ++i) {
+      const index_t nz = s.row_nnz(plan.perm[static_cast<std::size_t>(i)]);
+      max_nnz = std::max(max_nnz, nz);
+      sum_nnz += static_cast<double>(nz);
     }
+    const double mean_nnz =
+        sum_nnz / static_cast<double>(std::max<index_t>(1, plan.rows_moved));
+    const bool few_rows = plan.rows_moved < static_cast<index_t>(plan.threads);
+    const bool imbalanced = static_cast<double>(max_nnz) > 4.0 * mean_nnz;
+    plan.method = (few_rows || imbalanced) ? LowerMethod::kSegmentedRows
+                                           : LowerMethod::kEvenRows;
   }
   return plan;
 }

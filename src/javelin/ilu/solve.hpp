@@ -8,11 +8,13 @@
 // spin-wait sparsification built for the numeric phase is reused verbatim.
 // Lower-stage rows are swept ER-style: their upper-column partial sums are
 // embarrassingly parallel, and only the small corner coupling runs in row
-// order. The backward (U) sweep runs under f.bwd, with the diagonal scale
-// fused into the sweep — no separate D^{-1} pass over the vector. Both
-// sweeps run under the exec/ backend the factor was built with (P2P or
-// barrier CSR-LS) and RETARGET through the workspace's ScheduleCache when
-// the runtime team differs from the factor-time plan — never a silent
+// order. The backward (U) sweep runs under f.bwd — the plan's own levels
+// (upper stage, then the moved rows) reversed, so both sweeps share one
+// level structure and each backward level is a contiguous row range — with
+// the diagonal scale fused into the sweep, no separate D^{-1} pass over the
+// vector. Both sweeps run under the exec/ backend the factor was built with
+// (P2P or barrier CSR-LS) and RETARGET through the workspace's ScheduleCache
+// when the runtime team differs from the factor-time plan — never a silent
 // serial fallback.
 //
 // All parallel sweeps are bitwise-identical to the serial reference: every

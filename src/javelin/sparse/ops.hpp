@@ -1,7 +1,7 @@
 // Structural operations on CSR matrices: transpose, symmetric permutation,
 // pattern symmetrization (A + Aᵀ), triangular extraction, and pattern
 // comparisons. These are the preprocessing primitives Javelin composes
-// (paper §III: level order of lower(A) or lower(A+Aᵀ), permutation into the
+// (paper §III: level order of lower(A+Aᵀ), permutation into the
 // level ordering during the copy-fill phase).
 #pragma once
 

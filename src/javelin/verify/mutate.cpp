@@ -183,16 +183,28 @@ MutationResult apply_mutation(ExecSchedule& s, Mutation m, const DepsFn& deps,
     case Mutation::kMoveRowAcrossLevel: {
       // Shift a level boundary right by one: the first row of level l
       // becomes the last row of level l-1 while the stored items keep
-      // executing it in the level-l slice. With true level sets (level(r)
-      // = 1 + max level of r's dependencies) the moved row always has a
-      // dependency in level l-1, which is now same-level — a barrier-
-      // backend data race the verifier must flag.
+      // executing it in the level-l slice. Sites are levels whose first row
+      // has a dependency in level l-1, which the move makes same-level — a
+      // barrier-backend data race the verifier must flag on exactly that
+      // row. (Valid level sets need not be ASAP — the backward schedule
+      // runs the plan's levels reversed — so not every level qualifies.)
+      std::vector<index_t> level_of(uz(s.n_total), kInvalidIndex);
+      for (index_t l = 0; l < s.num_levels; ++l) {
+        for (index_t k = s.level_ptr[uz(l)]; k < s.level_ptr[uz(l) + 1]; ++k) {
+          level_of[uz(s.serial_order[uz(k)])] = l;
+        }
+      }
       std::vector<index_t> sites;
       for (index_t l = 1; l < s.num_levels; ++l) {
-        if (s.level_ptr[uz(l)] < s.level_ptr[uz(l) + 1]) sites.push_back(l);
+        if (s.level_ptr[uz(l)] == s.level_ptr[uz(l) + 1]) continue;
+        bool prev_dep = false;
+        deps(s.serial_order[uz(s.level_ptr[uz(l)])], [&](index_t d) {
+          prev_dep = prev_dep || level_of[uz(d)] == l - 1;
+        });
+        if (prev_dep) sites.push_back(l);
       }
       if (sites.empty()) {
-        res.detail = "single-level schedule: no boundary to move";
+        res.detail = "no level whose first row depends on the previous level";
         return res;
       }
       const index_t l = sites[uz(static_cast<std::int64_t>(

@@ -10,7 +10,16 @@
 //   * the barrier (CSR-LS) backend is bitwise-identical to the P2P backend
 //     and to the serial reference at every thread count, for ilu_apply, the
 //     fused apply+SpMV, and full Krylov trajectories;
-//   * set_exec_backend flips a factor between backends in place.
+//   * set_exec_backend flips a factor between backends in place;
+//   * the backward schedule runs the plan's own levels reversed, each one
+//     contiguous row range, serial order n-1 … 0, on every suite matrix;
+//   * the barrier and hybrid executors run exactly the (row, thread) pairs
+//     the builder assigned, and a level of at most chunk_rows rows runs on
+//     one thread.
+#include <algorithm>
+#include <functional>
+#include <string>
+
 #include "javelin/exec/run.hpp"
 #include "javelin/gen/generators.hpp"
 #include "javelin/ilu/fused.hpp"
@@ -82,7 +91,9 @@ void check_retarget_identity(const char* name, const CsrMatrix& a,
     const ExecSchedule fresh_fwd = build_upper_forward_schedule(
         f.lu, f.plan.upper_level_ptr, backend, T, f.fwd.chunk_rows);
     const ExecSchedule fresh_bwd =
-        build_backward_schedule(f.lu, backend, T, f.bwd.chunk_rows);
+        build_backward_schedule(f.lu, f.plan.upper_level_ptr,
+                                f.plan.lower_level_ptr, backend, T,
+                                f.bwd.chunk_rows);
     CHECK_MSG(schedules_equal(retarget(f.fwd, low, T), fresh_fwd),
               "%s fwd retarget(%d)", name, T);
     CHECK_MSG(schedules_equal(retarget(f.bwd, up, T), fresh_bwd),
@@ -217,6 +228,108 @@ void check_backend_parity(const char* name, const CsrMatrix& a, int threads) {
             name, threads);
 }
 
+/// Co-design (paper §III): the backward sweep runs the plan's levels —
+/// upper, then moved — last to first with rows descending, so level j of
+/// f.bwd is plan level L-1-j, one contiguous row range, and serial_order is
+/// n-1 … 0.
+void check_bwd_on_plan_levels(const std::string& name, const CsrMatrix& a) {
+  IluOptions opts;
+  opts.num_threads = 4;
+  opts.retarget_oversubscribed = false;
+  const Factorization f = ilu_prepare(a, opts);
+  std::vector<index_t> plan_ptr = f.plan.upper_level_ptr;
+  for (std::size_t k = 1; k < f.plan.lower_level_ptr.size(); ++k) {
+    plan_ptr.push_back(f.plan.n_upper + f.plan.lower_level_ptr[k]);
+  }
+  const index_t n = f.n();
+  const std::size_t L = plan_ptr.size() - 1;
+  bool levels_ok = f.bwd.num_levels == static_cast<index_t>(L) &&
+                   f.bwd.level_ptr.size() == plan_ptr.size();
+  for (std::size_t j = 0; levels_ok && j <= L; ++j) {
+    levels_ok = f.bwd.level_ptr[j] == n - plan_ptr[L - j];
+  }
+  CHECK_MSG(levels_ok, "%s bwd levels (%lld) are not the %zu plan levels "
+            "reversed", name.c_str(), static_cast<long long>(f.bwd.num_levels),
+            L);
+  // Descending consecutive rows: every level is a contiguous row range.
+  bool order_ok = f.bwd.serial_order.size() == static_cast<std::size_t>(n);
+  for (index_t k = 0; order_ok && k < n; ++k) {
+    order_ok = f.bwd.serial_order[static_cast<std::size_t>(k)] == n - 1 - k;
+  }
+  CHECK_MSG(order_ok, "%s bwd serial_order is not n-1 .. 0", name.c_str());
+}
+
+/// Every executor branch must run exactly the (row, thread) pairs the
+/// builder assigned (producer_positions): kBarrier and hybrid re-derive
+/// their slices at run time, so this pins them to the builder's layout.
+/// Serial-regime levels run on thread 0. A level of at most chunk_rows rows
+/// is one item on one thread.
+void check_executor_slices(const char* name, const CsrMatrix& a) {
+  IluOptions opts;
+  opts.num_threads = 2;
+  opts.p2p_chunk_rows = 4;  // several items per level on the small fixtures
+  opts.retarget_oversubscribed = false;
+  const Factorization f = ilu_prepare(a, opts);
+  const struct {
+    const char* dir;
+    const ExecSchedule& s;
+    DepsFn deps;
+  } sweeps[] = {{"fwd", f.fwd, lower_triangular_deps(f.lu)},
+                {"bwd", f.bwd, upper_triangular_deps(f.lu)}};
+  for (const auto& sw : sweeps) {
+    for (int T : {2, 3, 4, 8}) {
+      ThreadCountGuard guard(T);
+      const ExecSchedule base = retarget(sw.s, sw.deps, T);
+      std::vector<index_t> owner, item_of;
+      base.producer_positions(owner, item_of);
+      const auto L = static_cast<std::size_t>(base.num_levels);
+      std::vector<std::uint8_t> tags(L);
+      std::vector<index_t> level_of(static_cast<std::size_t>(base.n_total),
+                                    kInvalidIndex);
+      for (std::size_t l = 0; l < L; ++l) {
+        tags[l] = static_cast<std::uint8_t>(l % 3);  // P2P, barrier, serial
+        std::vector<index_t> owners;
+        for (index_t k = base.level_ptr[l]; k < base.level_ptr[l + 1]; ++k) {
+          const auto r =
+              static_cast<std::size_t>(base.serial_order[static_cast<std::size_t>(k)]);
+          level_of[r] = static_cast<index_t>(l);
+          owners.push_back(owner[r]);
+        }
+        const bool one_thread =
+            std::adjacent_find(owners.begin(), owners.end(),
+                               std::not_equal_to<>()) == owners.end();
+        if (base.level_ptr[l + 1] - base.level_ptr[l] <= base.chunk_rows) {
+          CHECK_MSG(one_thread, "%s %s T=%d level %zu of <= %lld rows split",
+                    name, sw.dir, T, l,
+                    static_cast<long long>(base.chunk_rows));
+        }
+      }
+      for (const char* mode : {"p2p", "barrier", "hybrid"}) {
+        ExecSchedule s = base;
+        const bool hybrid = mode[0] == 'h';
+        if (mode[0] == 'b') s.backend = ExecBackend::kBarrier;
+        if (hybrid) apply_level_tags(s, tags);
+        std::vector<index_t> ran(static_cast<std::size_t>(s.n_total),
+                                 kInvalidIndex);
+        const ExecStatus st = exec_run(s, [&](index_t row, int t) {
+          ran[static_cast<std::size_t>(row)] = t;
+        });
+        CHECK(st.ok());
+        bool same = true;
+        for (index_t k : s.serial_order) {
+          const auto r = static_cast<std::size_t>(k);
+          const bool serial =
+              hybrid && tags[static_cast<std::size_t>(level_of[r])] ==
+                            static_cast<std::uint8_t>(LevelRegime::kSerial);
+          same = same && ran[r] == (serial ? 0 : owner[r]);
+        }
+        CHECK_MSG(same, "%s %s %s T=%d ran rows off the builder's threads",
+                  name, sw.dir, mode, T);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -234,6 +347,15 @@ int main() {
   check_runtime_retarget("chain", chain, ExecBackend::kP2P);
 
   check_oversubscription_policy(grid);
+
+  gen::SuiteOptions small;
+  small.scale = 0.02;
+  for (const std::string& name : gen::suite_names()) {
+    check_bwd_on_plan_levels(name, gen::make_suite_matrix(name, small).matrix);
+  }
+  check_executor_slices("grid", grid);
+  check_executor_slices("chain", chain);
+  check_executor_slices("fem", fem);
 
   for (int threads : {1, 2, 4}) {
     check_backend_parity("grid", grid, threads);

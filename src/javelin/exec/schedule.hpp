@@ -170,6 +170,30 @@ struct ExecSchedule {
 /// satisfied by construction — e.g. upper-stage rows for the corner).
 using DepsFn = std::function<void(index_t row, const std::function<void(index_t)>& yield)>;
 
+/// The optional TAIL phase of a region (exec/run.hpp): after its last item,
+/// thread t runs chunks [thread_ptr[t], thread_ptr[t+1]); under uniform P2P
+/// chunk c first waits until wait_thread[w] has published wait_count[w]
+/// items of the region's schedule, for w in [wait_ptr[c], wait_ptr[c+1]).
+/// A non-owning view: the arrays belong to the caller (the fused SpMV
+/// companion, ilu/fused.hpp).
+struct ExecTail {
+  std::span<const index_t> thread_ptr;
+  std::span<const index_t> wait_ptr;
+  std::span<const index_t> wait_thread;
+  std::span<const index_t> wait_count;
+
+  index_t num_chunks() const noexcept {
+    return thread_ptr.empty() ? 0 : thread_ptr.back();
+  }
+};
+
+/// Yields the dependencies of tail chunk `chunk` as (consumer, producer row)
+/// pairs: `consumer` names what the chunk computes (an output row), the
+/// producer is a row of the region's schedule that must complete first.
+using TailDepsFn = std::function<void(
+    index_t chunk,
+    const std::function<void(index_t consumer, index_t producer)>& yield)>;
+
 /// Build-time helper shared by the schedule builder and the fused-SpMV
 /// companion (build_fused_apply_spmv): two-pass (count, fill) sparsified
 /// wait-list construction with monotone per-producer high-water pruning.

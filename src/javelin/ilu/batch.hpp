@@ -18,8 +18,8 @@
 //
 // The standing bitwise guarantee extends to this path: a batched solve of k
 // right-hand sides is bitwise equal to k independent scalar solves, at every
-// thread count, under both exec backends, fused and unfused — column j's
-// accumulation order is the scalar order by construction (test_batch).
+// thread count, under both exec backends — column j's accumulation order is
+// the scalar order by construction (test_batch).
 #pragma once
 
 #include <memory>
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "javelin/ilu/factorization.hpp"
-#include "javelin/ilu/fused.hpp"
 #include "javelin/ilu/solve.hpp"
 #include "javelin/obs/trace.hpp"
 
@@ -52,22 +51,6 @@ inline index_t batch_rhs_of(const Factorization& f) noexcept {
 /// across distinct workspaces.
 void ilu_apply_panel(const Factorization& f, std::span<const value_t> r,
                      std::span<value_t> z, index_t k, SolveWorkspace& ws);
-
-/// Serial-reference panel apply used by the property tests.
-void ilu_apply_panel_serial(const Factorization& f, std::span<const value_t> r,
-                            std::span<value_t> z, index_t k,
-                            SolveWorkspace& ws);
-
-/// Fused panel pass: Z = (LU)^{-1} R and T = A Z for k column-major
-/// right-hand sides in ONE scheduled pass (the panel analog of
-/// ilu_apply_spmv — gather and scatter folded into the sweeps, SpMV chunks
-/// streamed behind the backward sweep on the same progress counters).
-/// Column j is bitwise equal to the scalar fused pass on column j. Throws
-/// when k < 1 or a span is smaller than n×k.
-void ilu_apply_spmv_panel(const Factorization& f, const CsrMatrix& a,
-                          const FusedApplySpmv& fs, std::span<const value_t> r,
-                          std::span<value_t> z, std::span<value_t> t,
-                          index_t k, SolveWorkspace& ws);
 
 /// Pool of SolveWorkspaces for concurrent serving streams sharing one
 /// factorization. acquire() hands out an exclusive lease (recycling an idle

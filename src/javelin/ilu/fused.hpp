@@ -9,27 +9,24 @@
 //   * the solution scatter z = Pᵀ x is folded into each backward-sweep row
 //     (no permute-out pass),
 //   * the SpMV is streamed BEHIND the backward sweep inside the same
-//     parallel region: each thread, after finishing its backward items,
-//     processes its A-row chunks, each guarded by sparsified spin-waits on
-//     the SAME ProgressCounters the backward sweep publishes — rows whose
-//     column dependencies are satisfied start multiplying while other
-//     threads are still solving. No barrier, no second kernel launch,
-//   * and — when the plan has no lower stage and both sweeps run uniform
-//     P2P — the FORWARD sweep joins the same region too: backward items
-//     carry sparsified backward-on-forward waits (on a second counter bank)
-//     and solve out of place, so a thread's backward rows start while other
-//     threads still execute forward rows. One parallel region for the whole
-//     solve + SpMV, zero fork/joins between the sweeps.
+//     parallel region, as the region's tail phase (exec/run.hpp): each
+//     thread, after finishing its backward items, processes its A-row
+//     chunks, each guarded by sparsified spin-waits on the SAME
+//     ProgressCounters the backward sweep publishes — rows whose column
+//     dependencies are satisfied start multiplying while other threads are
+//     still solving. No barrier, no second kernel launch.
 //
 // Per Krylov iteration this removes one full pass over the vectors (the
-// permute-out), two parallel-region fork/joins and the solve→SpMV barrier,
+// permute-out), one parallel-region fork/join and the solve→SpMV barrier,
 // while every row keeps its fixed CSR-order accumulation — the fused and
 // unfused paths are bitwise-identical at any thread count.
 //
-// Under the barrier (CSR-LS) backend the same region runs the backward
-// levels barrier-to-barrier and starts the SpMV chunks after the final
-// level barrier — no sparsified cross-schedule waits, but still one region
-// and zero extra vector passes, so the backend comparison stays honest.
+// The backward region is exec_run's, so every backend behaves as it does
+// for a plain backward sweep: under the barrier (CSR-LS) backend the SpMV
+// chunks start after the final level barrier, and a hybrid (per-level
+// regime) schedule crosses one team barrier after its last segment — one
+// region and zero extra vector passes either way, so the backend
+// comparison stays honest.
 #pragma once
 
 #include <span>
@@ -65,28 +62,22 @@ struct FusedApplySpmv {
 
   /// Rows per SpMV chunk the companion was built with (reused on retarget).
   index_t chunk_rows = 0;
-
-  /// Cross-schedule waits of the single-region fused pass (forward sweep
-  /// fused into the SAME parallel region as backward+SpMV): before BACKWARD
-  /// item i, wait until forward thread fwd_wait_thread[w] has published
-  /// fwd_wait_count[w] forward items, for w in [fwd_wait_ptr[i],
-  /// fwd_wait_ptr[i+1]) — these gate each backward row's read of its own
-  /// forward value. Built only when the companion was given the forward
-  /// schedule and the plan has no lower stage (fwd_synced); the two-phase
-  /// path never consults them.
-  bool fwd_synced = false;
-  std::vector<index_t> fwd_wait_ptr;
-  std::vector<index_t> fwd_wait_thread;
-  std::vector<index_t> fwd_wait_count;
+  /// Item granule (chunk_rows) of the backward schedule the waits were
+  /// built against: the waits count that schedule's items, so a re-chunked
+  /// backward schedule invalidates them (ilu_apply_spmv then throws).
+  index_t bwd_chunk_rows = 0;
 
   // --- statistics ----------------------------------------------------------
   index_t deps_total = 0;  ///< cross-thread column dependencies before pruning
   index_t deps_kept = 0;   ///< spin-waits actually stored
-  index_t fwd_deps_total = 0;  ///< backward-on-forward deps before pruning
-  index_t fwd_deps_kept = 0;   ///< backward-on-forward spin-waits stored
 
   index_t num_chunks() const noexcept {
     return static_cast<index_t>(chunk_begin.size());
+  }
+
+  /// The chunks as the tail phase of the backward region (exec/run.hpp).
+  ExecTail tail() const noexcept {
+    return {thread_ptr, wait_ptr, wait_thread, wait_count};
   }
 };
 
@@ -96,44 +87,26 @@ inline constexpr index_t kDefaultSpmvChunkRows = 1024;
 /// Build the fused-SpMV companion against an explicit backward schedule
 /// (the retarget path rebuilds through this for the runtime team). `plan`
 /// supplies the permutation; `a` is square with the factor's dimension.
-/// Passing the matching forward schedule (`fwd`, same team) additionally
-/// builds the backward-on-forward wait lists that let the runtime fuse the
-/// forward sweep into the same parallel region (only possible — and only
-/// attempted — when the plan has no lower stage).
 FusedApplySpmv build_fused_apply_spmv(const ExecSchedule& bwd,
                                       const TwoStagePlan& plan,
                                       const CsrMatrix& a,
-                                      index_t chunk_rows = kDefaultSpmvChunkRows,
-                                      const ExecSchedule* fwd = nullptr);
+                                      index_t chunk_rows = kDefaultSpmvChunkRows);
 
 /// Build the fused-SpMV companion for factor `f` and matrix `a` (square,
 /// same dimension as the factor; in Krylov use `a` is the matrix `f` was
-/// factored from). `chunk_rows` bounds the rows per SpMV chunk. The factor's
-/// own forward schedule is offered for single-region fusion automatically.
+/// factored from). `chunk_rows` bounds the rows per SpMV chunk. When
+/// f.opts.verify_schedules is set the chunk waits are proven against f.bwd
+/// (verify::verify_tail) and a defect throws Error.
 FusedApplySpmv build_fused_apply_spmv(const Factorization& f,
                                       const CsrMatrix& a,
                                       index_t chunk_rows = kDefaultSpmvChunkRows);
 
-/// The (team, backward schedule, fused-SpMV chunk structure) triple a fused
-/// pass should run right now: the factor's own when the runtime team matches
-/// the factor-time plan, otherwise retargeted through ws.sched (the cached
-/// fused companion is rebuilt when the team, the matrix identity or the
-/// chunk size changed). team <= 1 means "run the straight-line serial
-/// sweep" — bwd/chunks are still valid but the serial path never consults
-/// them. Shared by the scalar (ilu_apply_spmv) and panel
-/// (ilu_apply_spmv_panel) fused passes so their retarget policy cannot
-/// drift.
-struct FusedRuntime {
-  int team = 1;
-  const ExecSchedule* bwd = nullptr;
-  const FusedApplySpmv* chunks = nullptr;
-  /// Forward schedule at the same team (null on the serial path); consulted
-  /// only by the single-region fused pass.
-  const ExecSchedule* fwd = nullptr;
-};
-FusedRuntime runtime_fused_schedule(const Factorization& f, const CsrMatrix& a,
-                                    const FusedApplySpmv& fs,
-                                    SolveWorkspace& ws);
+/// The column dependencies of the companion's chunks, for
+/// verify::verify_tail: chunk c's A row r reads column j, which the
+/// backward sweep finishes at permuted row invperm(j). The closure refers
+/// to `fs` and `a`, which must outlive it.
+TailDepsFn fused_tail_deps(const FusedApplySpmv& fs, const TwoStagePlan& plan,
+                           const CsrMatrix& a);
 
 /// z = (LU)^{-1} r and t = A z in one fused pass. r, z and t are in the
 /// ORIGINAL row ordering and must not alias each other. Bitwise-identical to
@@ -141,8 +114,9 @@ FusedRuntime runtime_fused_schedule(const Factorization& f, const CsrMatrix& a,
 /// count. When the runtime team differs from the factor-time plan the whole
 /// fused pass — backward schedule AND SpMV chunks — is retargeted through
 /// ws.sched (a team of one runs the straight-line serial sweep, which is
-/// that team's schedule, not a fallback). Thread-safe across distinct
-/// workspaces.
+/// that team's schedule, not a fallback). Throws Error when `fs` was built
+/// for a different backward schedule (dimension, team or item granule).
+/// Thread-safe across distinct workspaces.
 void ilu_apply_spmv(const Factorization& f, const CsrMatrix& a,
                     const FusedApplySpmv& fs, std::span<const value_t> r,
                     std::span<value_t> z, std::span<value_t> t,

@@ -50,11 +50,13 @@ int runtime_team(const Factorization& f) {
 namespace {
 
 void ensure_cache(const Factorization& f, ScheduleCache& cache, int team) {
-  // Rebuild on a team change AND on any policy flip — backend, hybrid
-  // regime tags, spin budget — the autotuner (or set_exec_backend) may
-  // apply between sweeps that share this cache.
+  // Rebuild on a team change AND on any policy flip — backend, item
+  // granule, hybrid regime tags, spin budget — the autotuner (or
+  // set_exec_backend) may apply between sweeps that share this cache.
   if (cache.threads == team && cache.fwd.backend == f.fwd.backend &&
       cache.bwd.backend == f.bwd.backend &&
+      cache.fwd.chunk_rows == f.fwd.chunk_rows &&
+      cache.bwd.chunk_rows == f.bwd.chunk_rows &&
       cache.fwd.level_tags == f.fwd.level_tags &&
       cache.bwd.level_tags == f.bwd.level_tags &&
       cache.fwd.spin_budget == f.fwd.spin_budget &&

@@ -44,14 +44,6 @@ struct SolveWorkspace {
   ProgressCounters progress;       ///< spin-wait counters reused every sweep
   ScheduleCache sched;             ///< runtime-retargeted schedules (lazy)
 
-  /// Second counter bank + out-of-place backward solution used only by the
-  /// single-region fused pass (fused.cpp): the forward sweep publishes on
-  /// progress_fwd while the backward sweep publishes on progress, and the
-  /// backward solve writes xb so concurrently-running forward rows keep
-  /// reading unclobbered forward values from x. Sized lazily by that path.
-  ProgressCounters progress_fwd;
-  std::vector<value_t> xb;
-
   void resize(index_t n, index_t n_lower) {
     x.resize(static_cast<std::size_t>(n));
     lower_acc.resize(static_cast<std::size_t>(n_lower));

@@ -67,29 +67,6 @@ inline void backward_row(const CsrMatrix& lu, std::span<const index_t> diag_pos,
       (x[static_cast<std::size_t>(r)] - acc) / vv[static_cast<std::size_t>(dp)];
 }
 
-/// Out-of-place backward step: like backward_row, but the forward-sweep
-/// value is read from `x` and the backward solution accumulates into/out of
-/// `y` — y[r] = (x[r] - Σ_{c>r} U(r,c)·y[c]) / U(r,r). Identical operands in
-/// identical order, so bitwise equal to the in-place step; the separate
-/// output buffer is what lets the single-region fused pass run backward rows
-/// while other threads still execute forward rows (no write-after-read
-/// hazard on x).
-inline void backward_row_into(const CsrMatrix& lu,
-                              std::span<const index_t> diag_pos, index_t r,
-                              std::span<const value_t> x,
-                              std::span<value_t> y) {
-  const auto ci = lu.col_idx();
-  const auto vv = lu.values();
-  const index_t dp = diag_pos[static_cast<std::size_t>(r)];
-  value_t acc = 0;
-  for (index_t k = dp + 1; k < lu.row_end(r); ++k) {
-    acc += vv[static_cast<std::size_t>(k)] *
-           y[static_cast<std::size_t>(ci[static_cast<std::size_t>(k)])];
-  }
-  y[static_cast<std::size_t>(r)] =
-      (x[static_cast<std::size_t>(r)] - acc) / vv[static_cast<std::size_t>(dp)];
-}
-
 /// One CSR row of y = A x: fixed ascending-k accumulation (the bitwise
 /// contract every spmv variant in the library honors).
 inline value_t spmv_row(const CsrMatrix& a, index_t r,

@@ -40,8 +40,9 @@ namespace javelin::obs {
 
 /// Instrumented region kinds. Forward/backward cover both the scalar and
 /// the panel sweeps (same logical region, stats merge); kFused is the
-/// hand-rolled backward+SpMV overlap region, which reports thread-level
-/// counters only (no per-level attribution — its SpMV chunks have no level).
+/// fused pass's backward region with its SpMV tail (exec/run.hpp), whose
+/// chunk waits and busy time count per thread but not per level — the
+/// chunks have no level.
 enum class Region : int {
   kFactor = 0,
   kCorner,
@@ -108,8 +109,8 @@ struct ExecStats {
   index_t levels = 0;
   WaitCounters total;                    ///< merged in thread-index order
   std::vector<WaitCounters> per_thread;  ///< indexed by schedule thread id
-  /// Per-level attribution summed over threads and sweeps (empty for
-  /// kFused). level_rows comes from the schedule's level_ptr.
+  /// Per-level attribution summed over threads and sweeps (a tail's chunks
+  /// are not attributed). level_rows comes from the schedule's level_ptr.
   std::vector<std::uint64_t> level_busy_ns;
   std::vector<std::uint64_t> level_wait_ns;
   std::vector<index_t> level_rows;

@@ -48,12 +48,24 @@ class Sink {
   index_t cap_;
 };
 
-bool monotone(const std::vector<index_t>& v) {
+template <class Seq>
+bool monotone(const Seq& v) {
   for (std::size_t i = 1; i < v.size(); ++i) {
     if (v[i] < v[i - 1]) return false;
   }
   return true;
 }
+
+/// What the happens-before phase proved about a schedule, for analyses of
+/// phases that run after it (verify_tail): the producer maps and the
+/// per-item vector clocks. `valid` only when every item was enumerated.
+struct ScheduleClocks {
+  bool valid = false;
+  bool hybrid = false;               ///< regime tags honored by the analysis
+  std::vector<index_t> owner;        ///< row -> executing thread
+  std::vector<index_t> posn;         ///< row -> item position in its thread
+  std::vector<index_t> clock;        ///< [node][thread], items first
+};
 
 }  // namespace
 
@@ -117,8 +129,11 @@ std::string VerifyReport::summary() const {
   return os.str();
 }
 
-VerifyReport verify_schedule(const ExecSchedule& s, const DepsFn& deps,
-                             index_t max_diagnostics) {
+namespace {
+
+/// verify_schedule, optionally exporting what it proved to `out`.
+VerifyReport analyze_schedule(const ExecSchedule& s, const DepsFn& deps,
+                              index_t max_diagnostics, ScheduleClocks* out) {
   VerifyReport rep;
   Sink sink(rep, max_diagnostics);
 
@@ -637,7 +652,150 @@ VerifyReport verify_schedule(const ExecSchedule& s, const DepsFn& deps,
              kInvalidIndex, kInvalidIndex,
              "stored deps_total disagrees with the dependency enumeration");
   }
+  if (out != nullptr) {
+    out->valid = items_done == n_items;
+    out->hybrid = hybrid;
+    out->owner = std::move(owner);
+    out->posn = std::move(posn);
+    out->clock = std::move(clock);
+  }
   return rep;
+}
+
+}  // namespace
+
+VerifyReport verify_schedule(const ExecSchedule& s, const DepsFn& deps,
+                             index_t max_diagnostics) {
+  return analyze_schedule(s, deps, max_diagnostics, nullptr);
+}
+
+VerifyReport verify_tail(const ExecSchedule& s, const DepsFn& deps,
+                         const ExecTail& tail, const TailDepsFn& tail_deps,
+                         index_t max_diagnostics) {
+  ScheduleClocks sc;
+  VerifyReport rep = analyze_schedule(s, deps, max_diagnostics, &sc);
+  rep.stats = VerifyStats{};  // from here on the stats describe the tail
+  Sink sink(rep, max_diagnostics);
+
+  // ---- Shape: the tail must be indexable against the schedule's team.
+  const index_t n_chunks = tail.num_chunks();
+  if (s.thread_ptr.empty()) {
+    if (n_chunks != 0) sink.structural("tail chunks behind an empty schedule");
+    return rep;
+  }
+  const int T = s.threads;
+  if (static_cast<index_t>(tail.thread_ptr.size()) !=
+          static_cast<index_t>(T) + 1 ||
+      tail.thread_ptr.front() != 0 || !monotone(tail.thread_ptr)) {
+    sink.structural("tail thread_ptr is not a monotone (threads+1)-pointer "
+                    "array");
+    return rep;
+  }
+  if (n_chunks == 0) return rep;
+  if (static_cast<index_t>(tail.wait_ptr.size()) != n_chunks + 1 ||
+      tail.wait_ptr.front() != 0 || !monotone(tail.wait_ptr) ||
+      static_cast<index_t>(tail.wait_thread.size()) != tail.wait_ptr.back() ||
+      static_cast<index_t>(tail.wait_count.size()) != tail.wait_ptr.back()) {
+    sink.structural("tail wait_ptr/wait_thread/wait_count shapes disagree");
+    return rep;
+  }
+  VerifyStats& st = rep.stats;
+  st.items = n_chunks;
+  st.waits_total = tail.wait_ptr.back();
+  if (!sc.valid) return rep;  // the schedule's own defects are reported
+
+  // ---- Coverage. A chunk on thread t starts after every item of t (program
+  // order), so its clock starts from t's last item; each of its waits — and
+  // each wait of t's earlier chunks — merges the producer item's clock, as
+  // in the item analysis. A hybrid schedule crosses one team barrier before
+  // the tail, which publishes every item (regime coverage); a uniform
+  // schedule is proven under P2P whatever its backend tag says, because
+  // set_exec_backend flips the tag in place.
+  const auto items_of = [&](index_t p) {
+    return s.thread_ptr[uz(p) + 1] - s.thread_ptr[uz(p)];
+  };
+  std::vector<index_t> before(uz(T), 0);
+  std::vector<index_t> direct_high(uz(T), 0);
+  for (int t = 0; t < T; ++t) {
+    if (sc.hybrid) {
+      for (int p = 0; p < T; ++p) before[uz(p)] = items_of(p);
+    } else if (items_of(t) > 0) {
+      const index_t* last = sc.clock.data() +
+                            uz(s.thread_ptr[uz(t) + 1] - 1) * uz(T);
+      std::copy(last, last + T, before.begin());
+    } else {
+      std::fill(before.begin(), before.end(), 0);
+    }
+    for (index_t c = tail.thread_ptr[uz(t)]; c < tail.thread_ptr[uz(t) + 1];
+         ++c) {
+      std::fill(direct_high.begin(), direct_high.end(), 0);
+      for (index_t w = tail.wait_ptr[uz(c)]; w < tail.wait_ptr[uz(c) + 1];
+           ++w) {
+        const index_t pt = tail.wait_thread[uz(w)];
+        const index_t cnt = tail.wait_count[uz(w)];
+        const char* what = nullptr;
+        if (pt < 0 || pt >= static_cast<index_t>(T)) {
+          what = "tail wait names a thread outside the team";
+        } else if (pt == static_cast<index_t>(t)) {
+          what = "tail chunk waits on its own thread";
+        } else if (cnt < 1 || cnt > items_of(pt)) {
+          what = "tail wait count outside [1, producer item count]";
+        }
+        if (what != nullptr) {
+          sink.add(DiagKind::kWaitMetadata, kInvalidIndex, kInvalidIndex, t,
+                   pt >= 0 && pt < static_cast<index_t>(T)
+                       ? static_cast<int>(pt)
+                       : -1,
+                   kInvalidIndex, c, what);
+          continue;
+        }
+        direct_high[uz(pt)] = std::max(direct_high[uz(pt)], cnt);
+        const index_t* pc =
+            sc.clock.data() + uz(s.thread_ptr[uz(pt)] + cnt - 1) * uz(T);
+        for (int p = 0; p < T; ++p) {
+          before[uz(p)] = std::max(before[uz(p)], pc[uz(p)]);
+        }
+      }
+      tail_deps(c, [&](index_t consumer, index_t d) {
+        if (d < 0 || d >= s.n_total) {
+          sink.structural("tail dependency row out of [0, n_total)");
+          return;
+        }
+        const index_t ot = sc.owner[uz(d)];
+        if (ot == kInvalidIndex) {
+          ++st.deps_external;
+        } else if (ot == static_cast<index_t>(t)) {
+          ++st.deps_same_thread;
+        } else {
+          ++st.deps_cross_thread;
+          const index_t need = sc.posn[uz(d)] + 1;
+          if (direct_high[uz(ot)] >= need) {
+            ++st.deps_covered_direct;
+          } else if (before[uz(ot)] >= need) {
+            ++(sc.hybrid ? st.deps_covered_regime : st.deps_covered_transitive);
+          } else {
+            ++st.deps_uncovered;
+            sink.add(DiagKind::kUncoveredDependency, consumer, d, t,
+                     static_cast<int>(ot), kInvalidIndex, c,
+                     "no tail wait or transitive publish chain orders the "
+                     "producer before the chunk (latent data race)");
+          }
+        }
+      });
+    }
+  }
+  return rep;
+}
+
+void verify_tail_or_throw(const ExecSchedule& s, const DepsFn& deps,
+                          const ExecTail& tail, const TailDepsFn& tail_deps,
+                          const char* what) {
+  const VerifyReport rep =
+      verify_tail(s, deps, tail, tail_deps, /*max_diagnostics=*/8);
+  if (!rep.ok()) {
+    throw Error(std::string("tail verification failed (") + what +
+                "): " + rep.summary());
+  }
 }
 
 VerifyReport verify_retarget(const ExecSchedule& s, const DepsFn& deps,

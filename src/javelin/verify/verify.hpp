@@ -43,6 +43,10 @@
 // or kDeadlock). Malformed tag vectors are kRegimeTag and analyzed as
 // uniform.
 //
+// TAILS: a region may end in a tail phase (exec/run.hpp — the fused solve's
+// SpMV chunks) whose waits count the schedule's items. verify_tail extends
+// the item clocks to the chunks and proves every chunk dependency covered.
+//
 // Diagnostics are structured (ScheduleDiagnostic: consumer row, producer
 // row, threads, level, item) so tests can assert row-precise detection and
 // the bench can serialize verification stats (schema v5).
@@ -132,5 +136,25 @@ VerifyReport verify_retarget(const ExecSchedule& s, const DepsFn& deps,
 /// report summary. `what` names the schedule ("fwd", "bwd retarget", ...).
 void verify_schedule_or_throw(const ExecSchedule& s, const DepsFn& deps,
                               const char* what);
+
+/// Prove the tail phase (exec/run.hpp) that runs behind schedule `s` — the
+/// fused solve's SpMV chunks. Every (consumer, producer row) pair that
+/// `tail_deps` yields for a chunk must be ordered before the chunk: by
+/// program order (the chunk's thread executed the producer itself), by the
+/// chunk's own waits or those of its thread's earlier chunks, or
+/// transitively through the publish order of the items those waits reach —
+/// the same vector clocks verify_schedule computes. A hybrid schedule's
+/// tail runs after a team barrier, so its dependencies are regime-covered.
+/// A gap is kUncoveredDependency naming the consumer and the producer row.
+/// The schedule itself is verified too (its diagnostics are included); the
+/// report's stats describe the tail only (items = chunks).
+VerifyReport verify_tail(const ExecSchedule& s, const DepsFn& deps,
+                         const ExecTail& tail, const TailDepsFn& tail_deps,
+                         index_t max_diagnostics = 64);
+
+/// Assertion form of verify_tail (IluOptions::verify_schedules).
+void verify_tail_or_throw(const ExecSchedule& s, const DepsFn& deps,
+                          const ExecTail& tail, const TailDepsFn& tail_deps,
+                          const char* what);
 
 }  // namespace javelin::verify

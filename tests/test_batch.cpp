@@ -1,7 +1,7 @@
 // Property tests of the batched many-RHS path (ilu/batch.hpp,
 // solver/batch.hpp): a batched solve of k right-hand sides must be bitwise
 // equal to k independent scalar solves at every thread count, under both
-// exec backends, fused and unfused; entry validation must throw instead of
+// exec backends; entry validation must throw instead of
 // reading out of bounds; WorkspacePool must serve concurrent streams on one
 // shared factorization; and pcg_many must reproduce scalar pcg per column.
 #include <atomic>
@@ -45,8 +45,6 @@ std::vector<value_t> check_batch_parity(const char* name, const CsrMatrix& a,
   const std::size_t un = static_cast<std::size_t>(n);
   opts.batch_rhs = 4;  // force solve_many to split k > 4 into several panels
   const Factorization f = ilu_factor(a, opts);
-  const FusedApplySpmv fs = build_fused_apply_spmv(f, a);
-  const RowPartition part = RowPartition::build(a);
   SolveWorkspace ws_scalar, ws_panel;
   std::vector<value_t> k8_result;
 
@@ -54,11 +52,10 @@ std::vector<value_t> check_batch_parity(const char* name, const CsrMatrix& a,
     const std::size_t nk = un * static_cast<std::size_t>(k);
     std::vector<value_t> r = random_panel(n, k, 0xBA7C4 + static_cast<std::uint64_t>(k));
 
-    // Scalar reference: k independent applies (and fused apply+spmv pairs).
-    std::vector<value_t> z_ref(nk), t_ref(nk);
+    // Scalar reference: k independent applies.
+    std::vector<value_t> z_ref(nk);
     for (index_t j = 0; j < k; ++j) {
       ilu_apply(f, panel_col(r, n, j), panel_col(z_ref, n, j), ws_scalar);
-      spmv(a, part, panel_col(z_ref, n, j), panel_col(t_ref, n, j));
     }
 
     // Scheduled panel apply.
@@ -67,25 +64,10 @@ std::vector<value_t> check_batch_parity(const char* name, const CsrMatrix& a,
     CHECK_MSG(bitwise_equal(z, z_ref), "%s panel vs scalar (T=%d k=%d)", name,
               opts.num_threads, static_cast<int>(k));
 
-    // Serial-reference panel apply.
-    std::vector<value_t> z_ser(nk, 0);
-    SolveWorkspace ws_ser;
-    ilu_apply_panel_serial(f, r, z_ser, k, ws_ser);
-    CHECK_MSG(bitwise_equal(z_ser, z_ref), "%s serial panel (T=%d k=%d)", name,
-              opts.num_threads, static_cast<int>(k));
-
     // solve_many splits into batch_rhs-wide panels; still bitwise.
     std::vector<value_t> z_many(nk, 0);
     solve_many(f, r, z_many, k, ws_panel);
     CHECK_MSG(bitwise_equal(z_many, z_ref), "%s solve_many (T=%d k=%d)", name,
-              opts.num_threads, static_cast<int>(k));
-
-    // Fused panel pass: z AND t must match the scalar pair columnwise.
-    std::vector<value_t> z_fused(nk, 0), t_fused(nk, 0);
-    ilu_apply_spmv_panel(f, a, fs, r, z_fused, t_fused, k, ws_panel);
-    CHECK_MSG(bitwise_equal(z_fused, z_ref), "%s fused z (T=%d k=%d)", name,
-              opts.num_threads, static_cast<int>(k));
-    CHECK_MSG(bitwise_equal(t_fused, t_ref), "%s fused t (T=%d k=%d)", name,
               opts.num_threads, static_cast<int>(k));
 
     // Workspace reuse at a different width must not perturb results.
@@ -119,11 +101,6 @@ void check_validation(const CsrMatrix& a) {
   CHECK(throws([&] { ilu_apply_panel(f, r, std::span<value_t>(z).first(un * 3), 4, ws); }));
   CHECK(throws([&] { solve_many(f, r, z, 0, ws); }));
   CHECK(throws([&] { solve_many(f, std::span<const value_t>(r).first(un), z, 4, ws); }));
-  const FusedApplySpmv fs = build_fused_apply_spmv(f, a);
-  std::vector<value_t> t(un * 4);
-  CHECK(throws([&] {
-    ilu_apply_spmv_panel(f, a, fs, r, z, std::span<value_t>(t).first(un * 2), 4, ws);
-  }));
   CHECK(throws([&] {
     std::vector<value_t> b(un * 2), x(un * 2);
     pcg_many(a, b, x, 4, identity_panel_preconditioner());

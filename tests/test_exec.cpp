@@ -14,8 +14,9 @@
 //   * the backward schedule runs the plan's own levels reversed, each one
 //     contiguous row range, serial order n-1 … 0, on every suite matrix;
 //   * the barrier and hybrid executors run exactly the (row, thread) pairs
-//     the builder assigned, and a level of at most chunk_rows rows runs on
-//     one thread.
+//     the builder assigned, a level of at most chunk_rows rows runs on one
+//     thread, and every branch runs each tail chunk once, on its thread;
+//   * the fused companion of every retargeted schedule verifies clean.
 #include <algorithm>
 #include <functional>
 #include <string>
@@ -27,6 +28,7 @@
 #include "javelin/solver/krylov.hpp"
 #include "javelin/sparse/spmv.hpp"
 #include "javelin/support/parallel.hpp"
+#include "javelin/verify/verify.hpp"
 #include "test_util.hpp"
 
 using namespace javelin;
@@ -98,10 +100,15 @@ void check_retarget_identity(const char* name, const CsrMatrix& a,
               "%s fwd retarget(%d)", name, T);
     CHECK_MSG(schedules_equal(retarget(f.bwd, up, T), fresh_bwd),
               "%s bwd retarget(%d)", name, T);
+    const FusedApplySpmv fs = build_fused_apply_spmv(fresh_bwd, f.plan, a);
     CHECK_MSG(fused_equal(build_fused_apply_spmv(retarget(f.bwd, up, T),
                                                  f.plan, a),
-                          build_fused_apply_spmv(fresh_bwd, f.plan, a)),
+                          fs),
               "%s fused retarget(%d)", name, T);
+    const verify::VerifyReport rep = verify::verify_tail(
+        fresh_bwd, up, fs.tail(), fused_tail_deps(fs, f.plan, a));
+    CHECK_MSG(rep.ok(), "%s fused tail T=%d: %s", name, T,
+              rep.summary().c_str());
   }
   // Round trip back to the planned team reproduces the factor's own.
   CHECK_MSG(schedules_equal(retarget(retarget(f.fwd, low, 3), low, 8), f.fwd),
@@ -315,6 +322,32 @@ void check_executor_slices(const char* name, const CsrMatrix& a) {
           ran[static_cast<std::size_t>(row)] = t;
         });
         CHECK(st.ok());
+        // A wait-free tail of two chunks per thread: every chunk runs once,
+        // on its own thread, in every branch.
+        std::vector<index_t> tail_ptr(static_cast<std::size_t>(T) + 1);
+        for (int t = 0; t <= T; ++t) {
+          tail_ptr[static_cast<std::size_t>(t)] = 2 * static_cast<index_t>(t);
+        }
+        const std::vector<index_t> no_waits(static_cast<std::size_t>(2 * T) + 1,
+                                            0);
+        std::vector<int> chunk_ran(static_cast<std::size_t>(2 * T), -1);
+        std::vector<int> chunk_runs(static_cast<std::size_t>(2 * T), 0);
+        ProgressCounters progress;
+        const ExecStatus tst = exec_run(
+            s, [](index_t, int) {}, ExecTail{tail_ptr, no_waits, {}, {}},
+            [&](index_t c, int t) {
+              chunk_ran[static_cast<std::size_t>(c)] = t;
+              ++chunk_runs[static_cast<std::size_t>(c)];
+            },
+            progress);
+        CHECK(tst.ok());
+        bool tail_ok = true;
+        for (index_t c = 0; c < 2 * T; ++c) {
+          tail_ok = tail_ok && chunk_runs[static_cast<std::size_t>(c)] == 1 &&
+                    chunk_ran[static_cast<std::size_t>(c)] == c / 2;
+        }
+        CHECK_MSG(tail_ok, "%s %s %s T=%d tail chunks off their threads",
+                  name, sw.dir, mode, T);
         bool same = true;
         for (index_t k : s.serial_order) {
           const auto r = static_cast<std::size_t>(k);

@@ -2,11 +2,14 @@
 // bitwise-identical to the unfused reference (ilu_apply followed by a
 // partitioned spmv) at every thread count, and the restructured Krylov
 // drivers must produce bitwise-identical trajectories whether they consume
-// the fused or the unfused operator — the ISSUE-4 acceptance contract.
+// the fused or the unfused operator. The SpMV runs as the backward region's
+// tail under every executor branch (P2P, barrier, hybrid), and a companion
+// left stale by a re-chunked backward schedule is refused.
 #include "javelin/gen/generators.hpp"
 #include "javelin/ilu/fused.hpp"
 #include "javelin/solver/krylov.hpp"
 #include "javelin/support/parallel.hpp"
+#include "javelin/tune/tune.hpp"
 #include "test_util.hpp"
 
 using namespace javelin;
@@ -165,6 +168,70 @@ int main() {
       CHECK_MSG(bitwise_equal(t_f, t_u), "%s scheduled t (threads=%d)",
                 e.name, threads);
     }
+  }
+
+  // The SpMV tail under the other executor branches: kBarrier (chunks after
+  // the final level barrier) and hybrid regime tags (one team barrier after
+  // the last segment), bitwise against the unfused pair.
+  bool any_hybrid = false;
+  for (const Entry& e : {Entry{"grid", &grid}, Entry{"fem", &fem},
+                         Entry{"power", &power}, Entry{"chain", &chain}}) {
+    for (int threads : {2, 3, 4}) {
+      for (const bool hybrid : {false, true}) {
+        IluOptions opts;
+        opts.num_threads = threads;
+        opts.retarget_oversubscribed = false;
+        opts.exec_backend = hybrid ? ExecBackend::kP2P : ExecBackend::kBarrier;
+        Factorization f = ilu_factor(*e.a, opts);
+        if (hybrid) {
+          const auto idx = static_cast<index_t>(threads);
+          apply_level_tags(f.fwd, tune::derive_hybrid_tags(f.fwd, idx, 4 * idx));
+          apply_level_tags(f.bwd, tune::derive_hybrid_tags(f.bwd, idx, 4 * idx));
+          any_hybrid = any_hybrid || f.bwd.hybrid();
+        }
+        const FusedApplySpmv fs = build_fused_apply_spmv(f, *e.a);
+        const auto r = random_vector(e.a->rows(), 0xF00D);
+        const std::size_t un = static_cast<std::size_t>(e.a->rows());
+        std::vector<value_t> z_f(un), t_f(un), z_u(un), t_u(un);
+        SolveWorkspace ws_f, ws_u;
+        ilu_apply_spmv(f, *e.a, fs, r, z_f, t_f, ws_f);
+        ilu_apply(f, r, z_u, ws_u);
+        spmv(*e.a, RowPartition::build(*e.a), z_u, t_u);
+        const char* mode = hybrid ? "hybrid" : "barrier";
+        CHECK_MSG(bitwise_equal(z_f, z_u), "%s %s z (threads=%d)", e.name,
+                  mode, threads);
+        CHECK_MSG(bitwise_equal(t_f, t_u), "%s %s t (threads=%d)", e.name,
+                  mode, threads);
+      }
+    }
+  }
+  CHECK_MSG(any_hybrid, "no fixture produced a hybrid backward schedule");
+
+  // A companion built before the backward schedule was re-chunked counts
+  // the old items: the fused pass must refuse it instead of racing (a
+  // smaller granule releases waits early) or hanging (a larger one never
+  // reaches the counts).
+  {
+    IluOptions opts;
+    opts.num_threads = 4;
+    opts.retarget_oversubscribed = false;
+    Factorization f = ilu_factor(grid, opts);
+    const FusedApplySpmv fs = build_fused_apply_spmv(f, grid);
+    CHECK(f.bwd.chunk_rows != 64);
+    f.bwd = build_exec_schedule(f.bwd.backend, f.bwd.n_total, f.bwd.level_ptr,
+                                f.bwd.serial_order,
+                                upper_triangular_deps(f.lu), f.bwd.threads, 64);
+    const auto r = random_vector(grid.rows(), 0xF00D);
+    const std::size_t un = static_cast<std::size_t>(grid.rows());
+    std::vector<value_t> z(un), t(un);
+    SolveWorkspace ws;
+    bool threw = false;
+    try {
+      ilu_apply_spmv(f, grid, fs, r, z, t, ws);
+    } catch (const Error&) {
+      threw = true;
+    }
+    CHECK_MSG(threw, "stale fused companion accepted after a re-chunk");
   }
 
   // A non-default schedule chunk must not change any value, only the

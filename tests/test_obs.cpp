@@ -10,7 +10,8 @@
 //   * the spin-wait counters obey their accounting identities
 //     (waits == waits_immediate + waits_stalled, spins >= waits_stalled,
 //     per-thread slots sum to the region total) and their deterministic
-//     components (wait calls per sweep == deps_kept; barrier crossings ==
+//     components (wait calls per sweep == deps_kept — for the fused pass,
+//     the backward schedule's plus the SpMV tail's; barrier crossings ==
 //     sweeps × levels × threads) are exact;
 //   * MetricsRegistry merges are order-invariant and the schedule-shape
 //     metrics (rows_per_level) are identical across thread counts.
@@ -75,7 +76,7 @@ void check_parity(const CsrMatrix& a, ExecBackend be, int t) {
   CHECK_MSG(eo.has(obs::Region::kForward) && eo.has(obs::Region::kBackward),
             "%s t=%d sweep stats", bname, t);
 
-  // Fused apply+SpMV: the hand-rolled region has its own instrumented body.
+  // Fused apply+SpMV: the backward region with its SpMV tail.
   const FusedApplySpmv fs_plain = build_fused_apply_spmv(f_plain, a);
   const FusedApplySpmv fs_obs = build_fused_apply_spmv(f_obs, a);
   std::vector<value_t> t_plain(r.size()), t_obs(r.size());
@@ -261,6 +262,39 @@ void check_counter_identities(const CsrMatrix& a, ExecBackend be, int t) {
   }
 }
 
+/// The fused pass under P2P: one region whose waits are the backward
+/// items' stored waits plus the SpMV tail's — each executed exactly once
+/// per sweep, so the observed count pins the tail to its stored lists.
+void check_fused_waits(const CsrMatrix& a, int t) {
+  ThreadCountGuard guard(t);
+  obs::ExecObs eo;
+  IluOptions iopts = base_opts(ExecBackend::kP2P, t);
+  iopts.exec_obs = &eo;
+  const Factorization f = ilu_factor(a, iopts);
+  const FusedApplySpmv fs = build_fused_apply_spmv(f, a);
+  CHECK_MSG(fs.deps_kept > 0, "t=%d fused tail stores no waits", t);
+  eo.reset();
+
+  const auto r = random_vector(a.rows(), 0xF05);
+  std::vector<value_t> z(r.size()), tt(r.size());
+  SolveWorkspace ws;
+  constexpr int kSweeps = 3;
+  for (int i = 0; i < kSweeps; ++i) ilu_apply_spmv(f, a, fs, r, z, tt, ws);
+
+  const obs::ExecStats& st = eo.stats(obs::Region::kFused);
+  CHECK_MSG(st.sweeps == static_cast<std::uint64_t>(kSweeps),
+            "fused t=%d sweeps %llu", t,
+            static_cast<unsigned long long>(st.sweeps));
+  const std::uint64_t per_sweep =
+      static_cast<std::uint64_t>(f.bwd.deps_kept + fs.deps_kept);
+  CHECK_MSG(st.total.waits == static_cast<std::uint64_t>(kSweeps) * per_sweep,
+            "fused t=%d waits %llu != sweeps*(bwd %lld + tail %lld)", t,
+            static_cast<unsigned long long>(st.total.waits),
+            static_cast<long long>(f.bwd.deps_kept),
+            static_cast<long long>(fs.deps_kept));
+  CHECK_MSG(st.total.barrier_waits == 0, "fused t=%d p2p barrier_waits", t);
+}
+
 // --- (d) deterministic metrics -------------------------------------------
 
 void check_metrics_determinism(const CsrMatrix& a) {
@@ -346,6 +380,7 @@ int main() {
       check_counter_identities(a, be, t);
     }
   }
+  for (const int t : {2, 4, 8}) check_fused_waits(a, t);
   check_trace_stream();
   check_metrics_determinism(a);
   return javelin::test::finish("test_obs");

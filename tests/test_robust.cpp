@@ -111,11 +111,10 @@ void check_sweep_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
               static_cast<int>(site), backend_name(backend), threads);
   }
 
-  // Panel paths, both sites.
+  // Panel path, both sites.
   const index_t k = 4;
   const auto rp = random_vector(n * k, 0xB0B ^ 1);
   std::vector<value_t> zp(un * static_cast<std::size_t>(k));
-  std::vector<value_t> tp(un * static_cast<std::size_t>(k));
   for (FaultSite site : {FaultSite::kForwardRow, FaultSite::kBackwardRow}) {
     f.opts.fault_hook = poison(site, target);
     bool threw = false;
@@ -125,15 +124,6 @@ void check_sweep_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
       threw = true;
     }
     CHECK_MSG(threw, "panel apply did not abort (site=%d, %s, t=%d)",
-              static_cast<int>(site), backend_name(backend), threads);
-
-    threw = false;
-    try {
-      ilu_apply_spmv_panel(f, a, fs, rp, zp, tp, k, ws);
-    } catch (const AbortError&) {
-      threw = true;
-    }
-    CHECK_MSG(threw, "fused panel apply did not abort (site=%d, %s, t=%d)",
               static_cast<int>(site), backend_name(backend), threads);
   }
 

@@ -11,6 +11,10 @@
 //     (MutateSchedule) is flagged, with the expected defect class and a
 //     row-precise diagnostic naming the mutated row or a real broken
 //     dependency edge — the analyzer is itself tested adversarially;
+//   * the fused solve's SpMV tail verifies clean behind every suite
+//     matrix's backward schedule at T in {2, 3, 4, 8}, and dropping a
+//     load-bearing chunk wait is reported with the A row and the backward
+//     row it reads;
 //   * the wired assertion layers (IluOptions::verify_schedules) pass
 //     through ilu_prepare / solve-time retarget / refactor-time retarget
 //     without throwing.
@@ -19,6 +23,7 @@
 #include <vector>
 
 #include "javelin/gen/generators.hpp"
+#include "javelin/ilu/fused.hpp"
 #include "javelin/ilu/solve.hpp"
 #include "javelin/support/parallel.hpp"
 #include "javelin/tune/tune.hpp"
@@ -106,6 +111,102 @@ void check_matrix_clean(const std::string& name) {
     CHECK_MSG(rb.ok(), "%s bwd retarget T=%d: %s", name.c_str(), T,
               rb.summary().c_str());
   }
+}
+
+/// The fused solve's SpMV tail behind the backward schedule must verify
+/// clean at every team, with exact coverage accounting against the
+/// companion's own statistics.
+void check_tail_clean(const std::string& name) {
+  const gen::SuiteEntry e = gen::make_suite_matrix(name, small_scale());
+  for (const int T : {2, 3, 4, 8}) {
+    ThreadCountGuard guard(T);
+    IluOptions opts;
+    opts.num_threads = T;
+    opts.retarget_oversubscribed = false;
+    opts.verify_schedules = false;  // this test drives the verifier itself
+    const Factorization f = ilu_prepare(e.matrix, opts);
+    const FusedApplySpmv fs = build_fused_apply_spmv(f.bwd, f.plan, e.matrix);
+    const VerifyReport rep = verify::verify_tail(
+        f.bwd, upper_triangular_deps(f.lu), fs.tail(),
+        fused_tail_deps(fs, f.plan, e.matrix));
+    CHECK_MSG(rep.ok(), "%s tail T=%d: %s", name.c_str(), T,
+              rep.summary().c_str());
+    CHECK_MSG(rep.stats.waits_total == fs.deps_kept &&
+                  rep.stats.deps_cross_thread == fs.deps_total &&
+                  rep.stats.deps_covered_direct +
+                          rep.stats.deps_covered_transitive ==
+                      rep.stats.deps_cross_thread &&
+                  rep.stats.deps_uncovered == 0,
+              "%s tail T=%d coverage accounting: %s", name.c_str(), T,
+              rep.summary().c_str());
+  }
+}
+
+/// Dropping a chunk wait that nothing else covers must surface as an
+/// uncovered dependency of that chunk's thread, naming an A row of the
+/// reported chunk and a backward row that A row really reads.
+void check_tail_mutations(const std::string& name, int T) {
+  const gen::SuiteEntry e = gen::make_suite_matrix(name, small_scale());
+  ThreadCountGuard guard(T);
+  IluOptions opts;
+  opts.num_threads = T;
+  opts.retarget_oversubscribed = false;
+  opts.verify_schedules = false;
+  const Factorization f = ilu_prepare(e.matrix, opts);
+  const CsrMatrix& a = e.matrix;
+  const FusedApplySpmv fs = build_fused_apply_spmv(f.bwd, f.plan, a);
+  const DepsFn up = upper_triangular_deps(f.lu);
+  std::vector<index_t> owner, item_of;
+  f.bwd.producer_positions(owner, item_of);
+  const auto chunk_thread = [&](index_t c) {
+    int t = 0;
+    while (fs.thread_ptr[static_cast<std::size_t>(t) + 1] <= c) ++t;
+    return t;
+  };
+
+  int flagged = 0, tried = 0;
+  for (index_t c = 0; c < fs.num_chunks() && flagged < 4 && tried < 48; ++c) {
+    for (index_t w = fs.wait_ptr[static_cast<std::size_t>(c)];
+         w < fs.wait_ptr[static_cast<std::size_t>(c) + 1]; ++w, ++tried) {
+      FusedApplySpmv mut = fs;
+      const auto uw = static_cast<std::ptrdiff_t>(w);
+      mut.wait_thread.erase(mut.wait_thread.begin() + uw);
+      mut.wait_count.erase(mut.wait_count.begin() + uw);
+      for (std::size_t k = static_cast<std::size_t>(c) + 1;
+           k < mut.wait_ptr.size(); ++k) {
+        --mut.wait_ptr[k];
+      }
+      const VerifyReport rep = verify::verify_tail(
+          f.bwd, up, mut.tail(), fused_tail_deps(mut, f.plan, a));
+      if (rep.ok()) continue;  // another wait covers it transitively
+      ++flagged;
+      bool precise = false;
+      for (const ScheduleDiagnostic& d : rep.diagnostics) {
+        if (d.kind != DiagKind::kUncoveredDependency || d.item < c ||
+            d.item >= fs.num_chunks() ||
+            d.consumer_thread != chunk_thread(c) ||
+            d.consumer_thread != chunk_thread(d.item)) {
+          continue;
+        }
+        const auto ci = static_cast<std::size_t>(d.item);
+        bool reads = false;
+        if (d.consumer_row >= fs.chunk_begin[ci] &&
+            d.consumer_row < fs.chunk_end[ci]) {
+          const index_t col =
+              f.plan.perm[static_cast<std::size_t>(d.producer_row)];
+          for (index_t j : a.row_cols(d.consumer_row)) reads = reads || j == col;
+        }
+        precise = precise ||
+                  (reads && owner[static_cast<std::size_t>(d.producer_row)] ==
+                                static_cast<index_t>(d.producer_thread));
+      }
+      CHECK_MSG(precise, "%s T=%d dropped tail wait %lld of chunk %lld: %s",
+                name.c_str(), T, static_cast<long long>(w),
+                static_cast<long long>(c), rep.summary().c_str());
+    }
+  }
+  CHECK_MSG(flagged > 0, "%s T=%d: no load-bearing tail wait found",
+            name.c_str(), T);
 }
 
 /// One seeded mutation -> flagged, right class, row-precise. Returns whether
@@ -318,13 +419,17 @@ void check_wired_layers() {
     return ilu_factor(e.matrix, opts);
   }();
   const auto r = javelin::test::random_vector(f.n(), 0xC0FFEE);
-  std::vector<value_t> z(r.size());
+  std::vector<value_t> z(r.size()), t(r.size());
+  // The fused companion's tail is verified at build ...
+  const FusedApplySpmv fs = build_fused_apply_spmv(f, e.matrix);
   {
     // Team below the plan: runtime_fwd/bwd retarget through ensure_cache,
     // which re-verifies under verify_schedules.
     ThreadCountGuard guard(2);
     SolveWorkspace ws;
     ilu_apply(f, r, z, ws);
+    // ... and again when the fused pass rebuilds it for the runtime team.
+    ilu_apply_spmv(f, e.matrix, fs, r, z, t, ws);
     // Numeric-phase retarget cache, also wired.
     ilu_refactor(f, e.matrix);
   }
@@ -370,6 +475,11 @@ int main() {
   for (const std::string& name : gen::degenerate_names()) {
     check_matrix_clean(name);
   }
+  for (const std::string& name : gen::suite_names()) {
+    check_tail_clean(name);
+  }
+  check_tail_mutations("apache2", 4);
+  check_tail_mutations("thermal2", 3);
   // Structurally different generators for the adversarial sweep — a grid
   // stencil, an irregular FEM pattern, a power-grid block structure — at
   // team sizes that give the redirect mutation a third thread to point at.

@@ -3,10 +3,15 @@
 // exec_run(s, row_fn, progress) launches one parallel region of s.threads
 // and drives row_fn(row, thread) in dependency order:
 //
-//   * kP2P: each thread walks its items; before an item it performs the
-//     item's sparsified spin-waits on the shared ProgressCounters, after it
-//     it publishes its own monotone counter — threads speed ahead of each
-//     other (paper §III-A).
+//   * kP2P: each thread walks its RUNS (exec/schedule.hpp): before a run it
+//     performs the sparsified spin-waits of the run's first item on the
+//     shared ProgressCounters, runs the run's rows as one contiguous range,
+//     and then publishes its monotone counter once, at the run's last item
+//     count — threads speed ahead of each other (paper §III-A). Only a run's
+//     first item has waits and only its last item's count is named by the
+//     schedule's waits, so every wait is released at the same producer
+//     progress as a per-item walk would release it; a tail chunk waiting on
+//     a mid-run count is released at the run's end.
 //   * kBarrier: each thread recomputes its slice of every level (the same
 //     level_slice — a contiguous run of whole chunk_rows items — that the
 //     builder assigned) and the whole team crosses a spin barrier between
@@ -28,10 +33,13 @@
 // an AbortFlag and stops publishing; every spin-wait (P2P counter waits and
 // the level barrier alike) polls the flag, so peers drain out of their wait
 // loops within a bounded number of misses instead of spinning on a row that
-// will never complete. No exception crosses the parallel region: exec_run
-// returns a structured ExecStatus and the caller decides whether to throw,
-// retry, or fall back. Void-returning row functions keep the historical
-// zero-overhead hot path (no flag polling at all).
+// will never complete. A P2P thread that is not waiting notices the flag at
+// its next run boundary; a run has no waits after its first item, so the
+// extra work is bounded by one run and cannot hang. No exception crosses the
+// parallel region: exec_run returns a structured ExecStatus and the caller
+// decides whether to throw, retry, or fall back. Void-returning row
+// functions keep the historical zero-overhead hot path (no flag polling at
+// all).
 //
 // Observability follows the same compile-time gating pattern: the region
 // body is one template, detail::exec_run_impl<Obs>. exec_run instantiates
@@ -529,20 +537,27 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
           live = cross_barrier(barrier, spin_budget, abort, obs, t, l);
         }
       } else {
+        // Uniform P2P over the run layer: per run one wait list (its first
+        // item's — the others have none), the run's rows as one contiguous
+        // range, and one publish of the run's last item count (the only
+        // count of the run a wait of the schedule names).
         const index_t lo = s.thread_ptr[static_cast<std::size_t>(t)];
-        const index_t hi = s.thread_ptr[static_cast<std::size_t>(t) + 1];
+        const index_t run_lo = s.thread_run_ptr[static_cast<std::size_t>(t)];
+        const index_t run_hi =
+            s.thread_run_ptr[static_cast<std::size_t>(t) + 1];
         [[maybe_unused]] obs::TraceBuffer* buf = nullptr;
         [[maybe_unused]] index_t span_level = kInvalidIndex;
         if constexpr (Obs::kOn) {
           if (obs.tracing()) buf = &obs::TraceSession::instance().buffer();
         }
-        index_t done = 0;
-        for (index_t i = lo; i < hi; ++i) {
+        for (index_t run = run_lo; run < run_hi; ++run) {
           if (watch && abort->aborted()) break;
+          const index_t i0 = s.run_ptr[static_cast<std::size_t>(run)];
+          const index_t i1 = s.run_ptr[static_cast<std::size_t>(run) + 1];
           [[maybe_unused]] index_t lvl = 0;
           [[maybe_unused]] std::int64_t w0 = 0;
           if constexpr (Obs::kOn) {
-            lvl = obs.item_level(i);
+            lvl = obs.item_level(i0);
             w0 = obs::now_ns();
             // One span per contiguous run of same-level items per thread.
             if (buf != nullptr && lvl != span_level) {
@@ -551,9 +566,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
               span_level = lvl;
             }
           }
-          // One merged wait list, then the whole row block — the spin-wait
-          // checks and the release store are amortized over chunk_rows rows.
-          live = exec_waits(s, i, progress, spin_budget, abort, obs, t);
+          live = exec_waits(s, i0, progress, spin_budget, abort, obs, t);
           [[maybe_unused]] std::int64_t w1 = 0;
           if constexpr (Obs::kOn) {
             w1 = obs::now_ns();
@@ -564,20 +577,36 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
             }
           }
           if (!live) break;
-          live = exec_rows(row_fn, s.rows,
-                           s.item_ptr[static_cast<std::size_t>(i)],
-                           s.item_ptr[static_cast<std::size_t>(i) + 1], t,
-                           abort);
           if constexpr (Obs::kOn) {
-            const std::int64_t w2 = obs::now_ns();
-            obs.slot(t).busy_ns += static_cast<std::uint64_t>(w2 - w1);
-            obs.add_level_busy(t, lvl, static_cast<std::uint64_t>(w2 - w1));
+            // Per-item clock reads inside the run keep the per-level busy
+            // attribution and spans of the item model.
+            std::int64_t c0 = w1;
+            for (index_t i = i0; live && i < i1; ++i) {
+              const index_t il = obs.item_level(i);
+              if (buf != nullptr && il != span_level) {
+                buf->end_at(obs.name(), c0);
+                buf->begin_at(obs.name(), c0, il);
+                span_level = il;
+              }
+              live = exec_rows(row_fn, s.rows,
+                               s.item_ptr[static_cast<std::size_t>(i)],
+                               s.item_ptr[static_cast<std::size_t>(i) + 1], t,
+                               abort);
+              const std::int64_t c1 = obs::now_ns();
+              obs.slot(t).busy_ns += static_cast<std::uint64_t>(c1 - c0);
+              obs.add_level_busy(t, il, static_cast<std::uint64_t>(c1 - c0));
+              c0 = c1;
+            }
+          } else {
+            live = exec_rows(row_fn, s.rows,
+                             s.item_ptr[static_cast<std::size_t>(i0)],
+                             s.item_ptr[static_cast<std::size_t>(i1)], t,
+                             abort);
           }
-          // A failed item is never published, so consumers of any row in it
+          // A failed run is never published, so consumers of any row in it
           // (or after it) stall on the counter until they observe the flag.
           if (!live) break;
-          ++done;
-          progress.publish(t, done);
+          progress.publish(t, i1 - lo);
         }
         if constexpr (Obs::kOn) {
           if (buf != nullptr && span_level != kInvalidIndex) {

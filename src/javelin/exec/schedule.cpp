@@ -201,7 +201,51 @@ ExecSchedule build_exec_schedule(ExecBackend backend, index_t n_total,
         }
       },
       s.wait_ptr, s.wait_thread, s.wait_count, s.deps_total, s.deps_kept);
+  build_run_layer(s);
   return s;
+}
+
+void build_run_layer(ExecSchedule& s) {
+  const auto uz = [](index_t i) { return static_cast<std::size_t>(i); };
+  const int T = s.threads;
+  s.thread_run_ptr.clear();
+  s.run_ptr.clear();
+  if (T < 1 || s.thread_ptr.size() != uz(T) + 1 || s.thread_ptr[0] != 0 ||
+      !std::is_sorted(s.thread_ptr.begin(), s.thread_ptr.end())) {
+    return;  // schedules nothing, or not indexable (the verifier says which)
+  }
+  const index_t n_items = s.thread_ptr.back();
+  const bool waits_ok = s.wait_ptr.size() == uz(n_items) + 1 &&
+                        s.wait_thread.size() == uz(s.wait_ptr.back()) &&
+                        s.wait_count.size() == uz(s.wait_ptr.back());
+  // named[i]: a wait of the schedule names item i's count, so a run must
+  // end after item i for that wait to be released when item i is done.
+  std::vector<char> named(uz(n_items), 0);
+  if (waits_ok) {
+    for (std::size_t w = 0; w < s.wait_thread.size(); ++w) {
+      const index_t pt = s.wait_thread[w];
+      if (pt < 0 || pt >= static_cast<index_t>(T)) continue;
+      const index_t cnt = s.wait_count[w];
+      if (cnt < 1 || cnt > s.thread_ptr[uz(pt) + 1] - s.thread_ptr[uz(pt)]) {
+        continue;
+      }
+      named[uz(s.thread_ptr[uz(pt)] + cnt - 1)] = 1;
+    }
+  }
+  const auto has_waits = [&](index_t i) {
+    return waits_ok && s.wait_ptr[uz(i) + 1] > s.wait_ptr[uz(i)];
+  };
+  s.thread_run_ptr.assign(uz(T) + 1, 0);
+  s.run_ptr.push_back(0);
+  for (int t = 0; t < T; ++t) {
+    const index_t hi = s.thread_ptr[uz(t) + 1];
+    for (index_t i = s.thread_ptr[uz(t)]; i < hi; ++i) {
+      if (i + 1 == hi || named[uz(i)] || has_waits(i + 1)) {
+        s.run_ptr.push_back(i + 1);
+      }
+    }
+    s.thread_run_ptr[uz(t) + 1] = static_cast<index_t>(s.run_ptr.size()) - 1;
+  }
 }
 
 ExecSchedule retarget(const ExecSchedule& s, const DepsFn& deps, int threads) {
@@ -304,6 +348,7 @@ void apply_level_tags(ExecSchedule& s, std::span<const std::uint8_t> tags) {
   s.wait_thread = std::move(new_thread);
   s.wait_count = std::move(new_count);
   s.deps_kept = kept;
+  build_run_layer(s);
 }
 
 DepsFn lower_triangular_deps(const CsrMatrix& lu) {

@@ -20,13 +20,24 @@
 //     instead of spin-waiting on sparsified dependencies. This is the §VI
 //     baseline the point-to-point scheme is measured against.
 //
-// For the P2P backend the item is the synchronization granule: one merged
-// wait list up front, one counter publish at the end. Items never cross a
-// level boundary, which keeps the schedule deadlock-free (an item's
-// dependencies always live in strictly earlier levels, hence strictly
-// earlier items on every thread). Because threads receive whole items, a
-// level of at most chunk_rows rows runs on one thread, so a chain of narrow
-// levels carries no cross-thread waits at all.
+// The item is the BLOCKING granule: waits are computed per item, every
+// published count is an item count, and items never cross a level boundary,
+// which keeps the schedule deadlock-free (an item's dependencies always live
+// in strictly earlier levels, hence strictly earlier items on every thread).
+// Because threads receive whole items, a level of at most chunk_rows rows
+// runs on one thread, so a chain of narrow levels carries no cross-thread
+// waits at all.
+//
+// The RUN is the SYNCHRONIZATION granule of the uniform P2P executor: each
+// thread's items are grouped into maximal runs of consecutive items in which
+// only the first item has a wait list and only the last item's count is
+// named by a wait of the schedule (build_run_layer). A run executes as one
+// wait list, one contiguous row range and one counter publish, so a thread
+// that owns a long chain of narrow levels pays the per-item loop once per
+// run, not once per item. Every wait is still released at the same producer
+// progress: the counts waits name are exactly the run ends. The layer is
+// derived from the wait lists and rebuilt wherever they are written
+// (build_exec_schedule, hence retarget(), and apply_level_tags).
 //
 // Schedules are RUNTIME-RETARGETABLE: retarget() re-chunks the (level,
 // thread) slices and rebuilds the sparsified waits for any team size from
@@ -84,6 +95,14 @@ struct ExecSchedule {
   std::vector<index_t> wait_thread;
   std::vector<index_t> wait_count;
 
+  /// Run layer (derived from the wait lists by build_run_layer): thread t
+  /// runs runs [thread_run_ptr[t] .. thread_run_ptr[t+1]); run r covers items
+  /// [run_ptr[r] .. run_ptr[r+1]), so its rows are one contiguous range of
+  /// `rows`. Only item run_ptr[r] may have waits, and every count a wait
+  /// names is the end of a run of the producer thread.
+  std::vector<index_t> thread_run_ptr;
+  std::vector<index_t> run_ptr;
+
   /// Retained level structure: level l covers
   /// serial_order[level_ptr[l] .. level_ptr[l+1]). serial_order (level-major
   /// row listing) doubles as the dependency-safe serial execution order and,
@@ -115,6 +134,9 @@ struct ExecSchedule {
   index_t num_rows() const noexcept { return static_cast<index_t>(rows.size()); }
   index_t num_items() const noexcept {
     return item_ptr.empty() ? 0 : static_cast<index_t>(item_ptr.size()) - 1;
+  }
+  index_t num_runs() const noexcept {
+    return run_ptr.empty() ? 0 : static_cast<index_t>(run_ptr.size()) - 1;
   }
   bool hybrid() const noexcept { return !level_tags.empty(); }
   LevelRegime level_regime(index_t l) const noexcept {
@@ -235,6 +257,13 @@ ExecSchedule build_exec_schedule(ExecBackend backend, index_t n_total,
                                  const DepsFn& deps, int threads,
                                  index_t chunk_rows = kDefaultChunkRows);
 
+/// (Re)derive the run layer of `s` from its item and wait arrays: each
+/// thread's items are cut into maximal runs, a new run starting at every
+/// item with a wait list and after every item whose count a wait of the
+/// schedule names. Waits naming a thread or count outside the schedule are
+/// ignored (the verifier reports them). Deterministic and O(items + waits).
+void build_run_layer(ExecSchedule& s);
+
 /// Re-plan `s` for a new team size: re-chunk the (level, thread) slices and
 /// rebuild the sparsified waits from the retained level structure. `deps`
 /// must enumerate the same dependencies the schedule was originally built
@@ -250,11 +279,12 @@ ExecSchedule retarget(const ExecSchedule& s, const DepsFn& deps, int threads);
 /// level lc is guaranteed every item in levels below its regime FLOOR —
 /// lc itself for kBarrier/kSerial levels, the segment's first level for kP2P
 /// — has been published before it starts; waits whose producer count is
-/// below that floor are deleted (deps_kept drops, deps_total is untouched).
-/// After pruning, every surviving wait's producer lives in the consumer's
-/// own P2P segment. An all-kP2P tag vector is normalized to "no tags"
-/// (uniform schedule). Deterministic: retarget() re-applies the tags after
-/// rebuilding, field-for-field identical to tagging a fresh build.
+/// below that floor are deleted (deps_kept drops, deps_total is untouched)
+/// and the run layer is rebuilt from the pruned lists. After pruning, every
+/// surviving wait's producer lives in the consumer's own P2P segment. An
+/// all-kP2P tag vector is normalized to "no tags" (uniform schedule).
+/// Deterministic: retarget() re-applies the tags after rebuilding,
+/// field-for-field identical to tagging a fresh build.
 void apply_level_tags(ExecSchedule& s, std::span<const std::uint8_t> tags);
 
 /// Dependency enumerators of the triangular-factor schedules, exposed so

@@ -96,7 +96,12 @@ FactorStatus factor_corner(Factorization& f, WorkspacePool& pool) {
 
 /// Even-Rows phase one (paper Fig. 8 FACTOR_L): every lower row eliminates
 /// its upper-stage columns; rows are independent because their mutual
-/// coupling lives entirely in the corner.
+/// coupling lives entirely in the corner. As in Fig. 8 the rows are divided
+/// evenly (one contiguous block per thread, no shared-counter dequeue per
+/// row): the planner picks ER only when lower-row nnz is balanced (max <= 4x
+/// mean) and Segmented-Rows otherwise. Each row is computed by the same
+/// kernel whichever thread runs it, so the factor is bitwise independent of
+/// the split.
 void lower_even_rows(Factorization& f, WorkspacePool& pool) {
   const TwoStagePlan& plan = f.plan;
   const RowKernelParams params = kernel_params(f.opts);
@@ -104,7 +109,7 @@ void lower_even_rows(Factorization& f, WorkspacePool& pool) {
 #pragma omp parallel num_threads(plan.threads)
   {
     RowWorkspace& ws = pool.get(thread_id());
-#pragma omp for schedule(dynamic, 1)
+#pragma omp for schedule(static)
     for (index_t r = plan.n_upper; r < plan.n; ++r) {
       mark_row(fv, r, ws);
       eliminate_window(fv, r, 0, plan.n_upper, ws, params);

@@ -303,9 +303,17 @@ SolverResult gmres_fused(const CsrMatrix& a, std::span<const value_t> b,
     return res;
   };
 
-  // Krylov basis and the Hessenberg least-squares state (Givens rotations).
-  std::vector<std::vector<value_t>> v(static_cast<std::size_t>(m) + 1,
-                                      std::vector<value_t>(un));
+  // Krylov basis, grown on demand: v[j] is allocated when Arnoldi first
+  // writes it and kept across restart cycles, so a solve that converges in
+  // a few iterations touches a few n-vectors, not m+1 of them. A vector is
+  // always written before it is read within a cycle, so reuse across cycles
+  // needs no clearing. Then the Hessenberg least-squares state (Givens
+  // rotations).
+  std::vector<std::vector<value_t>> v(static_cast<std::size_t>(m) + 1);
+  const auto basis = [&](std::size_t j) -> std::vector<value_t>& {
+    if (v[j].empty()) v[j].resize(un);
+    return v[j];
+  };
   std::vector<std::vector<value_t>> h(static_cast<std::size_t>(m) + 1,
                                       std::vector<value_t>(static_cast<std::size_t>(m), 0));
   std::vector<value_t> cs(static_cast<std::size_t>(m), 0);
@@ -336,7 +344,8 @@ SolverResult gmres_fused(const CsrMatrix& a, std::span<const value_t> b,
       res.stop = SolverStop::kStagnation;
       return res;
     }
-    for (std::size_t i = 0; i < un; ++i) v[0][i] = w[i] / beta;
+    std::vector<value_t>& v0 = basis(0);
+    for (std::size_t i = 0; i < un; ++i) v0[i] = w[i] / beta;
     std::fill(g.begin(), g.end(), value_t{0});
     g[0] = beta;
 
@@ -363,7 +372,8 @@ SolverResult gmres_fused(const CsrMatrix& a, std::span<const value_t> b,
       }
       h[uj + 1][uj] = hnext;
       if (hnext != 0) {
-        for (std::size_t i = 0; i < un; ++i) v[uj + 1][i] = w[i] / hnext;
+        std::vector<value_t>& vn = basis(uj + 1);
+        for (std::size_t i = 0; i < un; ++i) vn[i] = w[i] / hnext;
       }
       // Apply the accumulated rotations, then form the new one.
       for (int i = 0; i < j; ++i) {

@@ -141,6 +141,7 @@ MutationResult mutate_wait(ExecSchedule& s, Mutation m, const DepsFn& deps,
           std::min(s.wait_count[uz(w)], items_of(s, new_pt));
       res.detail = "redirected wait to the wrong producer thread";
     }
+    build_run_layer(cand);
     const VerifyReport rep = verify_schedule(cand, deps);
     if (!rep.ok() &&
         grab_rows(rep, {DiagKind::kUncoveredDependency, DiagKind::kDeadlock},
@@ -151,6 +152,42 @@ MutationResult mutate_wait(ExecSchedule& s, Mutation m, const DepsFn& deps,
     }
   }
   res.detail = "no load-bearing wait found within the search budget";
+  return res;
+}
+
+/// Move the wait list of a run's first item onto a later item of the same
+/// run and leave the run layer as it was: the run executor performs only a
+/// run's first wait list, so the moved waits would never run.
+MutationResult move_waits_in_run(ExecSchedule& s, std::uint64_t seed) {
+  MutationResult res;
+  std::vector<index_t> sites;
+  for (index_t r = 0; r < s.num_runs(); ++r) {
+    const index_t i0 = s.run_ptr[uz(r)];
+    if (s.run_ptr[uz(r) + 1] - i0 >= 2 &&
+        s.wait_ptr[uz(i0) + 1] > s.wait_ptr[uz(i0)]) {
+      sites.push_back(r);
+    }
+  }
+  if (sites.empty()) {
+    res.detail = "no run of two or more items with a wait list";
+    return res;
+  }
+  std::uint64_t st = seed;
+  const index_t r = sites[uz(static_cast<std::int64_t>(
+      splitmix(st) % static_cast<std::uint64_t>(sites.size())))];
+  const index_t i0 = s.run_ptr[uz(r)];
+  const index_t len = s.run_ptr[uz(r) + 1] - i0;
+  const index_t target =
+      i0 + 1 +
+      static_cast<index_t>(splitmix(st) % static_cast<std::uint64_t>(len - 1));
+  // Items i0+1 .. target have empty lists, so only their start offsets
+  // move: every one of them now starts where item i0's list started.
+  for (index_t i = i0 + 1; i <= target; ++i) {
+    s.wait_ptr[uz(i)] = s.wait_ptr[uz(i0)];
+  }
+  res.consumer_row = item_head_row(s, target);
+  res.applied = true;
+  res.detail = "moved a run's wait list onto a later item of the run";
   return res;
 }
 
@@ -166,12 +203,16 @@ const char* mutation_name(Mutation m) noexcept {
     case Mutation::kCorruptWaitCount: return "corrupt_wait_count";
     case Mutation::kRegimeRetag: return "regime_retag";
     case Mutation::kRegimeTagShape: return "regime_tag_shape";
+    case Mutation::kMoveWaitsInRun: return "move_waits_in_run";
   }
   return "unknown";
 }
 
-MutationResult apply_mutation(ExecSchedule& s, Mutation m, const DepsFn& deps,
-                              std::uint64_t seed) {
+namespace {
+
+/// One mutation of class m; apply_mutation rebuilds the run layer after it.
+MutationResult mutate(ExecSchedule& s, Mutation m, const DepsFn& deps,
+                      std::uint64_t seed) {
   MutationResult res;
   std::uint64_t st = seed;
   switch (m) {
@@ -324,8 +365,23 @@ MutationResult apply_mutation(ExecSchedule& s, Mutation m, const DepsFn& deps,
       res.applied = true;
       return res;
     }
+
+    case Mutation::kMoveWaitsInRun:
+      return move_waits_in_run(s, seed);
   }
   res.detail = "unknown mutation";
+  return res;
+}
+
+}  // namespace
+
+MutationResult apply_mutation(ExecSchedule& s, Mutation m, const DepsFn& deps,
+                              std::uint64_t seed) {
+  // Every class but kMoveWaitsInRun (whose defect IS the stale layer)
+  // rebuilds the run layer from what it mutated, so the verifier's finding
+  // is the mutated defect itself.
+  MutationResult res = mutate(s, m, deps, seed);
+  if (res.applied && m != Mutation::kMoveWaitsInRun) build_run_layer(s);
   return res;
 }
 

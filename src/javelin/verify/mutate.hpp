@@ -33,12 +33,14 @@ enum class Mutation {
   kCorruptWaitCount,   ///< count beyond the producer's item count
   kRegimeRetag,        ///< retag a synced level kP2P, orphaning pruned waits
   kRegimeTagShape,     ///< truncate level_tags / plant an unknown tag value
+  kMoveWaitsInRun,     ///< move a run's wait list onto a later item of it
 };
 
 inline constexpr Mutation kAllMutations[] = {
     Mutation::kDropWait,           Mutation::kWeakenWait,
     Mutation::kRedirectWait,       Mutation::kMoveRowAcrossLevel,
     Mutation::kDuplicateRow,       Mutation::kCorruptWaitCount,
+    Mutation::kMoveWaitsInRun,
 };
 
 /// Regime-boundary defect classes. Only meaningful on HYBRID schedules
@@ -61,8 +63,10 @@ struct MutationResult {
 /// Apply one seeded mutation in place. `deps` must be the enumeration the
 /// schedule was built with (the drop/weaken/redirect search verifies
 /// candidates against it). Deterministic for a given (schedule, m, seed).
-/// Mutations keep the stored stats consistent where they can, so the
-/// verifier's finding is the SEMANTIC defect, not bookkeeping drift.
+/// Mutations keep the stored stats consistent where they can, and every
+/// class but kMoveWaitsInRun rebuilds the run layer (build_run_layer), so
+/// the verifier's finding is the SEMANTIC defect, not bookkeeping drift;
+/// kMoveWaitsInRun leaves the layer stale on purpose — that is its defect.
 MutationResult apply_mutation(ExecSchedule& s, Mutation m, const DepsFn& deps,
                               std::uint64_t seed);
 

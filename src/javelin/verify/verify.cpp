@@ -81,6 +81,7 @@ const char* diag_kind_name(DiagKind k) noexcept {
     case DiagKind::kRetargetMismatch: return "retarget_mismatch";
     case DiagKind::kStatsMismatch: return "stats_mismatch";
     case DiagKind::kRegimeTag: return "regime_tag";
+    case DiagKind::kRunLayout: return "run_layout";
   }
   return "unknown";
 }
@@ -386,6 +387,85 @@ VerifyReport analyze_schedule(const ExecSchedule& s, const DepsFn& deps,
     }
   }
 
+  // Item of the producer's thread whose publish releases (valid) wait w.
+  auto wait_producer_item = [&](index_t w) {
+    return s.thread_ptr[uz(s.wait_thread[uz(w)])] + s.wait_count[uz(w)] - 1;
+  };
+
+  // ---- Phase 3b: run layer. The uniform P2P executor runs each run as one
+  // wait list (its first item's), one row range and one publish (its last
+  // item's count). That is the item model analyzed below exactly when the
+  // runs partition each thread's items in order, no item but a run's first
+  // has waits (the executor would never perform them), and every count a
+  // valid wait names ends a run of the producer thread (a count inside a
+  // run is published only at the run's end — later than the item model
+  // says, and a wait on it could close a cycle the item graph cannot see).
+  {
+    const auto run_diag = [&](index_t i, int t, index_t producer_row,
+                              int producer_thread, const char* what) {
+      const bool item_ok = i >= 0 && i < n_items;
+      sink.add(DiagKind::kRunLayout, item_ok ? item_head_row(i) : kInvalidIndex,
+               producer_row, t, producer_thread,
+               item_ok ? item_level[uz(i)] : kInvalidIndex,
+               item_ok ? i : kInvalidIndex, what);
+    };
+    const index_t n_runs = s.num_runs();
+    if (s.thread_run_ptr.size() != uz(T) + 1 || s.thread_run_ptr.front() != 0 ||
+        !monotone(s.thread_run_ptr) || s.run_ptr.empty() ||
+        s.thread_run_ptr.back() != n_runs) {
+      run_diag(kInvalidIndex, -1, kInvalidIndex, -1,
+               "thread_run_ptr/run_ptr do not index a run per thread");
+    } else {
+      std::vector<char> run_end(uz(n_items), 0);
+      bool partitioned = true;
+      for (int t = 0; t < T; ++t) {
+        index_t next = s.thread_ptr[uz(t)];
+        const index_t hi = s.thread_ptr[uz(t) + 1];
+        for (index_t r = s.thread_run_ptr[uz(t)];
+             r < s.thread_run_ptr[uz(t) + 1]; ++r) {
+          const index_t i0 = s.run_ptr[uz(r)];
+          const index_t i1 = s.run_ptr[uz(r) + 1];
+          if (i0 != next || i1 <= i0 || i1 > hi) {
+            run_diag(next < hi ? next : kInvalidIndex, t, kInvalidIndex, -1,
+                     "runs do not partition the thread's items in order");
+            partitioned = false;
+            break;
+          }
+          for (index_t i = i0 + 1; i < i1; ++i) {
+            if (s.wait_ptr[uz(i) + 1] > s.wait_ptr[uz(i)]) {
+              run_diag(i, t, kInvalidIndex, -1,
+                       "item inside a run has a wait list (the run executor "
+                       "never performs it)");
+            }
+          }
+          run_end[uz(i1) - 1] = 1;
+          next = i1;
+        }
+        if (partitioned && next != hi) {
+          run_diag(next, t, kInvalidIndex, -1,
+                   "runs do not cover the thread's items");
+          partitioned = false;
+        }
+        if (!partitioned) break;
+      }
+      for (int t = 0; partitioned && t < T; ++t) {
+        for (index_t i = s.thread_ptr[uz(t)]; i < s.thread_ptr[uz(t) + 1];
+             ++i) {
+          for (index_t w = s.wait_ptr[uz(i)]; w < s.wait_ptr[uz(i) + 1]; ++w) {
+            if (!wait_valid[uz(w)]) continue;
+            const index_t p_item = wait_producer_item(w);
+            if (!run_end[uz(p_item)]) {
+              run_diag(i, t, item_head_row(p_item),
+                       static_cast<int>(s.wait_thread[uz(w)]),
+                       "wait names a count inside a run of the producer "
+                       "thread (published only at the run's end)");
+            }
+          }
+        }
+      }
+    }
+  }
+
   // ---- Phase 4: deadlock. Kahn's toposort over the item graph — edges are
   // per-thread program order plus (producer item -> waiting item) for every
   // valid wait. Hybrid schedules add VIRTUAL SYNC NODES for the executor's
@@ -451,9 +531,6 @@ VerifyReport analyze_schedule(const ExecSchedule& s, const DepsFn& deps,
   }
   std::vector<index_t> indeg(uz(n_nodes), 0);
   std::vector<index_t> succ_ptr(uz(n_nodes) + 1, 0);
-  auto wait_producer_item = [&](index_t w) {
-    return s.thread_ptr[uz(s.wait_thread[uz(w)])] + s.wait_count[uz(w)] - 1;
-  };
   for (index_t i = 0; i < n_items; ++i) {
     const int t = static_cast<int>(thread_of[uz(i)]);
     if (i != s.thread_ptr[uz(t)]) {
@@ -828,6 +905,8 @@ VerifyReport verify_retarget(const ExecSchedule& s, const DepsFn& deps,
   if (rt.wait_ptr != fresh.wait_ptr) mismatch("wait_ptr");
   if (rt.wait_thread != fresh.wait_thread) mismatch("wait_thread");
   if (rt.wait_count != fresh.wait_count) mismatch("wait_count");
+  if (rt.thread_run_ptr != fresh.thread_run_ptr) mismatch("thread_run_ptr");
+  if (rt.run_ptr != fresh.run_ptr) mismatch("run_ptr");
   if (rt.level_ptr != fresh.level_ptr) mismatch("level_ptr");
   if (rt.serial_order != fresh.serial_order) mismatch("serial_order");
   if (rt.level_tags != fresh.level_tags) mismatch("level_tags");

@@ -24,7 +24,12 @@
 //     and UNCOVERED otherwise — an uncovered edge is a latent data race;
 //   * deadlock freedom — the item graph (program order + wait edges) must be
 //     acyclic; an item waiting on a counter value its producer thread only
-//     reaches after that item publishes can never start.
+//     reaches after that item publishes can never start;
+//   * run layout — the uniform P2P executor runs RUNS of items (one wait
+//     list, one row range, one publish; exec/schedule.hpp), which executes
+//     the item model above exactly when the runs partition each thread's
+//     items in order, only a run's first item has waits, and every count a
+//     wait names ends a run. A violation is kRunLayout naming the item.
 //
 // Both the level check and the wait check always run regardless of
 // s.backend: set_exec_backend() flips the tag in place, so a schedule must
@@ -72,6 +77,7 @@ enum class DiagKind {
   kRetargetMismatch,     ///< retarget(s, deps, T) differs from a fresh build
   kStatsMismatch,        ///< stored deps_total/deps_kept/num_levels stale
   kRegimeTag,            ///< level_tags wrong length or unknown regime value
+  kRunLayout,            ///< run layer does not match the items and waits
 };
 
 const char* diag_kind_name(DiagKind k) noexcept;

@@ -16,6 +16,10 @@
 //   * the barrier and hybrid executors run exactly the (row, thread) pairs
 //     the builder assigned, a level of at most chunk_rows rows runs on one
 //     thread, and every branch runs each tail chunk once, on its thread;
+//   * the run layer (maximal runs: waits only on a run's first item, every
+//     waited-for count a run end) the P2P executor walks holds for fwd and
+//     bwd on every suite matrix at T in {2, 3, 4, 8}; a chain of one-row
+//     levels collapses into a few runs;
 //   * the fused companion of every retargeted schedule verifies clean.
 #include <algorithm>
 #include <functional>
@@ -57,6 +61,8 @@ bool schedules_equal(const ExecSchedule& a, const ExecSchedule& b) {
   ok = vec_eq("wait_ptr", a.wait_ptr, b.wait_ptr) && ok;
   ok = vec_eq("wait_thread", a.wait_thread, b.wait_thread) && ok;
   ok = vec_eq("wait_count", a.wait_count, b.wait_count) && ok;
+  ok = vec_eq("thread_run_ptr", a.thread_run_ptr, b.thread_run_ptr) && ok;
+  ok = vec_eq("run_ptr", a.run_ptr, b.run_ptr) && ok;
   ok = vec_eq("level_ptr", a.level_ptr, b.level_ptr) && ok;
   ok = vec_eq("serial_order", a.serial_order, b.serial_order) && ok;
   return ok;
@@ -363,6 +369,81 @@ void check_executor_slices(const char* name, const CsrMatrix& a) {
   }
 }
 
+/// The run layer of `s`, checked independently of the builder: the runs
+/// partition each thread's items in order, only a run's first item has a
+/// wait list, every count a wait names ends a run, and the runs are maximal
+/// (each boundary is forced by a wait list or a named count). Empty = ok.
+std::string run_layer_defect(const ExecSchedule& s) {
+  const auto uz = [](index_t i) { return static_cast<std::size_t>(i); };
+  const int T = s.threads;
+  if (s.thread_run_ptr.size() != uz(T) + 1 || s.run_ptr.empty() ||
+      s.thread_run_ptr.back() != s.num_runs()) {
+    return "run arrays are not sized per thread and run";
+  }
+  std::vector<char> named(uz(s.num_items()), 0);
+  for (std::size_t w = 0; w < s.wait_thread.size(); ++w) {
+    named[uz(s.thread_ptr[uz(s.wait_thread[w])] + s.wait_count[w] - 1)] = 1;
+  }
+  std::vector<char> ends(uz(s.num_items()), 0);
+  for (int t = 0; t < T; ++t) {
+    index_t next = s.thread_ptr[uz(t)];
+    for (index_t r = s.thread_run_ptr[uz(t)]; r < s.thread_run_ptr[uz(t) + 1];
+         ++r) {
+      const index_t i0 = s.run_ptr[uz(r)];
+      const index_t i1 = s.run_ptr[uz(r) + 1];
+      if (i0 != next || i1 <= i0 || i1 > s.thread_ptr[uz(t) + 1]) {
+        return "runs of thread " + std::to_string(t) +
+               " do not partition its items in order";
+      }
+      for (index_t i = i0 + 1; i < i1; ++i) {
+        if (s.wait_ptr[uz(i) + 1] > s.wait_ptr[uz(i)]) {
+          return "item " + std::to_string(i) + " inside a run has waits";
+        }
+      }
+      ends[uz(i1) - 1] = 1;
+      next = i1;
+    }
+    if (next != s.thread_ptr[uz(t) + 1]) {
+      return "runs of thread " + std::to_string(t) + " miss items";
+    }
+    for (index_t i = s.thread_ptr[uz(t)]; i + 1 < s.thread_ptr[uz(t) + 1];
+         ++i) {
+      if (ends[uz(i)] != 0 && named[uz(i)] == 0 &&
+          s.wait_ptr[uz(i) + 2] == s.wait_ptr[uz(i) + 1]) {
+        return "run ending at item " + std::to_string(i) + " is not maximal";
+      }
+    }
+  }
+  for (std::size_t i = 0; i < named.size(); ++i) {
+    if (named[i] != 0 && ends[i] == 0) {
+      return "a wait names item " + std::to_string(i) + " inside a run";
+    }
+  }
+  return {};
+}
+
+/// The run layer holds on the forward and backward schedules at every team.
+void check_run_layer(const std::string& name, const CsrMatrix& a) {
+  IluOptions opts;
+  opts.num_threads = 2;
+  opts.retarget_oversubscribed = false;
+  opts.verify_schedules = false;
+  const Factorization f = ilu_prepare(a, opts);
+  const struct {
+    const char* dir;
+    const ExecSchedule& s;
+    DepsFn deps;
+  } sweeps[] = {{"fwd", f.fwd, lower_triangular_deps(f.lu)},
+                {"bwd", f.bwd, upper_triangular_deps(f.lu)}};
+  for (const auto& sw : sweeps) {
+    for (int T : {2, 3, 4, 8}) {
+      const std::string defect = run_layer_defect(retarget(sw.s, sw.deps, T));
+      CHECK_MSG(defect.empty(), "%s %s T=%d: %s", name.c_str(), sw.dir, T,
+                defect.c_str());
+    }
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -389,6 +470,26 @@ int main() {
   check_executor_slices("grid", grid);
   check_executor_slices("chain", chain);
   check_executor_slices("fem", fem);
+  for (const std::string& name : gen::suite_names()) {
+    check_run_layer(name, gen::make_suite_matrix(name, small).matrix);
+  }
+  // A chain of one-row levels: the backward sweep's 1,200 items sit on one
+  // thread with nothing to wait for, so they collapse into a few runs.
+  {
+    const CsrMatrix deep = gen::long_chain(1200, 12, 4, 5);
+    check_run_layer("long_chain", deep);
+    IluOptions opts;
+    opts.num_threads = 2;
+    opts.retarget_oversubscribed = false;
+    const Factorization f = ilu_prepare(deep, opts);
+    for (int T : {2, 4}) {
+      const ExecSchedule bwd = retarget(f.bwd, upper_triangular_deps(f.lu), T);
+      CHECK_MSG(bwd.num_items() == 1200 && bwd.num_runs() <= 4,
+                "long_chain bwd T=%d: %lld items in %lld runs", T,
+                static_cast<long long>(bwd.num_items()),
+                static_cast<long long>(bwd.num_runs()));
+    }
+  }
 
   for (int threads : {1, 2, 4}) {
     check_backend_parity("grid", grid, threads);

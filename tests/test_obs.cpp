@@ -11,7 +11,8 @@
 //     (waits == waits_immediate + waits_stalled, spins >= waits_stalled,
 //     per-thread slots sum to the region total) and their deterministic
 //     components (wait calls per sweep == deps_kept — for the fused pass,
-//     the backward schedule's plus the SpMV tail's; barrier crossings ==
+//     the backward schedule's plus the SpMV tail's, also on a deep chain
+//     whose sweeps run as a few long runs of items; barrier crossings ==
 //     sweeps × levels × threads) are exact;
 //   * MetricsRegistry merges are order-invariant and the schedule-shape
 //     metrics (rows_per_level) are identical across thread counts.
@@ -381,6 +382,13 @@ int main() {
     }
   }
   for (const int t : {2, 4, 8}) check_fused_waits(a, t);
+  // Deep chain of narrow levels: the P2P executor runs whole runs of items,
+  // and still performs every stored wait exactly once per sweep.
+  const CsrMatrix chain = gen::long_chain(1200, 12, 4, 5);
+  for (const int t : {2, 4, 8}) {
+    check_counter_identities(chain, ExecBackend::kP2P, t);
+    check_fused_waits(chain, t);
+  }
   check_trace_stream();
   check_metrics_determinism(a);
   return javelin::test::finish("test_obs");

@@ -21,6 +21,7 @@
 // prints the minimal reproducing (seed, n, T, chunk, backend).
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -140,7 +141,8 @@ std::string run_trial(const Trial& tr) {
   // parity; a flagged mutant is never executed (it may deadlock).
   ExecSchedule mut = s;
   std::uint64_t st = tr.seed ^ 0xABCDEF12ULL;
-  const auto kind = verify::kAllMutations[splitmix(st) % 6];
+  const auto kind = verify::kAllMutations[splitmix(st) %
+                                          std::size(verify::kAllMutations)];
   const verify::MutationResult res =
       verify::apply_mutation(mut, kind, deps, splitmix(st));
   if (res.applied) {

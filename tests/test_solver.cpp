@@ -80,6 +80,40 @@ int main() {
     }
   }
 
+  // --- Restarted GMRES(4): several cycles, exit inside a later cycle ------
+  {
+    // The basis grows on demand and is reused across restart cycles; a
+    // vector left over from an earlier cycle must never leak into a later
+    // one. The trajectory must also be independent of the OpenMP team.
+    CsrMatrix a = gen::power_system(1200, 24, 70, 0x33);
+    const auto b = random_vector(a.rows(), 0x23);
+    IluOptions iopts;
+    iopts.num_threads = 2;
+    IluPreconditioner m(a, iopts);
+    SolverOptions ropts = sopts;
+    ropts.restart = 4;
+    std::vector<value_t> x_ref;
+    for (const int team : {1, 2, 4}) {
+      ThreadCountGuard team_guard(team);
+      std::vector<value_t> x(b.size(), 0);
+      const SolverResult res = gmres(a, b, x, m.fn(), ropts);
+      CHECK_MSG(res.converged, "GMRES(4) team %d rel res %.3g after %d iters",
+                team, res.relative_residual, res.iterations);
+      CHECK_MSG(res.iterations > 2 * ropts.restart &&
+                    res.iterations % ropts.restart != 0,
+                "GMRES(4) team %d took %d iterations: want an exit inside a "
+                "cycle after the second",
+                team, res.iterations);
+      CHECK(true_relative_residual(a, b, x) < 1e-7);
+      if (x_ref.empty()) {
+        x_ref = x;
+      } else {
+        CHECK_MSG(javelin::test::bitwise_equal(x, x_ref),
+                  "GMRES(4) x at team %d differs from team 1", team);
+      }
+    }
+  }
+
   // --- GMRES on a power-system matrix (dense rows, unsym pattern) ----------
   {
     CsrMatrix a = gen::power_system(1200, 24, 70, 0x33);

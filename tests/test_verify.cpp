@@ -295,6 +295,15 @@ bool check_one_mutation(const std::string& name, const char* dir,
     case Mutation::kRegimeTagShape:
       precise = has_kind(rep, DiagKind::kRegimeTag);
       break;
+    case Mutation::kMoveWaitsInRun:
+      // The item that received the wait list must be named.
+      for (const ScheduleDiagnostic& d : rep.diagnostics) {
+        if (d.kind == DiagKind::kRunLayout &&
+            d.consumer_row == res.consumer_row) {
+          precise = true;
+        }
+      }
+      break;
   }
   CHECK_MSG(precise,
             "%s %s %s seed=%llu flagged without a row-precise diagnostic: %s",

@@ -3,13 +3,16 @@
 // concurrent right-hand sides two complementary ways:
 //
 //   * PANEL SWEEPS: k right-hand sides are stored column-major in an n×k
-//     panel and swept together under the SAME execution schedules as the
-//     scalar solve — each row's L/U entries are loaded once per register
-//     block of columns (sparse/panel.hpp) instead of once per RHS,
-//     converting the bandwidth-bound scalar sweep into a register-blocked
-//     panel kernel. Synchronization (spin-waits or level barriers) is paid
-//     once per panel, not once per RHS — exactly the cost the suite-scale
-//     bench showed dominating parallel solves.
+//     panel and swept together by register-blocked panel kernels — each
+//     row's L/U entries are loaded once per register block of columns
+//     (sparse/panel.hpp) instead of once per RHS. The columns of a panel
+//     share no dependencies, so when k is at least the runtime team every
+//     thread takes a contiguous group of whole columns and sweeps it
+//     straight through, rows 0…n−1 then n−1…0, with no progress counters,
+//     waits or barriers. Only with fewer columns than threads, or under an
+//     ExecObs sink (which instruments schedules), does the panel run the
+//     scalar solve's row-parallel execution schedules, paying their
+//     synchronization once per panel rather than once per RHS.
 //
 //   * WORKSPACE POOLS: independent serving streams check SolveWorkspaces out
 //     of a WorkspacePool and run concurrent ilu_apply/ilu_apply_panel calls
@@ -47,8 +50,13 @@ inline index_t batch_rhs_of(const Factorization& f) noexcept {
 /// stored column-major (R and Z are n×k, column stride n, ORIGINAL row
 /// ordering; they must not overlap). Column j is bitwise equal to
 /// ilu_apply(f, column j of R, column j of Z, ws) at every thread count and
-/// backend. Throws when k < 1 or a span is smaller than n×k. Thread-safe
-/// across distinct workspaces.
+/// backend. With k >= runtime_team(f) and no exec_obs sink, each thread
+/// solves a contiguous group of whole columns in ws's n×k panel with no
+/// synchronization; otherwise the panel runs the forward and backward
+/// schedules row-parallel. A fault_hook fires after every row (of every
+/// column group); a veto throws AbortError naming the sweep and permuted row
+/// once the region has drained, with Z unwritten. Throws when k < 1 or a
+/// span is smaller than n×k. Thread-safe across distinct workspaces.
 void ilu_apply_panel(const Factorization& f, std::span<const value_t> r,
                      std::span<value_t> z, index_t k, SolveWorkspace& ws);
 

@@ -225,7 +225,8 @@ void ilu_apply_spmv(const Factorization& f, const CsrMatrix& a,
   ws.resize(n, f.plan.num_lower_rows());
   const auto& perm = f.plan.perm;
   const CsrMatrix& lu = f.lu;
-  std::span<value_t> x(ws.x);
+  const std::span<value_t> x =
+      std::span<value_t>(ws.x).first(static_cast<std::size_t>(n));
 
   const FusedRuntime rt = runtime_fused_schedule(f, a, fs, ws);
   const FaultHook& hook = f.opts.fault_hook;

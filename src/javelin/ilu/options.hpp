@@ -94,8 +94,9 @@ struct IluOptions {
   // --- batched serving -----------------------------------------------------
   /// Panel width of the batched many-RHS path (ilu/batch.hpp): solve_many
   /// splits its k right-hand sides into column-major panels of at most this
-  /// many columns and sweeps each panel in one scheduled pass (every factor
-  /// entry loaded once per register block instead of once per RHS). <= 0
+  /// many columns and sweeps each panel in one ilu_apply_panel pass (every
+  /// factor entry loaded once per register block instead of once per RHS,
+  /// per thread). <= 0
   /// means the built-in default (kDefaultBatchRhs). Width never changes
   /// results: batched solves are bitwise equal to k independent solves.
   index_t batch_rhs = 0;

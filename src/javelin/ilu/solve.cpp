@@ -74,7 +74,8 @@ ExecStatus ilu_apply_status(const Factorization& f, std::span<const value_t> r,
   const index_t n = f.n();
   ws.resize(n, f.plan.num_lower_rows());
   const auto& perm = f.plan.perm;
-  std::span<value_t> x(ws.x);
+  const std::span<value_t> x =
+      std::span<value_t>(ws.x).first(static_cast<std::size_t>(n));
 #pragma omp parallel for schedule(static)
   for (index_t i = 0; i < n; ++i) {
     x[static_cast<std::size_t>(i)] =
@@ -112,7 +113,8 @@ void ilu_apply_serial(const Factorization& f, std::span<const value_t> r,
   const index_t n = f.n();
   ws.resize(n, f.plan.num_lower_rows());
   const auto& perm = f.plan.perm;
-  std::span<value_t> x(ws.x);
+  const std::span<value_t> x =
+      std::span<value_t>(ws.x).first(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i) {
     x[static_cast<std::size_t>(i)] =
         r[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)])];

@@ -44,10 +44,11 @@ struct SolveWorkspace {
   ProgressCounters progress;       ///< spin-wait counters reused every sweep
   ScheduleCache sched;             ///< runtime-retargeted schedules (lazy)
 
-  void resize(index_t n, index_t n_lower) {
-    x.resize(static_cast<std::size_t>(n));
-    lower_acc.resize(static_cast<std::size_t>(n_lower));
-  }
+  /// Scalar sizing: x holds at least an n-vector, lower_acc at least
+  /// n_lower partial sums. Grows only, like resize_panel, so a workspace
+  /// that alternates scalar and panel applies keeps its panel (callers view
+  /// the first n entries of x).
+  void resize(index_t n, index_t n_lower) { resize_panel(n, n_lower, 1); }
 
   /// Panel (multi-RHS) sizing: x holds a column-major n×k panel, lower_acc
   /// an n_lower×k panel of lower-stage partial sums. Grows only (a workspace

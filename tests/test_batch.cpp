@@ -4,6 +4,7 @@
 // exec backends; entry validation must throw instead of
 // reading out of bounds; WorkspacePool must serve concurrent streams on one
 // shared factorization; and pcg_many must reproduce scalar pcg per column.
+#include <algorithm>
 #include <atomic>
 
 #include "javelin/gen/generators.hpp"
@@ -37,8 +38,11 @@ std::span<value_t> panel_col(std::vector<value_t>& p, index_t n, index_t j) {
 
 /// Batched vs k-independent-scalar parity for one matrix under one
 /// (threads, backend) configuration, across panel widths that exercise the
-/// 8/4/2/1 register-block tail dispatch. Returns the k = 8 panel result for
-/// cross-configuration comparison.
+/// 8/4/2/1 register-block tail dispatch and both branches of
+/// ilu_apply_panel: the column split (k >= team, including one column per
+/// thread and uneven groups) and the scheduled row-parallel sweep
+/// (k < team). Returns the k = 8 panel result for cross-configuration
+/// comparison.
 std::vector<value_t> check_batch_parity(const char* name, const CsrMatrix& a,
                                         IluOptions opts) {
   const index_t n = a.rows();
@@ -48,7 +52,8 @@ std::vector<value_t> check_batch_parity(const char* name, const CsrMatrix& a,
   SolveWorkspace ws_scalar, ws_panel;
   std::vector<value_t> k8_result;
 
-  for (index_t k : {index_t{1}, index_t{3}, index_t{8}, index_t{17}}) {
+  for (index_t k : {index_t{1}, index_t{2}, index_t{3}, index_t{4}, index_t{8},
+                    index_t{17}}) {
     const std::size_t nk = un * static_cast<std::size_t>(k);
     std::vector<value_t> r = random_panel(n, k, 0xBA7C4 + static_cast<std::uint64_t>(k));
 
@@ -78,6 +83,36 @@ std::vector<value_t> check_batch_parity(const char* name, const CsrMatrix& a,
     if (k == 8) k8_result = std::move(z);
   }
   return k8_result;
+}
+
+/// One workspace serving panel, scalar and panel applies in turn keeps its
+/// n×k panel (the scalar resize grows only) and every result stays bitwise
+/// equal to a workspace that only ever served one kind.
+void check_mixed_workspace(const CsrMatrix& a) {
+  const index_t n = a.rows();
+  const std::size_t un = static_cast<std::size_t>(n);
+  const index_t k = 8;
+  const std::size_t nk = un * static_cast<std::size_t>(k);
+  const Factorization f = ilu_factor(a, {});
+  std::vector<value_t> r = random_panel(n, k, 0xA17E);
+
+  SolveWorkspace ws_panel, ws_scalar;
+  std::vector<value_t> zp_ref(nk), zs_ref(un);
+  ilu_apply_panel(f, r, zp_ref, k, ws_panel);
+  ilu_apply(f, panel_col(r, n, 0), zs_ref, ws_scalar);
+
+  SolveWorkspace ws;
+  std::vector<value_t> zp(nk), zs(un);
+  ilu_apply_panel(f, r, zp, k, ws);
+  CHECK_MSG(bitwise_equal(zp, zp_ref), "mixed workspace: first panel");
+  ilu_apply(f, panel_col(r, n, 0), zs, ws);
+  CHECK_MSG(bitwise_equal(zs, zs_ref), "mixed workspace: scalar");
+  CHECK_MSG(ws.x.size() >= nk, "scalar apply shrank the panel: %zu < %zu",
+            ws.x.size(), nk);
+  std::fill(zp.begin(), zp.end(), 0);
+  ilu_apply_panel(f, r, zp, k, ws);
+  CHECK_MSG(bitwise_equal(zp, zp_ref), "mixed workspace: second panel");
+  CHECK(ws.x.size() >= nk);
 }
 
 void check_validation(const CsrMatrix& a) {
@@ -251,6 +286,7 @@ int main() {
   }
 
   check_validation(grid);
+  check_mixed_workspace(fem);
 
   for (int threads : {1, 4}) {
     IluOptions opts;

@@ -12,8 +12,10 @@
 //     per-thread slots sum to the region total) and their deterministic
 //     components (wait calls per sweep == deps_kept — for the fused pass,
 //     the backward schedule's plus the SpMV tail's, also on a deep chain
-//     whose sweeps run as a few long runs of items; barrier crossings ==
-//     sweeps × levels × threads) are exact;
+//     whose sweeps run as a few long runs of items; for an instrumented
+//     panel apply, which keeps the scheduled sweep, the forward and
+//     backward schedules' own; barrier crossings == sweeps × levels ×
+//     threads) are exact;
 //   * MetricsRegistry merges are order-invariant and the schedule-shape
 //     metrics (rows_per_level) are identical across thread counts.
 #include <cstring>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "javelin/gen/generators.hpp"
+#include "javelin/ilu/batch.hpp"
 #include "javelin/ilu/fused.hpp"
 #include "javelin/ilu/solve.hpp"
 #include "javelin/obs/exec_obs.hpp"
@@ -296,6 +299,48 @@ void check_fused_waits(const CsrMatrix& a, int t) {
   CHECK_MSG(st.total.barrier_waits == 0, "fused t=%d p2p barrier_waits", t);
 }
 
+/// An instrumented k = 8 panel apply at a team of at most 8: ExecObs
+/// instruments schedules, so the apply keeps the scheduled row-parallel
+/// sweep — one sweep per direction per call, each making exactly the
+/// schedule's kept waits — and stays bitwise equal to the uninstrumented
+/// apply, which splits the columns across the team instead.
+void check_panel_waits(const CsrMatrix& a, int t) {
+  ThreadCountGuard guard(t);
+  obs::ExecObs eo;
+  IluOptions iopts = base_opts(ExecBackend::kP2P, t);
+  iopts.exec_obs = &eo;
+  const Factorization f = ilu_factor(a, iopts);
+  Factorization f_plain = f;
+  f_plain.opts.exec_obs = nullptr;
+  eo.reset();
+
+  const index_t k = 8;
+  const auto r = random_vector(a.rows() * k, 0x9A7E);
+  std::vector<value_t> z(r.size()), z_plain(r.size());
+  SolveWorkspace ws, ws_plain;
+  constexpr int kCalls = 3;
+  for (int i = 0; i < kCalls; ++i) ilu_apply_panel(f, r, z, k, ws);
+  ilu_apply_panel(f_plain, r, z_plain, k, ws_plain);
+  CHECK_MSG(bitwise_equal(z, z_plain), "panel t=%d obs vs plain", t);
+
+  for (const obs::Region reg :
+       {obs::Region::kForward, obs::Region::kBackward}) {
+    const obs::ExecStats& st = eo.stats(reg);
+    const ExecSchedule& s = reg == obs::Region::kForward ? f.fwd : f.bwd;
+    const char* rname = obs::region_name(reg);
+    CHECK_MSG(s.deps_kept > 0, "panel %s t=%d stores no waits", rname, t);
+    CHECK_MSG(st.sweeps == static_cast<std::uint64_t>(kCalls),
+              "panel %s t=%d sweeps %llu", rname, t,
+              static_cast<unsigned long long>(st.sweeps));
+    CHECK_MSG(st.total.waits == static_cast<std::uint64_t>(kCalls) *
+                                    static_cast<std::uint64_t>(s.deps_kept),
+              "panel %s t=%d waits %llu != calls*deps_kept %llu", rname, t,
+              static_cast<unsigned long long>(st.total.waits),
+              static_cast<unsigned long long>(kCalls) *
+                  static_cast<unsigned long long>(s.deps_kept));
+  }
+}
+
 // --- (d) deterministic metrics -------------------------------------------
 
 void check_metrics_determinism(const CsrMatrix& a) {
@@ -382,6 +427,7 @@ int main() {
     }
   }
   for (const int t : {2, 4, 8}) check_fused_waits(a, t);
+  for (const int t : {2, 4}) check_panel_waits(a, t);
   // Deep chain of narrow levels: the P2P executor runs whole runs of items,
   // and still performs every stored wait exactly once per sweep.
   const CsrMatrix chain = gen::long_chain(1200, 12, 4, 5);

@@ -4,8 +4,10 @@
 // fallback chain of RobustSolver, the Krylov breakdown/non-finite/stagnation
 // guards, and WorkspacePool lease exception-safety when an abort unwinds
 // through the batched apply path.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "javelin/gen/generators.hpp"
@@ -111,20 +113,36 @@ void check_sweep_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
               static_cast<int>(site), backend_name(backend), threads);
   }
 
-  // Panel path, both sites.
-  const index_t k = 4;
-  const auto rp = random_vector(n * k, 0xB0B ^ 1);
-  std::vector<value_t> zp(un * static_cast<std::size_t>(k));
-  for (FaultSite site : {FaultSite::kForwardRow, FaultSite::kBackwardRow}) {
-    f.opts.fault_hook = poison(site, target);
-    bool threw = false;
-    try {
-      ilu_apply_panel(f, rp, zp, k, ws);
-    } catch (const AbortError&) {
-      threw = true;
+  // Panel path, both sites, both branches: k = 4 runs the column split at
+  // teams 1, 2 and 4 and the scheduled sweep at team 8; k = 2 also runs the
+  // scheduled sweep at team 4. The error names the vetoed sweep and row,
+  // and z is left untouched.
+  for (const index_t k : {index_t{2}, index_t{4}}) {
+    const auto rp = random_vector(n * k, 0xB0B ^ 1);
+    const value_t sentinel = -7.25;
+    std::vector<value_t> zp(un * static_cast<std::size_t>(k), sentinel);
+    for (FaultSite site : {FaultSite::kForwardRow, FaultSite::kBackwardRow}) {
+      f.opts.fault_hook = poison(site, target);
+      std::string what;
+      try {
+        ilu_apply_panel(f, rp, zp, k, ws);
+      } catch (const AbortError& e) {
+        what = e.what();
+      }
+      const std::string expect =
+          std::string("panel ") +
+          (site == FaultSite::kForwardRow ? "forward" : "backward") +
+          " sweep aborted at permuted row " + std::to_string(target) + " ";
+      CHECK_MSG(what.find(expect) != std::string::npos,
+                "panel abort '%s' (k=%d, site=%d, %s, t=%d)", what.c_str(),
+                static_cast<int>(k), static_cast<int>(site),
+                backend_name(backend), threads);
+      CHECK_MSG(std::all_of(zp.begin(), zp.end(),
+                            [&](value_t v) { return v == sentinel; }),
+                "aborted panel apply wrote z (k=%d, site=%d, %s, t=%d)",
+                static_cast<int>(k), static_cast<int>(site),
+                backend_name(backend), threads);
     }
-    CHECK_MSG(threw, "panel apply did not abort (site=%d, %s, t=%d)",
-              static_cast<int>(site), backend_name(backend), threads);
   }
 
   // Clearing the hook restores the unguarded paths bitwise.
@@ -135,18 +153,35 @@ void check_sweep_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
   ilu_apply(f, r, z, ws);
   CHECK_MSG(bitwise_equal(z, z_ref), "post-abort apply diverged (%s, t=%d)",
             backend_name(backend), threads);
+
+  // A hook that never vetoes leaves the guarded panel applies bitwise equal
+  // to the hook-free ones.
+  for (const index_t k : {index_t{2}, index_t{4}}) {
+    const auto rp = random_vector(n * k, 0xB0B ^ 2);
+    std::vector<value_t> zp(un * static_cast<std::size_t>(k)),
+        zp_ref(zp.size());
+    f.opts.fault_hook = nullptr;
+    ilu_apply_panel(f, rp, zp_ref, k, ws_ref);
+    f.opts.fault_hook = [](FaultSite, index_t) { return true; };
+    ilu_apply_panel(f, rp, zp, k, ws);
+    CHECK_MSG(bitwise_equal(zp, zp_ref),
+              "hooked panel apply diverged (k=%d, %s, t=%d)",
+              static_cast<int>(k), backend_name(backend), threads);
+  }
+  f.opts.fault_hook = nullptr;
 }
 
 // --- WorkspacePool lease exception-safety ----------------------------------
 
-void check_lease_safety(const CsrMatrix& a) {
+/// At team 4, k = 3 unwinds through the scheduled panel sweep and k = 4
+/// through the column split.
+void check_lease_safety(const CsrMatrix& a, index_t k) {
   ThreadCountGuard guard(4);
   Factorization f = ilu_factor(a, pinned_opts(ExecBackend::kP2P, 4));
   WorkspacePool pool;
   const PanelPrecondFn precond = ilu_panel_preconditioner(f, pool);
 
   const index_t n = f.n();
-  const index_t k = 3;
   const std::size_t need = static_cast<std::size_t>(n) * static_cast<std::size_t>(k);
   const auto r = random_vector(n * k, 0x1EA5E);
   std::vector<value_t> z(need);
@@ -164,8 +199,10 @@ void check_lease_safety(const CsrMatrix& a) {
   } catch (const AbortError&) {
     threw = true;
   }
-  CHECK_MSG(threw, "panel preconditioner did not abort");
-  CHECK_MSG(pool.idle() == 1, "aborted lease leaked: %zu idle", pool.idle());
+  CHECK_MSG(threw, "panel preconditioner did not abort (k=%d)",
+            static_cast<int>(k));
+  CHECK_MSG(pool.idle() == 1, "aborted lease leaked: %zu idle (k=%d)",
+            pool.idle(), static_cast<int>(k));
 
   // The pool stays usable, including by overlapping leases (two concurrent
   // streams = two distinct workspaces, returned independently).
@@ -379,7 +416,7 @@ int main() {
     }
   }
 
-  check_lease_safety(grid);
+  for (const index_t k : {index_t{3}, index_t{4}}) check_lease_safety(grid, k);
   check_krylov_guards();
 
   check_robust_zero_diag(ExecBackend::kP2P);

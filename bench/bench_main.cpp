@@ -174,11 +174,6 @@ struct SchedStats {
   index_t rows_per_level_med = 0;
   index_t rows_per_level_max = 0;
   double rows_per_level_mean = 0;
-  // Fraction of rows living in levels narrower than the hybrid tuner's
-  // small-level threshold (max(16, 4 × team)) — the share of the sweep the
-  // per-level regime dispatch would pull off the P2P protocol.
-  double small_level_row_frac = 0;
-  index_t small_level_rows = 0;  // the threshold the fraction used
   std::vector<std::uint64_t> rows_per_level_hist;  // log2 buckets, trimmed
 };
 
@@ -190,9 +185,6 @@ SchedStats sched_stats(const ExecSchedule& s) {
   st.items = s.num_items();
   st.max_items_per_thread = s.max_items_per_thread();
   st.rows_per_level_mean = s.mean_rows_per_level();
-  st.small_level_rows =
-      std::max<index_t>(16, static_cast<index_t>(4 * std::max(1, s.threads)));
-  st.small_level_row_frac = s.small_level_row_frac(st.small_level_rows);
   if (s.num_levels > 0 &&
       s.level_ptr.size() > static_cast<std::size_t>(s.num_levels)) {
     std::vector<index_t> rows(static_cast<std::size_t>(s.num_levels));
@@ -336,10 +328,10 @@ struct StallProfile {
   RegionProfile ls_fwd, ls_bwd;
 };
 
-/// Factor-time autotuner decision on one matrix (schema-v6 `autotune`
-/// block + the console `auto` row): the wall-clock candidate grid, the
-/// pinned winner re-measured on the real solve path, and the bitwise parity
-/// of the tuned sweep against the serial reference.
+/// Factor-time autotuner decision on one matrix (the `autotune` block,
+/// schema v7, + the console `auto` row): the wall-clock grid of uniform
+/// candidates, the pinned winner re-measured on the real solve path, and the
+/// bitwise parity of the tuned sweep against the serial reference.
 struct AutotuneBlock {
   bool present = false;
   /// --verify runs: candidates ranked by the deterministic cost model (the
@@ -349,12 +341,10 @@ struct AutotuneBlock {
   int threads = 0;  ///< widest sweep team — the grid's cap and OMP setting
   std::string chosen;
   int chosen_threads = 0;
-  bool chosen_hybrid = false;
   index_t chosen_chunk_rows = 0;
-  bool hybrid_applied = false;
   double auto_solve_s = 0;   ///< pinned winner, re-measured (min of reps)
   double serial_s = 0;       ///< the grid's serial candidate
-  std::string best_fixed;    ///< cheapest non-hybrid candidate (incl. serial)
+  std::string best_fixed;    ///< cheapest grid candidate (incl. serial)
   double best_fixed_s = 0;
   double ratio_vs_serial = -1;      ///< auto_solve_s / serial_s
   double ratio_vs_best_fixed = -1;  ///< auto_solve_s / best_fixed_s
@@ -510,8 +500,8 @@ void collect_stall_profile(MatrixReport& rep, const Factorization& f,
 }
 
 /// Factor-time autotuning at the widest sweep team: fresh factor, wall-clock
-/// grid over backend × team × blocking granule × hybrid regime mix (the
-/// serial candidate is the grid's anchor), winner pinned into the factor and
+/// grid over backend × team × blocking granule (the serial candidate is the
+/// grid's anchor), winner pinned into the factor and
 /// re-measured on the real solve path. The tuned sweep is bitwise-checked
 /// against the serial reference — `autotune_parity` joins the exit gate, so
 /// a policy that changed results fails the run like any other parity break.
@@ -544,17 +534,14 @@ void run_autotune(MatrixReport& rep, const CsrMatrix& a,
   ab.threads = t_max;
   ab.chosen = tr.chosen.name();
   ab.chosen_threads = tr.chosen.threads;
-  ab.chosen_hybrid = tr.chosen.hybrid;
   ab.chosen_chunk_rows = tr.chosen.chunk_rows;
-  ab.hybrid_applied = tr.hybrid_applied;
   ab.serial_s = tr.serial_seconds;
+  // Every candidate is a fixed uniform policy, so the best fixed one is the
+  // grid's argmin — the tuner's own pick, at its grid score.
+  ab.best_fixed = ab.chosen;
+  ab.best_fixed_s = tr.chosen_seconds;
   for (const tune::TuneMeasurement& m : tr.measured) {
     ab.candidates.push_back({m.cand.name(), m.seconds});
-    if (!m.cand.hybrid &&
-        (ab.best_fixed.empty() || m.seconds < ab.best_fixed_s)) {
-      ab.best_fixed = m.cand.name();
-      ab.best_fixed_s = m.seconds;
-    }
   }
 
   const auto r = random_vector(a.rows(), 0xA07);
@@ -580,10 +567,9 @@ void run_autotune(MatrixReport& rep, const CsrMatrix& a,
 
   std::printf(
       "  %-18s auto  chose %s  solve %.5fs  serial %.5fs (%.2fx)  best fixed "
-      "%s %s%s\n",
+      "%s%s\n",
       rep.name.c_str(), ab.chosen.c_str(), ab.auto_solve_s, ab.serial_s,
       ab.ratio_vs_serial, ab.best_fixed.c_str(),
-      ab.hybrid_applied ? " [hybrid]" : "",
       ab.parity ? "" : " PARITY-FAIL");
 }
 
@@ -945,7 +931,7 @@ MatrixReport bench_matrix(const gen::SuiteEntry& e, const BenchConfig& cfg) {
     }
     std::printf("\n");
   }
-  // Factor-time autotuner decision (schema-v6 `autotune` block) — after the
+  // Factor-time autotuner decision (the `autotune` block) — after the
   // fixed-policy sweep so the grid measurements can't perturb it.
   run_autotune(rep, a, cfg);
   // Robust-pipeline statistics (skipped at production scale: one more full
@@ -959,12 +945,15 @@ MatrixReport bench_matrix(const gen::SuiteEntry& e, const BenchConfig& cfg) {
 
 void write_json(const BenchConfig& cfg, const std::vector<MatrixReport>& reps) {
   std::ofstream os(cfg.out);
-  // schema_version 6: + per-matrix `autotune` block (the factor-time tuner's
-  // candidate grid, the pinned winner re-measured as auto_solve_s, its ratios
-  // against the serial and best-fixed candidates, and the bitwise
-  // autotune_parity flag that joins the exit gate), regime-coverage
-  // deps_covered_regime in the --verify blocks, and
-  // rows_per_level_mean / small_level_row{s,_frac} in sched_fwd/sched_bwd.
+  // schema_version 7 removes the fields of the deleted per-level sync mix
+  // (two autotune flags, one --verify coverage count and two level-width
+  // fields of sched_fwd/sched_bwd; README lists them), and best_fixed is
+  // now the cheapest candidate of the whole grid.
+  // schema_version 6 added the per-matrix `autotune` block (the factor-time
+  // tuner's candidate grid, the pinned winner re-measured as auto_solve_s,
+  // its ratios against the serial and best-fixed candidates, and the bitwise
+  // autotune_parity flag that joins the exit gate) and rows_per_level_mean
+  // in sched_fwd/sched_bwd.
   // schema_version 5 added per-matrix schedule_verified (null when --verify
   // is off) and, under --verify, verify_fwd/verify_bwd blocks in every
   // timings row — the static analyzer's happens-before coverage accounting,
@@ -976,7 +965,7 @@ void write_json(const BenchConfig& cfg, const std::vector<MatrixReport>& reps) {
   // 3 added the robust_* breakdown-retry trail and robust_only; 2 added
   // tier / streams headers, the throughput table, peak_rss_mb and trimmed.
   // See README "Benchmark JSON schema".
-  os << "{\n  \"schema_version\": 6,\n  \"tier\": \"" << cfg.tier
+  os << "{\n  \"schema_version\": 7,\n  \"tier\": \"" << cfg.tier
      << "\",\n  \"suite_scale\": " << cfg.scale
      << ",\n  \"fill_level\": " << cfg.fill << ",\n  \"reps\": " << cfg.reps
      << ",\n  \"threads\": [";
@@ -1026,8 +1015,6 @@ void write_json(const BenchConfig& cfg, const std::vector<MatrixReport>& reps) {
          << ", \"rows_per_level_med\": " << s.rows_per_level_med
          << ", \"rows_per_level_max\": " << s.rows_per_level_max
          << ", \"rows_per_level_mean\": " << s.rows_per_level_mean
-         << ", \"small_level_rows\": " << s.small_level_rows
-         << ", \"small_level_row_frac\": " << s.small_level_row_frac
          << ", \"rows_per_level_hist\": [";
       for (std::size_t b = 0; b < s.rows_per_level_hist.size(); ++b) {
         os << (b ? ", " : "") << s.rows_per_level_hist[b];
@@ -1044,7 +1031,6 @@ void write_json(const BenchConfig& cfg, const std::vector<MatrixReport>& reps) {
          << ", \"deps_same_thread\": " << v.stats.deps_same_thread
          << ", \"deps_cross_thread\": " << v.stats.deps_cross_thread
          << ", \"deps_covered_direct\": " << v.stats.deps_covered_direct
-         << ", \"deps_covered_regime\": " << v.stats.deps_covered_regime
          << ", \"deps_covered_transitive\": "
          << v.stats.deps_covered_transitive
          << ", \"deps_uncovered\": " << v.stats.deps_uncovered << "}";
@@ -1145,9 +1131,7 @@ void write_json(const BenchConfig& cfg, const std::vector<MatrixReport>& reps) {
          << (ab.deterministic ? "cost_model" : "wallclock")
          << "\", \"chosen\": \"" << ab.chosen
          << "\", \"chosen_threads\": " << ab.chosen_threads
-         << ", \"chosen_hybrid\": " << (ab.chosen_hybrid ? "true" : "false")
          << ", \"chosen_chunk_rows\": " << ab.chosen_chunk_rows
-         << ", \"hybrid_applied\": " << (ab.hybrid_applied ? "true" : "false")
          << ", \"auto_solve_s\": " << ab.auto_solve_s
          << ", \"serial_s\": " << ab.serial_s << ", \"best_fixed\": \""
          << ab.best_fixed << "\", \"best_fixed_s\": " << ab.best_fixed_s

@@ -9,9 +9,11 @@ For every non-degenerate matrix row carrying an `autotune` block
     code also enforces this; the gate re-checks so a doctored JSON can't
     pass);
   * in wall-clock mode, the re-measured auto solve must not regress the best
-    FIXED candidate (serial or any uniform backend/team/granule point) by
-    more than --slack (default 10%), with a small absolute epsilon so
-    sub-100us solves on a noisy oversubscribed runner cannot flap the gate;
+    FIXED candidate by more than --slack (default 10%), with a small
+    absolute epsilon so sub-100us solves on a noisy oversubscribed runner
+    cannot flap the gate. Every grid candidate is uniform — serial, or one
+    backend at one team and granule for the whole sweep — so the best fixed
+    candidate is the cheapest of the grid;
   * in cost-model mode (--verify runs) the timing gate is skipped — the
     grid numbers are dimensionless scores — but the block must still be
     present, parity-clean and self-consistent.

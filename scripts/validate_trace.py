@@ -19,10 +19,9 @@ cross-checked against the static analysis:
      present, the observed P2P wait count equals sweeps x waits_total as
      predicted by the verifier — the executed synchronization is exactly
      the statically proven wait set, no more and no less;
-  7. (schema >= 6) verifier coverage splits exactly: direct + regime +
-     transitive == cross-thread deps, nothing uncovered — regime coverage
-     is how hybrid (per-level backend) schedules account for the waits
-     their serial/barrier segments made redundant;
+  7. (schema >= 6) verifier coverage splits exactly: direct + transitive
+     == cross-thread deps, nothing uncovered — every dependency is ordered
+     by a wait of its own item or by the publish chain of earlier waits;
   8. (schema >= 6) every autotune block is self-consistent: parity true,
      the chosen candidate is in the measured grid, and the serial anchor
      candidate is present.
@@ -61,9 +60,8 @@ def check_bench(path):
     autotuned = 0
     for r in doc.get("results", []):
         if schema >= 6:
-            # Verifier coverage identity, hybrid-aware: every cross-thread
-            # dependency is covered directly, by a regime sync point, or
-            # transitively — and the split is exact.
+            # Verifier coverage identity: every cross-thread dependency is
+            # covered directly or transitively — and the split is exact.
             for row in r.get("timings", []):
                 for direction in ("fwd", "bwd"):
                     vb = row.get(f"verify_{direction}")
@@ -71,7 +69,6 @@ def check_bench(path):
                         continue
                     covered = (
                         vb["deps_covered_direct"]
-                        + vb.get("deps_covered_regime", 0)
                         + vb["deps_covered_transitive"]
                     )
                     if covered != vb["deps_cross_thread"]:

@@ -30,26 +30,4 @@ inline const char* exec_backend_name(ExecBackend b) {
   return "?";
 }
 
-/// Per-LEVEL synchronization regime of a hybrid schedule
-/// (ExecSchedule::level_tags): one sweep mixes point-to-point levels,
-/// barrier-stepped levels and serialized levels, chosen by the autotuner
-/// (tune/) from each level's work content. Values are the stored tag bytes.
-enum class LevelRegime : unsigned char {
-  kP2P = 0,      ///< sparsified spin-waits within the segment
-  kBarrier = 1,  ///< team barrier after the level
-  kSerial = 2,   ///< thread 0 runs the level's rows alone
-};
-
-inline const char* level_regime_name(LevelRegime r) {
-  switch (r) {
-    case LevelRegime::kP2P:
-      return "p2p";
-    case LevelRegime::kBarrier:
-      return "barrier";
-    case LevelRegime::kSerial:
-      return "serial";
-  }
-  return "?";
-}
-
 }  // namespace javelin

@@ -19,14 +19,18 @@
 //
 // Both backends execute identical (row, thread) assignments with identical
 // per-row orders, so they are bitwise-interchangeable; only synchronization
-// differs. Teams of 1 — including schedules retargeted down to one thread —
-// run the serial level-major order with zero synchronization.
+// differs. A schedule runs uniformly under its backend — the team region has
+// exactly these two branches. Every wait and barrier crossing uses the
+// spin budget of the team (spin_budget_for). Teams of 1 — including
+// schedules retargeted down to one thread — run the serial level-major order
+// with zero synchronization.
 //
 // If the OpenMP runtime delivers a SMALLER team than scheduled (nested
 // parallelism, thread limits), the region degrades to the serial order as a
 // last-resort correctness path. Consumers avoid this by retargeting the
-// schedule to the runtime team first (ilu/retarget.hpp) — the serial path
-// here is a safety net, not a policy.
+// schedule to the runtime team first (runtime_fwd/runtime_bwd, declared in
+// ilu/factorization.hpp) — the serial path here is a safety net, not a
+// policy.
 //
 // Cooperative abort: row_fn may return bool instead of void. A `false`
 // return marks the region aborted — the failing thread records the row in
@@ -54,11 +58,10 @@
 // Tail phase: the overloads taking an ExecTail (exec/schedule.hpp) and a
 // chunk_fn(chunk, thread) append per-thread chunks to the region — the SpMV
 // that the fused solve streams behind its backward sweep (ilu/fused.hpp).
-// After its last item each thread runs its chunks: under uniform P2P each
-// chunk first performs its own waits on the same ProgressCounters; under
-// kBarrier the final level barrier already ordered the sweep, so the chunks
-// run unguarded; a hybrid schedule crosses one team barrier after its last
-// segment, then runs the chunks unguarded. Tail waits poll the abort flag
+// After its last item each thread runs its chunks: under P2P each chunk
+// first performs its own waits on the same ProgressCounters; under kBarrier
+// the final level barrier already ordered the sweep, so the chunks run
+// unguarded. Tail waits poll the abort flag
 // like every other wait, and an aborted region skips its tail. The serial
 // paths (teams of 1, the short-team fallback) run every chunk in order
 // after the serial sweep. Under exec_run_obs the tail's waits and busy time
@@ -172,9 +175,9 @@ template <class Waits, class Obs>
   return true;
 }
 
-/// One team barrier crossing of thread t. Under Obs it is counted, its time
-/// charged to t's slot and — for a valid `level` — to that level, and a
-/// long stall becomes a trace event. Returns false on abort.
+/// One team barrier crossing of thread t after `level`. Under Obs it is
+/// counted, its time charged to t's slot and to that level, and a long stall
+/// becomes a trace event. Returns false on abort.
 template <class Obs>
 inline bool cross_barrier(SpinBarrier& barrier, int spin_budget,
                           const AbortFlag* abort, Obs& obs, int t,
@@ -185,9 +188,7 @@ inline bool cross_barrier(SpinBarrier& barrier, int spin_budget,
         barrier.arrive_and_wait_counted(spin_budget, abort, obs.slot(t));
     const std::int64_t b1 = obs::now_ns();
     obs.slot(t).barrier_ns += static_cast<std::uint64_t>(b1 - b0);
-    if (level != kInvalidIndex) {
-      obs.add_level_wait(t, level, static_cast<std::uint64_t>(b1 - b0));
-    }
+    obs.add_level_wait(t, level, static_cast<std::uint64_t>(b1 - b0));
     if (obs.tracing() && b1 - b0 >= kStallSpanNs) {
       obs::TraceSession::instance().buffer().complete("barrier", b0, b1 - b0,
                                                       level);
@@ -211,7 +212,7 @@ struct WithTail {
   ChunkFn& chunk_fn;
 };
 
-/// Run chunks [c0, c1) of the tail on thread t. With `waits` (uniform P2P)
+/// Run chunks [c0, c1) of the tail on thread t. With `waits` (P2P)
 /// each chunk first performs its own wait list; a wait that gives up (the
 /// region aborted) ends the thread's tail.
 template <class Tail, class Obs>
@@ -346,7 +347,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
     return exec_run_serial_tail(s, row_fn, progress, abort, obs, tail);
   }
 
-  if (s.backend == ExecBackend::kP2P || s.hybrid()) {
+  if (s.backend == ExecBackend::kP2P) {
     if (progress.num_threads() < s.threads) {
       progress.reset(s.threads);
     } else {
@@ -364,147 +365,12 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
       if (thread_id() == 0) fallback = true;  // sole writer
     } else {
       const int t = thread_id();
-      const int spin_budget =
-          s.spin_budget > 0 ? s.spin_budget : spin_budget_for(s.threads);
+      const int spin_budget = spin_budget_for(s.threads);
       // Cleared when this thread leaves its sweep early. Every early exit
       // is an abort (a vetoed row requests one; waits and barriers give up
       // only on one), which is what the tail below keys on.
       bool live = true;
-      if (s.hybrid()) {
-        // Hybrid per-level regimes (tune/): contiguous same-tag level
-        // SEGMENTS, a team barrier at every segment entry, the regime's own
-        // protocol inside. Each thread advances its item cursor and
-        // publishes its progress counter across NON-P2P levels too, so P2P
-        // consumers in a later segment never spin on work a barrier or
-        // serial level already finished (their cross-segment waits were
-        // pruned to the regime floor by apply_level_tags — every surviving
-        // wait's producer is in the consumer's own P2P segment).
-        const index_t chunk = s.chunk_rows > 0 ? s.chunk_rows : 1;
-        // Items of this thread in level l (the builder's layout re-derived,
-        // exactly as the barrier branch re-derives its row slices).
-        const auto items_here = [&](index_t l) {
-          const index_t lsz = s.level_ptr[static_cast<std::size_t>(l) + 1] -
-                              s.level_ptr[static_cast<std::size_t>(l)];
-          const index_t r = level_slice(lsz, s.threads, t, chunk).size();
-          return (r + chunk - 1) / chunk;
-        };
-        index_t item = s.thread_ptr[static_cast<std::size_t>(t)];
-        index_t done = 0;
-        index_t l = 0;
-        while (l < s.num_levels && live) {
-          const LevelRegime reg = s.level_regime(l);
-          index_t seg_end = l + 1;
-          while (seg_end < s.num_levels && s.level_regime(seg_end) == reg) {
-            ++seg_end;
-          }
-          // Segment-entry barrier: orders this segment after everything
-          // before it and makes the pre-segment counter publishes visible.
-          // An aborted peer never arrives, so nothing past a poisoned
-          // segment boundary ever runs.
-          if (!cross_barrier(barrier, spin_budget, abort, obs, t, l) ||
-              (watch && abort->aborted())) {
-            live = false;
-            break;
-          }
-          if (reg == LevelRegime::kSerial) {
-            // Thread 0 runs the whole segment's rows in serial order; the
-            // other threads skip straight to the bookkeeping. Everyone
-            // advances its own cursor past its items of these levels and
-            // publishes — single-writer counters preserved. An abort inside
-            // the segment is caught at the next segment-entry barrier (the
-            // publishes below cannot be consumed before it).
-            if (t == 0) {
-              std::int64_t t0 = 0;
-              if constexpr (Obs::kOn) t0 = obs::now_ns();
-              live = exec_rows(row_fn, s.serial_order,
-                               s.level_ptr[static_cast<std::size_t>(l)],
-                               s.level_ptr[static_cast<std::size_t>(seg_end)],
-                               t, abort);
-              if constexpr (Obs::kOn) {
-                const std::int64_t t1 = obs::now_ns();
-                obs.slot(t).busy_ns += static_cast<std::uint64_t>(t1 - t0);
-                obs.add_level_busy(t, l, static_cast<std::uint64_t>(t1 - t0));
-              }
-            }
-            for (index_t lv = l; lv < seg_end; ++lv) {
-              const index_t ni = items_here(lv);
-              item += ni;
-              done += ni;
-            }
-            if (live) progress.publish(t, done);
-          } else if (reg == LevelRegime::kBarrier) {
-            for (index_t lv = l; lv < seg_end; ++lv) {
-              const index_t base = s.level_ptr[static_cast<std::size_t>(lv)];
-              const index_t lsz =
-                  s.level_ptr[static_cast<std::size_t>(lv) + 1] - base;
-              const Range rr = level_slice(lsz, s.threads, t, chunk);
-              std::int64_t t0 = 0;
-              if constexpr (Obs::kOn) t0 = obs::now_ns();
-              live = exec_rows(row_fn, s.serial_order, base + rr.begin,
-                               base + rr.end, t, abort);
-              if constexpr (Obs::kOn) {
-                const std::int64_t t1 = obs::now_ns();
-                obs.slot(t).busy_ns += static_cast<std::uint64_t>(t1 - t0);
-                obs.add_level_busy(t, lv, static_cast<std::uint64_t>(t1 - t0));
-              }
-              if (!live) break;
-              const index_t ni = items_here(lv);
-              item += ni;
-              done += ni;
-              progress.publish(t, done);
-              // Per-level barrier (except before a segment boundary, where
-              // the next segment's entry barrier takes its place).
-              if (lv + 1 < seg_end &&
-                  (!cross_barrier(barrier, spin_budget, abort, obs, t, lv) ||
-                   (watch && abort->aborted()))) {
-                live = false;
-                break;
-              }
-            }
-          } else {  // LevelRegime::kP2P
-            index_t n_items = 0;
-            for (index_t lv = l; lv < seg_end; ++lv) n_items += items_here(lv);
-            for (index_t e = 0; e < n_items; ++e, ++item) {
-              if (watch && abort->aborted()) {
-                live = false;
-                break;
-              }
-              std::int64_t w0 = 0;
-              if constexpr (Obs::kOn) w0 = obs::now_ns();
-              live = exec_waits(s, item, progress, spin_budget, abort, obs, t);
-              if constexpr (Obs::kOn) {
-                const std::int64_t w1 = obs::now_ns();
-                obs.slot(t).wait_ns += static_cast<std::uint64_t>(w1 - w0);
-                obs.add_level_wait(t, l, static_cast<std::uint64_t>(w1 - w0));
-              }
-              if (!live) break;
-              std::int64_t r0 = 0;
-              if constexpr (Obs::kOn) r0 = obs::now_ns();
-              live = exec_rows(row_fn, s.rows,
-                               s.item_ptr[static_cast<std::size_t>(item)],
-                               s.item_ptr[static_cast<std::size_t>(item) + 1],
-                               t, abort);
-              if constexpr (Obs::kOn) {
-                const std::int64_t r1 = obs::now_ns();
-                obs.slot(t).busy_ns += static_cast<std::uint64_t>(r1 - r0);
-                obs.add_level_busy(t, l, static_cast<std::uint64_t>(r1 - r0));
-              }
-              if (!live) break;
-              ++done;
-              progress.publish(t, done);
-            }
-          }
-          l = seg_end;
-        }
-        // Tail: one team barrier after the last segment orders the whole
-        // sweep before every chunk; an aborted peer never arrives.
-        if constexpr (Tail::kOn) {
-          if (live && !(watch && abort->aborted())) {
-            live = cross_barrier(barrier, spin_budget, abort, obs, t,
-                                 kInvalidIndex);
-          }
-        }
-      } else if (s.backend == ExecBackend::kBarrier) {
+      if (s.backend == ExecBackend::kBarrier) {
         [[maybe_unused]] obs::TraceBuffer* buf = nullptr;
         if constexpr (Obs::kOn) {
           if (obs.tracing()) buf = &obs::TraceSession::instance().buffer();
@@ -537,7 +403,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
           live = cross_barrier(barrier, spin_budget, abort, obs, t, l);
         }
       } else {
-        // Uniform P2P over the run layer: per run one wait list (its first
+        // P2P over the run layer: per run one wait list (its first
         // item's — the others have none), the run's rows as one contiguous
         // range, and one publish of the run's last item count (the only
         // count of the run a wait of the schedule names).
@@ -615,14 +481,14 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
         }
       }
       if constexpr (Tail::kOn) {
-        // Under uniform P2P each chunk waits for exactly the items it
-        // reads, on the counters the sweep just published; otherwise a
-        // team barrier above already ordered the whole sweep.
+        // Under P2P each chunk waits for exactly the items it reads, on the
+        // counters the sweep just published; under kBarrier the last level
+        // barrier above already ordered the whole sweep.
         if (live && !(watch && abort->aborted())) {
           run_tail(tail, t, tail.plan.thread_ptr[static_cast<std::size_t>(t)],
                    tail.plan.thread_ptr[static_cast<std::size_t>(t) + 1],
-                   /*waits=*/!s.hybrid() && s.backend == ExecBackend::kP2P,
-                   progress, spin_budget, abort, obs);
+                   /*waits=*/s.backend == ExecBackend::kP2P, progress,
+                   spin_budget, abort, obs);
         }
       }
     }

@@ -251,104 +251,8 @@ void build_run_layer(ExecSchedule& s) {
 ExecSchedule retarget(const ExecSchedule& s, const DepsFn& deps, int threads) {
   // Same builder, same retained level structure, new team: the result is
   // field-for-field identical to a fresh build at `threads` by construction.
-  // Regime tags and the spin budget travel with the structure — a hybrid
-  // schedule stays hybrid (with the floor pruning re-derived for the new
-  // team) at any team size.
-  ExecSchedule r = build_exec_schedule(s.backend, s.n_total, s.level_ptr,
-                                       s.serial_order, deps, threads,
-                                       s.chunk_rows);
-  r.spin_budget = s.spin_budget;
-  if (!s.level_tags.empty()) apply_level_tags(r, s.level_tags);
-  return r;
-}
-
-void apply_level_tags(ExecSchedule& s, std::span<const std::uint8_t> tags) {
-  JAVELIN_CHECK(tags.size() == static_cast<std::size_t>(s.num_levels),
-                "apply_level_tags: one tag per level required");
-  const auto all_p2p = std::all_of(tags.begin(), tags.end(), [](std::uint8_t b) {
-    return b == static_cast<std::uint8_t>(LevelRegime::kP2P);
-  });
-  if (all_p2p) {
-    // Uniform P2P = the untagged schedule; keep the cheap representation so
-    // exec_run stays on the plain backend branches.
-    s.level_tags.clear();
-    return;
-  }
-  for (std::uint8_t b : tags) {
-    JAVELIN_CHECK(b <= static_cast<std::uint8_t>(LevelRegime::kSerial),
-                  "apply_level_tags: unknown regime tag");
-  }
-  s.level_tags.assign(tags.begin(), tags.end());
-
-  const int T = s.threads;
-  const index_t L = s.num_levels;
-  const auto uz = [](index_t i) { return static_cast<std::size_t>(i); };
-
-  // Regime floor per level: every item in levels < floor[l] is published
-  // before any item of level l starts. kBarrier/kSerial levels see
-  // everything before themselves (per-level barriers / thread-0 program
-  // order behind the segment-entry barrier); kP2P levels see everything
-  // before their contiguous P2P segment (the segment-entry barrier).
-  std::vector<index_t> floor_of(uz(L), 0);
-  for (index_t l = 0; l < L; ++l) {
-    if (static_cast<LevelRegime>(tags[uz(l)]) != LevelRegime::kP2P) {
-      floor_of[uz(l)] = l;
-    } else {
-      floor_of[uz(l)] =
-          (l > 0 && static_cast<LevelRegime>(tags[uz(l - 1)]) ==
-                        LevelRegime::kP2P)
-              ? floor_of[uz(l - 1)]
-              : l;
-    }
-  }
-
-  // cum_items[t][l] = items of thread t in levels < l (the published count
-  // a consumer with floor l can rely on from producer thread t).
-  const index_t chunk = std::max<index_t>(1, s.chunk_rows);
-  std::vector<std::vector<index_t>> cum_items(
-      static_cast<std::size_t>(T), std::vector<index_t>(uz(L) + 1, 0));
-  for (index_t l = 0; l < L; ++l) {
-    const index_t lsz = s.level_ptr[uz(l) + 1] - s.level_ptr[uz(l)];
-    for (int t = 0; t < T; ++t) {
-      const index_t r = level_slice(lsz, T, t, chunk).size();
-      cum_items[static_cast<std::size_t>(t)][uz(l) + 1] =
-          cum_items[static_cast<std::size_t>(t)][uz(l)] + (r + chunk - 1) / chunk;
-    }
-  }
-
-  // Prune: drop wait w of a consumer item in level lc when the producer
-  // count is already covered by the floor. Items are laid out level-major
-  // per thread, so each thread's item index maps to its level through the
-  // same cumulative counts.
-  std::vector<index_t> new_ptr(s.wait_ptr.size(), 0);
-  std::vector<index_t> new_thread;
-  std::vector<index_t> new_count;
-  new_thread.reserve(s.wait_thread.size());
-  new_count.reserve(s.wait_count.size());
-  index_t kept = 0;
-  for (int t = 0; t < T; ++t) {
-    const auto& own_cum = cum_items[static_cast<std::size_t>(t)];
-    index_t lvl = 0;
-    for (index_t i = s.thread_ptr[uz(static_cast<index_t>(t))];
-         i < s.thread_ptr[uz(static_cast<index_t>(t)) + 1]; ++i) {
-      const index_t local = i - s.thread_ptr[uz(static_cast<index_t>(t))];
-      while (lvl < L && own_cum[uz(lvl) + 1] <= local) ++lvl;
-      const index_t fl = lvl < L ? floor_of[uz(lvl)] : L;
-      for (index_t w = s.wait_ptr[uz(i)]; w < s.wait_ptr[uz(i) + 1]; ++w) {
-        const index_t pt = s.wait_thread[uz(w)];
-        if (s.wait_count[uz(w)] <= cum_items[uz(pt)][uz(fl)]) continue;
-        new_thread.push_back(pt);
-        new_count.push_back(s.wait_count[uz(w)]);
-        ++kept;
-      }
-      new_ptr[uz(i) + 1] = kept;
-    }
-  }
-  s.wait_ptr = std::move(new_ptr);
-  s.wait_thread = std::move(new_thread);
-  s.wait_count = std::move(new_count);
-  s.deps_kept = kept;
-  build_run_layer(s);
+  return build_exec_schedule(s.backend, s.n_total, s.level_ptr, s.serial_order,
+                             deps, threads, s.chunk_rows);
 }
 
 DepsFn lower_triangular_deps(const CsrMatrix& lu) {

@@ -28,7 +28,7 @@
 // runs on one thread, so a chain of narrow levels carries no cross-thread
 // waits at all.
 //
-// The RUN is the SYNCHRONIZATION granule of the uniform P2P executor: each
+// The RUN is the SYNCHRONIZATION granule of the P2P executor: each
 // thread's items are grouped into maximal runs of consecutive items in which
 // only the first item has a wait list and only the last item's count is
 // named by a wait of the schedule (build_run_layer). A run executes as one
@@ -37,13 +37,18 @@
 // run, not once per item. Every wait is still released at the same producer
 // progress: the counts waits name are exactly the run ends. The layer is
 // derived from the wait lists and rebuilt wherever they are written
-// (build_exec_schedule, hence retarget(), and apply_level_tags).
+// (build_exec_schedule, hence retarget()).
+//
+// Every schedule runs UNIFORMLY under its backend: all of its levels
+// synchronize the same way, and flipping `backend` in place is always legal
+// because the wait lists are built for either one.
 //
 // Schedules are RUNTIME-RETARGETABLE: retarget() re-chunks the (level,
 // thread) slices and rebuilds the sparsified waits for any team size from
 // the retained level structure, bitwise-identical to a fresh build at that
 // size. Consumers re-plan on a team-size mismatch instead of falling back to
-// a serial sweep (ilu/retarget.hpp).
+// a serial sweep (runtime_fwd/runtime_bwd, declared in
+// ilu/factorization.hpp).
 #pragma once
 
 #include <algorithm>
@@ -64,7 +69,7 @@ namespace javelin {
 /// run of whole items (partition_range over items). The slice therefore
 /// starts on an item boundary and holds ceil(size / chunk_rows) items. The
 /// schedule builder and every executor that re-derives slices at run time
-/// (barrier, hybrid, fused, panel) call this one function, so they cannot
+/// (barrier, fused, panel) call this one function, so they cannot
 /// disagree on which thread runs a row. chunk_rows < 1 is treated as 1.
 inline Range level_slice(index_t rows, int threads, int t,
                          index_t chunk_rows) noexcept {
@@ -110,22 +115,6 @@ struct ExecSchedule {
   std::vector<index_t> level_ptr;
   std::vector<index_t> serial_order;
 
-  /// Per-level synchronization regimes (LevelRegime bytes, one per level).
-  /// EMPTY means uniform execution under `backend` — the only state the
-  /// non-hybrid executor branches ever see. Non-empty (set through
-  /// apply_level_tags, which also prunes the waits each regime's sync
-  /// already covers) routes exec_run through the hybrid branch: contiguous
-  /// same-tag level SEGMENTS, a team barrier at every segment entry, the
-  /// regime's own protocol inside.
-  std::vector<std::uint8_t> level_tags;
-
-  /// Spin-wait escalation budget: pause-loop iterations before a wait
-  /// (counter spin, level barrier) starts yielding the CPU. 0 derives the
-  /// default from the team (spin_budget_for); ilu/ plumbs
-  /// IluOptions::spin_max_pauses through here so the tuner can measure —
-  /// and tests force — the pause→yield ladder.
-  int spin_budget = 0;
-
   // --- statistics ----------------------------------------------------------
   index_t deps_total = 0;  ///< cross-thread dependencies before pruning
   index_t deps_kept = 0;   ///< spin-waits actually stored
@@ -138,35 +127,14 @@ struct ExecSchedule {
   index_t num_runs() const noexcept {
     return run_ptr.empty() ? 0 : static_cast<index_t>(run_ptr.size()) - 1;
   }
-  bool hybrid() const noexcept { return !level_tags.empty(); }
-  LevelRegime level_regime(index_t l) const noexcept {
-    return level_tags.empty()
-               ? (backend == ExecBackend::kBarrier ? LevelRegime::kBarrier
-                                                   : LevelRegime::kP2P)
-               : static_cast<LevelRegime>(
-                     level_tags[static_cast<std::size_t>(l)]);
-  }
 
-  // --- level-shape statistics (tuner pruning heuristic + bench signal) -----
+  // --- level-shape statistics (tuner cost model + bench signal) ------------
   /// Mean rows per level (0 for an empty schedule).
   double mean_rows_per_level() const noexcept {
     return num_levels > 0
                ? static_cast<double>(serial_order.size()) /
                      static_cast<double>(num_levels)
                : 0.0;
-  }
-  /// Fraction of scheduled rows living in levels with fewer than
-  /// `threshold` rows — the rows whose level is too narrow to feed a team.
-  double small_level_row_frac(index_t threshold) const noexcept {
-    if (serial_order.empty() || level_ptr.empty()) return 0.0;
-    index_t small = 0;
-    for (index_t l = 0; l < num_levels; ++l) {
-      const index_t lsz = level_ptr[static_cast<std::size_t>(l) + 1] -
-                          level_ptr[static_cast<std::size_t>(l)];
-      if (lsz < threshold) small += lsz;
-    }
-    return static_cast<double>(small) /
-           static_cast<double>(serial_order.size());
   }
   index_t max_items_per_thread() const noexcept {
     if (thread_ptr.empty()) return 0;  // default-constructed schedule
@@ -193,10 +161,10 @@ struct ExecSchedule {
 using DepsFn = std::function<void(index_t row, const std::function<void(index_t)>& yield)>;
 
 /// The optional TAIL phase of a region (exec/run.hpp): after its last item,
-/// thread t runs chunks [thread_ptr[t], thread_ptr[t+1]); under uniform P2P
-/// chunk c first waits until wait_thread[w] has published wait_count[w]
-/// items of the region's schedule, for w in [wait_ptr[c], wait_ptr[c+1]).
-/// A non-owning view: the arrays belong to the caller (the fused SpMV
+/// thread t runs chunks [thread_ptr[t], thread_ptr[t+1]); under P2P chunk
+/// c first waits until wait_thread[w] has published wait_count[w] items of
+/// the region's schedule, for w in [wait_ptr[c], wait_ptr[c+1]). A
+/// non-owning view: the arrays belong to the caller (the fused SpMV
 /// companion, ilu/fused.hpp).
 struct ExecTail {
   std::span<const index_t> thread_ptr;
@@ -267,25 +235,11 @@ void build_run_layer(ExecSchedule& s);
 /// Re-plan `s` for a new team size: re-chunk the (level, thread) slices and
 /// rebuild the sparsified waits from the retained level structure. `deps`
 /// must enumerate the same dependencies the schedule was originally built
-/// with (ilu/retarget.hpp supplies them from the factor). The result is
+/// with (runtime_fwd/runtime_bwd, declared in ilu/factorization.hpp, pass
+/// the factor's triangular enumerators below). The result is
 /// bitwise-identical — every field — to a fresh build at `threads`
 /// (asserted by test_exec).
 ExecSchedule retarget(const ExecSchedule& s, const DepsFn& deps, int threads);
-
-/// Install per-level regime tags on `s` (size must equal s.num_levels; values
-/// are LevelRegime bytes) and prune every stored wait the tagged regimes'
-/// synchronization already covers. The hybrid executor barriers at each
-/// same-tag segment entry (and after every kBarrier level), so a consumer in
-/// level lc is guaranteed every item in levels below its regime FLOOR —
-/// lc itself for kBarrier/kSerial levels, the segment's first level for kP2P
-/// — has been published before it starts; waits whose producer count is
-/// below that floor are deleted (deps_kept drops, deps_total is untouched)
-/// and the run layer is rebuilt from the pruned lists. After pruning, every
-/// surviving wait's producer lives in the consumer's own P2P segment. An
-/// all-kP2P tag vector is normalized to "no tags" (uniform schedule).
-/// Deterministic: retarget() re-applies the tags after rebuilding,
-/// field-for-field identical to tagging a fresh build.
-void apply_level_tags(ExecSchedule& s, std::span<const std::uint8_t> tags);
 
 /// Dependency enumerators of the triangular-factor schedules, exposed so
 /// consumers can retarget without re-deriving them. The returned closures

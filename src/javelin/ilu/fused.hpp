@@ -23,10 +23,8 @@
 //
 // The backward region is exec_run's, so every backend behaves as it does
 // for a plain backward sweep: under the barrier (CSR-LS) backend the SpMV
-// chunks start after the final level barrier, and a hybrid (per-level
-// regime) schedule crosses one team barrier after its last segment — one
-// region and zero extra vector passes either way, so the backend
-// comparison stays honest.
+// chunks start after the final level barrier — one region and zero extra
+// vector passes either way, so the backend comparison stays honest.
 #pragma once
 
 #include <span>

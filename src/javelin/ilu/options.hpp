@@ -84,12 +84,6 @@ struct IluOptions {
   /// retarget_oversubscribed — the hardware core count, like any team).
   /// 0, the default, keeps the planned team.
   int tuned_threads = 0;
-  /// Spin-wait escalation budget: pause-loop iterations a waiting thread
-  /// spends before it starts yielding its CPU (support/spinwait.hpp
-  /// Backoff ladder). Plumbed into every schedule this factorization
-  /// builds or retargets. <= 0 — the default — derives the budget from
-  /// team size vs hardware cores (spin_budget_for).
-  int spin_max_pauses = 0;
 
   // --- batched serving -----------------------------------------------------
   /// Panel width of the batched many-RHS path (ilu/batch.hpp): solve_many

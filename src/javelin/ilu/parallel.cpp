@@ -395,7 +395,18 @@ Factorization ilu_prepare(const CsrMatrix& a, const IluOptions& opts) {
   Factorization f;
   f.opts = opts;
 
-  CsrMatrix s = ilu_symbolic(a, opts.fill_level, &f.symbolic);
+  // ILU(0) of a matrix that stores its whole diagonal keeps A's own pattern,
+  // where ilu_symbolic would return a copy of A, values included. Plan and
+  // permute A itself: the copy is a transient as large as the factor that
+  // would sit beside the factor at the peak of every ilu_prepare.
+  const bool own_pattern = opts.fill_level == 0 && a.has_full_diagonal();
+  CsrMatrix symbolic;
+  if (own_pattern) {
+    f.symbolic.pattern_nnz = a.nnz();
+  } else {
+    symbolic = ilu_symbolic(a, opts.fill_level, &f.symbolic);
+  }
+  const CsrMatrix& s = own_pattern ? a : symbolic;
   f.plan = build_two_stage_plan(s, opts);
   f.lu = permute_symmetric(s, f.plan.perm);
   f.diag_pos = diagonal_positions(f.lu);
@@ -410,10 +421,6 @@ Factorization ilu_prepare(const CsrMatrix& a, const IluOptions& opts) {
   f.bwd = build_backward_schedule(f.lu, f.plan.upper_level_ptr,
                                   f.plan.lower_level_ptr, opts.exec_backend,
                                   f.plan.threads, chunk);
-  // Spin-wait escalation budget: carried by the schedules (retarget
-  // preserves it) so every executor branch sees the configured ladder.
-  f.fwd.spin_budget = opts.spin_max_pauses;
-  f.bwd.spin_budget = opts.spin_max_pauses;
   if (opts.verify_schedules) {
     verify::verify_schedule_or_throw(f.fwd, lower_triangular_deps(f.lu),
                                      "fwd");
@@ -444,7 +451,6 @@ Factorization ilu_prepare(const CsrMatrix& a, const IluOptions& opts) {
                                    cls.level_ptr, cls.rows_by_level,
                                    lower_triangular_deps(corner_pat),
                                    f.plan.threads, chunk);
-    f.corner.spin_budget = opts.spin_max_pauses;
     // Verified here, while corner_pat (the dependency pattern) is alive.
     if (opts.verify_schedules) {
       verify::verify_schedule_or_throw(

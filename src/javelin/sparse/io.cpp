@@ -55,7 +55,17 @@ CsrMatrix read_matrix_market(std::istream& in) {
   CooMatrix coo;
   coo.rows = checked_cast<index_t>(rows64, "rows");
   coo.cols = checked_cast<index_t>(cols64, "cols");
-  coo.reserve(static_cast<std::size_t>(nnz64) * ((is_symmetric || is_skew) ? 2 : 1));
+  // Both dimensions now fit index_t, so their product fits int64. A larger
+  // count would need duplicate coordinates.
+  JAVELIN_CHECK(nnz64 <= rows64 * cols64,
+                "declared entry count " + std::to_string(nnz64) +
+                    " exceeds rows x cols");
+  // The header is untrusted: reserve at most kMaxReserve entries up front and
+  // let push grow the arrays, so a huge declared count over a short stream
+  // fails at its first missing entry instead of in the allocator.
+  constexpr std::int64_t kMaxReserve = std::int64_t{1} << 20;
+  coo.reserve(static_cast<std::size_t>(std::min(nnz64, kMaxReserve)) *
+              ((is_symmetric || is_skew) ? 2 : 1));
 
   for (std::int64_t k = 0; k < nnz64; ++k) {
     std::int64_t r64 = 0, c64 = 0;

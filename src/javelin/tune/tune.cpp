@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <limits>
-#include <utility>
 
 #include "javelin/ilu/solve.hpp"
 #include "javelin/support/parallel.hpp"
@@ -13,40 +13,13 @@ namespace javelin::tune {
 
 std::string TuneCandidate::name() const {
   if (threads <= 1) return "serial";
-  std::string s = hybrid ? "hybrid"
-                         : (backend == ExecBackend::kBarrier ? "barrier"
-                                                             : "p2p");
+  std::string s = exec_backend_name(backend);
   s += "/t" + std::to_string(threads);
   if (chunk_rows > 0) s += "/c" + std::to_string(chunk_rows);
   return s;
 }
 
-std::vector<std::uint8_t> derive_hybrid_tags(const ExecSchedule& s,
-                                             index_t serial_below,
-                                             index_t barrier_below) {
-  std::vector<std::uint8_t> tags(static_cast<std::size_t>(s.num_levels),
-                                 static_cast<std::uint8_t>(LevelRegime::kP2P));
-  for (index_t l = 0; l < s.num_levels; ++l) {
-    const index_t lsz = s.level_ptr[static_cast<std::size_t>(l) + 1] -
-                        s.level_ptr[static_cast<std::size_t>(l)];
-    if (lsz < serial_below) {
-      tags[static_cast<std::size_t>(l)] =
-          static_cast<std::uint8_t>(LevelRegime::kSerial);
-    } else if (lsz < barrier_below) {
-      tags[static_cast<std::size_t>(l)] =
-          static_cast<std::uint8_t>(LevelRegime::kBarrier);
-    }
-  }
-  return tags;
-}
-
 namespace {
-
-index_t resolve_small(const Factorization& f, index_t small) {
-  if (small > 0) return small;
-  return std::max<index_t>(
-      16, static_cast<index_t>(4 * std::max(1, f.plan.threads)));
-}
 
 /// The policy state a candidate mutates — schedules, backend, team override.
 /// Numeric values, plan, permutation and symbolic data never move.
@@ -70,32 +43,19 @@ void restore_policy(Factorization& f, const PolicySnapshot& s) {
 }
 
 /// Install one candidate on a factor currently holding its pristine policy.
-void apply_candidate(Factorization& f, const TuneCandidate& c, index_t small) {
-  set_exec_backend(f, c.backend);  // uniform reset (rebuilds pruned waits)
+void apply_candidate(Factorization& f, const TuneCandidate& c) {
+  set_exec_backend(f, c.backend);
   if (c.chunk_rows > 0 && (f.fwd.chunk_rows != c.chunk_rows ||
                            f.bwd.chunk_rows != c.chunk_rows)) {
     // A different blocking granule re-chunks the retained level structure —
     // the same cheap path retarget() uses, bitwise-neutral by the standing
     // schedule contract.
-    ExecSchedule nf = build_exec_schedule(
-        c.backend, f.fwd.n_total, f.fwd.level_ptr, f.fwd.serial_order,
-        lower_triangular_deps(f.lu), f.fwd.threads, c.chunk_rows);
-    nf.spin_budget = f.fwd.spin_budget;
-    ExecSchedule nb = build_exec_schedule(
-        c.backend, f.bwd.n_total, f.bwd.level_ptr, f.bwd.serial_order,
-        upper_triangular_deps(f.lu), f.bwd.threads, c.chunk_rows);
-    nb.spin_budget = f.bwd.spin_budget;
-    f.fwd = std::move(nf);
-    f.bwd = std::move(nb);
-    f.numeric_cache = ScheduleCache{};
-  }
-  if (c.hybrid) {
-    const index_t serial_below =
-        std::max<index_t>(2, static_cast<index_t>(c.threads));
-    const auto tf = derive_hybrid_tags(f.fwd, serial_below, small);
-    const auto tb = derive_hybrid_tags(f.bwd, serial_below, small);
-    apply_level_tags(f.fwd, tf);
-    apply_level_tags(f.bwd, tb);
+    f.fwd = build_exec_schedule(c.backend, f.fwd.n_total, f.fwd.level_ptr,
+                                f.fwd.serial_order, lower_triangular_deps(f.lu),
+                                f.fwd.threads, c.chunk_rows);
+    f.bwd = build_exec_schedule(c.backend, f.bwd.n_total, f.bwd.level_ptr,
+                                f.bwd.serial_order, upper_triangular_deps(f.lu),
+                                f.bwd.threads, c.chunk_rows);
     f.numeric_cache = ScheduleCache{};
   }
   f.opts.tuned_threads = c.threads;
@@ -132,7 +92,7 @@ double measure_candidate(Factorization& f, int reps) {
 std::vector<TuneCandidate> make_grid(const Factorization& f,
                                      const TuneOptions& o) {
   std::vector<TuneCandidate> grid;
-  grid.push_back(TuneCandidate{ExecBackend::kP2P, false, 1, 0});  // "serial"
+  grid.push_back(TuneCandidate{ExecBackend::kP2P, 1, 0});  // "serial"
   const int cap = std::max(1, o.max_threads > 0 ? o.max_threads
                                                 : f.plan.threads);
   std::vector<int> teams;
@@ -145,17 +105,16 @@ std::vector<TuneCandidate> make_grid(const Factorization& f,
   }
   for (int t : teams) {
     for (index_t c : chunks) {
-      grid.push_back(TuneCandidate{ExecBackend::kP2P, false, t, c});
-      grid.push_back(TuneCandidate{ExecBackend::kBarrier, false, t, c});
+      grid.push_back(TuneCandidate{ExecBackend::kP2P, t, c});
+      grid.push_back(TuneCandidate{ExecBackend::kBarrier, t, c});
     }
-    grid.push_back(TuneCandidate{ExecBackend::kP2P, true, t, 0});
   }
   return grid;
 }
 
 }  // namespace
 
-TuneContext make_context(const Factorization& f, index_t small_level_rows) {
+TuneContext make_context(const Factorization& f) {
   TuneContext ctx;
   ctx.n = f.n();
   ctx.nnz = f.lu.nnz();
@@ -164,9 +123,6 @@ TuneContext make_context(const Factorization& f, index_t small_level_rows) {
   ctx.bwd_levels = f.bwd.num_levels;
   ctx.fwd_mean_rows_per_level = f.fwd.mean_rows_per_level();
   ctx.bwd_mean_rows_per_level = f.bwd.mean_rows_per_level();
-  ctx.small_level_rows = resolve_small(f, small_level_rows);
-  ctx.fwd_small_row_frac = f.fwd.small_level_row_frac(ctx.small_level_rows);
-  ctx.bwd_small_row_frac = f.bwd.small_level_row_frac(ctx.small_level_rows);
   return ctx;
 }
 
@@ -183,16 +139,7 @@ CostModelFn deterministic_cost_model() {
       // a sparsified wait round.
       const double per_sync =
           c.backend == ExecBackend::kBarrier ? 48.0 : 16.0;
-      double sync = levels * per_sync * t;
-      if (c.hybrid) {
-        // Regime tags strip the cross-thread sync of the small levels and
-        // charge one segment-entry barrier per level run instead.
-        const double small =
-            0.5 * (ctx.fwd_small_row_frac + ctx.bwd_small_row_frac);
-        sync *= 1.0 - 0.75 * small;
-        sync += levels;
-      }
-      cost += sync;
+      cost += levels * per_sync * t;
       // Narrow levels starve wide teams: charge the serialized remainder.
       const double mean =
           0.5 * (ctx.fwd_mean_rows_per_level + ctx.bwd_mean_rows_per_level);
@@ -207,8 +154,7 @@ CostModelFn deterministic_cost_model() {
 }
 
 TuneReport autotune(Factorization& f, const TuneOptions& topt) {
-  const index_t small = resolve_small(f, topt.small_level_rows);
-  const TuneContext ctx = make_context(f, small);
+  const TuneContext ctx = make_context(f);
   const std::vector<TuneCandidate> grid = make_grid(f, topt);
   const PolicySnapshot snap = snap_policy(f);
   TuneReport rep;
@@ -220,7 +166,7 @@ TuneReport autotune(Factorization& f, const TuneOptions& topt) {
         sec = topt.cost_model(ctx, c);
       } else {
         restore_policy(f, snap);
-        apply_candidate(f, c, small);
+        apply_candidate(f, c);
         sec = measure_candidate(f, topt.reps);
       }
       rep.measured.push_back(TuneMeasurement{c, sec});
@@ -235,13 +181,12 @@ TuneReport autotune(Factorization& f, const TuneOptions& topt) {
     rep.chosen = rep.measured[best].cand;
     rep.chosen_seconds = rep.measured[best].seconds;
     restore_policy(f, snap);
-    apply_candidate(f, rep.chosen, small);
+    apply_candidate(f, rep.chosen);
   } catch (...) {
     restore_policy(f, snap);
     throw;
   }
   rep.applied = true;
-  rep.hybrid_applied = f.fwd.hybrid() || f.bwd.hybrid();
   return rep;
 }
 
@@ -251,9 +196,7 @@ void TuneReport::export_metrics(obs::MetricsRegistry& reg) const {
   };
   reg.add("tune.candidates", static_cast<std::uint64_t>(measured.size()));
   reg.add("tune.applied", applied ? 1 : 0);
-  reg.add("tune.hybrid_applied", hybrid_applied ? 1 : 0);
   reg.add("tune.chosen_threads", static_cast<std::uint64_t>(chosen.threads));
-  reg.add("tune.chosen_hybrid", chosen.hybrid ? 1 : 0);
   reg.add("tune.chosen_barrier",
           chosen.backend == ExecBackend::kBarrier ? 1 : 0);
   reg.add("tune.chosen_chunk_rows",

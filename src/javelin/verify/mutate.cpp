@@ -201,8 +201,6 @@ const char* mutation_name(Mutation m) noexcept {
     case Mutation::kMoveRowAcrossLevel: return "move_row_across_level";
     case Mutation::kDuplicateRow: return "duplicate_row";
     case Mutation::kCorruptWaitCount: return "corrupt_wait_count";
-    case Mutation::kRegimeRetag: return "regime_retag";
-    case Mutation::kRegimeTagShape: return "regime_tag_shape";
     case Mutation::kMoveWaitsInRun: return "move_waits_in_run";
   }
   return "unknown";
@@ -298,71 +296,6 @@ MutationResult mutate(ExecSchedule& s, Mutation m, const DepsFn& deps,
       res.consumer_row = item_head_row(s, i);
       res.applied = true;
       res.detail = "raised a wait count beyond the producer's item count";
-      return res;
-    }
-
-    case Mutation::kRegimeRetag: {
-      // Flip a barrier/serial level to kP2P WITHOUT restoring the waits its
-      // sync point justified pruning — exactly the defect a buggy tuner or
-      // a stale tag edit would produce. Like the wait mutations, retagging
-      // a level can leave every orphaned dependency transitively covered,
-      // so search seeded candidate levels with the verifier as oracle.
-      if (s.level_tags.empty()) {
-        res.detail = "uniform schedule: no regime tags to retag";
-        return res;
-      }
-      std::vector<index_t> sites;
-      for (index_t l = 0; l < s.num_levels; ++l) {
-        if (s.level_tags[uz(l)] !=
-            static_cast<std::uint8_t>(LevelRegime::kP2P)) {
-          sites.push_back(l);
-        }
-      }
-      if (sites.empty()) {
-        res.detail = "no barrier/serial level to retag";
-        return res;
-      }
-      const std::size_t start = uz(static_cast<std::int64_t>(
-          splitmix(st) % static_cast<std::uint64_t>(sites.size())));
-      const std::size_t tries = std::min<std::size_t>(sites.size(), 64);
-      for (std::size_t k = 0; k < tries; ++k) {
-        const index_t l = sites[(start + k) % sites.size()];
-        ExecSchedule cand = s;
-        cand.level_tags[uz(l)] =
-            static_cast<std::uint8_t>(LevelRegime::kP2P);
-        const VerifyReport rep = verify_schedule(cand, deps);
-        if (!rep.ok() &&
-            grab_rows(rep,
-                      {DiagKind::kUncoveredDependency, DiagKind::kDeadlock},
-                      res)) {
-          s = std::move(cand);
-          res.applied = true;
-          res.detail = "retagged a synced level to p2p with its waits pruned";
-          return res;
-        }
-      }
-      res.detail = "no load-bearing regime boundary within the search budget";
-      return res;
-    }
-
-    case Mutation::kRegimeTagShape: {
-      if (s.level_tags.empty()) {
-        res.detail = "uniform schedule: no regime tags to corrupt";
-        return res;
-      }
-      // Truncating a one-entry vector would leave it EMPTY — a legal
-      // uniform schedule, not a shape defect — so that variant needs two
-      // levels.
-      if (s.level_tags.size() >= 2 && splitmix(st) % 2 == 0) {
-        s.level_tags.pop_back();
-        res.detail = "truncated level_tags by one level";
-      } else {
-        const index_t l = static_cast<index_t>(
-            splitmix(st) % static_cast<std::uint64_t>(s.level_tags.size()));
-        s.level_tags[uz(l)] = 0xFF;
-        res.detail = "planted an unknown regime tag value";
-      }
-      res.applied = true;
       return res;
     }
 

@@ -31,8 +31,6 @@ enum class Mutation {
   kMoveRowAcrossLevel, ///< shift a level_ptr boundary by one row
   kDuplicateRow,       ///< one row executed twice, another lost
   kCorruptWaitCount,   ///< count beyond the producer's item count
-  kRegimeRetag,        ///< retag a synced level kP2P, orphaning pruned waits
-  kRegimeTagShape,     ///< truncate level_tags / plant an unknown tag value
   kMoveWaitsInRun,     ///< move a run's wait list onto a later item of it
 };
 
@@ -41,14 +39,6 @@ inline constexpr Mutation kAllMutations[] = {
     Mutation::kRedirectWait,       Mutation::kMoveRowAcrossLevel,
     Mutation::kDuplicateRow,       Mutation::kCorruptWaitCount,
     Mutation::kMoveWaitsInRun,
-};
-
-/// Regime-boundary defect classes. Only meaningful on HYBRID schedules
-/// (non-empty level_tags, waits pruned to regime floors); kept out of
-/// kAllMutations so the uniform-schedule sweeps stay regime-free.
-inline constexpr Mutation kRegimeMutations[] = {
-    Mutation::kRegimeRetag,
-    Mutation::kRegimeTagShape,
 };
 
 const char* mutation_name(Mutation m) noexcept;

@@ -61,10 +61,9 @@ bool monotone(const Seq& v) {
 /// per-item vector clocks. `valid` only when every item was enumerated.
 struct ScheduleClocks {
   bool valid = false;
-  bool hybrid = false;               ///< regime tags honored by the analysis
   std::vector<index_t> owner;        ///< row -> executing thread
   std::vector<index_t> posn;         ///< row -> item position in its thread
-  std::vector<index_t> clock;        ///< [node][thread], items first
+  std::vector<index_t> clock;        ///< [item][thread]
 };
 
 }  // namespace
@@ -80,7 +79,6 @@ const char* diag_kind_name(DiagKind k) noexcept {
     case DiagKind::kUncoveredDependency: return "uncovered_dependency";
     case DiagKind::kRetargetMismatch: return "retarget_mismatch";
     case DiagKind::kStatsMismatch: return "stats_mismatch";
-    case DiagKind::kRegimeTag: return "regime_tag";
     case DiagKind::kRunLayout: return "run_layout";
   }
   return "unknown";
@@ -110,11 +108,8 @@ std::string VerifyReport::summary() const {
   if (ok()) {
     os << "ok: " << stats.deps_cross_thread << " cross-thread deps ("
        << stats.deps_covered_direct << " direct, "
-       << stats.deps_covered_transitive << " transitive";
-    if (stats.deps_covered_regime > 0) {
-      os << ", " << stats.deps_covered_regime << " regime";
-    }
-    os << "), " << stats.waits_total << " waits, " << stats.items
+       << stats.deps_covered_transitive << " transitive), "
+       << stats.waits_total << " waits, " << stats.items
        << " items, " << stats.levels << " levels";
     return os.str();
   }
@@ -182,28 +177,6 @@ VerifyReport analyze_schedule(const ExecSchedule& s, const DepsFn& deps,
     sink.add(DiagKind::kStatsMismatch, kInvalidIndex, kInvalidIndex, -1, -1,
              kInvalidIndex, kInvalidIndex,
              "stored num_levels disagrees with level_ptr");
-  }
-  // Per-level regime tags: a malformed vector makes the hybrid executor's
-  // segment walk meaningless (and its wait pruning unjustified), so flag it
-  // and analyze the schedule as uniform under `backend` — which then
-  // reports the pruned waits as the races they would be.
-  bool hybrid = !s.level_tags.empty();
-  if (hybrid && static_cast<index_t>(s.level_tags.size()) != n_levels) {
-    sink.add(DiagKind::kRegimeTag, kInvalidIndex, kInvalidIndex, -1, -1,
-             kInvalidIndex, kInvalidIndex,
-             "level_tags length disagrees with level_ptr");
-    hybrid = false;
-  }
-  if (hybrid) {
-    for (index_t l = 0; l < n_levels; ++l) {
-      if (s.level_tags[uz(l)] >
-          static_cast<std::uint8_t>(LevelRegime::kSerial)) {
-        sink.add(DiagKind::kRegimeTag, kInvalidIndex, kInvalidIndex, -1, -1,
-                 l, kInvalidIndex, "unknown regime tag value");
-        hybrid = false;
-        break;
-      }
-    }
   }
   for (index_t k = 0; k < n_rows; ++k) {
     const index_t r = s.rows[uz(k)];
@@ -392,7 +365,7 @@ VerifyReport analyze_schedule(const ExecSchedule& s, const DepsFn& deps,
     return s.thread_ptr[uz(s.wait_thread[uz(w)])] + s.wait_count[uz(w)] - 1;
   };
 
-  // ---- Phase 3b: run layer. The uniform P2P executor runs each run as one
+  // ---- Phase 3b: run layer. The P2P executor runs each run as one
   // wait list (its first item's), one row range and one publish (its last
   // item's count). That is the item model analyzed below exactly when the
   // runs partition each thread's items in order, no item but a run's first
@@ -468,69 +441,16 @@ VerifyReport analyze_schedule(const ExecSchedule& s, const DepsFn& deps,
 
   // ---- Phase 4: deadlock. Kahn's toposort over the item graph — edges are
   // per-thread program order plus (producer item -> waiting item) for every
-  // valid wait. Hybrid schedules add VIRTUAL SYNC NODES for the executor's
-  // extra synchronization (segment-entry barriers, per-level barriers of
-  // kBarrier runs, and the serialization of kSerial levels, which orders
-  // levels just as hard): every thread's last item below the sync level
-  // precedes the node, every thread's first item at or above it follows,
-  // and the nodes chain. Items left unprocessed sit on a cycle (or behind
-  // one): at runtime they would spin forever.
+  // valid wait. Items left unprocessed sit on a cycle (or behind one): at
+  // runtime they would spin forever.
   std::vector<index_t> thread_of(uz(n_items), 0);
   for (int t = 0; t < T; ++t) {
     for (index_t i = s.thread_ptr[uz(t)]; i < s.thread_ptr[uz(t) + 1]; ++i) {
       thread_of[uz(i)] = static_cast<index_t>(t);
     }
   }
-  // Sync points: level l has one at entry unless both l-1 and l are kP2P
-  // levels of the same segment — the only level boundary the hybrid
-  // executor crosses without synchronizing. Uniform schedules have none.
-  std::vector<index_t> sync_levels;
-  std::vector<index_t> sync_of_level(uz(n_levels), kInvalidIndex);
-  if (hybrid) {
-    const auto tag = [&](index_t l) {
-      return static_cast<LevelRegime>(s.level_tags[uz(l)]);
-    };
-    for (index_t l = 0; l < n_levels; ++l) {
-      if (l == 0 || tag(l) != LevelRegime::kP2P ||
-          tag(l - 1) != LevelRegime::kP2P) {
-        sync_levels.push_back(l);
-      }
-      sync_of_level[uz(l)] = static_cast<index_t>(sync_levels.size()) - 1;
-    }
-  }
-  const index_t n_sync = static_cast<index_t>(sync_levels.size());
-  const index_t n_nodes = n_items + n_sync;
-  std::vector<std::pair<index_t, index_t>> sync_edges;
-  for (index_t j = 1; j < n_sync; ++j) {
-    sync_edges.emplace_back(n_items + j - 1, n_items + j);
-  }
-  if (n_sync > 0) {
-    for (int t = 0; t < T; ++t) {
-      index_t j = 0;
-      index_t last_item = kInvalidIndex;
-      for (index_t i = s.thread_ptr[uz(t)]; i < s.thread_ptr[uz(t) + 1];
-           ++i) {
-        const index_t lv = item_level[uz(i)];
-        if (lv == kInvalidIndex) continue;
-        const index_t j0 = j;
-        while (j < n_sync && sync_levels[uz(j)] <= lv) {
-          if (last_item != kInvalidIndex) {
-            sync_edges.emplace_back(last_item, n_items + j);
-          }
-          ++j;
-        }
-        if (j > j0) sync_edges.emplace_back(n_items + j - 1, i);
-        last_item = i;
-      }
-      for (; j < n_sync; ++j) {
-        if (last_item != kInvalidIndex) {
-          sync_edges.emplace_back(last_item, n_items + j);
-        }
-      }
-    }
-  }
-  std::vector<index_t> indeg(uz(n_nodes), 0);
-  std::vector<index_t> succ_ptr(uz(n_nodes) + 1, 0);
+  std::vector<index_t> indeg(uz(n_items), 0);
+  std::vector<index_t> succ_ptr(uz(n_items) + 1, 0);
   for (index_t i = 0; i < n_items; ++i) {
     const int t = static_cast<int>(thread_of[uz(i)]);
     if (i != s.thread_ptr[uz(t)]) {
@@ -543,14 +463,10 @@ VerifyReport analyze_schedule(const ExecSchedule& s, const DepsFn& deps,
       ++indeg[uz(i)];
     }
   }
-  for (const auto& [u, v] : sync_edges) {
-    ++succ_ptr[uz(u) + 1];
-    ++indeg[uz(v)];
-  }
   for (std::size_t i = 1; i < succ_ptr.size(); ++i) {
     succ_ptr[i] += succ_ptr[i - 1];
   }
-  std::vector<index_t> succ(uz(n_nodes > 0 ? succ_ptr.back() : 0), 0);
+  std::vector<index_t> succ(uz(n_items > 0 ? succ_ptr.back() : 0), 0);
   {
     std::vector<index_t> cursor(succ_ptr.begin(), succ_ptr.end() - 1);
     for (index_t i = 0; i < n_items; ++i) {
@@ -563,13 +479,10 @@ VerifyReport analyze_schedule(const ExecSchedule& s, const DepsFn& deps,
         succ[uz(cursor[uz(wait_producer_item(w))]++)] = i;
       }
     }
-    for (const auto& [u, v] : sync_edges) {
-      succ[uz(cursor[uz(u)]++)] = v;
-    }
   }
   std::vector<index_t> topo;
-  topo.reserve(uz(n_nodes));
-  for (index_t i = 0; i < n_nodes; ++i) {
+  topo.reserve(uz(n_items));
+  for (index_t i = 0; i < n_items; ++i) {
     if (indeg[uz(i)] == 0) topo.push_back(i);
   }
   for (std::size_t head = 0; head < topo.size(); ++head) {
@@ -579,15 +492,10 @@ VerifyReport analyze_schedule(const ExecSchedule& s, const DepsFn& deps,
       if (--indeg[uz(j)] == 0) topo.push_back(j);
     }
   }
-  index_t items_done = 0;
-  for (index_t u : topo) {
-    if (u < n_items) ++items_done;
-  }
+  const index_t items_done = static_cast<index_t>(topo.size());
   if (items_done < n_items) {
     std::vector<char> processed(uz(n_items), 0);
-    for (index_t i : topo) {
-      if (i < n_items) processed[uz(i)] = 1;
-    }
+    for (index_t i : topo) processed[uz(i)] = 1;
     for (index_t i = 0; i < n_items; ++i) {
       if (processed[uz(i)]) continue;
       // Attach the first blocking wait edge for precision; a stuck
@@ -619,48 +527,17 @@ VerifyReport analyze_schedule(const ExecSchedule& s, const DepsFn& deps,
   // position q is covered iff the consumer's pre-execution clock has
   // clock[p] >= q+1; it is DIRECT if one of the consuming item's own waits
   // reaches q+1, else TRANSITIVE (the sparsification's savings, quantified).
-  // Sync nodes carry clocks too: a node's clock is the JOIN of everything
-  // its predecessors published (accumulated as they process, complete by
-  // the time the node pops in topo order), and an item at level lv merges
-  // the clock of its nearest preceding sync node — that is exactly what
-  // the hybrid executor's barrier guarantees, and what justifies the waits
-  // apply_level_tags pruned (counted as deps_covered_regime).
-  std::vector<index_t> clock(uz(n_nodes) * uz(T), 0);
+  std::vector<index_t> clock(uz(n_items) * uz(T), 0);
   std::vector<index_t> before(uz(T), 0);
   std::vector<index_t> direct_high(uz(T), 0);
   VerifyStats& st = rep.stats;
-  auto push_to_sync_succs = [&](index_t u) {
-    const index_t* cu = clock.data() + uz(u) * uz(T);
-    for (index_t q = succ_ptr[uz(u)]; q < succ_ptr[uz(u) + 1]; ++q) {
-      const index_t v = succ[uz(q)];
-      if (v < n_items) continue;
-      index_t* cv = clock.data() + uz(v) * uz(T);
-      for (int p = 0; p < T; ++p) {
-        cv[uz(p)] = std::max(cv[uz(p)], cu[uz(p)]);
-      }
-    }
-  };
-  for (std::size_t head = 0; head < topo.size(); ++head) {
-    const index_t i = topo[head];
-    if (i >= n_items) {
-      push_to_sync_succs(i);  // forward the join along the sync chain
-      continue;
-    }
+  for (const index_t i : topo) {
     const int t = static_cast<int>(thread_of[uz(i)]);
     if (i == s.thread_ptr[uz(t)]) {
       std::fill(before.begin(), before.end(), 0);
     } else {
       const index_t* prev = clock.data() + uz(i - 1) * uz(T);
       std::copy(prev, prev + T, before.begin());
-    }
-    const index_t* sync_floor = nullptr;
-    if (n_sync > 0 && item_level[uz(i)] != kInvalidIndex &&
-        sync_of_level[uz(item_level[uz(i)])] != kInvalidIndex) {
-      sync_floor = clock.data() +
-                   uz(n_items + sync_of_level[uz(item_level[uz(i)])]) * uz(T);
-      for (int p = 0; p < T; ++p) {
-        before[uz(p)] = std::max(before[uz(p)], sync_floor[uz(p)]);
-      }
     }
     std::fill(direct_high.begin(), direct_high.end(), 0);
     for (index_t w = s.wait_ptr[uz(i)]; w < s.wait_ptr[uz(i) + 1]; ++w) {
@@ -700,8 +577,6 @@ VerifyReport analyze_schedule(const ExecSchedule& s, const DepsFn& deps,
         if (before[uz(ot)] >= need) {
           if (direct_high[uz(ot)] >= need) {
             ++st.deps_covered_direct;
-          } else if (sync_floor != nullptr && sync_floor[uz(ot)] >= need) {
-            ++st.deps_covered_regime;
           } else {
             ++st.deps_covered_transitive;
           }
@@ -717,7 +592,6 @@ VerifyReport analyze_schedule(const ExecSchedule& s, const DepsFn& deps,
     index_t* after = clock.data() + uz(i) * uz(T);
     std::copy(before.begin(), before.end(), after);
     after[uz(t)] = (i - s.thread_ptr[uz(t)]) + 1;
-    if (n_sync > 0) push_to_sync_succs(i);
   }
 
   // Stats bookkeeping is only comparable when the row sets agree and every
@@ -731,7 +605,6 @@ VerifyReport analyze_schedule(const ExecSchedule& s, const DepsFn& deps,
   }
   if (out != nullptr) {
     out->valid = items_done == n_items;
-    out->hybrid = hybrid;
     out->owner = std::move(owner);
     out->posn = std::move(posn);
     out->clock = std::move(clock);
@@ -784,19 +657,16 @@ VerifyReport verify_tail(const ExecSchedule& s, const DepsFn& deps,
   // ---- Coverage. A chunk on thread t starts after every item of t (program
   // order), so its clock starts from t's last item; each of its waits — and
   // each wait of t's earlier chunks — merges the producer item's clock, as
-  // in the item analysis. A hybrid schedule crosses one team barrier before
-  // the tail, which publishes every item (regime coverage); a uniform
-  // schedule is proven under P2P whatever its backend tag says, because
-  // set_exec_backend flips the tag in place.
+  // in the item analysis. The schedule is proven under P2P whatever its
+  // backend tag says, because set_exec_backend flips the tag in place (the
+  // barrier executor's last level barrier orders strictly more).
   const auto items_of = [&](index_t p) {
     return s.thread_ptr[uz(p) + 1] - s.thread_ptr[uz(p)];
   };
   std::vector<index_t> before(uz(T), 0);
   std::vector<index_t> direct_high(uz(T), 0);
   for (int t = 0; t < T; ++t) {
-    if (sc.hybrid) {
-      for (int p = 0; p < T; ++p) before[uz(p)] = items_of(p);
-    } else if (items_of(t) > 0) {
+    if (items_of(t) > 0) {
       const index_t* last = sc.clock.data() +
                             uz(s.thread_ptr[uz(t) + 1] - 1) * uz(T);
       std::copy(last, last + T, before.begin());
@@ -849,7 +719,7 @@ VerifyReport verify_tail(const ExecSchedule& s, const DepsFn& deps,
           if (direct_high[uz(ot)] >= need) {
             ++st.deps_covered_direct;
           } else if (before[uz(ot)] >= need) {
-            ++(sc.hybrid ? st.deps_covered_regime : st.deps_covered_transitive);
+            ++st.deps_covered_transitive;
           } else {
             ++st.deps_uncovered;
             sink.add(DiagKind::kUncoveredDependency, consumer, d, t,
@@ -881,11 +751,9 @@ VerifyReport verify_retarget(const ExecSchedule& s, const DepsFn& deps,
   // verifying it as-is reports whatever is wrong with it.
   if (s.level_ptr.empty()) return verify_schedule(s, deps, max_diagnostics);
 
-  ExecSchedule fresh =
+  const ExecSchedule fresh =
       build_exec_schedule(s.backend, s.n_total, s.level_ptr, s.serial_order,
                           deps, threads, s.chunk_rows);
-  fresh.spin_budget = s.spin_budget;
-  if (!s.level_tags.empty()) apply_level_tags(fresh, s.level_tags);
   const ExecSchedule rt = retarget(s, deps, threads);
   VerifyReport rep = verify_schedule(rt, deps, max_diagnostics);
   Sink sink(rep, max_diagnostics);
@@ -909,8 +777,6 @@ VerifyReport verify_retarget(const ExecSchedule& s, const DepsFn& deps,
   if (rt.run_ptr != fresh.run_ptr) mismatch("run_ptr");
   if (rt.level_ptr != fresh.level_ptr) mismatch("level_ptr");
   if (rt.serial_order != fresh.serial_order) mismatch("serial_order");
-  if (rt.level_tags != fresh.level_tags) mismatch("level_tags");
-  if (rt.spin_budget != fresh.spin_budget) mismatch("spin_budget");
   if (rt.deps_total != fresh.deps_total) mismatch("deps_total");
   if (rt.deps_kept != fresh.deps_kept) mismatch("deps_kept");
   if (rt.num_levels != fresh.num_levels) mismatch("num_levels");

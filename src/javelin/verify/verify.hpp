@@ -25,28 +25,17 @@
 //   * deadlock freedom — the item graph (program order + wait edges) must be
 //     acyclic; an item waiting on a counter value its producer thread only
 //     reaches after that item publishes can never start;
-//   * run layout — the uniform P2P executor runs RUNS of items (one wait
-//     list, one row range, one publish; exec/schedule.hpp), which executes
-//     the item model above exactly when the runs partition each thread's
-//     items in order, only a run's first item has waits, and every count a
-//     wait names ends a run. A violation is kRunLayout naming the item.
+//   * run layout — the P2P executor runs RUNS of items (one wait list, one
+//     row range, one publish; exec/schedule.hpp), which executes the item
+//     model above exactly when the runs partition each thread's items in
+//     order, only a run's first item has waits, and every count a wait
+//     names ends a run. A violation is kRunLayout naming the item.
 //
 // Both the level check and the wait check always run regardless of
 // s.backend: set_exec_backend() flips the tag in place, so a schedule must
-// be sound for either executor at all times.
-//
-// HYBRID schedules (non-empty level_tags) add synchronization the stored
-// waits no longer carry: the executor barriers at every same-tag segment
-// entry, after every kBarrier level, and runs kSerial levels alone on
-// thread 0 — and apply_level_tags prunes every wait those sync points
-// already cover. The analyzer models each such sync point as a virtual
-// node in the item graph (predecessors: every thread's last item below the
-// sync level; successors: every thread's first item at or above it, plus
-// the next sync node) and joins clocks across it, so pruned waits are
-// proven covered (deps_covered_regime) rather than misreported as races —
-// and a tag edit that orphans a pruned wait IS reported (kUncoveredDependency
-// or kDeadlock). Malformed tag vectors are kRegimeTag and analyzed as
-// uniform.
+// be sound for either executor at all times. Every schedule runs uniformly
+// under its backend, so program order and the stored waits are the only
+// synchronization the analysis has to model.
 //
 // TAILS: a region may end in a tail phase (exec/run.hpp — the fused solve's
 // SpMV chunks) whose waits count the schedule's items. verify_tail extends
@@ -76,7 +65,6 @@ enum class DiagKind {
   kUncoveredDependency,  ///< cross-thread RAW dep with no happens-before edge
   kRetargetMismatch,     ///< retarget(s, deps, T) differs from a fresh build
   kStatsMismatch,        ///< stored deps_total/deps_kept/num_levels stale
-  kRegimeTag,            ///< level_tags wrong length or unknown regime value
   kRunLayout,            ///< run layer does not match the items and waits
 };
 
@@ -99,7 +87,8 @@ struct ScheduleDiagnostic {
 
 /// Dependency-coverage accounting. Also quantifies the paper's
 /// sparsification: deps_covered_transitive are exactly the cross-thread
-/// dependencies the schedule orders without storing a wait for them.
+/// dependencies the schedule orders without storing a wait for them, and
+/// on a clean report direct + transitive == cross-thread.
 struct VerifyStats {
   index_t items = 0;
   index_t levels = 0;
@@ -108,7 +97,6 @@ struct VerifyStats {
   index_t deps_same_thread = 0;       ///< covered by program order
   index_t deps_cross_thread = 0;
   index_t deps_covered_direct = 0;    ///< one of the item's own waits covers it
-  index_t deps_covered_regime = 0;    ///< a hybrid sync point covers it (waits pruned)
   index_t deps_covered_transitive = 0;///< only the transitive publish order does
   index_t deps_uncovered = 0;         ///< latent data races
 };
@@ -149,9 +137,8 @@ void verify_schedule_or_throw(const ExecSchedule& s, const DepsFn& deps,
 /// program order (the chunk's thread executed the producer itself), by the
 /// chunk's own waits or those of its thread's earlier chunks, or
 /// transitively through the publish order of the items those waits reach —
-/// the same vector clocks verify_schedule computes. A hybrid schedule's
-/// tail runs after a team barrier, so its dependencies are regime-covered.
-/// A gap is kUncoveredDependency naming the consumer and the producer row.
+/// the same vector clocks verify_schedule computes. A gap is
+/// kUncoveredDependency naming the consumer and the producer row.
 /// The schedule itself is verified too (its diagnostics are included); the
 /// report's stats describe the tail only (items = chunks).
 VerifyReport verify_tail(const ExecSchedule& s, const DepsFn& deps,

@@ -10,12 +10,14 @@
 //   * the barrier (CSR-LS) backend is bitwise-identical to the P2P backend
 //     and to the serial reference at every thread count, for ilu_apply, the
 //     fused apply+SpMV, and full Krylov trajectories;
-//   * set_exec_backend flips a factor between backends in place;
+//   * set_exec_backend flips a factor between backends in place, and a
+//     workspace whose cache holds schedules retargeted to a smaller runtime
+//     team rebuilds them under the new backend;
 //   * the backward schedule runs the plan's own levels reversed, each one
 //     contiguous row range, serial order n-1 … 0, on every suite matrix;
-//   * the barrier and hybrid executors run exactly the (row, thread) pairs
-//     the builder assigned, a level of at most chunk_rows rows runs on one
-//     thread, and every branch runs each tail chunk once, on its thread;
+//   * the P2P and barrier executors run exactly the (row, thread) pairs the
+//     builder assigned, a level of at most chunk_rows rows runs on one
+//     thread, and both branches run each tail chunk once, on its thread;
 //   * the run layer (maximal runs: waits only on a run's first item, every
 //     waited-for count a run end) the P2P executor walks holds for fwd and
 //     bwd on every suite matrix at T in {2, 3, 4, 8}; a chain of one-row
@@ -272,11 +274,10 @@ void check_bwd_on_plan_levels(const std::string& name, const CsrMatrix& a) {
   CHECK_MSG(order_ok, "%s bwd serial_order is not n-1 .. 0", name.c_str());
 }
 
-/// Every executor branch must run exactly the (row, thread) pairs the
-/// builder assigned (producer_positions): kBarrier and hybrid re-derive
-/// their slices at run time, so this pins them to the builder's layout.
-/// Serial-regime levels run on thread 0. A level of at most chunk_rows rows
-/// is one item on one thread.
+/// Both executor branches must run exactly the (row, thread) pairs the
+/// builder assigned (producer_positions): kBarrier re-derives its slices at
+/// run time, so this pins it to the builder's layout. A level of at most
+/// chunk_rows rows is one item on one thread.
 void check_executor_slices(const char* name, const CsrMatrix& a) {
   IluOptions opts;
   opts.num_threads = 2;
@@ -296,17 +297,11 @@ void check_executor_slices(const char* name, const CsrMatrix& a) {
       std::vector<index_t> owner, item_of;
       base.producer_positions(owner, item_of);
       const auto L = static_cast<std::size_t>(base.num_levels);
-      std::vector<std::uint8_t> tags(L);
-      std::vector<index_t> level_of(static_cast<std::size_t>(base.n_total),
-                                    kInvalidIndex);
       for (std::size_t l = 0; l < L; ++l) {
-        tags[l] = static_cast<std::uint8_t>(l % 3);  // P2P, barrier, serial
         std::vector<index_t> owners;
         for (index_t k = base.level_ptr[l]; k < base.level_ptr[l + 1]; ++k) {
-          const auto r =
-              static_cast<std::size_t>(base.serial_order[static_cast<std::size_t>(k)]);
-          level_of[r] = static_cast<index_t>(l);
-          owners.push_back(owner[r]);
+          owners.push_back(owner[static_cast<std::size_t>(
+              base.serial_order[static_cast<std::size_t>(k)])]);
         }
         const bool one_thread =
             std::adjacent_find(owners.begin(), owners.end(),
@@ -317,11 +312,9 @@ void check_executor_slices(const char* name, const CsrMatrix& a) {
                     static_cast<long long>(base.chunk_rows));
         }
       }
-      for (const char* mode : {"p2p", "barrier", "hybrid"}) {
+      for (const char* mode : {"p2p", "barrier"}) {
         ExecSchedule s = base;
-        const bool hybrid = mode[0] == 'h';
         if (mode[0] == 'b') s.backend = ExecBackend::kBarrier;
-        if (hybrid) apply_level_tags(s, tags);
         std::vector<index_t> ran(static_cast<std::size_t>(s.n_total),
                                  kInvalidIndex);
         const ExecStatus st = exec_run(s, [&](index_t row, int t) {
@@ -329,7 +322,7 @@ void check_executor_slices(const char* name, const CsrMatrix& a) {
         });
         CHECK(st.ok());
         // A wait-free tail of two chunks per thread: every chunk runs once,
-        // on its own thread, in every branch.
+        // on its own thread, in both branches.
         std::vector<index_t> tail_ptr(static_cast<std::size_t>(T) + 1);
         for (int t = 0; t <= T; ++t) {
           tail_ptr[static_cast<std::size_t>(t)] = 2 * static_cast<index_t>(t);
@@ -357,10 +350,7 @@ void check_executor_slices(const char* name, const CsrMatrix& a) {
         bool same = true;
         for (index_t k : s.serial_order) {
           const auto r = static_cast<std::size_t>(k);
-          const bool serial =
-              hybrid && tags[static_cast<std::size_t>(level_of[r])] ==
-                            static_cast<std::uint8_t>(LevelRegime::kSerial);
-          same = same && ran[r] == (serial ? 0 : owner[r]);
+          same = same && ran[r] == owner[r];
         }
         CHECK_MSG(same, "%s %s %s T=%d ran rows off the builder's threads",
                   name, sw.dir, mode, T);
@@ -496,9 +486,12 @@ int main() {
     check_backend_parity("fem", fem, threads);
   }
 
-  // In-place backend flip: one factor, both backends, one workspace.
-  {
-    ThreadCountGuard guard(4);
+  // In-place backend flip: one factor, both backends, one workspace. At
+  // the plan's team the factor's own schedules run; with OpenMP at 2 below
+  // the plan's 4 the sweeps run the workspace's retargeted copies, which
+  // must follow the flip (ensure_cache keys on the backend).
+  for (const int omp : {4, 2}) {
+    ThreadCountGuard guard(omp);
     IluOptions opts;
     opts.num_threads = 4;
     opts.retarget_oversubscribed = false;
@@ -508,9 +501,16 @@ int main() {
     SolveWorkspace ws;
     ilu_apply(f, r, z1, ws);
     set_exec_backend(f, ExecBackend::kBarrier);
+    CHECK(f.fwd.backend == ExecBackend::kBarrier);
     CHECK(f.bwd.backend == ExecBackend::kBarrier);
     ilu_apply(f, r, z2, ws);
-    CHECK(bitwise_equal(z1, z2));
+    CHECK_MSG(bitwise_equal(z1, z2), "backend flip at omp=%d", omp);
+    if (omp < 4) {
+      CHECK_MSG(ws.sched.threads == runtime_team(f),
+                "cache holds team %d at omp=%d", ws.sched.threads, omp);
+      CHECK(ws.sched.fwd.backend == ExecBackend::kBarrier);
+      CHECK(ws.sched.bwd.backend == ExecBackend::kBarrier);
+    }
   }
 
   return javelin::test::finish("test_exec");

@@ -2,6 +2,8 @@
 // point-to-point upper stage, ER and SR lower stages, serial or parallel
 // corner) produces a bitwise-identical factor, because all paths share the
 // row kernel and each row's arithmetic order is fixed by its CSR layout.
+// The reference always builds its pattern with ilu_symbolic, so the ILU(0)
+// cases also pin ilu_prepare's shortcut of planning A's own pattern.
 #include "javelin/gen/generators.hpp"
 #include "javelin/ilu/factorization.hpp"
 #include "javelin/ilu/serial.hpp"
@@ -22,6 +24,21 @@ CsrMatrix serial_reference(const CsrMatrix& a, const Factorization& f) {
   const std::vector<index_t> diag = diagonal_positions(lu);
   ilu_factor_serial_inplace(lu, diag, f.opts);
   return lu;
+}
+
+/// `a` without row r's diagonal entry (r must have one).
+CsrMatrix drop_diagonal(const CsrMatrix& a, index_t r) {
+  const std::size_t cut = static_cast<std::size_t>(a.find(r, r));
+  std::vector<index_t> rp(a.row_ptr().begin(), a.row_ptr().end());
+  for (std::size_t i = static_cast<std::size_t>(r) + 1; i < rp.size(); ++i) {
+    --rp[i];
+  }
+  std::vector<index_t> ci(a.col_idx().begin(), a.col_idx().end());
+  std::vector<value_t> vv(a.values().begin(), a.values().end());
+  ci.erase(ci.begin() + static_cast<std::ptrdiff_t>(cut));
+  vv.erase(vv.begin() + static_cast<std::ptrdiff_t>(cut));
+  return CsrMatrix(a.rows(), a.cols(), std::move(rp), std::move(ci),
+                   std::move(vv));
 }
 
 void check_parity(const char* name, const CsrMatrix& a, IluOptions opts) {
@@ -80,6 +97,20 @@ int main() {
     check_parity(c.name, *c.a, opts);
     opts.sr_tile_nnz = 1;  // one tile per task (no coalescing)
     check_parity(c.name, *c.a, opts);
+  }
+
+  // ILU(0) plans A's own pattern when A stores its whole diagonal; a
+  // structurally missing diagonal sends it through ilu_symbolic, which adds
+  // the entry. Row 250 has lower neighbours, so elimination fills its pivot.
+  {
+    const CsrMatrix holed = drop_diagonal(grid, 250);
+    IluOptions opts;
+    opts.num_threads = 4;
+    check_parity("grid-nodiag", holed, opts);
+    CHECK(ilu_prepare(holed, opts).symbolic.added_diagonals == 1);
+    const Factorization f = ilu_prepare(grid, opts);
+    CHECK(f.symbolic.pattern_nnz == grid.nnz() &&
+          f.symbolic.added_diagonals == 0);
   }
 
   // Drop tolerance interacts with the kernel's in-loop dropping; parity must

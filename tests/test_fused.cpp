@@ -3,13 +3,12 @@
 // partitioned spmv) at every thread count, and the restructured Krylov
 // drivers must produce bitwise-identical trajectories whether they consume
 // the fused or the unfused operator. The SpMV runs as the backward region's
-// tail under every executor branch (P2P, barrier, hybrid), and a companion
+// tail under both executor branches (P2P and barrier), and a companion
 // left stale by a re-chunked backward schedule is refused.
 #include "javelin/gen/generators.hpp"
 #include "javelin/ilu/fused.hpp"
 #include "javelin/solver/krylov.hpp"
 #include "javelin/support/parallel.hpp"
-#include "javelin/tune/tune.hpp"
 #include "test_util.hpp"
 
 using namespace javelin;
@@ -170,42 +169,30 @@ int main() {
     }
   }
 
-  // The SpMV tail under the other executor branches: kBarrier (chunks after
-  // the final level barrier) and hybrid regime tags (one team barrier after
-  // the last segment), bitwise against the unfused pair.
-  bool any_hybrid = false;
+  // The SpMV tail under the barrier branch (chunks after the final level
+  // barrier), bitwise against the unfused pair.
   for (const Entry& e : {Entry{"grid", &grid}, Entry{"fem", &fem},
                          Entry{"power", &power}, Entry{"chain", &chain}}) {
     for (int threads : {2, 3, 4}) {
-      for (const bool hybrid : {false, true}) {
-        IluOptions opts;
-        opts.num_threads = threads;
-        opts.retarget_oversubscribed = false;
-        opts.exec_backend = hybrid ? ExecBackend::kP2P : ExecBackend::kBarrier;
-        Factorization f = ilu_factor(*e.a, opts);
-        if (hybrid) {
-          const auto idx = static_cast<index_t>(threads);
-          apply_level_tags(f.fwd, tune::derive_hybrid_tags(f.fwd, idx, 4 * idx));
-          apply_level_tags(f.bwd, tune::derive_hybrid_tags(f.bwd, idx, 4 * idx));
-          any_hybrid = any_hybrid || f.bwd.hybrid();
-        }
-        const FusedApplySpmv fs = build_fused_apply_spmv(f, *e.a);
-        const auto r = random_vector(e.a->rows(), 0xF00D);
-        const std::size_t un = static_cast<std::size_t>(e.a->rows());
-        std::vector<value_t> z_f(un), t_f(un), z_u(un), t_u(un);
-        SolveWorkspace ws_f, ws_u;
-        ilu_apply_spmv(f, *e.a, fs, r, z_f, t_f, ws_f);
-        ilu_apply(f, r, z_u, ws_u);
-        spmv(*e.a, RowPartition::build(*e.a), z_u, t_u);
-        const char* mode = hybrid ? "hybrid" : "barrier";
-        CHECK_MSG(bitwise_equal(z_f, z_u), "%s %s z (threads=%d)", e.name,
-                  mode, threads);
-        CHECK_MSG(bitwise_equal(t_f, t_u), "%s %s t (threads=%d)", e.name,
-                  mode, threads);
-      }
+      IluOptions opts;
+      opts.num_threads = threads;
+      opts.retarget_oversubscribed = false;
+      opts.exec_backend = ExecBackend::kBarrier;
+      Factorization f = ilu_factor(*e.a, opts);
+      const FusedApplySpmv fs = build_fused_apply_spmv(f, *e.a);
+      const auto r = random_vector(e.a->rows(), 0xF00D);
+      const std::size_t un = static_cast<std::size_t>(e.a->rows());
+      std::vector<value_t> z_f(un), t_f(un), z_u(un), t_u(un);
+      SolveWorkspace ws_f, ws_u;
+      ilu_apply_spmv(f, *e.a, fs, r, z_f, t_f, ws_f);
+      ilu_apply(f, r, z_u, ws_u);
+      spmv(*e.a, RowPartition::build(*e.a), z_u, t_u);
+      CHECK_MSG(bitwise_equal(z_f, z_u), "%s barrier z (threads=%d)", e.name,
+                threads);
+      CHECK_MSG(bitwise_equal(t_f, t_u), "%s barrier t (threads=%d)", e.name,
+                threads);
     }
   }
-  CHECK_MSG(any_hybrid, "no fixture produced a hybrid backward schedule");
 
   // A companion built before the backward schedule was re-chunked counts
   // the old items: the fused pass must refuse it instead of racing (a

@@ -161,6 +161,19 @@ int main() {
         "%%MatrixMarket matrix coordinate real general\n3 3 1\n99999999999999999999999999 1 1.0\n",
         "row index overflowing int64");
 
+    // An oversized declared count is a structured error, never bad_alloc:
+    // counts above rows x cols are rejected from the header, and a count
+    // that fits but outruns the stream fails at its first missing entry.
+    expect_throw(
+        "%%MatrixMarket matrix coordinate real general\n2 2 4000000000000\n1 1 1.0\n",
+        "entry count above rows x cols");
+    expect_throw(
+        "%%MatrixMarket matrix coordinate real symmetric\n2 2 600000000000000000\n1 1 1.0\n",
+        "symmetric entry count above rows x cols");
+    expect_throw(
+        "%%MatrixMarket matrix coordinate real general\n1000000 1000000 999999999999\n1 1 1.0\n",
+        "entry count beyond the stream");
+
     // The thrown message carries the 1-based ENTRY NUMBER so a bad line in a
     // million-entry file is findable.
     {
@@ -174,6 +187,19 @@ int main() {
       }
       CHECK_MSG(what.find("entry 2") != std::string::npos,
                 "entry number missing from '%s'", what.c_str());
+    }
+    {
+      std::istringstream in(
+          "%%MatrixMarket matrix coordinate real general\n"
+          "1000000 1000000 999999999999\n1 1 1.0\n");
+      std::string what;
+      try {
+        read_matrix_market(in);
+      } catch (const Error& e) {
+        what = e.what();
+      }
+      CHECK_MSG(what.find("entry 2") != std::string::npos,
+                "short stream not reported at entry 2: '%s'", what.c_str());
     }
   }
 

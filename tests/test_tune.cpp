@@ -1,5 +1,4 @@
-// Tests of the factor-time autotuner (tune/) and hybrid per-level-regime
-// execution:
+// Tests of the factor-time autotuner (tune/):
 //
 //   * deterministic-policy mode: with the injected cost model the tuning
 //     decision is a pure function of the schedule shape — the same factor
@@ -8,11 +7,9 @@
 //   * every policy the tuner can pin is bitwise-neutral: the tuned factor's
 //     plain, fused and panel applies stay bitwise equal to the serial
 //     reference;
-//   * hybrid schedules (forced regime mixes) are bitwise-identical to
-//     serial across backends and T in {1, 2, 4, 8} on the plain, fused and
-//     panel paths;
-//   * set_exec_backend after a hybrid pin returns to a race-free uniform
-//     schedule (the pruned waits are rebuilt);
+//   * a rigged winner (barrier backend, team 4, granule 16) is pinned
+//     verbatim and survives a smaller runtime team: the workspace's
+//     retargeted schedules keep its backend and granule;
 //   * TuneReport::export_metrics emits the decision counters.
 #include <string>
 #include <vector>
@@ -80,42 +77,6 @@ void check_policy_parity(const char* name, const char* what,
   }
 }
 
-/// Force a hybrid regime mix on `f` (serial below the team width, barrier
-/// below 4x) and reset the derived caches.
-bool force_hybrid(Factorization& f, int threads) {
-  const auto tf = tune::derive_hybrid_tags(
-      f.fwd, static_cast<index_t>(threads), static_cast<index_t>(4 * threads));
-  const auto tb = tune::derive_hybrid_tags(
-      f.bwd, static_cast<index_t>(threads), static_cast<index_t>(4 * threads));
-  apply_level_tags(f.fwd, tf);
-  apply_level_tags(f.bwd, tb);
-  f.numeric_cache = ScheduleCache{};
-  return f.fwd.hybrid() || f.bwd.hybrid();
-}
-
-/// Hybrid schedules stay bitwise-identical to serial across teams on every
-/// apply path.
-void check_hybrid_parity(const char* name, const CsrMatrix& a) {
-  bool any_hybrid = false;
-  for (const int threads : {1, 2, 4, 8}) {
-    ThreadCountGuard guard(threads);
-    IluOptions opts;
-    opts.num_threads = threads;
-    opts.retarget_oversubscribed = false;
-    Factorization f = ilu_factor(a, opts);
-    any_hybrid = force_hybrid(f, threads) || any_hybrid;
-    check_policy_parity(name, "hybrid", f, a);
-
-    // Pinning a uniform backend afterwards must rebuild the pruned waits
-    // (a racy schedule here would show up as a parity break or a hang).
-    set_exec_backend(f, ExecBackend::kBarrier);
-    CHECK_MSG(!f.fwd.hybrid() && !f.bwd.hybrid(),
-              "%s t=%d tags survive set_exec_backend", name, threads);
-    check_policy_parity(name, "post-hybrid barrier", f, a);
-  }
-  CHECK_MSG(any_hybrid, "%s never produced a hybrid schedule", name);
-}
-
 void check_deterministic_tuner(const char* name, const CsrMatrix& a) {
   ThreadCountGuard guard(4);
   IluOptions opts;
@@ -161,7 +122,9 @@ void check_deterministic_tuner(const char* name, const CsrMatrix& a) {
 }
 
 /// A rigged cost model must be obeyed verbatim — this is how tests and
-/// bench --verify pin an exact policy.
+/// bench --verify pin an exact policy. The pinned backend and granule must
+/// also reach the schedules a smaller runtime team retargets to: the
+/// workspace cache keys on team, backend and granule.
 void check_forced_winner(const char* name, const CsrMatrix& a) {
   ThreadCountGuard guard(4);
   IluOptions opts;
@@ -170,16 +133,36 @@ void check_forced_winner(const char* name, const CsrMatrix& a) {
   Factorization f = ilu_factor(a, opts);
 
   tune::TuneOptions topt;
+  topt.chunk_candidates = {16};
   topt.cost_model = [](const tune::TuneContext&,
                        const tune::TuneCandidate& c) {
-    return (c.hybrid && c.threads == 4) ? 1.0 : 100.0;
+    return (c.backend == ExecBackend::kBarrier && c.threads == 4 &&
+            c.chunk_rows == 16)
+               ? 1.0
+               : 100.0;
   };
   const tune::TuneReport rep = tune::autotune(f, topt);
-  CHECK_MSG(rep.chosen.name() == "hybrid/t4", "%s chose %s", name,
+  CHECK_MSG(rep.chosen.name() == "barrier/t4/c16", "%s chose %s", name,
             rep.chosen.name().c_str());
+  CHECK(f.fwd.backend == ExecBackend::kBarrier);
+  CHECK(f.bwd.backend == ExecBackend::kBarrier);
+  CHECK(f.fwd.chunk_rows == 16 && f.bwd.chunk_rows == 16);
   CHECK(f.opts.tuned_threads == 4);
-  CHECK_MSG(rep.hybrid_applied, "%s hybrid tags did not survive", name);
-  check_policy_parity(name, "forced-hybrid", f, a);
+  check_policy_parity(name, "forced-barrier", f, a);
+
+  // OpenMP at 2 below the tuned 4: the apply retargets through ws.sched.
+  ThreadCountGuard half(2);
+  const auto r = random_vector(f.n(), 0xC16);
+  std::vector<value_t> z(r.size());
+  SolveWorkspace ws;
+  ilu_apply(f, r, z, ws);
+  CHECK_MSG(ws.sched.threads == runtime_team(f) && ws.sched.threads < 4,
+            "%s cache holds team %d", name, ws.sched.threads);
+  CHECK(ws.sched.fwd.backend == ExecBackend::kBarrier);
+  CHECK(ws.sched.bwd.backend == ExecBackend::kBarrier);
+  CHECK(ws.sched.fwd.chunk_rows == 16 && ws.sched.bwd.chunk_rows == 16);
+  CHECK_MSG(bitwise_equal(z, serial_apply(f, r)), "%s retargeted apply",
+            name);
 }
 
 /// Wall-clock mode smoke: times real sweeps, applies the argmin, results
@@ -206,11 +189,6 @@ void check_wallclock_smoke(const char* name, const CsrMatrix& a) {
 int main() {
   const CsrMatrix grid = gen::laplacian2d(20, 20, 5);
   const CsrMatrix chain = gen::long_chain(1200, 10, 4, 3);
-  const CsrMatrix power = gen::power_system(600, 15, 40, 13);
-
-  check_hybrid_parity("grid", grid);
-  check_hybrid_parity("chain", chain);
-  check_hybrid_parity("power", power);
 
   check_deterministic_tuner("grid", grid);
   check_deterministic_tuner("chain", chain);

@@ -18,7 +18,6 @@
 //   * the wired assertion layers (IluOptions::verify_schedules) pass
 //     through ilu_prepare / solve-time retarget / refactor-time retarget
 //     without throwing.
-#include <map>
 #include <string>
 #include <vector>
 
@@ -26,7 +25,6 @@
 #include "javelin/ilu/fused.hpp"
 #include "javelin/ilu/solve.hpp"
 #include "javelin/support/parallel.hpp"
-#include "javelin/tune/tune.hpp"
 #include "javelin/verify/mutate.hpp"
 #include "javelin/verify/verify.hpp"
 #include "test_util.hpp"
@@ -209,30 +207,23 @@ void check_tail_mutations(const std::string& name, int T) {
             name.c_str(), T);
 }
 
-/// One seeded mutation -> flagged, right class, row-precise. Returns whether
-/// the mutation found a site; with `require_applied` a miss is a failure
-/// (the uniform sweeps pick setups where every class has sites), without it
-/// the caller accounts for applicability across seeds itself (regime
-/// mutations probe for a load-bearing boundary and may legitimately miss on
-/// some seeds).
-bool check_one_mutation(const std::string& name, const char* dir,
+/// One seeded mutation -> applied (the sweeps pick setups where every class
+/// has sites), flagged, right class, row-precise.
+void check_one_mutation(const std::string& name, const char* dir,
                         const ExecSchedule& clean, const DepsFn& deps,
-                        Mutation m, std::uint64_t seed,
-                        bool require_applied = true) {
+                        Mutation m, std::uint64_t seed) {
   ExecSchedule mut = clean;
   const MutationResult res = verify::apply_mutation(mut, m, deps, seed);
-  if (require_applied) {
-    CHECK_MSG(res.applied, "%s %s %s seed=%llu: %s", name.c_str(), dir,
-              verify::mutation_name(m),
-              static_cast<unsigned long long>(seed), res.detail.c_str());
-  }
-  if (!res.applied) return false;
+  CHECK_MSG(res.applied, "%s %s %s seed=%llu: %s", name.c_str(), dir,
+            verify::mutation_name(m), static_cast<unsigned long long>(seed),
+            res.detail.c_str());
+  if (!res.applied) return;
 
   const VerifyReport rep = verify::verify_schedule(mut, deps);
   CHECK_MSG(!rep.ok(), "%s %s %s seed=%llu survived verification",
             name.c_str(), dir, verify::mutation_name(m),
             static_cast<unsigned long long>(seed));
-  if (rep.ok()) return true;
+  if (rep.ok()) return;
 
   bool precise = false;
   switch (m) {
@@ -280,21 +271,6 @@ bool check_one_mutation(const std::string& name, const char* dir,
         }
       }
       break;
-    case Mutation::kRegimeRetag:
-      // Same bar as the wait mutations: the orphaned pruned wait must
-      // surface as a real broken edge (or a deadlocked item).
-      for (const ScheduleDiagnostic& d : rep.diagnostics) {
-        if (d.kind == DiagKind::kUncoveredDependency) {
-          precise = precise || is_real_dep(deps, d.consumer_row,
-                                           d.producer_row);
-        } else if (d.kind == DiagKind::kDeadlock) {
-          precise = true;
-        }
-      }
-      break;
-    case Mutation::kRegimeTagShape:
-      precise = has_kind(rep, DiagKind::kRegimeTag);
-      break;
     case Mutation::kMoveWaitsInRun:
       // The item that received the wait list must be named.
       for (const ScheduleDiagnostic& d : rep.diagnostics) {
@@ -309,7 +285,6 @@ bool check_one_mutation(const std::string& name, const char* dir,
             "%s %s %s seed=%llu flagged without a row-precise diagnostic: %s",
             name.c_str(), dir, verify::mutation_name(m),
             static_cast<unsigned long long>(seed), rep.summary().c_str());
-  return true;
 }
 
 /// Mutation sweep over a schedule pair built wide enough that every
@@ -339,77 +314,6 @@ void check_mutations(const std::string& name, int threads, index_t chunk) {
       check_one_mutation(name, "fwd", f.fwd, low, m, seed);
     }
     check_one_mutation(name, "bwd", f.bwd, up, m, 7);
-  }
-}
-
-/// Hybrid (per-level regime) schedules: derived tags must verify CLEAN —
-/// with the pruned waits re-accounted as regime-covered — survive
-/// retargeting to other teams, and the regime mutation classes must be
-/// flagged with row precision.
-void check_hybrid(const std::string& name, int threads, index_t chunk,
-                  std::map<Mutation, int>& regime_applied) {
-  const gen::SuiteEntry e = gen::make_suite_matrix(name, small_scale());
-  ThreadCountGuard guard(threads);
-  IluOptions opts;
-  opts.num_threads = threads;
-  opts.retarget_oversubscribed = false;
-  opts.verify_schedules = false;
-  opts.p2p_chunk_rows = chunk;
-  const Factorization f = ilu_prepare(e.matrix, opts);
-  const DepsFn low = lower_triangular_deps(f.lu);
-  const DepsFn up = upper_triangular_deps(f.lu);
-
-  for (const bool is_fwd : {true, false}) {
-    const char* dir = is_fwd ? "fwd" : "bwd";
-    const ExecSchedule& base = is_fwd ? f.fwd : f.bwd;
-    const DepsFn& deps = is_fwd ? low : up;
-    ExecSchedule hyb = base;
-    const auto tags = tune::derive_hybrid_tags(
-        hyb, /*serial_below=*/static_cast<index_t>(threads),
-        /*barrier_below=*/static_cast<index_t>(4 * threads));
-    apply_level_tags(hyb, tags);
-    if (!hyb.hybrid()) continue;  // all-P2P tag vector normalized away
-
-    CHECK_MSG(hyb.deps_kept <= base.deps_kept, "%s %s tag pruning grew waits",
-              name.c_str(), dir);
-    const VerifyReport rep = verify::verify_schedule(hyb, deps);
-    CHECK_MSG(rep.ok(), "%s %s hybrid: %s", name.c_str(), dir,
-              rep.summary().c_str());
-    // Coverage accounting now splits three ways; nothing may be uncovered.
-    CHECK_MSG(rep.stats.deps_covered_direct + rep.stats.deps_covered_regime +
-                      rep.stats.deps_covered_transitive ==
-                  rep.stats.deps_cross_thread,
-              "%s %s hybrid coverage split", name.c_str(), dir);
-    CHECK_MSG(rep.stats.deps_uncovered == 0, "%s %s hybrid uncovered",
-              name.c_str(), dir);
-    // Waits the tags pruned must reappear as regime-synchronized coverage.
-    if (hyb.deps_kept < base.deps_kept) {
-      CHECK_MSG(rep.stats.deps_covered_regime > 0,
-                "%s %s pruned waits not regime-covered", name.c_str(), dir);
-    }
-
-    // Retargeting a hybrid schedule re-applies the tags (verify_retarget
-    // also proves the rebuild bitwise-identical, tags included).
-    for (const int T : {2, threads, 2 * threads}) {
-      const VerifyReport rt = verify::verify_retarget(hyb, deps, T);
-      CHECK_MSG(rt.ok(), "%s %s hybrid retarget T=%d: %s", name.c_str(), dir,
-                T, rt.summary().c_str());
-    }
-
-    // Regime-boundary defect classes (seeded, row-precise). The retag
-    // mutator uses the verifier as its oracle and may find no orphanable
-    // site on a particular schedule (every pruned dependency can stay
-    // transitively covered after a single retag), so applicability is
-    // accounted across the whole matrix set — main() requires every class
-    // to have fired somewhere.
-    for (const Mutation m : verify::kRegimeMutations) {
-      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        if (check_one_mutation(name, dir, hyb, deps, m, seed,
-                               /*require_applied=*/false)) {
-          ++regime_applied[m];
-        }
-      }
-    }
   }
 }
 
@@ -495,14 +399,6 @@ int main() {
   check_mutations("apache2", 4, 4);
   check_mutations("thermal2", 4, 2);
   check_mutations("TSOPF_RS_b300_c2", 8, 4);
-  std::map<Mutation, int> regime_applied;
-  check_hybrid("apache2", 4, 4, regime_applied);
-  check_hybrid("thermal2", 4, 2, regime_applied);
-  check_hybrid("TSOPF_RS_b300_c2", 8, 4, regime_applied);
-  for (const Mutation m : verify::kRegimeMutations) {
-    CHECK_MSG(regime_applied[m] > 0, "%s never found a mutable site",
-              verify::mutation_name(m));
-  }
   check_wired_layers();
   check_structural_edges();
   return javelin::test::finish("test_verify");

@@ -24,7 +24,10 @@ cross-checked against the static analysis:
      by a wait of its own item or by the publish chain of earlier waits;
   8. (schema >= 6) every autotune block is self-consistent: parity true,
      the chosen candidate is in the measured grid, and the serial anchor
-     candidate is present.
+     candidate is present;
+  9. in every timings row, sched_fwd and sched_bwd have equal level and
+     item counts — both sweeps run the plan's levels, the backward sweep
+     in reverse.
 
 Exit code 0 on success, 1 on any violation (CI gates on it).
 
@@ -59,6 +62,17 @@ def check_bench(path):
     checked = 0
     autotuned = 0
     for r in doc.get("results", []):
+        for row in r.get("timings", []):
+            fwd, bwd = row.get("sched_fwd"), row.get("sched_bwd")
+            if not fwd or not bwd:
+                continue
+            for key in ("levels", "items"):
+                if fwd[key] != bwd[key]:
+                    fail(
+                        f"{r['matrix']} t={row['threads']}: sched_fwd.{key} "
+                        f"{fwd[key]} != sched_bwd.{key} {bwd[key]} (both "
+                        f"sweeps run the plan's levels)"
+                    )
         if schema >= 6:
             # Verifier coverage identity: every cross-thread dependency is
             # covered directly or transitively — and the split is exact.

@@ -47,8 +47,23 @@ void build_sparsified_waits(int threads,
   std::uint64_t gen = 0;
   std::vector<index_t> touched;
   std::vector<index_t> last_wait(static_cast<std::size_t>(T), 0);
+  int pass = 0;
+  // Built once, not once per consumer: its captures overflow the
+  // std::function small buffer, so each construction would allocate.
+  const std::function<void(index_t, index_t)> collect = [&](index_t ot,
+                                                            index_t cnt) {
+    if (pass == 0) ++deps_total;
+    if (need_stamp[static_cast<std::size_t>(ot)] != gen) {
+      need_stamp[static_cast<std::size_t>(ot)] = gen;
+      need[static_cast<std::size_t>(ot)] = cnt;
+      touched.push_back(ot);
+    } else {
+      need[static_cast<std::size_t>(ot)] =
+          std::max(need[static_cast<std::size_t>(ot)], cnt);
+    }
+  };
 
-  for (int pass = 0; pass < 2; ++pass) {
+  for (; pass < 2; ++pass) {
     if (pass == 1) {
       for (std::size_t i = 1; i < wait_ptr.size(); ++i) {
         wait_ptr[i] += wait_ptr[i - 1];
@@ -63,17 +78,7 @@ void build_sparsified_waits(int threads,
            c < consumer_thread_ptr[static_cast<std::size_t>(t) + 1]; ++c) {
         ++gen;
         touched.clear();
-        deps(t, c, [&](index_t ot, index_t cnt) {
-          if (pass == 0) ++deps_total;
-          if (need_stamp[static_cast<std::size_t>(ot)] != gen) {
-            need_stamp[static_cast<std::size_t>(ot)] = gen;
-            need[static_cast<std::size_t>(ot)] = cnt;
-            touched.push_back(ot);
-          } else {
-            need[static_cast<std::size_t>(ot)] =
-                std::max(need[static_cast<std::size_t>(ot)], cnt);
-          }
-        });
+        deps(t, c, collect);
         std::sort(touched.begin(), touched.end());
         index_t w = (pass == 1) ? wait_ptr[static_cast<std::size_t>(c)] : 0;
         index_t kept = 0;
@@ -186,18 +191,26 @@ ExecSchedule build_exec_schedule(ExecBackend backend, index_t n_total,
   // here, the dedup + monotone pruning live in build_sparsified_waits.
   // Built for either backend: the waits are what a later retarget() or
   // backend switch relies on; the barrier executor just never reads them.
+  // The per-row callback is built once and reaches the current item's
+  // thread and yield through `cur`, so no row allocates a std::function.
+  struct {
+    index_t t = 0;
+    const std::function<void(index_t, index_t)>* yield = nullptr;
+  } cur;
+  const std::function<void(index_t)> on_dep = [&](index_t d) {
+    const index_t ot = owner[static_cast<std::size_t>(d)];
+    if (ot == kInvalidIndex || ot == cur.t) return;
+    (*cur.yield)(ot, posn[static_cast<std::size_t>(d)] + 1);
+  };
   build_sparsified_waits(
       T, s.thread_ptr, /*seed=*/{},
       [&](int t, index_t i,
           const std::function<void(index_t, index_t)>& yield) {
+        cur.t = static_cast<index_t>(t);
+        cur.yield = &yield;
         for (index_t k = s.item_ptr[static_cast<std::size_t>(i)];
              k < s.item_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-          const index_t row = s.rows[static_cast<std::size_t>(k)];
-          deps(row, [&](index_t d) {
-            const index_t ot = owner[static_cast<std::size_t>(d)];
-            if (ot == kInvalidIndex || ot == static_cast<index_t>(t)) return;
-            yield(ot, posn[static_cast<std::size_t>(d)] + 1);
-          });
+          deps(s.rows[static_cast<std::size_t>(k)], on_dep);
         }
       },
       s.wait_ptr, s.wait_thread, s.wait_count, s.deps_total, s.deps_kept);
@@ -276,17 +289,39 @@ DepsFn upper_triangular_deps(const CsrMatrix& lu) {
   };
 }
 
-ExecSchedule build_upper_forward_schedule(const CsrMatrix& lu,
-                                          std::span<const index_t> upper_level_ptr,
-                                          ExecBackend backend, int threads,
-                                          index_t chunk_rows) {
-  const index_t n_upper = upper_level_ptr.empty() ? 0 : upper_level_ptr.back();
-  // Levels are contiguous row ranges after the plan permutation; materialize
-  // the identity listing.
-  std::vector<index_t> rows(static_cast<std::size_t>(n_upper));
-  for (index_t r = 0; r < n_upper; ++r) rows[static_cast<std::size_t>(r)] = r;
+namespace {
+
+/// The plan's levels as one ascending level_ptr over all n rows: the upper
+/// levels, then n_upper + the moved ones.
+std::vector<index_t> plan_level_ptr(index_t n,
+                                    std::span<const index_t> upper_level_ptr,
+                                    std::span<const index_t> lower_level_ptr) {
+  JAVELIN_CHECK(!upper_level_ptr.empty() && upper_level_ptr.front() == 0,
+                "plan levels must start at row 0");
+  const index_t n_upper = upper_level_ptr.back();
+  JAVELIN_CHECK(
+      n_upper + (lower_level_ptr.empty() ? 0 : lower_level_ptr.back()) == n,
+      "plan levels must cover every row");
+  std::vector<index_t> level_ptr(upper_level_ptr.begin(),
+                                 upper_level_ptr.end());
+  for (std::size_t k = 1; k < lower_level_ptr.size(); ++k) {
+    level_ptr.push_back(n_upper + lower_level_ptr[k]);
+  }
+  return level_ptr;
+}
+
+}  // namespace
+
+ExecSchedule build_forward_schedule(const CsrMatrix& lu,
+                                    std::span<const index_t> upper_level_ptr,
+                                    std::span<const index_t> lower_level_ptr,
+                                    ExecBackend backend, int threads,
+                                    index_t chunk_rows) {
+  const index_t n = lu.rows();
+  std::vector<index_t> rows(static_cast<std::size_t>(n));
+  for (index_t k = 0; k < n; ++k) rows[static_cast<std::size_t>(k)] = k;
   return build_exec_schedule(
-      backend, lu.rows(), {upper_level_ptr.begin(), upper_level_ptr.end()},
+      backend, n, plan_level_ptr(n, upper_level_ptr, lower_level_ptr),
       std::move(rows), lower_triangular_deps(lu), threads, chunk_rows);
 }
 
@@ -296,22 +331,12 @@ ExecSchedule build_backward_schedule(const CsrMatrix& lu,
                                      ExecBackend backend, int threads,
                                      index_t chunk_rows) {
   const index_t n = lu.rows();
-  JAVELIN_CHECK(!upper_level_ptr.empty() && upper_level_ptr.front() == 0,
-                "backward schedule: plan levels must start at row 0");
-  const index_t n_upper = upper_level_ptr.back();
-  JAVELIN_CHECK(
-      n_upper + (lower_level_ptr.empty() ? 0 : lower_level_ptr.back()) == n,
-      "backward schedule: plan levels must cover every row");
   // Plan level k covers rows [b_k, b_k+1); listed last to first with rows
   // descending, it occupies serial positions [n - b_k+1, n - b_k).
-  std::vector<index_t> level_ptr;
-  level_ptr.reserve(upper_level_ptr.size() + lower_level_ptr.size());
-  for (std::size_t k = lower_level_ptr.size(); k-- > 1;) {
-    level_ptr.push_back(n - n_upper - lower_level_ptr[k]);
-  }
-  for (std::size_t k = upper_level_ptr.size(); k-- > 0;) {
-    level_ptr.push_back(n - upper_level_ptr[k]);
-  }
+  std::vector<index_t> level_ptr =
+      plan_level_ptr(n, upper_level_ptr, lower_level_ptr);
+  std::reverse(level_ptr.begin(), level_ptr.end());
+  for (index_t& b : level_ptr) b = n - b;
   std::vector<index_t> rows(static_cast<std::size_t>(n));
   for (index_t k = 0; k < n; ++k) rows[static_cast<std::size_t>(k)] = n - 1 - k;
   return build_exec_schedule(backend, n, std::move(level_ptr), std::move(rows),

@@ -247,24 +247,28 @@ ExecSchedule retarget(const ExecSchedule& s, const DepsFn& deps, int threads);
 DepsFn lower_triangular_deps(const CsrMatrix& lu);  ///< strictly-lower cols
 DepsFn upper_triangular_deps(const CsrMatrix& lu);  ///< strictly-upper cols
 
-/// Forward schedule for the upper stage of a two-stage plan: rows
-/// [0, n_upper) with contiguous levels; dependencies are the strictly-lower
-/// columns of `lu` (which is both the factorization and the forward-solve
-/// dependency structure — the co-design of paper §VI).
-ExecSchedule build_upper_forward_schedule(const CsrMatrix& lu,
-                                          std::span<const index_t> upper_level_ptr,
-                                          ExecBackend backend, int threads,
-                                          index_t chunk_rows = kDefaultChunkRows);
-
-/// Backward schedule over ALL rows, on the plan's own levels: the upper
+/// Forward schedule over ALL rows, on the plan's own levels: the upper
 /// levels (`upper_level_ptr`) followed by the moved ones (n_upper +
-/// `lower_level_ptr`, which may be empty), listed last to first with rows
-/// descending inside each level, so serial_order is n-1 … 0 and every level
-/// is one contiguous row range. Dependencies are the strictly-upper columns
-/// of `lu`. This is the co-design of paper §III: the plan's levels are
-/// level-major on lower(S+Sᵀ) and lu = P S Pᵀ, so a U entry (r, c), c > r,
-/// joins two rows adjacent in S+Sᵀ and level(c) > level(r) — the reversed
-/// plan levels are a valid U order.
+/// `lower_level_ptr`, which may be empty), rows ascending, so serial_order
+/// is 0 … n-1 and every level is one contiguous row range. Dependencies are
+/// the strictly-lower columns of `lu` — both the forward-solve and the
+/// upper-stage factorization dependency structure (the co-design of paper
+/// §VI; the numeric phase skips the moved rows, which the lower stage
+/// factors). The plan's levels are level-major on lower(S+Sᵀ) and
+/// lu = P S Pᵀ, so an L entry (r, c), c < r, joins two rows adjacent in S+Sᵀ
+/// and level(c) < level(r).
+ExecSchedule build_forward_schedule(const CsrMatrix& lu,
+                                    std::span<const index_t> upper_level_ptr,
+                                    std::span<const index_t> lower_level_ptr,
+                                    ExecBackend backend, int threads,
+                                    index_t chunk_rows = kDefaultChunkRows);
+
+/// Backward schedule over ALL rows: the levels of build_forward_schedule
+/// listed last to first with rows descending inside each level, so
+/// serial_order is n-1 … 0 and every level is one contiguous row range.
+/// Dependencies are the strictly-upper columns of `lu`; since level(c) >
+/// level(r) for a U entry (r, c), the reversed plan levels are a valid U
+/// order.
 ExecSchedule build_backward_schedule(const CsrMatrix& lu,
                                      std::span<const index_t> upper_level_ptr,
                                      std::span<const index_t> lower_level_ptr,

@@ -106,9 +106,9 @@ template <bool kHooked, int W>
     const std::size_t p = static_cast<std::size_t>(perm[row]);
     for_each_panel_block(w, [&](index_t j0, auto kb) {
       constexpr int KB = decltype(kb)::value;
-      value_t acc[KB] = {};
+      value_t acc[KB];
       const std::size_t c0 = static_cast<std::size_t>(j0) * un;
-      lower_partial_panel<KB>(lu, row, n, xg + c0, un, acc);
+      lower_partial_panel<KB>(lu, row, xg + c0, un, acc);
       for (int j = 0; j < KB; ++j) {
         const std::size_t col = c0 + static_cast<std::size_t>(j) * un;
         xg[col + static_cast<std::size_t>(row)] = rg[col + p] - acc[j];
@@ -184,7 +184,7 @@ void ilu_apply_panel(const Factorization& f, std::span<const value_t> r,
   check_panel(f, r.size(), z.size(), k, "ilu_apply_panel");
   const index_t n = f.n();
   const std::size_t un = static_cast<std::size_t>(n);
-  ws.resize_panel(n, f.plan.num_lower_rows(), k);
+  ws.resize_panel(n, k);
   value_t* x = ws.x.data();
 
   const int team = runtime_team(f);
@@ -196,43 +196,21 @@ void ilu_apply_panel(const Factorization& f, std::span<const value_t> r,
   // Fewer columns than threads (or an instrumented apply): the row-parallel
   // panel sweep under the factor's schedules.
   gather_panel(f.plan.perm, r, x, n, k);
-  const ExecStatus fst = detail::forward_sweep_panel(
-      f,
-      [x, un](index_t row, index_t j) {
-        return x[static_cast<std::size_t>(row) + static_cast<std::size_t>(j) * un];
-      },
-      x, un, k, ws);
+  const ExecStatus fst = detail::forward_sweep_panel(f, x, un, k, ws);
   if (!fst.ok()) throw_panel_abort(FaultSite::kForwardRow, fst.row);
   const CsrMatrix& lu = f.lu;
-  const FaultHook& hook = f.opts.fault_hook;
-  const auto backward_panel_row = [&](index_t row) {
-    for_each_panel_block(k, [&](index_t j0, auto kb) {
-      constexpr int KB = decltype(kb)::value;
-      backward_row_panel<KB>(lu, f.diag_pos, row,
-                             x + static_cast<std::size_t>(j0) * un, un);
-    });
-  };
-  if (hook) {
-    const ExecStatus bst = exec_run(
-        runtime_bwd(f, ws.sched),
-        [&](index_t row, int) -> bool {
-          backward_panel_row(row);
-          return hook(FaultSite::kBackwardRow, row);
-        },
-        ws.progress);
-    // Converted OUTSIDE the parallel region: the abort itself drained
-    // cooperatively; the throw is what exercises caller RAII (leases).
-    if (!bst.ok()) throw_panel_abort(FaultSite::kBackwardRow, bst.row);
-  } else if (f.opts.exec_obs != nullptr) {
-    exec_run_obs(
-        runtime_bwd(f, ws.sched),
-        [&](index_t row, int) { backward_panel_row(row); }, ws.progress,
-        *f.opts.exec_obs, obs::Region::kBackward);
-  } else {
-    exec_run(
-        runtime_bwd(f, ws.sched),
-        [&](index_t row, int) { backward_panel_row(row); }, ws.progress);
-  }
+  const ExecStatus bst = detail::run_sweep(
+      f, runtime_bwd(f, ws.sched), FaultSite::kBackwardRow,
+      obs::Region::kBackward, ws.progress, [&](index_t row) {
+        for_each_panel_block(k, [&](index_t j0, auto kb) {
+          constexpr int KB = decltype(kb)::value;
+          backward_row_panel<KB>(lu, f.diag_pos, row,
+                                 x + static_cast<std::size_t>(j0) * un, un);
+        });
+      });
+  // Converted OUTSIDE the parallel region: the abort itself drained
+  // cooperatively; the throw is what exercises caller RAII (leases).
+  if (!bst.ok()) throw_panel_abort(FaultSite::kBackwardRow, bst.row);
   scatter_panel(f.plan.perm, x, z, n, k);
 }
 

@@ -1,10 +1,11 @@
 // The complete Javelin factorization object: symbolic pattern, two-stage
-// plan, execution schedules (factorization + forward solve share one; the
-// backward solve runs the same plan levels reversed; both run under the
-// pluggable exec/ backend — P2P spin-waits or barrier CSR-LS), and the
-// numeric factor itself. Built once, then reused by thousands of triangular
-// solves (paper §VI: "the incomplete factorization may only be formed once,
-// but stri may be called thousands of times").
+// plan, execution schedules (the forward solve runs the plan's levels, and
+// the upper-stage factorization the same schedule; the backward solve runs
+// those levels reversed; all run under the pluggable exec/ backend — P2P
+// spin-waits or barrier CSR-LS), and the numeric factor itself. Built once,
+// then reused by thousands of triangular solves (paper §VI: "the incomplete
+// factorization may only be formed once, but stri may be called thousands
+// of times").
 #pragma once
 
 #include <memory>
@@ -94,8 +95,10 @@ struct Factorization {
   CsrMatrix lu;
   std::vector<index_t> diag_pos;
 
-  /// Upper-stage schedule (factorization + forward solve), built for the
-  /// backend opts.exec_backend selects.
+  /// Forward schedule over all rows: the plan's levels (upper, then moved)
+  /// first to last, rows ascending, so serial_order is 0 … n-1
+  /// (build_forward_schedule). The forward solve runs every row; the
+  /// upper-stage factorization runs it too, skipping the moved rows.
   ExecSchedule fwd;
   /// Backward-solve schedule over all rows: the plan's levels (upper, then
   /// moved) last to first, rows descending, so serial_order is n-1 … 0

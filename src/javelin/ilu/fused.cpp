@@ -222,7 +222,7 @@ void ilu_apply_spmv(const Factorization& f, const CsrMatrix& a,
                     std::span<value_t> z, std::span<value_t> t,
                     SolveWorkspace& ws) {
   const index_t n = f.n();
-  ws.resize(n, f.plan.num_lower_rows());
+  ws.resize(n);
   const auto& perm = f.plan.perm;
   const CsrMatrix& lu = f.lu;
   const std::span<value_t> x =
@@ -238,7 +238,7 @@ void ilu_apply_spmv(const Factorization& f, const CsrMatrix& a,
     for (index_t row = 0; row < n; ++row) {
       x[static_cast<std::size_t>(row)] =
           r[static_cast<std::size_t>(perm[static_cast<std::size_t>(row)])] -
-          lower_partial(lu, row, n, x, 0);
+          lower_partial(lu, row, x);
       if (hook && !hook(FaultSite::kForwardRow, row)) throw_fused_abort(row);
     }
     const ExecStatus bst = serial_backward_spmv(f, a, x, z, t);
@@ -266,25 +266,9 @@ void ilu_apply_spmv(const Factorization& f, const CsrMatrix& a,
       t[static_cast<std::size_t>(row)] = spmv_row(a, row, z);
     }
   };
-  const ExecTail tail = chunks.tail();
-  ExecStatus bst;
-  if (hook) {
-    bst = exec_run(
-        *rt.bwd,
-        [&](index_t row, int) -> bool {
-          backward_scatter_row(row);
-          return hook(FaultSite::kBackwardRow, row);
-        },
-        tail, spmv_chunk, ws.progress);
-  } else if (f.opts.exec_obs != nullptr) {
-    bst = exec_run_obs(
-        *rt.bwd, [&](index_t row, int) { backward_scatter_row(row); }, tail,
-        spmv_chunk, ws.progress, *f.opts.exec_obs, obs::Region::kFused);
-  } else {
-    bst = exec_run(
-        *rt.bwd, [&](index_t row, int) { backward_scatter_row(row); }, tail,
-        spmv_chunk, ws.progress);
-  }
+  const ExecStatus bst = detail::run_sweep(
+      f, *rt.bwd, FaultSite::kBackwardRow, obs::Region::kFused, ws.progress,
+      backward_scatter_row, chunks.tail(), spmv_chunk);
   if (!bst.ok()) throw_fused_abort(bst.row);
 }
 

@@ -19,7 +19,7 @@ class ExecObs;  // obs/exec_obs.hpp
 /// Where a fault-injection hook fires (see IluOptions::fault_hook).
 enum class FaultSite {
   kFactorRow,   ///< after a numeric-phase row factored (upper stage or corner)
-  kForwardRow,  ///< after a forward-sweep scheduled/tail row
+  kForwardRow,  ///< after a forward-sweep row (incl. fused/panel variants)
   kBackwardRow, ///< after a backward-sweep row (incl. fused/panel variants)
 };
 

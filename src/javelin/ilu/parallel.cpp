@@ -352,8 +352,10 @@ FactorStatus ilu_factor_numeric_status(Factorization& f) {
   }
   // Guarded row function: a failed pivot poisons the region, peers drain
   // out of their spin-waits, and the first failing row comes back in the
-  // ExecStatus — no exception ever crosses the parallel region.
+  // ExecStatus — no exception ever crosses the parallel region. f.fwd also
+  // lists the moved rows; the lower stage and the corner factor those below.
   const auto numeric_row = [&](index_t r, int t) -> bool {
+    if (r >= plan.n_upper) return true;
     RowWorkspace& ws = pool.get(t);
     if (!factor_row(fv, r, ws, params)) return false;
     return !hook || hook(FaultSite::kFactorRow, r);
@@ -415,9 +417,9 @@ Factorization ilu_prepare(const CsrMatrix& a, const IluOptions& opts) {
 
   const index_t chunk =
       opts.p2p_chunk_rows > 0 ? opts.p2p_chunk_rows : kDefaultChunkRows;
-  f.fwd = build_upper_forward_schedule(f.lu, f.plan.upper_level_ptr,
-                                       opts.exec_backend, f.plan.threads,
-                                       chunk);
+  f.fwd = build_forward_schedule(f.lu, f.plan.upper_level_ptr,
+                                 f.plan.lower_level_ptr, opts.exec_backend,
+                                 f.plan.threads, chunk);
   f.bwd = build_backward_schedule(f.lu, f.plan.upper_level_ptr,
                                   f.plan.lower_level_ptr, opts.exec_backend,
                                   f.plan.threads, chunk);

@@ -8,7 +8,6 @@
 namespace javelin {
 
 using detail::backward_row;
-using detail::corner_partial;
 using detail::lower_partial;
 
 void trsv_serial(const CsrMatrix& lu, std::span<const index_t> diag_pos,
@@ -17,8 +16,8 @@ void trsv_serial(const CsrMatrix& lu, std::span<const index_t> diag_pos,
   for (index_t r = 0; r < n; ++r) {
     // Reads of columns < r see already-finished entries of x, so this is
     // correct whether or not x aliases b.
-    const value_t acc = lower_partial(lu, r, n, x, 0);
-    x[static_cast<std::size_t>(r)] = b[static_cast<std::size_t>(r)] - acc;
+    x[static_cast<std::size_t>(r)] =
+        b[static_cast<std::size_t>(r)] - lower_partial(lu, r, x);
   }
   for (index_t r = n; r-- > 0;) backward_row(lu, diag_pos, r, x);
 }
@@ -34,34 +33,16 @@ ExecStatus trsv_forward(const Factorization& f, std::span<value_t> x,
 
 ExecStatus trsv_backward(const Factorization& f, std::span<value_t> x,
                          SolveWorkspace& ws) {
-  const FaultHook& hook = f.opts.fault_hook;
-  if (hook) {
-    return exec_run(
-        runtime_bwd(f, ws.sched),
-        [&](index_t r, int) -> bool {
-          backward_row(f.lu, f.diag_pos, r, x);
-          return hook(FaultSite::kBackwardRow, r);
-        },
-        ws.progress);
-  }
-  if (f.opts.exec_obs != nullptr) {
-    exec_run_obs(
-        runtime_bwd(f, ws.sched),
-        [&](index_t r, int) { backward_row(f.lu, f.diag_pos, r, x); },
-        ws.progress, *f.opts.exec_obs, obs::Region::kBackward);
-    return {};
-  }
-  exec_run(
-      runtime_bwd(f, ws.sched),
-      [&](index_t r, int) { backward_row(f.lu, f.diag_pos, r, x); },
-      ws.progress);
-  return {};
+  return detail::run_sweep(
+      f, runtime_bwd(f, ws.sched), FaultSite::kBackwardRow,
+      obs::Region::kBackward, ws.progress,
+      [&](index_t r) { backward_row(f.lu, f.diag_pos, r, x); });
 }
 
 void trsv_forward_serial(const Factorization& f, std::span<value_t> x) {
   const index_t n = f.n();
   for (index_t r = 0; r < n; ++r) {
-    x[static_cast<std::size_t>(r)] -= lower_partial(f.lu, r, n, x, 0);
+    x[static_cast<std::size_t>(r)] -= lower_partial(f.lu, r, x);
   }
 }
 
@@ -72,7 +53,7 @@ void trsv_backward_serial(const Factorization& f, std::span<value_t> x) {
 ExecStatus ilu_apply_status(const Factorization& f, std::span<const value_t> r,
                             std::span<value_t> z, SolveWorkspace& ws) {
   const index_t n = f.n();
-  ws.resize(n, f.plan.num_lower_rows());
+  ws.resize(n);
   const auto& perm = f.plan.perm;
   const std::span<value_t> x =
       std::span<value_t>(ws.x).first(static_cast<std::size_t>(n));
@@ -111,7 +92,7 @@ void ilu_apply(const Factorization& f, std::span<const value_t> r,
 void ilu_apply_serial(const Factorization& f, std::span<const value_t> r,
                       std::span<value_t> z, SolveWorkspace& ws) {
   const index_t n = f.n();
-  ws.resize(n, f.plan.num_lower_rows());
+  ws.resize(n);
   const auto& perm = f.plan.perm;
   const std::span<value_t> x =
       std::span<value_t>(ws.x).first(static_cast<std::size_t>(n));

@@ -2,20 +2,18 @@
 // factorization is co-designed for (paper §VI: "the incomplete factorization
 // may only be formed once, but stri may be called thousands of times").
 //
-// The forward (L) sweep reuses the SAME execution schedule as the
-// upper-stage factorization (f.fwd): the dependency pattern of the forward
-// solve is exactly the strictly-lower pattern of the factor, so the
-// spin-wait sparsification built for the numeric phase is reused verbatim.
-// Lower-stage rows are swept ER-style: their upper-column partial sums are
-// embarrassingly parallel, and only the small corner coupling runs in row
-// order. The backward (U) sweep runs under f.bwd — the plan's own levels
-// (upper stage, then the moved rows) reversed, so both sweeps share one
-// level structure and each backward level is a contiguous row range — with
-// the diagonal scale fused into the sweep, no separate D^{-1} pass over the
-// vector. Both sweeps run under the exec/ backend the factor was built with
-// (P2P or barrier CSR-LS) and RETARGET through the workspace's ScheduleCache
-// when the runtime team differs from the factor-time plan — never a silent
-// serial fallback.
+// Both sweeps run on the plan's own levels, upper stage then moved rows, so
+// the factorization and both solves share one level structure and every
+// level is a contiguous row range. The forward (L) sweep runs under f.fwd,
+// the schedule the upper-stage factorization also runs (the dependency
+// pattern of the forward solve is exactly the strictly-lower pattern of the
+// factor, so its spin-wait sparsification serves both). The backward (U)
+// sweep runs under f.bwd, the same levels reversed, with the diagonal scale
+// fused into the sweep — no separate D^{-1} pass over the vector. Each
+// sweep is one region under the exec/ backend the factor was built with
+// (P2P, or barrier CSR-LS: then both are plain level-set sweeps) and
+// RETARGETS through the workspace's ScheduleCache when the runtime team
+// differs from the factor-time plan — never a silent serial fallback.
 //
 // All parallel sweeps are bitwise-identical to the serial reference: every
 // row's accumulation walks its CSR entries in the same ascending order, and
@@ -32,35 +30,29 @@
 namespace javelin {
 
 /// Reusable scratch for repeated ilu_apply calls (permuted rhs/solution, the
-/// lower-stage partial sums, the P2P progress counters both sweeps re-arm
-/// instead of reallocating, and the retargeted-schedule cache the sweeps
-/// re-plan through when the runtime team differs from the factor-time
-/// plan). Kept outside the Factorization so multiple solves may share one
-/// immutable factor with private workspaces. Move-only: the counters are
-/// atomics.
+/// P2P progress counters both sweeps re-arm instead of reallocating, and the
+/// retargeted-schedule cache the sweeps re-plan through when the runtime
+/// team differs from the factor-time plan). Kept outside the Factorization
+/// so multiple solves may share one immutable factor with private
+/// workspaces. Move-only: the counters are atomics.
 struct SolveWorkspace {
-  std::vector<value_t> x;          ///< permuted vector/panel being solved in place
-  std::vector<value_t> lower_acc;  ///< partial sums of the lower-stage rows
-  ProgressCounters progress;       ///< spin-wait counters reused every sweep
-  ScheduleCache sched;             ///< runtime-retargeted schedules (lazy)
+  std::vector<value_t> x;     ///< permuted vector/panel being solved in place
+  ProgressCounters progress;  ///< spin-wait counters reused every sweep
+  ScheduleCache sched;        ///< runtime-retargeted schedules (lazy)
 
-  /// Scalar sizing: x holds at least an n-vector, lower_acc at least
-  /// n_lower partial sums. Grows only, like resize_panel, so a workspace
-  /// that alternates scalar and panel applies keeps its panel (callers view
-  /// the first n entries of x).
-  void resize(index_t n, index_t n_lower) { resize_panel(n, n_lower, 1); }
+  /// Scalar sizing: x holds at least an n-vector. The second argument sizes
+  /// nothing; it is kept so two-argument callers still compile. Grows only,
+  /// like resize_panel, so a workspace that alternates scalar and panel
+  /// applies keeps its panel (callers view the first n entries of x).
+  void resize(index_t n, index_t /*unused*/ = 0) { resize_panel(n, 1); }
 
-  /// Panel (multi-RHS) sizing: x holds a column-major n×k panel, lower_acc
-  /// an n_lower×k panel of lower-stage partial sums. Grows only (a workspace
-  /// cycling between panel widths keeps the high-water allocation).
-  void resize_panel(index_t n, index_t n_lower, index_t k) {
-    const std::size_t uk = static_cast<std::size_t>(k);
-    if (x.size() < static_cast<std::size_t>(n) * uk) {
-      x.resize(static_cast<std::size_t>(n) * uk);
-    }
-    if (lower_acc.size() < static_cast<std::size_t>(n_lower) * uk) {
-      lower_acc.resize(static_cast<std::size_t>(n_lower) * uk);
-    }
+  /// Panel (multi-RHS) sizing: x holds a column-major n×k panel. Grows only
+  /// (a workspace cycling between panel widths keeps the high-water
+  /// allocation).
+  void resize_panel(index_t n, index_t k) {
+    const std::size_t need =
+        static_cast<std::size_t>(n) * static_cast<std::size_t>(k);
+    if (x.size() < need) x.resize(need);
   }
 };
 
@@ -70,11 +62,10 @@ void trsv_serial(const CsrMatrix& lu, std::span<const index_t> diag_pos,
                  std::span<const value_t> b, std::span<value_t> x);
 
 /// In-place P2P forward sweep on the permuted factor: on entry x is the
-/// permuted rhs, on exit L x' = x (unit diagonal implicit). Upper-stage rows
-/// run under f.fwd; lower-stage rows run as a parallel partial-sum pass plus
-/// an ordered corner sweep (ws.lower_acc is the scratch). Returns kAborted
-/// only when the factor's fault-injection hook vetoed a row (tests); the
-/// hook-free path is unguarded and always kOk.
+/// permuted rhs, on exit L x' = x (unit diagonal implicit). Every row runs
+/// in one region under f.fwd. Returns kAborted only when the factor's
+/// fault-injection hook vetoed a row (tests); the hook-free path is
+/// unguarded and always kOk.
 ExecStatus trsv_forward(const Factorization& f, std::span<value_t> x,
                         SolveWorkspace& ws);
 

@@ -21,31 +21,16 @@
 
 namespace javelin::detail {
 
-/// Partial sum of row r over its strictly-lower columns left of `col_hi`,
-/// starting from `acc`. Columns are sorted, so this is a prefix walk.
-inline value_t lower_partial(const CsrMatrix& lu, index_t r, index_t col_hi,
-                             std::span<const value_t> x, value_t acc) {
+/// Forward sum of row r: Σ_{c < r} L(r,c) · x[c], in CSR order. Columns are
+/// sorted, so this is a prefix walk that stops at the diagonal.
+inline value_t lower_partial(const CsrMatrix& lu, index_t r,
+                             std::span<const value_t> x) {
   const auto ci = lu.col_idx();
   const auto vv = lu.values();
-  for (index_t k = lu.row_begin(r); k < lu.row_end(r); ++k) {
-    const index_t c = ci[static_cast<std::size_t>(k)];
-    if (c >= col_hi || c >= r) break;
-    acc += vv[static_cast<std::size_t>(k)] * x[static_cast<std::size_t>(c)];
-  }
-  return acc;
-}
-
-/// Remaining forward sum of a lower-stage row: corner columns in
-/// [n_upper, r). Resumes from the precomputed upper-column partial sum so the
-/// accumulation order matches the serial single-pass reference bitwise.
-inline value_t corner_partial(const CsrMatrix& lu, index_t r, index_t n_upper,
-                              std::span<const value_t> x, value_t acc) {
-  const auto ci = lu.col_idx();
-  const auto vv = lu.values();
+  value_t acc = 0;
   for (index_t k = lu.row_begin(r); k < lu.row_end(r); ++k) {
     const index_t c = ci[static_cast<std::size_t>(k)];
     if (c >= r) break;
-    if (c < n_upper) continue;
     acc += vv[static_cast<std::size_t>(k)] * x[static_cast<std::size_t>(c)];
   }
   return acc;
@@ -88,34 +73,17 @@ inline value_t spmv_row(const CsrMatrix& a, index_t r,
 // compile-time block width so the accumulator lives in registers and the
 // inner column loop fully unrolls.
 
-/// acc[j] += Σ_{c < min(col_hi, r)} L(r,c) · x[c + j·ld] for j in [0, KB).
+/// acc[j] = Σ_{c < r} L(r,c) · x[c + j·ld] for j in [0, KB).
 template <int KB>
-inline void lower_partial_panel(const CsrMatrix& lu, index_t r, index_t col_hi,
+inline void lower_partial_panel(const CsrMatrix& lu, index_t r,
                                 const value_t* x, std::size_t ld,
                                 value_t* acc) {
   const auto ci = lu.col_idx();
   const auto vv = lu.values();
-  for (index_t k = lu.row_begin(r); k < lu.row_end(r); ++k) {
-    const index_t c = ci[static_cast<std::size_t>(k)];
-    if (c >= col_hi || c >= r) break;
-    const value_t v = vv[static_cast<std::size_t>(k)];
-    const value_t* xc = x + static_cast<std::size_t>(c);
-    for (int j = 0; j < KB; ++j) acc[j] += v * xc[static_cast<std::size_t>(j) * ld];
-  }
-}
-
-/// Panel variant of corner_partial: acc[j] += Σ_{n_upper <= c < r} L(r,c) ·
-/// x[c + j·ld], resuming from the upper-column partial sums already in acc.
-template <int KB>
-inline void corner_partial_panel(const CsrMatrix& lu, index_t r,
-                                 index_t n_upper, const value_t* x,
-                                 std::size_t ld, value_t* acc) {
-  const auto ci = lu.col_idx();
-  const auto vv = lu.values();
+  for (int j = 0; j < KB; ++j) acc[j] = 0;
   for (index_t k = lu.row_begin(r); k < lu.row_end(r); ++k) {
     const index_t c = ci[static_cast<std::size_t>(k)];
     if (c >= r) break;
-    if (c < n_upper) continue;
     const value_t v = vv[static_cast<std::size_t>(k)];
     const value_t* xc = x + static_cast<std::size_t>(c);
     for (int j = 0; j < KB; ++j) acc[j] += v * xc[static_cast<std::size_t>(j) * ld];

@@ -13,8 +13,10 @@
 //   * set_exec_backend flips a factor between backends in place, and a
 //     workspace whose cache holds schedules retargeted to a smaller runtime
 //     team rebuilds them under the new backend;
-//   * the backward schedule runs the plan's own levels reversed, each one
-//     contiguous row range, serial order n-1 … 0, on every suite matrix;
+//   * the forward schedule runs the plan's own levels (serial order
+//     0 … n-1) and the backward schedule the same levels reversed (serial
+//     order n-1 … 0), each level one contiguous row range, on every suite
+//     matrix;
 //   * the P2P and barrier executors run exactly the (row, thread) pairs the
 //     builder assigned, a level of at most chunk_rows rows runs on one
 //     thread, and both branches run each tail chunk once, on its thread;
@@ -98,8 +100,10 @@ void check_retarget_identity(const char* name, const CsrMatrix& a,
   const DepsFn low = lower_triangular_deps(f.lu);
   const DepsFn up = upper_triangular_deps(f.lu);
   for (int T : {1, 2, 4, 8}) {
-    const ExecSchedule fresh_fwd = build_upper_forward_schedule(
-        f.lu, f.plan.upper_level_ptr, backend, T, f.fwd.chunk_rows);
+    const ExecSchedule fresh_fwd =
+        build_forward_schedule(f.lu, f.plan.upper_level_ptr,
+                               f.plan.lower_level_ptr, backend, T,
+                               f.fwd.chunk_rows);
     const ExecSchedule fresh_bwd =
         build_backward_schedule(f.lu, f.plan.upper_level_ptr,
                                 f.plan.lower_level_ptr, backend, T,
@@ -243,11 +247,13 @@ void check_backend_parity(const char* name, const CsrMatrix& a, int threads) {
             name, threads);
 }
 
-/// Co-design (paper §III): the backward sweep runs the plan's levels —
-/// upper, then moved — last to first with rows descending, so level j of
-/// f.bwd is plan level L-1-j, one contiguous row range, and serial_order is
-/// n-1 … 0.
-void check_bwd_on_plan_levels(const std::string& name, const CsrMatrix& a) {
+/// Co-design (paper §III): both sweeps run the plan's levels — upper, then
+/// moved. f.fwd lists them first to last with rows ascending, so its
+/// level_ptr is the plan's and serial_order is 0 … n-1; f.bwd lists them
+/// last to first with rows descending, so level j of f.bwd is plan level
+/// L-1-j and serial_order is n-1 … 0. Every level is one contiguous row
+/// range.
+void check_sweeps_on_plan_levels(const std::string& name, const CsrMatrix& a) {
   IluOptions opts;
   opts.num_threads = 4;
   opts.retarget_oversubscribed = false;
@@ -258,6 +264,10 @@ void check_bwd_on_plan_levels(const std::string& name, const CsrMatrix& a) {
   }
   const index_t n = f.n();
   const std::size_t L = plan_ptr.size() - 1;
+  CHECK_MSG(f.fwd.num_levels == static_cast<index_t>(L) &&
+                f.fwd.level_ptr == plan_ptr,
+            "%s fwd levels (%lld) are not the %zu plan levels", name.c_str(),
+            static_cast<long long>(f.fwd.num_levels), L);
   bool levels_ok = f.bwd.num_levels == static_cast<index_t>(L) &&
                    f.bwd.level_ptr.size() == plan_ptr.size();
   for (std::size_t j = 0; levels_ok && j <= L; ++j) {
@@ -266,12 +276,15 @@ void check_bwd_on_plan_levels(const std::string& name, const CsrMatrix& a) {
   CHECK_MSG(levels_ok, "%s bwd levels (%lld) are not the %zu plan levels "
             "reversed", name.c_str(), static_cast<long long>(f.bwd.num_levels),
             L);
-  // Descending consecutive rows: every level is a contiguous row range.
-  bool order_ok = f.bwd.serial_order.size() == static_cast<std::size_t>(n);
+  // Consecutive rows: every level is a contiguous row range.
+  bool order_ok = f.fwd.serial_order.size() == static_cast<std::size_t>(n) &&
+                  f.bwd.serial_order.size() == static_cast<std::size_t>(n);
   for (index_t k = 0; order_ok && k < n; ++k) {
-    order_ok = f.bwd.serial_order[static_cast<std::size_t>(k)] == n - 1 - k;
+    order_ok = f.fwd.serial_order[static_cast<std::size_t>(k)] == k &&
+               f.bwd.serial_order[static_cast<std::size_t>(k)] == n - 1 - k;
   }
-  CHECK_MSG(order_ok, "%s bwd serial_order is not n-1 .. 0", name.c_str());
+  CHECK_MSG(order_ok, "%s serial_order is not 0 .. n-1 (fwd) / n-1 .. 0 (bwd)",
+            name.c_str());
 }
 
 /// Both executor branches must run exactly the (row, thread) pairs the
@@ -455,7 +468,8 @@ int main() {
   gen::SuiteOptions small;
   small.scale = 0.02;
   for (const std::string& name : gen::suite_names()) {
-    check_bwd_on_plan_levels(name, gen::make_suite_matrix(name, small).matrix);
+    check_sweeps_on_plan_levels(name,
+                                gen::make_suite_matrix(name, small).matrix);
   }
   check_executor_slices("grid", grid);
   check_executor_slices("chain", chain);

@@ -1,10 +1,12 @@
 // Breakdown-safety properties: cooperative abort of the exec backends under
 // fault injection (bounded termination, structured status, no throw from
-// inside a parallel region), the shifted-ILU retry ladder and preconditioner
+// inside a parallel region — for upper-stage and moved rows alike, with a
+// non-vetoing hook seeing each row once per region), the shifted-ILU retry ladder and preconditioner
 // fallback chain of RobustSolver, the Krylov breakdown/non-finite/stagnation
 // guards, and WorkspacePool lease exception-safety when an abort unwinds
 // through the batched apply path.
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -47,101 +49,165 @@ FaultHook poison(FaultSite site, index_t row) {
 
 // --- fault injection: factorization ---------------------------------------
 
+/// Poisons an upper-stage row (n/2) and the last row, which the plan moves
+/// to the lower stage, so the corner must report it.
 void check_factor_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
   ThreadCountGuard guard(threads);
+  for (const index_t target : {a.rows() / 2, a.rows() - 1}) {
+    IluOptions opts = pinned_opts(backend, threads);
+    opts.fault_hook = poison(FaultSite::kFactorRow, target);
+
+    Factorization f = ilu_prepare(a, opts);
+    CHECK_MSG(f.plan.n_upper < f.n(), "no moved rows (%s, t=%d)",
+              backend_name(backend), threads);
+    const FactorStatus st = ilu_factor_numeric_status(f);
+    CHECK_MSG(!st.ok(), "factor fault ignored (%s, t=%d)",
+              backend_name(backend), threads);
+    CHECK_MSG(st.row == target, "factor abort row %lld != %lld (%s, t=%d)",
+              static_cast<long long>(st.row), static_cast<long long>(target),
+              backend_name(backend), threads);
+
+    // The factor is reusable after the abort: rescatter and run hook-free.
+    f.opts.fault_hook = nullptr;
+    const FactorStatus ok = ilu_refactor_status(f, a);
+    CHECK_MSG(ok.ok(), "refactor after abort failed (%s, t=%d)",
+              backend_name(backend), threads);
+  }
+}
+
+/// A hook that never vetoes sees every row of each region exactly once: a
+/// numeric phase fires kFactorRow once per row (the upper-stage region never
+/// fires it for a moved row it skips), and a scalar apply fires kForwardRow
+/// and kBackwardRow once per row. The hook runs on every team thread.
+void check_hook_counts(const CsrMatrix& a, ExecBackend backend, int threads) {
+  ThreadCountGuard guard(threads);
+  const std::size_t un = static_cast<std::size_t>(a.rows());
+  std::vector<std::atomic<int>> seen(3 * un);
   IluOptions opts = pinned_opts(backend, threads);
-  const index_t target = a.rows() / 2;
-  opts.fault_hook = poison(FaultSite::kFactorRow, target);
+  opts.fault_hook = [&seen, un](FaultSite site, index_t r) {
+    seen[static_cast<std::size_t>(site) * un + static_cast<std::size_t>(r)]
+        .fetch_add(1, std::memory_order_relaxed);
+    return true;
+  };
+  // Checks and clears the counts: every row seen `want` times at `site`.
+  const auto expect = [&](const char* what, FaultSite site, int want) {
+    index_t bad = 0;
+    for (std::size_t r = 0; r < un; ++r) {
+      if (seen[static_cast<std::size_t>(site) * un + r].exchange(0) != want) {
+        ++bad;
+      }
+    }
+    CHECK_MSG(bad == 0, "%s: %lld rows not seen %d time(s) at site %d "
+              "(%s, t=%d)", what, static_cast<long long>(bad), want,
+              static_cast<int>(site), backend_name(backend), threads);
+  };
 
   Factorization f = ilu_prepare(a, opts);
-  const FactorStatus st = ilu_factor_numeric_status(f);
-  CHECK_MSG(!st.ok(), "factor fault ignored (%s, t=%d)", backend_name(backend),
-            threads);
-  CHECK_MSG(st.row == target, "factor abort row %lld != %lld (%s, t=%d)",
-            static_cast<long long>(st.row), static_cast<long long>(target),
+  CHECK_MSG(f.plan.n_upper < f.n(), "no moved rows (%s, t=%d)",
             backend_name(backend), threads);
+  CHECK(ilu_factor_numeric_status(f).ok());
+  expect("numeric", FaultSite::kFactorRow, 1);
+  expect("numeric", FaultSite::kForwardRow, 0);
+  expect("numeric", FaultSite::kBackwardRow, 0);
 
-  // The factor is reusable after the abort: rescatter and run hook-free.
-  f.opts.fault_hook = nullptr;
-  const FactorStatus ok = ilu_refactor_status(f, a);
-  CHECK_MSG(ok.ok(), "refactor after abort failed (%s, t=%d)",
-            backend_name(backend), threads);
+  const auto r = random_vector(f.n(), 0xC0C0);
+  std::vector<value_t> z(un);
+  SolveWorkspace ws;
+  ilu_apply(f, r, z, ws);
+  expect("apply", FaultSite::kFactorRow, 0);
+  expect("apply", FaultSite::kForwardRow, 1);
+  expect("apply", FaultSite::kBackwardRow, 1);
 }
 
 // --- fault injection: triangular sweeps (plain, fused, panel) --------------
 
+/// Poisons an upper-stage row (n/3) and the last row, which the plan moves
+/// to the lower stage, at each sweep site, through every apply entry point.
 void check_sweep_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
   ThreadCountGuard guard(threads);
   Factorization f = ilu_factor(a, pinned_opts(backend, threads));
   const FusedApplySpmv fs = build_fused_apply_spmv(f, a);
   const index_t n = f.n();
-  const index_t target = n / 3;
+  CHECK_MSG(f.plan.n_upper < n, "no moved rows (%s, t=%d)",
+            backend_name(backend), threads);
   const std::size_t un = static_cast<std::size_t>(n);
   const auto r = random_vector(n, 0xB0B);
   std::vector<value_t> z(un), t(un);
   SolveWorkspace ws;
+  // The text every AbortError names its row with.
+  const auto row_text = [](index_t row) {
+    return "aborted at permuted row " + std::to_string(row) + " ";
+  };
 
-  for (FaultSite site : {FaultSite::kForwardRow, FaultSite::kBackwardRow}) {
-    f.opts.fault_hook = poison(site, target);
-
-    // Non-throwing form: structured status with the poisoned row.
-    const ExecStatus st = ilu_apply_status(f, r, z, ws);
-    CHECK_MSG(!st.ok() && st.row == target,
-              "sweep abort row %lld != %lld (site=%d, %s, t=%d)",
-              static_cast<long long>(st.row), static_cast<long long>(target),
-              static_cast<int>(site), backend_name(backend), threads);
-
-    // Throwing form: AbortError AFTER the region drained (never from a
-    // worker thread — a thrown exception inside the region would terminate).
-    bool threw = false;
-    try {
-      ilu_apply(f, r, z, ws);
-    } catch (const AbortError&) {
-      threw = true;
-    }
-    CHECK_MSG(threw, "ilu_apply did not convert abort (%s, t=%d)",
-              backend_name(backend), threads);
-
-    // Fused apply+SpMV: the abort must also drain the SpMV chunk waits.
-    threw = false;
-    try {
-      ilu_apply_spmv(f, a, fs, r, z, t, ws);
-    } catch (const AbortError&) {
-      threw = true;
-    }
-    CHECK_MSG(threw, "fused apply did not abort (site=%d, %s, t=%d)",
-              static_cast<int>(site), backend_name(backend), threads);
-  }
-
-  // Panel path, both sites, both branches: k = 4 runs the column split at
-  // teams 1, 2 and 4 and the scheduled sweep at team 8; k = 2 also runs the
-  // scheduled sweep at team 4. The error names the vetoed sweep and row,
-  // and z is left untouched.
-  for (const index_t k : {index_t{2}, index_t{4}}) {
-    const auto rp = random_vector(n * k, 0xB0B ^ 1);
-    const value_t sentinel = -7.25;
-    std::vector<value_t> zp(un * static_cast<std::size_t>(k), sentinel);
+  for (const index_t target : {n / 3, n - 1}) {
     for (FaultSite site : {FaultSite::kForwardRow, FaultSite::kBackwardRow}) {
       f.opts.fault_hook = poison(site, target);
+
+      // Non-throwing form: structured status with the poisoned row.
+      const ExecStatus st = ilu_apply_status(f, r, z, ws);
+      CHECK_MSG(!st.ok() && st.row == target,
+                "sweep abort row %lld != %lld (site=%d, %s, t=%d)",
+                static_cast<long long>(st.row),
+                static_cast<long long>(target), static_cast<int>(site),
+                backend_name(backend), threads);
+
+      // Throwing forms: AbortError AFTER the region drained (never from a
+      // worker thread — a thrown exception inside the region would
+      // terminate). The fused apply+SpMV must also drain the SpMV chunk
+      // waits.
       std::string what;
       try {
-        ilu_apply_panel(f, rp, zp, k, ws);
+        ilu_apply(f, r, z, ws);
       } catch (const AbortError& e) {
         what = e.what();
       }
-      const std::string expect =
-          std::string("panel ") +
-          (site == FaultSite::kForwardRow ? "forward" : "backward") +
-          " sweep aborted at permuted row " + std::to_string(target) + " ";
-      CHECK_MSG(what.find(expect) != std::string::npos,
-                "panel abort '%s' (k=%d, site=%d, %s, t=%d)", what.c_str(),
-                static_cast<int>(k), static_cast<int>(site),
-                backend_name(backend), threads);
-      CHECK_MSG(std::all_of(zp.begin(), zp.end(),
-                            [&](value_t v) { return v == sentinel; }),
-                "aborted panel apply wrote z (k=%d, site=%d, %s, t=%d)",
-                static_cast<int>(k), static_cast<int>(site),
-                backend_name(backend), threads);
+      CHECK_MSG(what.find(row_text(target)) != std::string::npos,
+                "ilu_apply abort '%s' (target %lld, site=%d, %s, t=%d)",
+                what.c_str(), static_cast<long long>(target),
+                static_cast<int>(site), backend_name(backend), threads);
+      what.clear();
+      try {
+        ilu_apply_spmv(f, a, fs, r, z, t, ws);
+      } catch (const AbortError& e) {
+        what = e.what();
+      }
+      CHECK_MSG(what.find(row_text(target)) != std::string::npos,
+                "fused apply abort '%s' (target %lld, site=%d, %s, t=%d)",
+                what.c_str(), static_cast<long long>(target),
+                static_cast<int>(site), backend_name(backend), threads);
+    }
+
+    // Panel path, both sites, both branches: k = 4 runs the column split
+    // at teams 1, 2 and 4 and the scheduled sweep at team 8; k = 2 also
+    // runs the scheduled sweep at team 4. The error names the vetoed sweep
+    // and row, and z is left untouched.
+    for (const index_t k : {index_t{2}, index_t{4}}) {
+      const auto rp = random_vector(n * k, 0xB0B ^ 1);
+      const value_t sentinel = -7.25;
+      std::vector<value_t> zp(un * static_cast<std::size_t>(k), sentinel);
+      for (FaultSite site :
+           {FaultSite::kForwardRow, FaultSite::kBackwardRow}) {
+        f.opts.fault_hook = poison(site, target);
+        std::string what;
+        try {
+          ilu_apply_panel(f, rp, zp, k, ws);
+        } catch (const AbortError& e) {
+          what = e.what();
+        }
+        const std::string expect =
+            std::string("panel ") +
+            (site == FaultSite::kForwardRow ? "forward" : "backward") +
+            " sweep " + row_text(target);
+        CHECK_MSG(what.find(expect) != std::string::npos,
+                  "panel abort '%s' (k=%d, site=%d, %s, t=%d)", what.c_str(),
+                  static_cast<int>(k), static_cast<int>(site),
+                  backend_name(backend), threads);
+        CHECK_MSG(std::all_of(zp.begin(), zp.end(),
+                              [&](value_t v) { return v == sentinel; }),
+                  "aborted panel apply wrote z (k=%d, site=%d, %s, t=%d)",
+                  static_cast<int>(k), static_cast<int>(site),
+                  backend_name(backend), threads);
+      }
     }
   }
 
@@ -413,6 +479,8 @@ int main() {
       check_factor_abort(fem, backend, threads);
       check_sweep_abort(grid, backend, threads);
       check_sweep_abort(fem, backend, threads);
+      check_hook_counts(grid, backend, threads);
+      check_hook_counts(fem, backend, threads);
     }
   }
 

@@ -1,5 +1,6 @@
 // Property tests of the triangular-solve subsystem: the P2P fwd+bwd sweeps
-// must match the serial reference solve bitwise, and on a matrix whose ILU(0)
+// must match the serial reference solve bitwise — also when the moved levels
+// are wide enough to carry cross-thread waits — and on a matrix whose ILU(0)
 // is exact (tridiagonal) ilu_apply must invert A to rounding accuracy.
 #include <random>
 
@@ -41,7 +42,7 @@ void check_apply_parity(const char* name, const CsrMatrix& a, IluOptions opts) {
   auto xp = random_vector(f.n(), 0xBEEF);
   auto xs = xp;
   SolveWorkspace ws;
-  ws.resize(f.n(), f.plan.num_lower_rows());
+  ws.resize(f.n());
   trsv_forward(f, xp, ws);
   trsv_forward_serial(f, xs);
   CHECK(javelin::test::bitwise_equal(xp, xs));
@@ -57,6 +58,28 @@ void check_apply_parity(const char* name, const CsrMatrix& a, IluOptions opts) {
   trsv_forward(f, x_p2p, ws);
   trsv_backward(f, x_p2p, ws);
   CHECK(javelin::test::bitwise_equal(x_p2p, x_ref));
+}
+
+/// The forward schedule must hold waits on items of the moved levels (rows
+/// >= n_upper), so the parity checks above exercise cross-thread
+/// synchronization there.
+void check_moved_waits(const char* name, const CsrMatrix& a,
+                       const IluOptions& opts) {
+  const Factorization f = ilu_prepare(a, opts);
+  const ExecSchedule& s = f.fwd;
+  index_t moved_waits = 0;
+  for (index_t i = 0; i < s.num_items(); ++i) {
+    const index_t first = s.rows[static_cast<std::size_t>(
+        s.item_ptr[static_cast<std::size_t>(i)])];
+    if (first >= f.plan.n_upper) {
+      moved_waits += s.wait_ptr[static_cast<std::size_t>(i) + 1] -
+                     s.wait_ptr[static_cast<std::size_t>(i)];
+    }
+  }
+  CHECK_MSG(f.plan.n_upper < f.n() && moved_waits > 0,
+            "%s: %lld of %lld rows moved, %lld waits in the moved levels",
+            name, static_cast<long long>(f.n() - f.plan.n_upper),
+            static_cast<long long>(f.n()), static_cast<long long>(moved_waits));
 }
 
 }  // namespace
@@ -83,6 +106,24 @@ int main() {
     opts.fill_level = 0;
     opts.lower_method = LowerMethod::kSegmentedRows;
     check_apply_parity("chain-sr", chain, opts);
+
+    // Wide moved levels: the density rule moves every trailing level, and
+    // 4-row items spread each one over the team, so the moved levels of the
+    // forward sweep carry cross-thread waits (on the defaults above every
+    // moved level fits in one item on one thread).
+    IluOptions wide = opts;
+    wide.p2p_chunk_rows = 4;
+    wide.density_factor = 1e-9;
+    for (LowerMethod m :
+         {LowerMethod::kEvenRows, LowerMethod::kSegmentedRows}) {
+      wide.lower_method = m;
+      check_apply_parity("grid-wide", grid, wide);
+      check_apply_parity("fem-wide", fem, wide);
+    }
+    if (threads == 4) {
+      check_moved_waits("grid-wide", grid, wide);
+      check_moved_waits("fem-wide", fem, wide);
+    }
   }
 
   // Tridiagonal matrix: ILU(0) is the exact LU, so the preconditioner is the

@@ -361,8 +361,6 @@ struct MatrixReport {
   index_t n = 0;
   index_t nnz = 0;
   index_t levels = 0;
-  index_t rows_moved = 0;
-  std::string method;
   int pcg_iterations = -1;   // ILU-Krylov on the 1st thread count (P2P)
   int pcg_iterations_ls = -1;  // same solve under the barrier backend
   int amg_iterations = -1;   // AMG-PCG (iteration counts are thread-invariant)
@@ -645,9 +643,7 @@ MatrixReport bench_matrix(const gen::SuiteEntry& e, const BenchConfig& cfg) {
       if (!row_ok) rep.schedule_verified = 0;
     }
     if (ti == 0) {
-      rep.levels = f.plan.total_levels;
-      rep.rows_moved = f.plan.rows_moved;
-      rep.method = lower_method_name(f.plan.method);
+      rep.levels = f.plan.num_levels();
     }
     {
       const RepTimes rt =
@@ -945,6 +941,9 @@ MatrixReport bench_matrix(const gen::SuiteEntry& e, const BenchConfig& cfg) {
 
 void write_json(const BenchConfig& cfg, const std::vector<MatrixReport>& reps) {
   std::ofstream os(cfg.out);
+  // schema_version 8 removes the per-matrix rows_moved and method fields:
+  // every row is level-scheduled, so nothing moves and no lower-stage
+  // method exists; `levels` is the plan's level count.
   // schema_version 7 removes the fields of the deleted per-level sync mix
   // (two autotune flags, one --verify coverage count and two level-width
   // fields of sched_fwd/sched_bwd; README lists them), and best_fixed is
@@ -965,7 +964,7 @@ void write_json(const BenchConfig& cfg, const std::vector<MatrixReport>& reps) {
   // 3 added the robust_* breakdown-retry trail and robust_only; 2 added
   // tier / streams headers, the throughput table, peak_rss_mb and trimmed.
   // See README "Benchmark JSON schema".
-  os << "{\n  \"schema_version\": 7,\n  \"tier\": \"" << cfg.tier
+  os << "{\n  \"schema_version\": 8,\n  \"tier\": \"" << cfg.tier
      << "\",\n  \"suite_scale\": " << cfg.scale
      << ",\n  \"fill_level\": " << cfg.fill << ",\n  \"reps\": " << cfg.reps
      << ",\n  \"threads\": [";
@@ -981,8 +980,7 @@ void write_json(const BenchConfig& cfg, const std::vector<MatrixReport>& reps) {
     const MatrixReport& r = reps[i];
     os << "    {\"matrix\": \"" << r.name << "\", \"n\": " << r.n
        << ", \"nnz\": " << r.nnz << ", \"levels\": " << r.levels
-       << ", \"rows_moved\": " << r.rows_moved << ", \"method\": \""
-       << r.method << "\", \"krylov_iterations\": " << r.pcg_iterations
+       << ", \"krylov_iterations\": " << r.pcg_iterations
        << ", \"krylov_iterations_ls\": " << r.pcg_iterations_ls
        << ", \"amg_iterations\": " << r.amg_iterations
        << ", \"amg_levels\": " << r.amg_levels

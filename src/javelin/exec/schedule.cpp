@@ -289,57 +289,36 @@ DepsFn upper_triangular_deps(const CsrMatrix& lu) {
   };
 }
 
-namespace {
-
-/// The plan's levels as one ascending level_ptr over all n rows: the upper
-/// levels, then n_upper + the moved ones.
-std::vector<index_t> plan_level_ptr(index_t n,
-                                    std::span<const index_t> upper_level_ptr,
-                                    std::span<const index_t> lower_level_ptr) {
-  JAVELIN_CHECK(!upper_level_ptr.empty() && upper_level_ptr.front() == 0,
-                "plan levels must start at row 0");
-  const index_t n_upper = upper_level_ptr.back();
-  JAVELIN_CHECK(
-      n_upper + (lower_level_ptr.empty() ? 0 : lower_level_ptr.back()) == n,
-      "plan levels must cover every row");
-  std::vector<index_t> level_ptr(upper_level_ptr.begin(),
-                                 upper_level_ptr.end());
-  for (std::size_t k = 1; k < lower_level_ptr.size(); ++k) {
-    level_ptr.push_back(n_upper + lower_level_ptr[k]);
-  }
-  return level_ptr;
-}
-
-}  // namespace
-
 ExecSchedule build_forward_schedule(const CsrMatrix& lu,
-                                    std::span<const index_t> upper_level_ptr,
-                                    std::span<const index_t> lower_level_ptr,
+                                    std::span<const index_t> level_ptr,
                                     ExecBackend backend, int threads,
                                     index_t chunk_rows) {
   const index_t n = lu.rows();
+  JAVELIN_CHECK(!level_ptr.empty() && level_ptr.front() == 0 &&
+                    level_ptr.back() == n,
+                "plan levels must cover every row");
   std::vector<index_t> rows(static_cast<std::size_t>(n));
   for (index_t k = 0; k < n; ++k) rows[static_cast<std::size_t>(k)] = k;
   return build_exec_schedule(
-      backend, n, plan_level_ptr(n, upper_level_ptr, lower_level_ptr),
+      backend, n, std::vector<index_t>(level_ptr.begin(), level_ptr.end()),
       std::move(rows), lower_triangular_deps(lu), threads, chunk_rows);
 }
 
 ExecSchedule build_backward_schedule(const CsrMatrix& lu,
-                                     std::span<const index_t> upper_level_ptr,
-                                     std::span<const index_t> lower_level_ptr,
+                                     std::span<const index_t> level_ptr,
                                      ExecBackend backend, int threads,
                                      index_t chunk_rows) {
   const index_t n = lu.rows();
+  JAVELIN_CHECK(!level_ptr.empty() && level_ptr.front() == 0 &&
+                    level_ptr.back() == n,
+                "plan levels must cover every row");
   // Plan level k covers rows [b_k, b_k+1); listed last to first with rows
   // descending, it occupies serial positions [n - b_k+1, n - b_k).
-  std::vector<index_t> level_ptr =
-      plan_level_ptr(n, upper_level_ptr, lower_level_ptr);
-  std::reverse(level_ptr.begin(), level_ptr.end());
-  for (index_t& b : level_ptr) b = n - b;
+  std::vector<index_t> rev(level_ptr.rbegin(), level_ptr.rend());
+  for (index_t& b : rev) b = n - b;
   std::vector<index_t> rows(static_cast<std::size_t>(n));
   for (index_t k = 0; k < n; ++k) rows[static_cast<std::size_t>(k)] = n - 1 - k;
-  return build_exec_schedule(backend, n, std::move(level_ptr), std::move(rows),
+  return build_exec_schedule(backend, n, std::move(rev), std::move(rows),
                              upper_triangular_deps(lu), threads, chunk_rows);
 }
 

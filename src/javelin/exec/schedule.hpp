@@ -157,7 +157,7 @@ struct ExecSchedule {
 
 /// Yields the dependency rows of a given row (rows that must complete
 /// first). Dependencies outside the scheduled row set are ignored (they are
-/// satisfied by construction — e.g. upper-stage rows for the corner).
+/// taken as satisfied before the region starts).
 using DepsFn = std::function<void(index_t row, const std::function<void(index_t)>& yield)>;
 
 /// The optional TAIL phase of a region (exec/run.hpp): after its last item,
@@ -247,19 +247,16 @@ ExecSchedule retarget(const ExecSchedule& s, const DepsFn& deps, int threads);
 DepsFn lower_triangular_deps(const CsrMatrix& lu);  ///< strictly-lower cols
 DepsFn upper_triangular_deps(const CsrMatrix& lu);  ///< strictly-upper cols
 
-/// Forward schedule over ALL rows, on the plan's own levels: the upper
-/// levels (`upper_level_ptr`) followed by the moved ones (n_upper +
-/// `lower_level_ptr`, which may be empty), rows ascending, so serial_order
-/// is 0 … n-1 and every level is one contiguous row range. Dependencies are
-/// the strictly-lower columns of `lu` — both the forward-solve and the
-/// upper-stage factorization dependency structure (the co-design of paper
-/// §VI; the numeric phase skips the moved rows, which the lower stage
-/// factors). The plan's levels are level-major on lower(S+Sᵀ) and
-/// lu = P S Pᵀ, so an L entry (r, c), c < r, joins two rows adjacent in S+Sᵀ
-/// and level(c) < level(r).
+/// Forward schedule over ALL rows, on the plan's levels (`level_ptr`,
+/// which must run from 0 to n), rows ascending, so serial_order is 0 … n-1
+/// and every level is one contiguous row range. Dependencies are the
+/// strictly-lower columns of `lu`, which are both the forward-solve and the
+/// numeric factorization's dependency structure (the co-design of paper
+/// §VI). The plan's levels are level-major on lower(S+Sᵀ) and
+/// lu = P S Pᵀ, so an L entry (r, c), c < r, joins two rows adjacent in
+/// S+Sᵀ and level(c) < level(r).
 ExecSchedule build_forward_schedule(const CsrMatrix& lu,
-                                    std::span<const index_t> upper_level_ptr,
-                                    std::span<const index_t> lower_level_ptr,
+                                    std::span<const index_t> level_ptr,
                                     ExecBackend backend, int threads,
                                     index_t chunk_rows = kDefaultChunkRows);
 
@@ -270,8 +267,7 @@ ExecSchedule build_forward_schedule(const CsrMatrix& lu,
 /// level(r) for a U entry (r, c), the reversed plan levels are a valid U
 /// order.
 ExecSchedule build_backward_schedule(const CsrMatrix& lu,
-                                     std::span<const index_t> upper_level_ptr,
-                                     std::span<const index_t> lower_level_ptr,
+                                     std::span<const index_t> level_ptr,
                                      ExecBackend backend, int threads,
                                      index_t chunk_rows = kDefaultChunkRows);
 

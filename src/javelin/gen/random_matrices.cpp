@@ -96,8 +96,8 @@ CsrMatrix power_system(index_t n, index_t dense_rows, index_t dense_row_nnz,
     coo.push(i, i, 1.0);
   }
   // Dense rows spread through the back half of the matrix (power-flow
-  // Jacobian blocks): these create the high-RD, unbalanced rows the SR lower
-  // stage is designed for (paper §III-B).
+  // Jacobian blocks): these create the high-RD, unbalanced rows the paper's
+  // Segmented-Rows lower stage was designed for (§III-B).
   for (index_t d = 0; d < dense_rows; ++d) {
     const index_t r = n / 2 + static_cast<index_t>(
         rng.below(static_cast<std::uint64_t>(std::max<index_t>(1, n / 2))));

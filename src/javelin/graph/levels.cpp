@@ -4,21 +4,8 @@
 
 #include "javelin/sparse/ops.hpp"
 #include "javelin/support/scan.hpp"
-#include "javelin/support/stats.hpp"
 
 namespace javelin {
-
-LevelSets::Stats LevelSets::stats() const {
-  Stats s;
-  s.num_levels = num_levels();
-  if (s.num_levels == 0) return s;
-  std::vector<index_t> sizes(static_cast<std::size_t>(s.num_levels));
-  for (index_t l = 0; l < s.num_levels; ++l) sizes[static_cast<std::size_t>(l)] = level_size(l);
-  s.min_rows = min_value(std::span<const index_t>(sizes));
-  s.max_rows = max_value(std::span<const index_t>(sizes));
-  s.median_rows = median(std::span<const index_t>(sizes));
-  return s;
-}
 
 LevelSets compute_level_sets(const CsrMatrix& a) {
   JAVELIN_CHECK(a.square(), "level scheduling requires a square matrix");
@@ -55,12 +42,6 @@ LevelSets compute_level_sets_lower(const CsrMatrix& lower) {
         cursor[static_cast<std::size_t>(ls.level[static_cast<std::size_t>(r)])]++)] = r;
   }
   return ls;
-}
-
-std::vector<index_t> level_order_permutation(const LevelSets& ls) {
-  // rows_by_level is already (level-major, ascending-row) — exactly the
-  // new-to-old permutation we want.
-  return ls.rows_by_level;
 }
 
 }  // namespace javelin

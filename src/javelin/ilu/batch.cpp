@@ -31,12 +31,12 @@ void check_panel(const Factorization& f, std::size_t r_size, std::size_t z_size,
                 std::string(what) + ": solution panel smaller than n x k");
 }
 
-/// Panel gather x = P r (columns independent; elementwise, so the parallel
-/// split never changes values).
+/// Panel gather x = P r on a team of `team` threads (columns independent;
+/// elementwise, so the parallel split never changes values).
 void gather_panel(std::span<const index_t> perm, std::span<const value_t> r,
-                  value_t* x, index_t n, index_t k) {
+                  value_t* x, index_t n, index_t k, int team) {
   const std::size_t un = static_cast<std::size_t>(n);
-#pragma omp parallel for collapse(2) schedule(static)
+#pragma omp parallel for num_threads(team) collapse(2) schedule(static)
   for (index_t j = 0; j < k; ++j) {
     for (index_t i = 0; i < n; ++i) {
       x[static_cast<std::size_t>(j) * un + static_cast<std::size_t>(i)] =
@@ -46,11 +46,11 @@ void gather_panel(std::span<const index_t> perm, std::span<const value_t> r,
   }
 }
 
-/// Panel scatter z = Pᵀ x.
+/// Panel scatter z = Pᵀ x on a team of `team` threads.
 void scatter_panel(std::span<const index_t> perm, const value_t* x,
-                   std::span<value_t> z, index_t n, index_t k) {
+                   std::span<value_t> z, index_t n, index_t k, int team) {
   const std::size_t un = static_cast<std::size_t>(n);
-#pragma omp parallel for collapse(2) schedule(static)
+#pragma omp parallel for num_threads(team) collapse(2) schedule(static)
   for (index_t j = 0; j < k; ++j) {
     for (index_t i = 0; i < n; ++i) {
       z[static_cast<std::size_t>(j) * un +
@@ -174,7 +174,7 @@ void apply_by_columns(const Factorization& f, std::span<const value_t> r,
     }
   }
   if (abort.aborted()) throw_panel_abort(vetoed, abort.row());
-  if (hooked) scatter_panel(f.plan.perm, x, z, f.n(), k);
+  if (hooked) scatter_panel(f.plan.perm, x, z, f.n(), k, team);
 }
 
 }  // namespace
@@ -195,7 +195,7 @@ void ilu_apply_panel(const Factorization& f, std::span<const value_t> r,
 
   // Fewer columns than threads (or an instrumented apply): the row-parallel
   // panel sweep under the factor's schedules.
-  gather_panel(f.plan.perm, r, x, n, k);
+  gather_panel(f.plan.perm, r, x, n, k, team);
   const ExecStatus fst = detail::forward_sweep_panel(f, x, un, k, ws);
   if (!fst.ok()) throw_panel_abort(FaultSite::kForwardRow, fst.row);
   const CsrMatrix& lu = f.lu;
@@ -211,7 +211,7 @@ void ilu_apply_panel(const Factorization& f, std::span<const value_t> r,
   // Converted OUTSIDE the parallel region: the abort itself drained
   // cooperatively; the throw is what exercises caller RAII (leases).
   if (!bst.ok()) throw_panel_abort(FaultSite::kBackwardRow, bst.row);
-  scatter_panel(f.plan.perm, x, z, n, k);
+  scatter_panel(f.plan.perm, x, z, n, k, team);
 }
 
 WorkspacePool::Lease WorkspacePool::acquire() {

@@ -1,11 +1,10 @@
-// The complete Javelin factorization object: symbolic pattern, two-stage
-// plan, execution schedules (the forward solve runs the plan's levels, and
-// the upper-stage factorization the same schedule; the backward solve runs
-// those levels reversed; all run under the pluggable exec/ backend — P2P
-// spin-waits or barrier CSR-LS), and the numeric factor itself. Built once,
-// then reused by thousands of triangular solves (paper §VI: "the incomplete
-// factorization may only be formed once, but stri may be called thousands
-// of times").
+// The complete Javelin factorization object: symbolic pattern, level plan,
+// execution schedules (the forward solve and the numeric factorization run
+// the plan's levels; the backward solve runs them reversed; all run under
+// the pluggable exec/ backend — P2P spin-waits or barrier CSR-LS), and the
+// numeric factor itself. Built once, then reused by thousands of triangular
+// solves (paper §VI: "the incomplete factorization may only be formed once,
+// but stri may be called thousands of times").
 #pragma once
 
 #include <memory>
@@ -50,65 +49,24 @@ struct ScheduleCache {
   ~ScheduleCache();
 };
 
-/// One tile of the SR lower stage: a contiguous nonzero range of one lower
-/// row falling inside one upper level's column range (tiles never split a
-/// row-level segment, which keeps every update row-owned and race-free).
-struct SrTile {
-  index_t row = 0;      ///< permuted row index (>= n_upper)
-  index_t nz_begin = 0; ///< range inside the factor's nonzero arrays
-  index_t nz_end = 0;
-};
-
-/// Tiles grouped by upper level: tiles for level l are
-/// tiles[tile_ptr[l] .. tile_ptr[l+1]). Tasks within a level are
-/// independent; levels are separated by a taskwait (paper Fig. 6).
-///
-/// Tiles are additionally coalesced into TASKS of ~tile_nnz nonzeros: task t
-/// spans tiles [task_tile_ptr[t], task_tile_ptr[t+1]), and level l owns
-/// tasks [level_task_ptr[l], level_task_ptr[l+1]). Grouping adjacent small
-/// same-level segments keeps per-task OpenMP overhead bounded on matrices
-/// with many tiny row-level segments (the overhead profile measured with
-/// VTune in paper §V) while every tile stays row-owned and race-free.
-struct SrTiling {
-  std::vector<index_t> tile_ptr;
-  std::vector<SrTile> tiles;
-  /// Task boundaries as tile indices; size = num_tasks + 1.
-  std::vector<index_t> task_tile_ptr;
-  /// Per-level task ranges; size = num_levels + 1.
-  std::vector<index_t> level_task_ptr;
-  /// Levels that actually own tiles (others are skipped at run time).
-  index_t active_levels = 0;
-
-  index_t num_tasks() const noexcept {
-    return task_tile_ptr.empty() ? 0
-                                 : static_cast<index_t>(task_tile_ptr.size()) - 1;
-  }
-};
-
 struct Factorization {
   IluOptions opts;
   SymbolicStats symbolic;
-  TwoStagePlan plan;
+  LevelPlan plan;
 
   /// The factor in the plan's permuted ordering: L (unit diag implicit)
   /// strictly below, U (incl. diagonal) on/above.
   CsrMatrix lu;
   std::vector<index_t> diag_pos;
 
-  /// Forward schedule over all rows: the plan's levels (upper, then moved)
-  /// first to last, rows ascending, so serial_order is 0 … n-1
-  /// (build_forward_schedule). The forward solve runs every row; the
-  /// upper-stage factorization runs it too, skipping the moved rows.
+  /// Forward schedule over all rows: the plan's levels first to last, rows
+  /// ascending, so serial_order is 0 … n-1 (build_forward_schedule). The
+  /// forward solve and the numeric factorization both run every row of it.
   ExecSchedule fwd;
-  /// Backward-solve schedule over all rows: the plan's levels (upper, then
-  /// moved) last to first, rows descending, so serial_order is n-1 … 0
+  /// Backward-solve schedule over all rows: the plan's levels last to
+  /// first, rows descending, so serial_order is n-1 … 0
   /// (build_backward_schedule).
   ExecSchedule bwd;
-  /// SR tiling (empty unless plan.method == kSegmentedRows).
-  SrTiling sr;
-  /// Barrier level-set schedule of the corner block, over LOCAL row indices
-  /// [0, num_lower_rows) (only when opts.parallel_corner).
-  ExecSchedule corner;
   /// Retargeted schedules for a refactorization team that differs from the
   /// plan (ilu_factor_numeric); solves cache in their workspace instead.
   ScheduleCache numeric_cache;
@@ -140,7 +98,7 @@ struct FactorStatus {
 };
 
 /// Factor `a` with the full Javelin pipeline (level planning, permutation,
-/// two-stage parallel numeric factorization). `a` is expected to be
+/// level-scheduled parallel numeric factorization). `a` is expected to be
 /// preordered already (paper §IV: "we assume that the given matrix is
 /// already ordered"); the plan's internal level permutation is applied on
 /// top and recorded in plan.perm. Throws Error on a numeric breakdown; use
@@ -185,11 +143,6 @@ void build_scatter_map(Factorization& f, const CsrMatrix& a);
 /// binary search per nonzero), kept as the benchmark baseline the persistent
 /// map is measured against.
 void scatter_values_searched(Factorization& f, const CsrMatrix& a);
-
-/// Build tiles for the SR lower stage from the permuted factor, coalescing
-/// adjacent same-level tiles into tasks of up to tile_nnz nonzeros.
-SrTiling build_sr_tiling(const CsrMatrix& lu, const TwoStagePlan& plan,
-                         index_t tile_nnz);
 
 // --- runtime retargeting (ilu/retarget.cpp) --------------------------------
 

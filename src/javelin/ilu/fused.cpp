@@ -17,7 +17,7 @@ using detail::lower_partial;
 using detail::spmv_row;
 
 FusedApplySpmv build_fused_apply_spmv(const ExecSchedule& bwd,
-                                      const TwoStagePlan& plan,
+                                      const LevelPlan& plan,
                                       const CsrMatrix& a, index_t chunk_rows) {
   JAVELIN_CHECK(a.rows() == plan.n && a.cols() == plan.n,
                 "fused apply+spmv requires A with the factor's dimension");
@@ -88,7 +88,7 @@ FusedApplySpmv build_fused_apply_spmv(const ExecSchedule& bwd,
   return fs;
 }
 
-TailDepsFn fused_tail_deps(const FusedApplySpmv& fs, const TwoStagePlan& plan,
+TailDepsFn fused_tail_deps(const FusedApplySpmv& fs, const LevelPlan& plan,
                            const CsrMatrix& a) {
   return [&fs, &a, to_perm = invert_permutation(plan.perm)](
              index_t c,

@@ -86,7 +86,7 @@ inline constexpr index_t kDefaultSpmvChunkRows = 1024;
 /// (the retarget path rebuilds through this for the runtime team). `plan`
 /// supplies the permutation; `a` is square with the factor's dimension.
 FusedApplySpmv build_fused_apply_spmv(const ExecSchedule& bwd,
-                                      const TwoStagePlan& plan,
+                                      const LevelPlan& plan,
                                       const CsrMatrix& a,
                                       index_t chunk_rows = kDefaultSpmvChunkRows);
 
@@ -103,7 +103,7 @@ FusedApplySpmv build_fused_apply_spmv(const Factorization& f,
 /// verify::verify_tail: chunk c's A row r reads column j, which the
 /// backward sweep finishes at permuted row invperm(j). The closure refers
 /// to `fs` and `a`, which must outlive it.
-TailDepsFn fused_tail_deps(const FusedApplySpmv& fs, const TwoStagePlan& plan,
+TailDepsFn fused_tail_deps(const FusedApplySpmv& fs, const LevelPlan& plan,
                            const CsrMatrix& a);
 
 /// z = (LU)^{-1} r and t = A z in one fused pass. r, z and t are in the

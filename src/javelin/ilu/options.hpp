@@ -1,8 +1,10 @@
 // User-facing options of the Javelin framework (paper §III: fill level k,
-// drop tolerance τ, modified ILU, lower-stage method and the planner
-// sensitivity knobs of Tables III/IV). Levels are always computed on
+// drop tolerance τ, modified ILU; then scheduling, execution backend,
+// batching, fault injection and telemetry). Levels are always computed on
 // lower(A+Aᵀ) (paper §VII: "we by default always recommend using the
-// lower(A+Aᵀ) pattern").
+// lower(A+Aᵀ) pattern"), and every row is level-scheduled, so the paper's
+// lower-stage method and planner sensitivity knobs (Tables III/IV) have no
+// counterpart here.
 #pragma once
 
 #include <functional>
@@ -18,7 +20,7 @@ class ExecObs;  // obs/exec_obs.hpp
 
 /// Where a fault-injection hook fires (see IluOptions::fault_hook).
 enum class FaultSite {
-  kFactorRow,   ///< after a numeric-phase row factored (upper stage or corner)
+  kFactorRow,   ///< after a numeric-phase row factored
   kForwardRow,  ///< after a forward-sweep row (incl. fused/panel variants)
   kBackwardRow, ///< after a backward-sweep row (incl. fused/panel variants)
 };
@@ -29,13 +31,6 @@ enum class FaultSite {
 /// An empty hook (the default) keeps every hot path on its unguarded,
 /// zero-polling variant.
 using FaultHook = std::function<bool(FaultSite, index_t)>;
-
-/// Which method factors the rows excluded from level scheduling (paper
-/// §III-B). kAuto lets the planner choose from the matrix structure, as the
-/// paper's default does.
-enum class LowerMethod { kNone, kEvenRows, kSegmentedRows, kAuto };
-
-const char* lower_method_name(LowerMethod m);
 
 struct IluOptions {
   // --- numerical options -----------------------------------------------
@@ -53,29 +48,11 @@ struct IluOptions {
   double pivot_threshold = 1e-14;
 
   // --- scheduling options ------------------------------------------------
-  /// Lower-stage method.
-  LowerMethod lower_method = LowerMethod::kAuto;
-  /// A level is "too small" for the upper stage when it has fewer rows than
-  /// this (the sensitivity parameter α of Table III's R-16/24/32 columns).
-  /// <= 0 means "derive from thread count" (2·threads, at least 16).
-  index_t min_level_rows = 0;
-  /// A trailing level is also moved to the lower stage when its mean row
-  /// density exceeds this multiple of the matrix mean ("row density" rule).
-  double density_factor = 8.0;
-  /// Only levels in the trailing fraction of the level order may be moved
-  /// ("relative location" rule; Fig. 3's sandwiched small levels stay).
-  double relative_location = 0.5;
-  /// SR tile size: target nonzeros per tile/task.
-  index_t sr_tile_nnz = 256;
   /// Rows per point-to-point schedule item (blocked trsv/factorization):
   /// each item issues one merged wait list and one counter publish for the
   /// whole row block, amortizing the spin-wait checks inside a level.
   /// Chunks never cross a level boundary. <= 0 means the built-in default.
   index_t p2p_chunk_rows = 0;
-  /// Factor the lower-stage corner block in parallel (level-scheduled)
-  /// instead of serially. Default off: "for most matrices, serial seems to
-  /// be good enough" (paper §III-B).
-  bool parallel_corner = false;
   /// Thread count to plan for; <= 0 means use the OpenMP default.
   int num_threads = 0;
   /// Runtime team override installed by the autotuner (tune/): when > 0 the

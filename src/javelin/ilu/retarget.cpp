@@ -101,8 +101,6 @@ void set_exec_backend(Factorization& f, ExecBackend backend) {
   f.bwd.backend = backend;
   f.numeric_cache.fwd.backend = backend;
   f.numeric_cache.bwd.backend = backend;
-  // The corner schedule stays kBarrier: its levels are tiny and the paper
-  // treats the corner as a serial afterthought (§III-B).
 }
 
 }  // namespace javelin

@@ -1,9 +1,10 @@
 // The up-looking row elimination kernel (paper Fig. 1) shared by every
-// execution path: serial, upper-stage point-to-point, ER and SR lower
-// stages, and the corner factorization. Keeping one kernel guarantees the
-// parallel factorizations are bitwise identical to the serial one — the
-// within-row arithmetic order is fixed by the CSR column order, and rows
-// never race (each row has exactly one writer).
+// execution path: the serial reference and the numeric phase, which runs it
+// for every row under the forward schedule. Keeping one kernel, run once
+// per row, guarantees the parallel factorizations are bitwise identical to
+// the serial one, modified ILU included — the within-row arithmetic order
+// is fixed by the CSR column order, and rows never race (each row has
+// exactly one writer).
 #pragma once
 
 #include <cmath>
@@ -12,12 +13,15 @@
 
 #include "javelin/ilu/options.hpp"
 #include "javelin/sparse/csr.hpp"
+#include "javelin/support/spinwait.hpp"
 
 namespace javelin {
 
 /// Per-thread scratch for row elimination: a stamped position map
 /// (column -> nonzero index of the active row) that avoids O(n) clears.
-class RowWorkspace {
+/// Cache-line aligned: its owner bumps generation_ once per row, and a
+/// neighbouring thread's workspace on the same line would ping-pong it.
+class alignas(kCacheLine) RowWorkspace {
  public:
   explicit RowWorkspace(index_t n)
       : pos_(static_cast<std::size_t>(n), 0), stamp_(static_cast<std::size_t>(n), 0) {}
@@ -59,26 +63,19 @@ struct FactorView {
   std::span<const index_t> diag_pos;
 };
 
-/// Eliminate columns [col_lo, col_hi) of row `r` against already-factored
-/// rows (up-looking). Only dependency columns inside the window are
-/// processed; the window is how the two-stage methods restrict a pass:
-///   * full factorization:        [0, r)
-///   * ER / SR phase one:         [0, n_upper)
-///   * corner factorization:      [n_upper, r)
-/// Requires ws.begin_row() + marks for ALL columns of row r to be in place
-/// (call mark_row first). Updates are applied to every marked column to the
-/// right of the eliminated one; in modified mode, discarded fill accumulates
-/// into the diagonal value.
-inline void eliminate_window(const FactorView& f, index_t r, index_t col_lo,
-                             index_t col_hi, const RowWorkspace& ws,
-                             const RowKernelParams& p) {
+/// Eliminate every column left of the diagonal of row `r` against the
+/// already-factored rows (up-looking). Requires ws.begin_row() + marks for
+/// ALL columns of row r to be in place (call mark_row first). Updates are
+/// applied to every marked column to the right of the eliminated one; in
+/// modified mode, discarded fill accumulates into the diagonal value.
+inline void eliminate_row(const FactorView& f, index_t r,
+                          const RowWorkspace& ws, const RowKernelParams& p) {
   const index_t lo = f.row_ptr[static_cast<std::size_t>(r)];
   const index_t hi = f.row_ptr[static_cast<std::size_t>(r) + 1];
   value_t milu_acc = 0;
   for (index_t k = lo; k < hi; ++k) {
     const index_t j = f.col_idx[static_cast<std::size_t>(k)];
-    if (j >= col_hi || j >= r) break;  // columns sorted; past the window
-    if (j < col_lo) continue;
+    if (j >= r) break;  // columns sorted; past the strict lower part
     const value_t piv = f.values[static_cast<std::size_t>(f.diag_pos[static_cast<std::size_t>(j)])];
     value_t lij = f.values[static_cast<std::size_t>(k)] / piv;
     if (p.drop_tolerance > 0.0 && std::abs(lij) < p.drop_tolerance) {
@@ -104,44 +101,6 @@ inline void eliminate_window(const FactorView& f, index_t r, index_t col_lo,
     }
   }
   if (p.modified && milu_acc != 0) {
-    f.values[static_cast<std::size_t>(f.diag_pos[static_cast<std::size_t>(r)])] -= milu_acc;
-  }
-}
-
-/// Variant of eliminate_window addressed by nonzero range instead of column
-/// window: eliminates exactly the stored entries [nz_begin, nz_end) of row r
-/// (all must lie strictly left of the diagonal). Used by SR tiles, which
-/// already know their nonzero extents and must not rescan the row.
-inline void eliminate_nz_range(const FactorView& f, index_t r, index_t nz_begin,
-                               index_t nz_end, const RowWorkspace& ws,
-                               const RowKernelParams& p) {
-  value_t milu_acc = 0;
-  for (index_t k = nz_begin; k < nz_end; ++k) {
-    const index_t j = f.col_idx[static_cast<std::size_t>(k)];
-    const value_t piv = f.values[static_cast<std::size_t>(f.diag_pos[static_cast<std::size_t>(j)])];
-    value_t lij = f.values[static_cast<std::size_t>(k)] / piv;
-    if (p.drop_tolerance > 0.0 && std::abs(lij) < p.drop_tolerance) {
-      if (p.modified) milu_acc += lij * piv;
-      f.values[static_cast<std::size_t>(k)] = 0;
-      continue;
-    }
-    f.values[static_cast<std::size_t>(k)] = lij;
-    const index_t jlo = f.diag_pos[static_cast<std::size_t>(j)] + 1;
-    const index_t jhi = f.row_ptr[static_cast<std::size_t>(j) + 1];
-    for (index_t m = jlo; m < jhi; ++m) {
-      const index_t col = f.col_idx[static_cast<std::size_t>(m)];
-      const index_t tgt = ws.find(col);
-      const value_t upd = lij * f.values[static_cast<std::size_t>(m)];
-      if (tgt != kInvalidIndex) {
-        f.values[static_cast<std::size_t>(tgt)] -= upd;
-      } else if (p.modified) {
-        milu_acc += upd;
-      }
-    }
-  }
-  if (p.modified && milu_acc != 0) {
-    // No atomicity needed: a row has at most one tile per level and levels
-    // are separated by taskwait, so row r's entries have a single writer.
     f.values[static_cast<std::size_t>(f.diag_pos[static_cast<std::size_t>(r)])] -= milu_acc;
   }
 }
@@ -185,7 +144,7 @@ inline bool finish_row(const FactorView& f, index_t r, const RowKernelParams& p)
 inline bool factor_row(const FactorView& f, index_t r, RowWorkspace& ws,
                        const RowKernelParams& p) {
   mark_row(f, r, ws);
-  eliminate_window(f, r, 0, r, ws, p);
+  eliminate_row(f, r, ws, p);
   return finish_row(f, r, p);
 }
 

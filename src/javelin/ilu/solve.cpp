@@ -57,7 +57,11 @@ ExecStatus ilu_apply_status(const Factorization& f, std::span<const value_t> r,
   const auto& perm = f.plan.perm;
   const std::span<value_t> x =
       std::span<value_t>(ws.x).first(static_cast<std::size_t>(n));
-#pragma omp parallel for schedule(static)
+  // The permutes run at the sweeps' team, not the OpenMP default: a factor
+  // tuned or retargeted below the default would otherwise pay a wider
+  // region on every apply. Elementwise, so the team never changes values.
+  const int team = runtime_team(f);
+#pragma omp parallel for num_threads(team) schedule(static)
   for (index_t i = 0; i < n; ++i) {
     x[static_cast<std::size_t>(i)] =
         r[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)])];
@@ -66,7 +70,7 @@ ExecStatus ilu_apply_status(const Factorization& f, std::span<const value_t> r,
   if (!st.ok()) return st;
   st = trsv_backward(f, x, ws);
   if (!st.ok()) return st;
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for num_threads(team) schedule(static)
   for (index_t i = 0; i < n; ++i) {
     z[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)])] =
         x[static_cast<std::size_t>(i)];

@@ -2,12 +2,12 @@
 // factorization is co-designed for (paper §VI: "the incomplete factorization
 // may only be formed once, but stri may be called thousands of times").
 //
-// Both sweeps run on the plan's own levels, upper stage then moved rows, so
-// the factorization and both solves share one level structure and every
-// level is a contiguous row range. The forward (L) sweep runs under f.fwd,
-// the schedule the upper-stage factorization also runs (the dependency
-// pattern of the forward solve is exactly the strictly-lower pattern of the
-// factor, so its spin-wait sparsification serves both). The backward (U)
+// Both sweeps run on the plan's own levels, so the factorization and both
+// solves share one level structure and every level is a contiguous row
+// range. The forward (L) sweep runs under f.fwd, the schedule the numeric
+// factorization also runs (the dependency pattern of the forward solve is
+// exactly the strictly-lower pattern of the factor, so its spin-wait
+// sparsification serves both). The backward (U)
 // sweep runs under f.bwd, the same levels reversed, with the diagonal scale
 // fused into the sweep — no separate D^{-1} pass over the vector. Each
 // sweep is one region under the exec/ backend the factor was built with

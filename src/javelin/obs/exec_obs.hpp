@@ -45,7 +45,6 @@ namespace javelin::obs {
 /// chunks have no level.
 enum class Region : int {
   kFactor = 0,
-  kCorner,
   kForward,
   kBackward,
   kFused,
@@ -57,7 +56,6 @@ inline constexpr int kNumRegions = static_cast<int>(Region::kCount);
 inline const char* region_name(Region r) noexcept {
   switch (r) {
     case Region::kFactor: return "factor";
-    case Region::kCorner: return "corner";
     case Region::kForward: return "fwd";
     case Region::kBackward: return "bwd";
     case Region::kFused: return "fused";

@@ -96,12 +96,6 @@ class CsrMatrix {
   /// Throws Error on any structural inconsistency.
   void validate() const;
 
-  /// Average nonzeros per row ("RD" column of paper Table I).
-  double row_density() const noexcept {
-    return rows_ == 0 ? 0.0
-                      : static_cast<double>(nnz()) / static_cast<double>(rows_);
-  }
-
   bool operator==(const CsrMatrix& o) const noexcept {
     return rows_ == o.rows_ && cols_ == o.cols_ && row_ptr_ == o.row_ptr_ &&
            col_idx_ == o.col_idx_ && values_ == o.values_;

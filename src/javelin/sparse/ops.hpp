@@ -29,8 +29,8 @@ CsrMatrix transpose(const CsrMatrix& a);
 CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b);
 
 /// Pattern of A + Aᵀ (values are a[i][j] + a[j][i] treating missing as 0).
-/// Used to build the symmetrized lower pattern that enables the SR lower
-/// stage (paper §III-B).
+/// Used to build the symmetrized lower pattern the level sets are computed
+/// on (paper §VII).
 CsrMatrix pattern_symmetrize(const CsrMatrix& a);
 
 /// True iff the sparsity pattern (not values) is symmetric — the "SP" column

@@ -5,8 +5,7 @@
 //   * spmv_serial     — reference kernel
 //   * spmv            — OpenMP row-parallel CSR
 //   * spmv_segmented  — CSR5-inspired: nonzeros split into fixed-size tiles,
-//     per-tile partial products reduced with a segmented pass; exercises the
-//     same tile machinery the SR lower stage uses.
+//     per-tile partial products reduced with a segmented pass.
 #pragma once
 
 #include <span>

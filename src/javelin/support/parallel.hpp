@@ -64,8 +64,7 @@ class ThreadCountGuard {
 
 /// Evenly split [0, n) into `parts` contiguous chunks; returns [begin, end)
 /// of chunk `part`. Remainder rows are distributed to the leading chunks, so
-/// chunk sizes differ by at most one (the ER lower stage relies on this for
-/// its balance argument, paper §III-B).
+/// chunk sizes differ by at most one.
 struct Range {
   index_t begin = 0;
   index_t end = 0;

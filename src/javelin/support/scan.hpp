@@ -1,7 +1,6 @@
 // Prefix-scan utilities: exclusive/inclusive scans (serial and OpenMP
-// two-pass) and a segmented sum/scan used by the SR lower stage and the
-// segmented-scan spmv variant (paper §II cites CSR5 / Blelloch et al. [13],
-// [14] as the foundation for these kernels).
+// two-pass) and a segmented sum/scan (paper §II cites CSR5 / Blelloch et
+// al. [13], [14] as the foundation for these kernels).
 #pragma once
 
 #include <cassert>

@@ -230,26 +230,6 @@ class ProgressCounters {
   std::vector<PaddedCounter> counters_;
 };
 
-/// Minimal test-and-test-and-set spin lock (used only on short critical
-/// sections such as lower-stage corner hand-off; the hot paths use
-/// ProgressCounters and are lock-free).
-class SpinLock {
- public:
-  void lock() noexcept {
-    for (;;) {
-      if (!flag_.exchange(true, std::memory_order_acquire)) return;
-      while (flag_.load(std::memory_order_relaxed)) cpu_pause();
-    }
-  }
-  bool try_lock() noexcept {
-    return !flag_.exchange(true, std::memory_order_acquire);
-  }
-  void unlock() noexcept { flag_.store(false, std::memory_order_release); }
-
- private:
-  std::atomic<bool> flag_{false};
-};
-
 /// Sense-reversing centralized barrier — the per-level synchronization of
 /// the CSR-LS (barrier level-set) execution backend (paper §VI compares
 /// point-to-point scheduling against exactly this); Javelin's own P2P

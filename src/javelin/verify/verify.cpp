@@ -141,7 +141,7 @@ VerifyReport analyze_schedule(const ExecSchedule& s, const DepsFn& deps,
 
   if (s.thread_ptr.empty()) {
     // Default-constructed schedule: acceptable only if it schedules nothing
-    // (ilu keeps empty corner schedules around for pure-triangular plans).
+    // (the numeric phase's retarget cache keeps an empty backward one).
     if (n_rows != 0 || n_serial != 0) {
       sink.structural("thread_ptr empty but rows are scheduled");
     }

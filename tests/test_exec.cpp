@@ -100,14 +100,10 @@ void check_retarget_identity(const char* name, const CsrMatrix& a,
   const DepsFn low = lower_triangular_deps(f.lu);
   const DepsFn up = upper_triangular_deps(f.lu);
   for (int T : {1, 2, 4, 8}) {
-    const ExecSchedule fresh_fwd =
-        build_forward_schedule(f.lu, f.plan.upper_level_ptr,
-                               f.plan.lower_level_ptr, backend, T,
-                               f.fwd.chunk_rows);
-    const ExecSchedule fresh_bwd =
-        build_backward_schedule(f.lu, f.plan.upper_level_ptr,
-                                f.plan.lower_level_ptr, backend, T,
-                                f.bwd.chunk_rows);
+    const ExecSchedule fresh_fwd = build_forward_schedule(
+        f.lu, f.plan.level_ptr, backend, T, f.fwd.chunk_rows);
+    const ExecSchedule fresh_bwd = build_backward_schedule(
+        f.lu, f.plan.level_ptr, backend, T, f.bwd.chunk_rows);
     CHECK_MSG(schedules_equal(retarget(f.fwd, low, T), fresh_fwd),
               "%s fwd retarget(%d)", name, T);
     CHECK_MSG(schedules_equal(retarget(f.bwd, up, T), fresh_bwd),
@@ -247,21 +243,17 @@ void check_backend_parity(const char* name, const CsrMatrix& a, int threads) {
             name, threads);
 }
 
-/// Co-design (paper §III): both sweeps run the plan's levels — upper, then
-/// moved. f.fwd lists them first to last with rows ascending, so its
-/// level_ptr is the plan's and serial_order is 0 … n-1; f.bwd lists them
-/// last to first with rows descending, so level j of f.bwd is plan level
-/// L-1-j and serial_order is n-1 … 0. Every level is one contiguous row
-/// range.
+/// Co-design (paper §III): both sweeps run the plan's levels. f.fwd lists
+/// them first to last with rows ascending, so its level_ptr is the plan's
+/// and serial_order is 0 … n-1; f.bwd lists them last to first with rows
+/// descending, so level j of f.bwd is plan level L-1-j and serial_order is
+/// n-1 … 0. Every level is one contiguous row range.
 void check_sweeps_on_plan_levels(const std::string& name, const CsrMatrix& a) {
   IluOptions opts;
   opts.num_threads = 4;
   opts.retarget_oversubscribed = false;
   const Factorization f = ilu_prepare(a, opts);
-  std::vector<index_t> plan_ptr = f.plan.upper_level_ptr;
-  for (std::size_t k = 1; k < f.plan.lower_level_ptr.size(); ++k) {
-    plan_ptr.push_back(f.plan.n_upper + f.plan.lower_level_ptr[k]);
-  }
+  const std::vector<index_t>& plan_ptr = f.plan.level_ptr;
   const index_t n = f.n();
   const std::size_t L = plan_ptr.size() - 1;
   CHECK_MSG(f.fwd.num_levels == static_cast<index_t>(L) &&

@@ -1,7 +1,7 @@
-// Property test for the claim in parallel.cpp: every execution mode (serial,
-// point-to-point upper stage, ER and SR lower stages, serial or parallel
-// corner) produces a bitwise-identical factor, because all paths share the
-// row kernel and each row's arithmetic order is fixed by its CSR layout.
+// Property test for the claim in parallel.cpp: the level-scheduled numeric
+// phase produces the serial factor bitwise at every team size, modified ILU
+// included, because every row runs the shared row kernel once and each
+// row's arithmetic order is fixed by its CSR layout.
 // The reference always builds its pattern with ilu_symbolic, so the ILU(0)
 // cases also pin ilu_prepare's shortcut of planning A's own pattern.
 #include "javelin/gen/generators.hpp"
@@ -45,9 +45,9 @@ void check_parity(const char* name, const CsrMatrix& a, IluOptions opts) {
   Factorization f = ilu_factor(a, opts);
   const CsrMatrix ref = serial_reference(a, f);
   CHECK_MSG(javelin::test::bitwise_equal(f.lu.values(), ref.values()),
-            "%s method=%s threads=%d fill=%d", name,
-            lower_method_name(f.plan.method), f.plan.threads,
-            opts.fill_level);
+            "%s threads=%d fill=%d modified=%d drop=%g", name,
+            f.plan.threads, opts.fill_level, opts.modified ? 1 : 0,
+            opts.drop_tolerance);
 }
 
 }  // namespace
@@ -77,26 +77,17 @@ int main() {
         IluOptions opts;
         opts.num_threads = threads;
         opts.fill_level = fill;
-
-        opts.lower_method = LowerMethod::kAuto;
         check_parity(c.name, *c.a, opts);
 
-        opts.lower_method = LowerMethod::kEvenRows;
-        check_parity(c.name, *c.a, opts);
-
-        opts.lower_method = LowerMethod::kSegmentedRows;
-        check_parity(c.name, *c.a, opts);
+        // Modified ILU folds each row's compensation into its own pivot,
+        // once, inside the row kernel, so it is bitwise too.
+        opts.modified = true;
+        for (double drop : {0.0, 1e-3}) {
+          opts.drop_tolerance = drop;
+          check_parity(c.name, *c.a, opts);
+        }
       }
     }
-    // Parallel corner and small coalescing caps exercise the remaining paths.
-    IluOptions opts;
-    opts.num_threads = 4;
-    opts.parallel_corner = true;
-    opts.lower_method = LowerMethod::kSegmentedRows;
-    opts.sr_tile_nnz = 8;  // force multi-tile tasks
-    check_parity(c.name, *c.a, opts);
-    opts.sr_tile_nnz = 1;  // one tile per task (no coalescing)
-    check_parity(c.name, *c.a, opts);
   }
 
   // ILU(0) plans A's own pattern when A stores its whole diagonal; a
@@ -114,8 +105,7 @@ int main() {
   }
 
   // Drop tolerance interacts with the kernel's in-loop dropping; parity must
-  // survive it (non-modified: modified ILU accumulates its diagonal
-  // compensation per stage, which legitimately reorders the sum).
+  // survive it.
   IluOptions drop;
   drop.num_threads = 4;
   drop.drop_tolerance = 1e-3;

@@ -119,15 +119,12 @@ int main() {
     }
   }
 
-  // SR lower stage exercises the corner/tail paths of the fused forward.
+  // A fill-1 factor, whose pattern goes beyond A's own.
   {
     IluOptions opts;
     opts.num_threads = 4;
     opts.retarget_oversubscribed = false;
-    opts.lower_method = LowerMethod::kSegmentedRows;
-    check_operator_parity("chain-sr", chain, opts);
     opts.fill_level = 1;
-    opts.lower_method = LowerMethod::kAuto;
     check_operator_parity("grid-f1", grid, opts);
   }
 

@@ -1,7 +1,8 @@
 // Property tests of the triangular-solve subsystem: the P2P fwd+bwd sweeps
-// must match the serial reference solve bitwise — also when the moved levels
-// are wide enough to carry cross-thread waits — and on a matrix whose ILU(0)
-// is exact (tridiagonal) ilu_apply must invert A to rounding accuracy.
+// must match the serial reference solve bitwise — also when small items
+// spread the trailing levels over the team, so they carry cross-thread
+// waits — and on a matrix whose ILU(0) is exact (tridiagonal) ilu_apply must
+// invert A to rounding accuracy.
 #include <random>
 
 #include "javelin/gen/generators.hpp"
@@ -30,8 +31,8 @@ void check_apply_parity(const char* name, const CsrMatrix& a, IluOptions opts) {
   ilu_apply(f, r, z_par, ws_par);
   ilu_apply_serial(f, r, z_ser, ws_ser);
   CHECK_MSG(javelin::test::bitwise_equal(z_par, z_ser),
-            "%s threads=%d method=%s", name, f.plan.threads,
-            lower_method_name(f.plan.method));
+            "%s threads=%d chunk=%d", name, f.plan.threads,
+            static_cast<int>(f.fwd.chunk_rows));
 
   // Repeat with the same workspace: reuse must not perturb results.
   std::vector<value_t> z2(r.size());
@@ -60,26 +61,27 @@ void check_apply_parity(const char* name, const CsrMatrix& a, IluOptions opts) {
   CHECK(javelin::test::bitwise_equal(x_p2p, x_ref));
 }
 
-/// The forward schedule must hold waits on items of the moved levels (rows
-/// >= n_upper), so the parity checks above exercise cross-thread
-/// synchronization there.
-void check_moved_waits(const char* name, const CsrMatrix& a,
-                       const IluOptions& opts) {
+/// The forward schedule must hold cross-thread waits on items of its
+/// trailing half of levels, so the parity checks above exercise
+/// synchronization where the levels are narrow.
+void check_trailing_waits(const char* name, const CsrMatrix& a,
+                          const IluOptions& opts) {
   const Factorization f = ilu_prepare(a, opts);
   const ExecSchedule& s = f.fwd;
-  index_t moved_waits = 0;
+  const index_t first_row =
+      s.level_ptr[static_cast<std::size_t>((s.num_levels + 1) / 2)];
+  index_t waits = 0;
   for (index_t i = 0; i < s.num_items(); ++i) {
     const index_t first = s.rows[static_cast<std::size_t>(
         s.item_ptr[static_cast<std::size_t>(i)])];
-    if (first >= f.plan.n_upper) {
-      moved_waits += s.wait_ptr[static_cast<std::size_t>(i) + 1] -
-                     s.wait_ptr[static_cast<std::size_t>(i)];
+    if (first >= first_row) {
+      waits += s.wait_ptr[static_cast<std::size_t>(i) + 1] -
+               s.wait_ptr[static_cast<std::size_t>(i)];
     }
   }
-  CHECK_MSG(f.plan.n_upper < f.n() && moved_waits > 0,
-            "%s: %lld of %lld rows moved, %lld waits in the moved levels",
-            name, static_cast<long long>(f.n() - f.plan.n_upper),
-            static_cast<long long>(f.n()), static_cast<long long>(moved_waits));
+  CHECK_MSG(waits > 0, "%s: no waits in the %lld trailing rows of %lld",
+            name, static_cast<long long>(f.n() - first_row),
+            static_cast<long long>(f.n()));
 }
 
 }  // namespace
@@ -104,25 +106,17 @@ int main() {
     opts.fill_level = 1;
     check_apply_parity("grid-f1", grid, opts);
     opts.fill_level = 0;
-    opts.lower_method = LowerMethod::kSegmentedRows;
-    check_apply_parity("chain-sr", chain, opts);
 
-    // Wide moved levels: the density rule moves every trailing level, and
-    // 4-row items spread each one over the team, so the moved levels of the
-    // forward sweep carry cross-thread waits (on the defaults above every
-    // moved level fits in one item on one thread).
+    // 4-row items spread the narrow trailing levels over the team, so they
+    // carry cross-thread waits (on the defaults above each of those levels
+    // fits in one item on one thread).
     IluOptions wide = opts;
     wide.p2p_chunk_rows = 4;
-    wide.density_factor = 1e-9;
-    for (LowerMethod m :
-         {LowerMethod::kEvenRows, LowerMethod::kSegmentedRows}) {
-      wide.lower_method = m;
-      check_apply_parity("grid-wide", grid, wide);
-      check_apply_parity("fem-wide", fem, wide);
-    }
+    check_apply_parity("grid-wide", grid, wide);
+    check_apply_parity("fem-wide", fem, wide);
     if (threads == 4) {
-      check_moved_waits("grid-wide", grid, wide);
-      check_moved_waits("fem-wide", fem, wide);
+      check_trailing_waits("grid-wide", grid, wide);
+      check_trailing_waits("fem-wide", fem, wide);
     }
   }
 

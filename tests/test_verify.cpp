@@ -328,7 +328,6 @@ void check_wired_layers() {
     opts.num_threads = 4;
     opts.retarget_oversubscribed = false;
     opts.verify_schedules = true;
-    opts.parallel_corner = true;  // corner schedule verified in ilu_prepare
     return ilu_factor(e.matrix, opts);
   }();
   const auto r = javelin::test::random_vector(f.n(), 0xC0FFEE);

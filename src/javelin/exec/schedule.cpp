@@ -36,70 +36,44 @@ void build_sparsified_waits(int threads,
   wait_thread.clear();
   wait_count.clear();
   deps_total = 0;
-  deps_kept = 0;
 
-  // Per-consumer dedup (gen-stamped max need per producer) feeding a
-  // per-thread monotone high-water prune: a wait is stored only when it
-  // raises what this consumer thread has already waited for on that
-  // producer. Pass 0 counts, pass 1 fills.
+  // Per-consumer dedup (max need per producer; 0 = not needed, counts are
+  // >= 1) feeding a per-thread monotone high-water prune: a wait is stored
+  // only when it raises what this consumer thread has already waited for
+  // on that producer. Consumers are visited in index order, so each list
+  // is appended where the previous one ended.
   std::vector<index_t> need(static_cast<std::size_t>(T), 0);
-  std::vector<std::uint64_t> need_stamp(static_cast<std::size_t>(T), 0);
-  std::uint64_t gen = 0;
   std::vector<index_t> touched;
   std::vector<index_t> last_wait(static_cast<std::size_t>(T), 0);
-  int pass = 0;
   // Built once, not once per consumer: its captures overflow the
   // std::function small buffer, so each construction would allocate.
   const std::function<void(index_t, index_t)> collect = [&](index_t ot,
                                                             index_t cnt) {
-    if (pass == 0) ++deps_total;
-    if (need_stamp[static_cast<std::size_t>(ot)] != gen) {
-      need_stamp[static_cast<std::size_t>(ot)] = gen;
-      need[static_cast<std::size_t>(ot)] = cnt;
-      touched.push_back(ot);
-    } else {
-      need[static_cast<std::size_t>(ot)] =
-          std::max(need[static_cast<std::size_t>(ot)], cnt);
-    }
+    ++deps_total;
+    index_t& nd = need[static_cast<std::size_t>(ot)];
+    if (nd == 0) touched.push_back(ot);
+    nd = std::max(nd, cnt);
   };
-
-  for (; pass < 2; ++pass) {
-    if (pass == 1) {
-      for (std::size_t i = 1; i < wait_ptr.size(); ++i) {
-        wait_ptr[i] += wait_ptr[i - 1];
+  for (int t = 0; t < T; ++t) {
+    std::fill(last_wait.begin(), last_wait.end(), 0);
+    if (seed) seed(t, last_wait);
+    for (index_t c = consumer_thread_ptr[static_cast<std::size_t>(t)];
+         c < consumer_thread_ptr[static_cast<std::size_t>(t) + 1]; ++c) {
+      deps(t, c, collect);
+      std::sort(touched.begin(), touched.end());
+      for (index_t ot : touched) {
+        const index_t cnt = std::exchange(need[static_cast<std::size_t>(ot)], 0);
+        if (cnt <= last_wait[static_cast<std::size_t>(ot)]) continue;
+        last_wait[static_cast<std::size_t>(ot)] = cnt;
+        wait_thread.push_back(ot);
+        wait_count.push_back(cnt);
       }
-      wait_thread.assign(static_cast<std::size_t>(wait_ptr.back()), 0);
-      wait_count.assign(static_cast<std::size_t>(wait_ptr.back()), 0);
-    }
-    for (int t = 0; t < T; ++t) {
-      std::fill(last_wait.begin(), last_wait.end(), 0);
-      if (seed) seed(t, last_wait);
-      for (index_t c = consumer_thread_ptr[static_cast<std::size_t>(t)];
-           c < consumer_thread_ptr[static_cast<std::size_t>(t) + 1]; ++c) {
-        ++gen;
-        touched.clear();
-        deps(t, c, collect);
-        std::sort(touched.begin(), touched.end());
-        index_t w = (pass == 1) ? wait_ptr[static_cast<std::size_t>(c)] : 0;
-        index_t kept = 0;
-        for (index_t ot : touched) {
-          const index_t cnt = need[static_cast<std::size_t>(ot)];
-          if (cnt <= last_wait[static_cast<std::size_t>(ot)]) continue;
-          last_wait[static_cast<std::size_t>(ot)] = cnt;
-          if (pass == 1) {
-            wait_thread[static_cast<std::size_t>(w)] = ot;
-            wait_count[static_cast<std::size_t>(w)] = cnt;
-            ++w;
-          }
-          ++kept;
-        }
-        if (pass == 0) {
-          wait_ptr[static_cast<std::size_t>(c) + 1] = kept;
-          deps_kept += kept;
-        }
-      }
+      touched.clear();
+      wait_ptr[static_cast<std::size_t>(c) + 1] =
+          static_cast<index_t>(wait_thread.size());
     }
   }
+  deps_kept = static_cast<index_t>(wait_thread.size());
 }
 
 ExecSchedule build_exec_schedule(ExecBackend backend, index_t n_total,

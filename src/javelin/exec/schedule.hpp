@@ -185,14 +185,15 @@ using TailDepsFn = std::function<void(
     const std::function<void(index_t consumer, index_t producer)>& yield)>;
 
 /// Build-time helper shared by the schedule builder and the fused-SpMV
-/// companion (build_fused_apply_spmv): two-pass (count, fill) sparsified
-/// wait-list construction with monotone per-producer high-water pruning.
-/// Thread t executes consumers [consumer_thread_ptr[t],
-/// consumer_thread_ptr[t+1]) in order. `seed` pre-loads the thread's
-/// high-water marks with counts it has already waited for before its first
-/// consumer (empty function = none). `deps(t, c, yield)` enumerates consumer
-/// c's CROSS-thread dependencies as (producer thread, required published
-/// count) — same-thread dependencies must be filtered by the caller. On
+/// companion (build_fused_apply_spmv): one-pass sparsified wait-list
+/// construction with monotone per-producer high-water pruning. Thread t
+/// executes consumers [consumer_thread_ptr[t], consumer_thread_ptr[t+1]) in
+/// order; consumers are visited in index order and each list is appended
+/// where the previous one ended. `seed` pre-loads the thread's high-water
+/// marks with counts it has already waited for before its first consumer
+/// (empty function = none). `deps(t, c, yield)` enumerates consumer c's
+/// CROSS-thread dependencies as (producer thread, required published count
+/// >= 1) — same-thread dependencies must be filtered by the caller. On
 /// return wait_ptr/wait_thread/wait_count hold the pruned CSR-style wait
 /// lists and deps_total/deps_kept the before/after dependency counts.
 using WaitSeedFn = std::function<void(int t, std::span<index_t> last_wait)>;

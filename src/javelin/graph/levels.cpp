@@ -1,39 +1,24 @@
 #include "javelin/graph/levels.hpp"
 
 #include <algorithm>
+#include <utility>
 
-#include "javelin/sparse/ops.hpp"
 #include "javelin/support/scan.hpp"
 
 namespace javelin {
 
-LevelSets compute_level_sets(const CsrMatrix& a) {
-  JAVELIN_CHECK(a.square(), "level scheduling requires a square matrix");
-  return compute_level_sets_lower(pattern_symmetrize(a));
-}
+namespace {
 
-LevelSets compute_level_sets_lower(const CsrMatrix& lower) {
-  JAVELIN_CHECK(lower.square(), "level scheduling requires a square matrix");
-  const index_t n = lower.rows();
+/// Counting sort of the rows by `level`: fills level_ptr and rows_by_level,
+/// rows ascending inside each level.
+LevelSets group_by_level(std::vector<index_t> level) {
+  const index_t n = static_cast<index_t>(level.size());
   LevelSets ls;
-  ls.level.assign(static_cast<std::size_t>(n), 0);
-  index_t max_level = -1;
-  for (index_t r = 0; r < n; ++r) {
-    index_t lv = 0;
-    for (index_t c : lower.row_cols(r)) {
-      // Columns are sorted; only c < r are dependencies, and their level is
-      // already final.
-      if (c >= r) break;
-      lv = std::max(lv, ls.level[static_cast<std::size_t>(c)] + 1);
-    }
-    ls.level[static_cast<std::size_t>(r)] = lv;
-    max_level = std::max(max_level, lv);
-  }
-  const index_t nlev = max_level + 1;
-  ls.level_ptr.assign(static_cast<std::size_t>(std::max<index_t>(nlev, 0)) + 1, 0);
-  for (index_t r = 0; r < n; ++r) {
-    ++ls.level_ptr[static_cast<std::size_t>(ls.level[static_cast<std::size_t>(r)]) + 1];
-  }
+  ls.level = std::move(level);
+  const index_t nlev =
+      n == 0 ? 0 : *std::max_element(ls.level.begin(), ls.level.end()) + 1;
+  ls.level_ptr.assign(static_cast<std::size_t>(nlev) + 1, 0);
+  for (index_t lv : ls.level) ++ls.level_ptr[static_cast<std::size_t>(lv) + 1];
   inclusive_scan_inplace(std::span<index_t>(ls.level_ptr).subspan(1));
   ls.rows_by_level.resize(static_cast<std::size_t>(n));
   std::vector<index_t> cursor(ls.level_ptr.begin(), ls.level_ptr.end() - 1);
@@ -42,6 +27,50 @@ LevelSets compute_level_sets_lower(const CsrMatrix& lower) {
         cursor[static_cast<std::size_t>(ls.level[static_cast<std::size_t>(r)])]++)] = r;
   }
   return ls;
+}
+
+}  // namespace
+
+LevelSets compute_level_sets(const CsrMatrix& a) {
+  JAVELIN_CHECK(a.square(), "level scheduling requires a square matrix");
+  const index_t n = a.rows();
+  std::vector<index_t> level(static_cast<std::size_t>(n), 0);
+  // Row r of lower(A+Aᵀ) holds A's entries (r, c) and (c, r) with c < r.
+  // Visiting rows in ascending order, each row's (c, r) entries were pushed
+  // into level[r] while row c was visited, so after the row's own c < r
+  // entries level[r] is final, and r pushes it to the later rows it couples.
+  for (index_t r = 0; r < n; ++r) {
+    const auto cols = a.row_cols(r);
+    index_t lv = level[static_cast<std::size_t>(r)];
+    for (index_t c : cols) {
+      if (c < r) lv = std::max(lv, level[static_cast<std::size_t>(c)] + 1);
+    }
+    level[static_cast<std::size_t>(r)] = lv;
+    for (index_t c : cols) {
+      if (c > r) {
+        index_t& lc = level[static_cast<std::size_t>(c)];
+        lc = std::max(lc, lv + 1);
+      }
+    }
+  }
+  return group_by_level(std::move(level));
+}
+
+LevelSets compute_level_sets_lower(const CsrMatrix& lower) {
+  JAVELIN_CHECK(lower.square(), "level scheduling requires a square matrix");
+  const index_t n = lower.rows();
+  std::vector<index_t> level(static_cast<std::size_t>(n), 0);
+  for (index_t r = 0; r < n; ++r) {
+    index_t lv = 0;
+    for (index_t c : lower.row_cols(r)) {
+      // Columns are sorted; only c < r are dependencies, and their level is
+      // already final.
+      if (c >= r) break;
+      lv = std::max(lv, level[static_cast<std::size_t>(c)] + 1);
+    }
+    level[static_cast<std::size_t>(r)] = lv;
+  }
+  return group_by_level(std::move(level));
 }
 
 }  // namespace javelin

@@ -8,7 +8,8 @@
 // Javelin computes levels on lower(A + Aᵀ) only (paper §VII recommends it
 // always): it guarantees that rows inside a level have no coupling in either
 // triangle, which lets the backward U-solve run on the same levels
-// reversed.
+// reversed. One topological sweep over A's own rows gives those levels
+// (Anderson & Saad, 1989); A + Aᵀ is never formed.
 #pragma once
 
 #include <vector>
@@ -31,8 +32,11 @@ struct LevelSets {
   }
 };
 
-/// Compute level sets of the strictly-lower pattern of a + aᵀ. The matrix
-/// must be square.
+/// Compute level sets of the strictly-lower pattern of a + aᵀ in one
+/// ascending pass over a's rows: row r takes 1 + the level of each c < r
+/// in its row, then raises each c > r in its row to at least its own level
+/// + 1. The matrix must be square; its rows need not be sorted. Equal, field
+/// for field, to compute_level_sets_lower(pattern_symmetrize(a)) (test_ops).
 LevelSets compute_level_sets(const CsrMatrix& a);
 
 /// Level sets for a matrix that is *already* strictly lower triangular (or

@@ -136,7 +136,9 @@ FactorStatus ilu_refactor_status(Factorization& f, const CsrMatrix& a);
 void scatter_values(Factorization& f, const CsrMatrix& a);
 
 /// Build f.a_scatter for `a` (which must share the factored matrix's
-/// pattern). Called by ilu_factor; exposed for tests and benches.
+/// pattern) by a binary search per nonzero. ilu_prepare calls it only when
+/// the factor pattern differs from A's (on A's own pattern the permutation
+/// records the map); scatter_values' debug check and tests re-derive with it.
 void build_scatter_map(Factorization& f, const CsrMatrix& a);
 
 /// The pre-scatter-map algorithm (per-call permutation inversion plus a

@@ -214,10 +214,12 @@ Factorization ilu_prepare(const CsrMatrix& a, const IluOptions& opts) {
   }
   const CsrMatrix& s = own_pattern ? a : symbolic;
   f.plan = build_level_plan(s, opts);
-  f.lu = permute_symmetric(s, f.plan.perm);
-  f.diag_pos = diagonal_positions(f.lu);
   // Plan-time scatter map: every ilu_refactor becomes a flat O(nnz) copy.
-  build_scatter_map(f, a);
+  // On A's own pattern the permutation records it as it copies; a larger
+  // factor pattern needs the search.
+  f.lu = permute_symmetric(s, f.plan.perm, own_pattern ? &f.a_scatter : nullptr);
+  f.diag_pos = diagonal_positions(f.lu);
+  if (!own_pattern) build_scatter_map(f, a);
 
   const index_t chunk =
       opts.p2p_chunk_rows > 0 ? opts.p2p_chunk_rows : kDefaultChunkRows;

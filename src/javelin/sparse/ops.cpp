@@ -248,7 +248,8 @@ std::vector<index_t> compose_permutations(std::span<const index_t> first,
   return out;
 }
 
-CsrMatrix permute_symmetric(const CsrMatrix& a, std::span<const index_t> perm) {
+CsrMatrix permute_symmetric(const CsrMatrix& a, std::span<const index_t> perm,
+                            std::vector<index_t>* slot_of) {
   JAVELIN_CHECK(a.square(), "symmetric permutation requires a square matrix");
   JAVELIN_CHECK(perm.size() == static_cast<std::size_t>(a.rows()),
                 "permutation length mismatch");
@@ -262,27 +263,32 @@ CsrMatrix permute_symmetric(const CsrMatrix& a, std::span<const index_t> perm) {
   inclusive_scan_inplace(std::span<index_t>(rp).subspan(1));
   std::vector<index_t> ci(static_cast<std::size_t>(a.nnz()));
   std::vector<value_t> vv(static_cast<std::size_t>(a.nnz()));
+  if (slot_of != nullptr) slot_of->resize(static_cast<std::size_t>(a.nnz()));
+  index_t* const slot = slot_of != nullptr ? slot_of->data() : nullptr;
 
   // Parallel first-touch copy into the permuted layout (paper §III: "we
   // permute the nonzeros ... while copying A into the CSR data-structure of
-  // L and U in parallel allowing for first-touch").
+  // L and U in parallel allowing for first-touch"). Each row sorts
+  // (new column, source position) pairs, so the write of source k is also
+  // where slot_of records it; every source row is read by one output row.
 #pragma omp parallel
   {
-    std::vector<std::pair<index_t, value_t>> buf;
+    std::vector<std::pair<index_t, index_t>> buf;
 #pragma omp for schedule(dynamic, 64)
     for (index_t r = 0; r < n; ++r) {
       const index_t old_r = perm[static_cast<std::size_t>(r)];
       buf.clear();
       for (index_t k = a.row_begin(old_r); k < a.row_end(old_r); ++k) {
         buf.emplace_back(inv[static_cast<std::size_t>(a.col_idx()[static_cast<std::size_t>(k)])],
-                         a.values()[static_cast<std::size_t>(k)]);
+                         k);
       }
       std::sort(buf.begin(), buf.end(),
                 [](const auto& x, const auto& y) { return x.first < y.first; });
       index_t w = rp[static_cast<std::size_t>(r)];
-      for (const auto& [c, v] : buf) {
+      for (const auto& [c, k] : buf) {
         ci[static_cast<std::size_t>(w)] = c;
-        vv[static_cast<std::size_t>(w)] = v;
+        vv[static_cast<std::size_t>(w)] = a.values()[static_cast<std::size_t>(k)];
+        if (slot != nullptr) slot[static_cast<std::size_t>(k)] = w;
         ++w;
       }
     }
@@ -359,11 +365,15 @@ CsrMatrix extract_upper(const CsrMatrix& a) {
 std::vector<index_t> diagonal_positions(const CsrMatrix& a) {
   JAVELIN_CHECK(a.square(), "diagonal_positions requires a square matrix");
   std::vector<index_t> pos(static_cast<std::size_t>(a.rows()));
+  // Nothing may throw inside the region: reduce a flag, check after it.
+  bool missing = false;
+#pragma omp parallel for schedule(static) reduction(|| : missing)
   for (index_t r = 0; r < a.rows(); ++r) {
     const index_t p = a.find(r, r);
-    JAVELIN_CHECK(p != kInvalidIndex, "structurally missing diagonal entry");
+    if (p == kInvalidIndex) missing = true;
     pos[static_cast<std::size_t>(r)] = p;
   }
+  JAVELIN_CHECK(!missing, "structurally missing diagonal entry");
   return pos;
 }
 

@@ -1,8 +1,8 @@
 // Structural operations on CSR matrices: transpose, symmetric permutation,
 // pattern symmetrization (A + Aᵀ), triangular extraction, and pattern
 // comparisons. These are the preprocessing primitives Javelin composes
-// (paper §III: level order of lower(A+Aᵀ), permutation into the
-// level ordering during the copy-fill phase).
+// (paper §III: permutation into the level ordering during the copy-fill
+// phase, which also records where each nonzero of A lands).
 #pragma once
 
 #include <span>
@@ -29,8 +29,8 @@ CsrMatrix transpose(const CsrMatrix& a);
 CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b);
 
 /// Pattern of A + Aᵀ (values are a[i][j] + a[j][i] treating missing as 0).
-/// Used to build the symmetrized lower pattern the level sets are computed
-/// on (paper §VII).
+/// The orderings and AMG symmetrize through it; test_ops checks
+/// compute_level_sets against the levels of its lower part.
 CsrMatrix pattern_symmetrize(const CsrMatrix& a);
 
 /// True iff the sparsity pattern (not values) is symmetric — the "SP" column
@@ -38,8 +38,12 @@ CsrMatrix pattern_symmetrize(const CsrMatrix& a);
 bool pattern_symmetric(const CsrMatrix& a);
 
 /// Symmetric permutation P·A·Pᵀ. `perm` is new-to-old: row r of the result is
-/// row perm[r] of A, and columns are relabelled by the inverse map.
-CsrMatrix permute_symmetric(const CsrMatrix& a, std::span<const index_t> perm);
+/// row perm[r] of A, and columns are relabelled by the inverse map. When
+/// `slot_of` is given it is resized to a.nnz() and slot_of[k] records the
+/// position of A's k-th nonzero in the result (the refactor scatter map of a
+/// factor on A's own pattern).
+CsrMatrix permute_symmetric(const CsrMatrix& a, std::span<const index_t> perm,
+                            std::vector<index_t>* slot_of = nullptr);
 
 /// Row permutation P·A (new-to-old), columns untouched. Used by the
 /// Dulmage–Mendelsohn step which permutes rows to cover the diagonal.
@@ -68,8 +72,8 @@ CsrMatrix extract_lower(const CsrMatrix& a);
 /// Upper-triangular part including diagonal.
 CsrMatrix extract_upper(const CsrMatrix& a);
 
-/// Position of each diagonal entry in the nonzero array; throws if a
-/// diagonal entry is structurally missing.
+/// Position of each diagonal entry in the nonzero array (row-parallel);
+/// throws if a diagonal entry is structurally missing.
 std::vector<index_t> diagonal_positions(const CsrMatrix& a);
 
 /// Max |a_ij - b_ij| over the union pattern (dense-free comparison helper for

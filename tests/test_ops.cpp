@@ -1,10 +1,16 @@
 // SpGEMM and transpose against dense references: random and structured
 // matrices, rectangular shapes, empty rows, unsorted column input, and
 // bitwise serial-vs-parallel parity (same discipline as test_factor_parity).
+// Also the factor set-up primitives: the level sets of lower(A+Aᵀ) against
+// the symmetrized reference, permute_symmetric's slot record, and
+// diagonal_positions' missing-diagonal error from its parallel loop.
 #include <algorithm>
+#include <numeric>
 #include <random>
+#include <string>
 
 #include "javelin/gen/generators.hpp"
+#include "javelin/graph/levels.hpp"
 #include "javelin/sparse/ops.hpp"
 #include "javelin/support/parallel.hpp"
 #include "test_util.hpp"
@@ -138,6 +144,62 @@ CsrMatrix reference_transpose(const CsrMatrix& a) {
                    std::move(vv));
 }
 
+/// Copy of square `a` without the diagonal entry of row `row`, or of every
+/// row when row < 0.
+CsrMatrix drop_diagonal(const CsrMatrix& a, index_t row) {
+  std::vector<index_t> rp(1, 0);
+  std::vector<index_t> ci;
+  std::vector<value_t> vv;
+  for (index_t r = 0; r < a.rows(); ++r) {
+    for (index_t k = a.row_begin(r); k < a.row_end(r); ++k) {
+      const index_t c = a.col_idx()[static_cast<std::size_t>(k)];
+      if (c == r && (row < 0 || r == row)) continue;
+      ci.push_back(c);
+      vv.push_back(a.values()[static_cast<std::size_t>(k)]);
+    }
+    rp.push_back(static_cast<index_t>(ci.size()));
+  }
+  return CsrMatrix(a.rows(), a.cols(), std::move(rp), std::move(ci),
+                   std::move(vv));
+}
+
+/// compute_level_sets reads A's rows; the reference forms lower(A+Aᵀ).
+void check_level_oracle(const std::string& name, const CsrMatrix& a) {
+  const LevelSets got = compute_level_sets(a);
+  const LevelSets ref = compute_level_sets_lower(pattern_symmetrize(a));
+  CHECK_MSG(got.level == ref.level && got.level_ptr == ref.level_ptr &&
+                got.rows_by_level == ref.rows_by_level,
+            "%s: level sets differ from those of lower(A+Aᵀ)", name.c_str());
+}
+
+/// slot_of[k] names the entry of P·A·Pᵀ that A's k-th nonzero became.
+void check_permute_slots(const CsrMatrix& a, std::uint64_t seed) {
+  std::vector<index_t> perm(static_cast<std::size_t>(a.rows()));
+  std::iota(perm.begin(), perm.end(), 0);
+  std::mt19937_64 rng(seed);
+  std::shuffle(perm.begin(), perm.end(), rng);
+  const std::vector<index_t> inv = invert_permutation(perm);
+  std::vector<index_t> slot_of;
+  const CsrMatrix p = permute_symmetric(a, perm, &slot_of);
+  CHECK(p == permute_symmetric(a, perm));
+  CHECK(slot_of.size() == static_cast<std::size_t>(a.nnz()));
+  std::size_t bad = 0;
+  for (index_t r = 0; r < a.rows(); ++r) {
+    const index_t pr = inv[static_cast<std::size_t>(r)];
+    for (index_t k = a.row_begin(r); k < a.row_end(r); ++k) {
+      const index_t s = slot_of[static_cast<std::size_t>(k)];
+      const std::size_t sk = static_cast<std::size_t>(s);
+      const bool ok =
+          s >= p.row_begin(pr) && s < p.row_end(pr) &&
+          p.col_idx()[sk] ==
+              inv[static_cast<std::size_t>(a.col_idx()[static_cast<std::size_t>(k)])] &&
+          p.values()[sk] == a.values()[static_cast<std::size_t>(k)];
+      if (!ok) ++bad;
+    }
+  }
+  CHECK_MSG(bad == 0, "%zu slots of permute_symmetric misplaced", bad);
+}
+
 }  // namespace
 
 int main() {
@@ -247,6 +309,47 @@ int main() {
     CsrMatrix a = random_rect(5, 5, 0.4, 0x123);
     CHECK(spgemm(i5, a) == a);
     CHECK(spgemm(a, i5) == a);
+  }
+
+  // Level sets of lower(A+Aᵀ) without forming it: suite, degenerate set,
+  // an unsymmetric pattern, no diagonal at all, n = 0 and n = 1.
+  {
+    gen::SuiteOptions small;
+    small.scale = 0.02;
+    for (const std::string& name : gen::suite_names()) {
+      check_level_oracle(name, gen::make_suite_matrix(name, small).matrix);
+    }
+    for (const std::string& name : gen::degenerate_names()) {
+      check_level_oracle(name, gen::make_suite_matrix(name, small).matrix);
+    }
+    const CsrMatrix circ =
+        gen::circuit(800, 5.5, 17, /*symmetric_pattern=*/false, 7);
+    CHECK(!pattern_symmetric(circ));
+    check_level_oracle("circuit", circ);
+    check_level_oracle("no diagonal",
+                       drop_diagonal(random_rect(90, 90, 0.04, 0xD1A6), -1));
+    check_level_oracle("n=0", CsrMatrix::zeros(0, 0));
+    check_level_oracle("n=1", CsrMatrix::identity(1));
+    check_level_oracle("n=1 empty", CsrMatrix::zeros(1, 1));
+  }
+
+  // permute_symmetric's slot record on unsymmetric patterns.
+  check_permute_slots(gen::circuit(700, 5.0, 5, /*symmetric_pattern=*/false, 3),
+                      0x51075);
+  check_permute_slots(random_rect(120, 120, 0.05, 0xC0FFEE), 0xBEEF);
+
+  // A structurally missing diagonal throws after the parallel region.
+  {
+    const CsrMatrix g = gen::laplacian2d(30, 30, 5);
+    CHECK(diagonal_positions(g).size() == static_cast<std::size_t>(g.rows()));
+    bool threw = false;
+    try {
+      (void)diagonal_positions(drop_diagonal(g, 613));
+    } catch (const Error&) {
+      threw = true;
+    }
+    CHECK_MSG(threw, "missing diagonal not reported at %d threads",
+              max_threads());
   }
 
   return javelin::test::finish("test_ops");

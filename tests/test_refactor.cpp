@@ -1,5 +1,7 @@
 // Property tests for the persistent scatter map: refactorization must
-// reproduce a fresh factorization bitwise, and the flat-copy scatter must
+// reproduce a fresh factorization bitwise, the map ilu_prepare recorded
+// (by the permutation on A's own pattern, by a search on a fill pattern)
+// must equal a fresh build_scatter_map, and the flat-copy scatter must
 // agree exactly with the seed binary-search scatter it replaced.
 #include <random>
 
@@ -26,6 +28,9 @@ CsrMatrix remix_values(const CsrMatrix& a, std::uint64_t seed) {
 void check_refactor(const char* name, const CsrMatrix& a, IluOptions opts) {
   Factorization f = ilu_factor(a, opts);
   CHECK(f.a_scatter.size() == static_cast<std::size_t>(a.nnz()));
+  const std::vector<index_t> recorded = f.a_scatter;
+  build_scatter_map(f, a);
+  CHECK_MSG(f.a_scatter == recorded, "%s recorded scatter map", name);
   const std::vector<value_t> first(f.lu.values().begin(), f.lu.values().end());
 
   // Same matrix again: identical factor bitwise.
@@ -58,6 +63,9 @@ int main() {
   CsrMatrix fem = gen::random_fem(900, 9, 31, 0.02);
   CsrMatrix circ = gen::circuit(1000, 5.5, 17, /*symmetric_pattern=*/false, 7);
   CsrMatrix chain = gen::long_chain(1100, 14, 5, 23);
+  // Full diagonals: fill 0 takes the own-pattern branch of ilu_prepare.
+  CHECK(grid.has_full_diagonal() && fem.has_full_diagonal() &&
+        circ.has_full_diagonal() && chain.has_full_diagonal());
 
   for (int threads : {1, 4}) {
     for (int fill : {0, 1}) {

@@ -2,12 +2,15 @@
 """Parent/change A/B of the repository benchmark (ilubench), in pairs.
 
 Extracts the committed files of --base into a temporary directory (removed
-on exit) and compares them with the working tree this script sits in. Each
-tree runs its own `ilubench/run.py --trace 0`, with CARGO_TARGET_DIR unset
-so each builds beside its own sources. Pair i uses seed K+i for both sides;
-the base runs first in even pairs and the change in odd ones.
+on exit) and compares them with the working tree this script sits in, or,
+with --change, with the committed files of a second revision extracted the
+same way. Each tree runs its own `ilubench/run.py --trace 0`, with
+CARGO_TARGET_DIR unset so each builds beside its own sources. Pair i uses
+seed K+i for both sides; the base runs first in even pairs and the change
+in odd ones.
 
-  ab.py --base REV --workload W [--pairs N] [--seconds S] [--seed0 K] [--out F]
+  ab.py --base REV [--change REV] --workload W [--pairs N] [--seconds S]
+        [--seed0 K] [--out F]
   ab.py --selftest
 
 For every end-to-end metric of BENCHMARK.json it prints one Markdown table
@@ -28,7 +31,7 @@ gives failed/attempted operations per side. --out writes every run's
 metrics and the table's figures as JSON. Exit status 1 when any run was
 incorrect or printed no result.
 
-The base tree comes from `git archive`: the same files a fresh checkout
+Revisions are extracted with `git archive`: the same files a fresh checkout
 holds, and an interrupted run leaves nothing registered in the repository.
 """
 import argparse
@@ -146,6 +149,10 @@ def ab(args):
         base_tree = os.path.join(tmp, "base")
         sha = extract(args.base, base_tree)
         trees = {"base": base_tree, "change": ROOT}
+        change_sha = None
+        if args.change:
+            trees["change"] = os.path.join(tmp, "change")
+            change_sha = extract(args.change, trees["change"])
         runs = {"base": [], "change": []}
         bad = 0
         for i in range(args.pairs):
@@ -172,15 +179,16 @@ def ab(args):
                                  m["bound"])))
         fails = {s: (sum(r["failed"] for r in runs[s]),
                      sum(r["attempted"] for r in runs[s])) for s in runs}
-        title = "%s: %d pairs x %g s, seeds %d-%d, base %s vs working tree" % (
+        title = "%s: %d pairs x %g s, seeds %d-%d, base %s vs %s" % (
             args.workload, args.pairs, seconds, args.seed0,
-            args.seed0 + args.pairs - 1, sha[:10])
+            args.seed0 + args.pairs - 1, sha[:10],
+            change_sha[:10] if change_sha else "working tree")
         print(table(title, rows, fails))
         if args.out:
             with open(args.out, "w") as f:
                 json.dump({"workload": args.workload, "base": sha,
-                           "seconds": seconds, "seed0": args.seed0,
-                           "runs": runs,
+                           "change": change_sha, "seconds": seconds,
+                           "seed0": args.seed0, "runs": runs,
                            "metrics": {name: c for name, _, _, c in rows},
                            "failed_attempted": fails}, f, indent=1)
         return 1 if bad else 0
@@ -236,6 +244,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base")
+    ap.add_argument("--change", help="a revision instead of the working tree")
     ap.add_argument("--workload")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float)

@@ -25,9 +25,11 @@ cross-checked against the static analysis:
   8. (schema >= 6) every autotune block is self-consistent: parity true,
      the chosen candidate is in the measured grid, and the serial anchor
      candidate is present;
-  9. in every timings row, sched_fwd and sched_bwd have equal level and
-     item counts — both sweeps run the plan's levels, the backward sweep
-     in reverse.
+  9. in every timings row, sched_bwd.levels equals the matrix's plan
+     `levels` and sched_fwd.levels is at most that — the backward sweep runs
+     the plan's levels reversed, the forward sweep L's own levels, which
+     are the plan's on a symmetric pattern and fewer where an upper entry
+     lifted a row.
 
 Exit code 0 on success, 1 on any violation (CI gates on it).
 
@@ -66,13 +68,18 @@ def check_bench(path):
             fwd, bwd = row.get("sched_fwd"), row.get("sched_bwd")
             if not fwd or not bwd:
                 continue
-            for key in ("levels", "items"):
-                if fwd[key] != bwd[key]:
-                    fail(
-                        f"{r['matrix']} t={row['threads']}: sched_fwd.{key} "
-                        f"{fwd[key]} != sched_bwd.{key} {bwd[key]} (both "
-                        f"sweeps run the plan's levels)"
-                    )
+            if bwd["levels"] != r["levels"]:
+                fail(
+                    f"{r['matrix']} t={row['threads']}: sched_bwd.levels "
+                    f"{bwd['levels']} != plan levels {r['levels']} (the "
+                    f"backward sweep runs the plan's levels)"
+                )
+            if fwd["levels"] > r["levels"]:
+                fail(
+                    f"{r['matrix']} t={row['threads']}: sched_fwd.levels "
+                    f"{fwd['levels']} > plan levels {r['levels']} (L's own "
+                    f"levels are never deeper than the plan's)"
+                )
         if schema >= 6:
             # Verifier coverage identity: every cross-thread dependency is
             # covered directly or transitively — and the split is exact.

@@ -248,25 +248,28 @@ ExecSchedule retarget(const ExecSchedule& s, const DepsFn& deps, int threads);
 DepsFn lower_triangular_deps(const CsrMatrix& lu);  ///< strictly-lower cols
 DepsFn upper_triangular_deps(const CsrMatrix& lu);  ///< strictly-upper cols
 
-/// Forward schedule over ALL rows, on the plan's levels (`level_ptr`,
-/// which must run from 0 to n), rows ascending, so serial_order is 0 … n-1
-/// and every level is one contiguous row range. Dependencies are the
+/// Forward schedule over ALL rows on L's own levels. Dependencies are the
 /// strictly-lower columns of `lu`, which are both the forward-solve and the
 /// numeric factorization's dependency structure (the co-design of paper
-/// §VI). The plan's levels are level-major on lower(S+Sᵀ) and
-/// lu = P S Pᵀ, so an L entry (r, c), c < r, joins two rows adjacent in
-/// S+Sᵀ and level(c) < level(r).
+/// §VI); level scheduling needs only that triangle's own DAG (Anderson &
+/// Saad, 1989). `plan_level_ptr` are the plan's levels (0 to n), on which
+/// lu is level-major. When `plan_is_lower` (LevelPlan::lower_only) they are
+/// L's own and the schedule runs them, rows ascending, so serial_order is
+/// 0 … n-1. Otherwise L's own levels are shallower, and the schedule runs
+/// compute_level_sets_lower(lu)'s, whose level_ptr and row listing move in
+/// as its level_ptr and serial_order.
 ExecSchedule build_forward_schedule(const CsrMatrix& lu,
-                                    std::span<const index_t> level_ptr,
-                                    ExecBackend backend, int threads,
+                                    std::span<const index_t> plan_level_ptr,
+                                    bool plan_is_lower, ExecBackend backend,
+                                    int threads,
                                     index_t chunk_rows = kDefaultChunkRows);
 
-/// Backward schedule over ALL rows: the levels of build_forward_schedule
-/// listed last to first with rows descending inside each level, so
-/// serial_order is n-1 … 0 and every level is one contiguous row range.
-/// Dependencies are the strictly-upper columns of `lu`; since level(c) >
-/// level(r) for a U entry (r, c), the reversed plan levels are a valid U
-/// order.
+/// Backward schedule over ALL rows: the plan's levels (`level_ptr`, which
+/// must run from 0 to n) listed last to first with rows descending inside
+/// each level, so serial_order is n-1 … 0 and every level is one contiguous
+/// row range. Dependencies are the strictly-upper columns of `lu`; since
+/// level(c) > level(r) for a U entry (r, c), the reversed plan levels are a
+/// valid U order.
 ExecSchedule build_backward_schedule(const CsrMatrix& lu,
                                      std::span<const index_t> level_ptr,
                                      ExecBackend backend, int threads,

@@ -35,16 +35,22 @@ LevelSets compute_level_sets(const CsrMatrix& a) {
   JAVELIN_CHECK(a.square(), "level scheduling requires a square matrix");
   const index_t n = a.rows();
   std::vector<index_t> level(static_cast<std::size_t>(n), 0);
+  bool lifted = false;
   // Row r of lower(A+Aᵀ) holds A's entries (r, c) and (c, r) with c < r.
   // Visiting rows in ascending order, each row's (c, r) entries were pushed
   // into level[r] while row c was visited, so after the row's own c < r
   // entries level[r] is final, and r pushes it to the later rows it couples.
+  // While no push has lifted a row above its own c < r entries' level, every
+  // level so far is the strictly-lower pattern's.
   for (index_t r = 0; r < n; ++r) {
     const auto cols = a.row_cols(r);
-    index_t lv = level[static_cast<std::size_t>(r)];
+    index_t own = 0;
     for (index_t c : cols) {
-      if (c < r) lv = std::max(lv, level[static_cast<std::size_t>(c)] + 1);
+      if (c < r) own = std::max(own, level[static_cast<std::size_t>(c)] + 1);
     }
+    const index_t pushed = level[static_cast<std::size_t>(r)];
+    lifted = lifted || pushed > own;
+    const index_t lv = std::max(own, pushed);
     level[static_cast<std::size_t>(r)] = lv;
     for (index_t c : cols) {
       if (c > r) {
@@ -53,7 +59,9 @@ LevelSets compute_level_sets(const CsrMatrix& a) {
       }
     }
   }
-  return group_by_level(std::move(level));
+  LevelSets ls = group_by_level(std::move(level));
+  ls.lower_only = !lifted;
+  return ls;
 }
 
 LevelSets compute_level_sets_lower(const CsrMatrix& lower) {
@@ -70,7 +78,9 @@ LevelSets compute_level_sets_lower(const CsrMatrix& lower) {
     }
     level[static_cast<std::size_t>(r)] = lv;
   }
-  return group_by_level(std::move(level));
+  LevelSets ls = group_by_level(std::move(level));
+  ls.lower_only = true;
+  return ls;
 }
 
 }  // namespace javelin

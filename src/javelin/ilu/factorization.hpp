@@ -1,10 +1,11 @@
 // The complete Javelin factorization object: symbolic pattern, level plan,
 // execution schedules (the forward solve and the numeric factorization run
-// the plan's levels; the backward solve runs them reversed; all run under
-// the pluggable exec/ backend — P2P spin-waits or barrier CSR-LS), and the
-// numeric factor itself. Built once, then reused by thousands of triangular
-// solves (paper §VI: "the incomplete factorization may only be formed once,
-// but stri may be called thousands of times").
+// L's own levels, which are the plan's on a symmetric pattern; the backward
+// solve runs the plan's levels reversed; all run under the pluggable exec/
+// backend — P2P spin-waits or barrier CSR-LS), and the numeric factor
+// itself. Built once, then reused by thousands of triangular solves (paper
+// §VI: "the incomplete factorization may only be formed once, but stri may
+// be called thousands of times").
 #pragma once
 
 #include <memory>
@@ -59,9 +60,12 @@ struct Factorization {
   CsrMatrix lu;
   std::vector<index_t> diag_pos;
 
-  /// Forward schedule over all rows: the plan's levels first to last, rows
-  /// ascending, so serial_order is 0 … n-1 (build_forward_schedule). The
-  /// forward solve and the numeric factorization both run every row of it.
+  /// Forward schedule over all rows on L's own levels
+  /// (build_forward_schedule): the plan's levels with serial_order 0 … n-1
+  /// when plan.lower_only (always on a symmetric pattern), else the level
+  /// sets of lu's strictly-lower pattern with serial_order their level-major
+  /// listing. The forward solve and the numeric factorization both run
+  /// every row of it.
   ExecSchedule fwd;
   /// Backward-solve schedule over all rows: the plan's levels last to
   /// first, rows descending, so serial_order is n-1 … 0

@@ -4,8 +4,8 @@
 // (fused_forward, where the rhs gather x = P r is folded into each row).
 // One implementation keeps the per-row accumulation in a single place, so
 // the bitwise fused/unfused parity contract cannot drift. The forward sweep
-// is one exec_run region over f.fwd — the plan's levels — like the backward
-// sweep over the same levels reversed.
+// is one exec_run region over f.fwd — L's own levels — like the backward
+// sweep over the plan's levels reversed.
 #pragma once
 
 #include <span>

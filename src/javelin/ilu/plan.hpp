@@ -1,8 +1,10 @@
 // Level plan (paper §III-A, Fig. 2): the level-set permutation of the
-// symbolic factor and its level boundaries. Every row is factored and
-// solved on these levels, under the one forward schedule and its reverse
-// (ilu/factorization.hpp); unlike the paper, no trailing levels are split
-// off into a separate lower stage (see ilu/parallel.cpp).
+// symbolic factor and its level boundaries. The backward solve runs these
+// levels reversed; the forward solve and the numeric factorization run L's
+// own levels, which are these when lower_only (always on a symmetric
+// pattern) and fewer otherwise (ilu/factorization.hpp). Unlike the paper, no
+// trailing levels are split off into a separate lower stage (see
+// ilu/parallel.cpp).
 #pragma once
 
 #include <vector>
@@ -22,6 +24,10 @@ struct LevelPlan {
   std::vector<index_t> level_ptr;
   /// Thread count the plan targets.
   int threads = 1;
+  /// These are also the levels of S's strictly-lower pattern
+  /// (LevelSets::lower_only), so L = lower(P S Pᵀ) has exactly these levels.
+  /// False on most unsymmetric patterns, whose L is shallower.
+  bool lower_only = false;
 
   index_t num_levels() const noexcept {
     return static_cast<index_t>(level_ptr.size()) - 1;

@@ -14,6 +14,7 @@ LevelPlan build_level_plan(const CsrMatrix& s, const IluOptions& opts) {
   LevelSets ls = compute_level_sets(s);
   plan.perm = std::move(ls.rows_by_level);
   plan.level_ptr = std::move(ls.level_ptr);
+  plan.lower_only = ls.lower_only;
   return plan;
 }
 

@@ -1,8 +1,9 @@
 // The up-looking row elimination kernel (paper Fig. 1) shared by every
 // execution path: the serial reference and the numeric phase, which runs it
-// for every row under the forward schedule. Keeping one kernel, run once
-// per row, guarantees the parallel factorizations are bitwise identical to
-// the serial one, modified ILU included — the within-row arithmetic order
+// for every row under the forward schedule, on L's own levels (row r reads
+// only the rows its strictly-lower entries name). Keeping one kernel, run
+// once per row, guarantees the parallel factorizations are bitwise identical
+// to the serial one, modified ILU included — the within-row arithmetic order
 // is fixed by the CSR column order, and rows never race (each row has
 // exactly one writer).
 #pragma once
@@ -140,11 +141,17 @@ inline bool finish_row(const FactorView& f, index_t r, const RowKernelParams& p)
 }
 
 /// Full single-row factorization: mark, eliminate everything left of the
-/// diagonal, finish.
+/// diagonal, finish. A row whose first column is its diagonal has nothing
+/// to eliminate, so it skips the position map, whose scattered workspace
+/// writes would be most of what the row costs; the result is the same bit
+/// for bit (test_factor_parity runs the unconditional sequence beside it).
 inline bool factor_row(const FactorView& f, index_t r, RowWorkspace& ws,
                        const RowKernelParams& p) {
-  mark_row(f, r, ws);
-  eliminate_row(f, r, ws, p);
+  if (f.diag_pos[static_cast<std::size_t>(r)] >
+      f.row_ptr[static_cast<std::size_t>(r)]) {
+    mark_row(f, r, ws);
+    eliminate_row(f, r, ws, p);
+  }
   return finish_row(f, r, p);
 }
 

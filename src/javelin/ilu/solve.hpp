@@ -2,18 +2,18 @@
 // factorization is co-designed for (paper §VI: "the incomplete factorization
 // may only be formed once, but stri may be called thousands of times").
 //
-// Both sweeps run on the plan's own levels, so the factorization and both
-// solves share one level structure and every level is a contiguous row
-// range. The forward (L) sweep runs under f.fwd, the schedule the numeric
+// The forward (L) sweep runs under f.fwd, the schedule the numeric
 // factorization also runs (the dependency pattern of the forward solve is
-// exactly the strictly-lower pattern of the factor, so its spin-wait
-// sparsification serves both). The backward (U)
-// sweep runs under f.bwd, the same levels reversed, with the diagonal scale
-// fused into the sweep — no separate D^{-1} pass over the vector. Each
-// sweep is one region under the exec/ backend the factor was built with
-// (P2P, or barrier CSR-LS: then both are plain level-set sweeps) and
-// RETARGETS through the workspace's ScheduleCache when the runtime team
-// differs from the factor-time plan — never a silent serial fallback.
+// exactly the strictly-lower pattern of the factor, so its levels and its
+// spin-wait sparsification serve both): L's own levels, which are the
+// plan's on a symmetric pattern and can be far fewer on an unsymmetric one.
+// The backward (U) sweep runs under f.bwd, the plan's levels reversed, each
+// level a contiguous row range, with the diagonal scale fused into the
+// sweep — no separate D^{-1} pass over the vector. Each sweep is one region
+// under the exec/ backend the factor was built with (P2P, or barrier
+// CSR-LS: then both are plain level-set sweeps) and RETARGETS through the
+// workspace's ScheduleCache when the runtime team differs from the
+// factor-time plan — never a silent serial fallback.
 //
 // All parallel sweeps are bitwise-identical to the serial reference: every
 // row's accumulation walks its CSR entries in the same ascending order, and

@@ -38,10 +38,13 @@ bool CsrMatrix::rows_sorted_and_unique() const noexcept {
 
 bool CsrMatrix::has_full_diagonal() const noexcept {
   if (!square()) return false;
+  // Row-parallel: one binary search per row, reduced to one flag.
+  bool missing = false;
+#pragma omp parallel for schedule(static) reduction(|| : missing)
   for (index_t r = 0; r < rows_; ++r) {
-    if (find(r, r) == kInvalidIndex) return false;
+    if (find(r, r) == kInvalidIndex) missing = true;
   }
-  return true;
+  return !missing;
 }
 
 void CsrMatrix::sort_rows() {

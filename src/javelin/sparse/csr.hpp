@@ -87,7 +87,7 @@ class CsrMatrix {
   bool rows_sorted_and_unique() const noexcept;
 
   /// True iff every diagonal entry is present in the pattern (required by
-  /// up-looking ILU, which divides by the pivot).
+  /// up-looking ILU, which divides by the pivot). Parallel over rows.
   bool has_full_diagonal() const noexcept;
 
   /// Sort every row by column index (values carried along). Parallel.

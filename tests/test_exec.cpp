@@ -13,10 +13,11 @@
 //   * set_exec_backend flips a factor between backends in place, and a
 //     workspace whose cache holds schedules retargeted to a smaller runtime
 //     team rebuilds them under the new backend;
-//   * the forward schedule runs the plan's own levels (serial order
-//     0 … n-1) and the backward schedule the same levels reversed (serial
-//     order n-1 … 0), each level one contiguous row range, on every suite
-//     matrix;
+//   * the forward schedule runs L's own levels (compute_level_sets_lower
+//     of the factor; on a symmetric pattern the plan's levels, serial order
+//     0 … n-1) and the backward schedule the plan's levels reversed (serial
+//     order n-1 … 0, each level one contiguous row range), on every suite
+//     and degenerate matrix;
 //   * the P2P and barrier executors run exactly the (row, thread) pairs the
 //     builder assigned, a level of at most chunk_rows rows runs on one
 //     thread, and both branches run each tail chunk once, on its thread;
@@ -31,9 +32,11 @@
 
 #include "javelin/exec/run.hpp"
 #include "javelin/gen/generators.hpp"
+#include "javelin/graph/levels.hpp"
 #include "javelin/ilu/fused.hpp"
 #include "javelin/ilu/solve.hpp"
 #include "javelin/solver/krylov.hpp"
+#include "javelin/sparse/ops.hpp"
 #include "javelin/sparse/spmv.hpp"
 #include "javelin/support/parallel.hpp"
 #include "javelin/verify/verify.hpp"
@@ -100,8 +103,9 @@ void check_retarget_identity(const char* name, const CsrMatrix& a,
   const DepsFn low = lower_triangular_deps(f.lu);
   const DepsFn up = upper_triangular_deps(f.lu);
   for (int T : {1, 2, 4, 8}) {
-    const ExecSchedule fresh_fwd = build_forward_schedule(
-        f.lu, f.plan.level_ptr, backend, T, f.fwd.chunk_rows);
+    const ExecSchedule fresh_fwd =
+        build_forward_schedule(f.lu, f.plan.level_ptr, f.plan.lower_only,
+                               backend, T, f.fwd.chunk_rows);
     const ExecSchedule fresh_bwd = build_backward_schedule(
         f.lu, f.plan.level_ptr, backend, T, f.bwd.chunk_rows);
     CHECK_MSG(schedules_equal(retarget(f.fwd, low, T), fresh_fwd),
@@ -243,12 +247,15 @@ void check_backend_parity(const char* name, const CsrMatrix& a, int threads) {
             name, threads);
 }
 
-/// Co-design (paper §III): both sweeps run the plan's levels. f.fwd lists
-/// them first to last with rows ascending, so its level_ptr is the plan's
-/// and serial_order is 0 … n-1; f.bwd lists them last to first with rows
-/// descending, so level j of f.bwd is plan level L-1-j and serial_order is
-/// n-1 … 0. Every level is one contiguous row range.
-void check_sweeps_on_plan_levels(const std::string& name, const CsrMatrix& a) {
+/// Co-design (paper §III): the forward sweep and the numeric phase run L's
+/// own levels — f.fwd's level_ptr and serial_order are those of
+/// compute_level_sets_lower(f.lu), which on a symmetric pattern are the
+/// plan's levels with serial_order 0 … n-1. The backward sweep runs the
+/// plan's levels last to first with rows descending, so level j of f.bwd is
+/// plan level L-1-j, serial_order is n-1 … 0 and every level is one
+/// contiguous row range. Returns 0 for a symmetric pattern, 1 for an
+/// unsymmetric one on the plan's level count, 2 for one on fewer levels.
+int check_sweep_levels(const std::string& name, const CsrMatrix& a) {
   IluOptions opts;
   opts.num_threads = 4;
   opts.retarget_oversubscribed = false;
@@ -256,10 +263,23 @@ void check_sweeps_on_plan_levels(const std::string& name, const CsrMatrix& a) {
   const std::vector<index_t>& plan_ptr = f.plan.level_ptr;
   const index_t n = f.n();
   const std::size_t L = plan_ptr.size() - 1;
-  CHECK_MSG(f.fwd.num_levels == static_cast<index_t>(L) &&
-                f.fwd.level_ptr == plan_ptr,
-            "%s fwd levels (%lld) are not the %zu plan levels", name.c_str(),
-            static_cast<long long>(f.fwd.num_levels), L);
+  const LevelSets own = compute_level_sets_lower(f.lu);
+  CHECK_MSG(f.fwd.num_levels == own.num_levels() &&
+                f.fwd.level_ptr == own.level_ptr &&
+                f.fwd.serial_order == own.rows_by_level,
+            "%s fwd levels (%lld) are not L's own %lld", name.c_str(),
+            static_cast<long long>(f.fwd.num_levels),
+            static_cast<long long>(own.num_levels()));
+  const bool symmetric = pattern_symmetric(a);
+  if (symmetric) {
+    bool plan_ok = f.fwd.level_ptr == plan_ptr &&
+                   f.fwd.serial_order.size() == static_cast<std::size_t>(n);
+    for (index_t k = 0; plan_ok && k < n; ++k) {
+      plan_ok = f.fwd.serial_order[static_cast<std::size_t>(k)] == k;
+    }
+    CHECK_MSG(plan_ok, "%s: symmetric pattern, but fwd is not the %zu plan "
+              "levels over 0 .. n-1", name.c_str(), L);
+  }
   bool levels_ok = f.bwd.num_levels == static_cast<index_t>(L) &&
                    f.bwd.level_ptr.size() == plan_ptr.size();
   for (std::size_t j = 0; levels_ok && j <= L; ++j) {
@@ -268,15 +288,13 @@ void check_sweeps_on_plan_levels(const std::string& name, const CsrMatrix& a) {
   CHECK_MSG(levels_ok, "%s bwd levels (%lld) are not the %zu plan levels "
             "reversed", name.c_str(), static_cast<long long>(f.bwd.num_levels),
             L);
-  // Consecutive rows: every level is a contiguous row range.
-  bool order_ok = f.fwd.serial_order.size() == static_cast<std::size_t>(n) &&
-                  f.bwd.serial_order.size() == static_cast<std::size_t>(n);
+  bool order_ok = f.bwd.serial_order.size() == static_cast<std::size_t>(n);
   for (index_t k = 0; order_ok && k < n; ++k) {
-    order_ok = f.fwd.serial_order[static_cast<std::size_t>(k)] == k &&
-               f.bwd.serial_order[static_cast<std::size_t>(k)] == n - 1 - k;
+    order_ok = f.bwd.serial_order[static_cast<std::size_t>(k)] == n - 1 - k;
   }
-  CHECK_MSG(order_ok, "%s serial_order is not 0 .. n-1 (fwd) / n-1 .. 0 (bwd)",
-            name.c_str());
+  CHECK_MSG(order_ok, "%s bwd serial_order is not n-1 .. 0", name.c_str());
+  if (symmetric) return 0;
+  return f.fwd.num_levels < static_cast<index_t>(L) ? 2 : 1;
 }
 
 /// Both executor branches must run exactly the (row, thread) pairs the
@@ -445,27 +463,47 @@ int main() {
   CsrMatrix grid = gen::laplacian2d(24, 24, 5);
   CsrMatrix chain = gen::long_chain(1400, 10, 4, 3);
   CsrMatrix fem = gen::random_fem(1000, 8, 21, 0.02);
+  // Unsymmetric: L's own levels, not the plan's, drive the forward schedule.
+  CsrMatrix circ = gen::circuit(1000, 5.5, 17, /*symmetric_pattern=*/false, 7);
 
   check_retarget_identity("grid", grid, ExecBackend::kP2P);
   check_retarget_identity("grid-ls", grid, ExecBackend::kBarrier);
   check_retarget_identity("chain", chain, ExecBackend::kP2P);
   check_retarget_identity("fem", fem, ExecBackend::kP2P);
+  check_retarget_identity("circuit-unsym", circ, ExecBackend::kP2P);
+  check_retarget_identity("circuit-unsym-ls", circ, ExecBackend::kBarrier);
 
   check_runtime_retarget("grid", grid, ExecBackend::kP2P);
   check_runtime_retarget("grid-ls", grid, ExecBackend::kBarrier);
   check_runtime_retarget("chain", chain, ExecBackend::kP2P);
+  check_runtime_retarget("circuit-unsym", circ, ExecBackend::kP2P);
+  check_runtime_retarget("circuit-unsym-ls", circ, ExecBackend::kBarrier);
 
   check_oversubscription_policy(grid);
 
   gen::SuiteOptions small;
   small.scale = 0.02;
-  for (const std::string& name : gen::suite_names()) {
-    check_sweeps_on_plan_levels(name,
-                                gen::make_suite_matrix(name, small).matrix);
+  {
+    int symmetric = 0;
+    int shallower = 0;
+    for (const std::string& name : gen::suite_names()) {
+      const int kind =
+          check_sweep_levels(name, gen::make_suite_matrix(name, small).matrix);
+      symmetric += kind == 0 ? 1 : 0;
+      shallower += kind == 2 ? 1 : 0;
+    }
+    for (const std::string& name : gen::degenerate_names()) {
+      check_sweep_levels(name, gen::make_suite_matrix(name, small).matrix);
+    }
+    CHECK_MSG(symmetric > 0 && shallower > 0,
+              "suite: %d symmetric patterns, %d with fewer forward levels "
+              "than plan levels",
+              symmetric, shallower);
   }
   check_executor_slices("grid", grid);
   check_executor_slices("chain", chain);
   check_executor_slices("fem", fem);
+  check_executor_slices("circuit-unsym", circ);
   for (const std::string& name : gen::suite_names()) {
     check_run_layer(name, gen::make_suite_matrix(name, small).matrix);
   }

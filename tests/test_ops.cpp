@@ -2,8 +2,9 @@
 // matrices, rectangular shapes, empty rows, unsorted column input, and
 // bitwise serial-vs-parallel parity (same discipline as test_factor_parity).
 // Also the factor set-up primitives: the level sets of lower(A+Aᵀ) against
-// the symmetrized reference, permute_symmetric's slot record, and
-// diagonal_positions' missing-diagonal error from its parallel loop.
+// the symmetrized reference and their lower_only report, permute_symmetric's
+// slot record, and the missing-diagonal reports of diagonal_positions and
+// has_full_diagonal.
 #include <algorithm>
 #include <numeric>
 #include <random>
@@ -163,13 +164,25 @@ CsrMatrix drop_diagonal(const CsrMatrix& a, index_t row) {
                    std::move(vv));
 }
 
-/// compute_level_sets reads A's rows; the reference forms lower(A+Aᵀ).
-void check_level_oracle(const std::string& name, const CsrMatrix& a) {
+/// compute_level_sets reads A's rows; the reference forms lower(A+Aᵀ). Its
+/// lower_only report is true exactly when those levels are the
+/// strictly-lower pattern's own. Returns lower_only.
+bool check_level_oracle(const std::string& name, const CsrMatrix& a) {
   const LevelSets got = compute_level_sets(a);
   const LevelSets ref = compute_level_sets_lower(pattern_symmetrize(a));
   CHECK_MSG(got.level == ref.level && got.level_ptr == ref.level_ptr &&
                 got.rows_by_level == ref.rows_by_level,
             "%s: level sets differ from those of lower(A+Aᵀ)", name.c_str());
+  const LevelSets low = compute_level_sets_lower(a);
+  CHECK(low.lower_only);
+  const bool same = got.level == low.level && got.level_ptr == low.level_ptr &&
+                    got.rows_by_level == low.rows_by_level;
+  CHECK_MSG(got.lower_only == same,
+            "%s: lower_only is %d, but the levels %s the strictly-lower "
+            "pattern's",
+            name.c_str(), got.lower_only ? 1 : 0,
+            same ? "equal" : "differ from");
+  return got.lower_only;
 }
 
 /// slot_of[k] names the entry of P·A·Pᵀ that A's k-th nonzero became.
@@ -312,20 +325,28 @@ int main() {
   }
 
   // Level sets of lower(A+Aᵀ) without forming it: suite, degenerate set,
-  // an unsymmetric pattern, no diagonal at all, n = 0 and n = 1.
+  // an unsymmetric pattern, no diagonal at all, n = 0 and n = 1. The suite
+  // holds patterns with both lower_only outcomes.
   {
     gen::SuiteOptions small;
     small.scale = 0.02;
+    int lower_only = 0;
+    int lifted = 0;
     for (const std::string& name : gen::suite_names()) {
-      check_level_oracle(name, gen::make_suite_matrix(name, small).matrix);
+      const bool own =
+          check_level_oracle(name, gen::make_suite_matrix(name, small).matrix);
+      (own ? lower_only : lifted) += 1;
     }
+    CHECK_MSG(lower_only > 0 && lifted > 0,
+              "suite: %d lower_only and %d lifted patterns", lower_only,
+              lifted);
     for (const std::string& name : gen::degenerate_names()) {
       check_level_oracle(name, gen::make_suite_matrix(name, small).matrix);
     }
     const CsrMatrix circ =
         gen::circuit(800, 5.5, 17, /*symmetric_pattern=*/false, 7);
     CHECK(!pattern_symmetric(circ));
-    check_level_oracle("circuit", circ);
+    CHECK(!check_level_oracle("circuit", circ));
     check_level_oracle("no diagonal",
                        drop_diagonal(random_rect(90, 90, 0.04, 0xD1A6), -1));
     check_level_oracle("n=0", CsrMatrix::zeros(0, 0));
@@ -338,10 +359,19 @@ int main() {
                       0x51075);
   check_permute_slots(random_rect(120, 120, 0.05, 0xC0FFEE), 0xBEEF);
 
-  // A structurally missing diagonal throws after the parallel region.
+  // A structurally missing diagonal throws after the parallel region, and
+  // the row-parallel has_full_diagonal reports it (ilu_prepare picks its
+  // own-pattern branch with it).
   {
     const CsrMatrix g = gen::laplacian2d(30, 30, 5);
     CHECK(diagonal_positions(g).size() == static_cast<std::size_t>(g.rows()));
+    CHECK(g.has_full_diagonal());
+    CHECK(!drop_diagonal(g, 613).has_full_diagonal());
+    CHECK(!drop_diagonal(g, 0).has_full_diagonal());
+    CHECK(!drop_diagonal(g, g.rows() - 1).has_full_diagonal());
+    CHECK(CsrMatrix::zeros(0, 0).has_full_diagonal());
+    CHECK(!CsrMatrix::zeros(1, 1).has_full_diagonal());
+    CHECK(!random_rect(6, 5, 0.5, 0x5EED).has_full_diagonal());
     bool threw = false;
     try {
       (void)diagonal_positions(drop_diagonal(g, 613));

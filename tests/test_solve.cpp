@@ -1,9 +1,11 @@
 // Property tests of the triangular-solve subsystem: the P2P fwd+bwd sweeps
 // must match the serial reference solve bitwise — also when small items
 // spread the trailing levels over the team, so they carry cross-thread
-// waits — and on a matrix whose ILU(0) is exact (tridiagonal) ilu_apply must
-// invert A to rounding accuracy.
+// waits, and on unsymmetric patterns, whose forward sweep runs L's own
+// levels under either backend — and on a matrix whose ILU(0) is exact
+// (tridiagonal) ilu_apply must invert A to rounding accuracy.
 #include <random>
+#include <utility>
 
 #include "javelin/gen/generators.hpp"
 #include "javelin/ilu/solve.hpp"
@@ -63,7 +65,8 @@ void check_apply_parity(const char* name, const CsrMatrix& a, IluOptions opts) {
 
 /// The forward schedule must hold cross-thread waits on items of its
 /// trailing half of levels, so the parity checks above exercise
-/// synchronization where the levels are narrow.
+/// synchronization where the levels are narrow. For symmetric patterns,
+/// whose forward levels are contiguous row ranges.
 void check_trailing_waits(const char* name, const CsrMatrix& a,
                           const IluOptions& opts) {
   const Factorization f = ilu_prepare(a, opts);
@@ -93,6 +96,11 @@ int main() {
   CsrMatrix fem = gen::random_fem(1000, 8, 21, 0.02);
   CsrMatrix chain = gen::long_chain(1400, 10, 4, 3);
   CsrMatrix power = gen::power_system(900, 18, 50, 13);
+  CsrMatrix circ_u =
+      gen::circuit(1000, 5.5, 17, /*symmetric_pattern=*/false, 7);
+  gen::SuiteOptions small;
+  small.scale = 0.02;
+  CsrMatrix trans4 = gen::make_suite_matrix("trans4", small).matrix;
 
   for (int threads : {1, 2, 4}) {
     IluOptions opts;
@@ -117,6 +125,26 @@ int main() {
     if (threads == 4) {
       check_trailing_waits("grid-wide", grid, wide);
       check_trailing_waits("fem-wide", fem, wide);
+    }
+
+    // Unsymmetric patterns: the forward sweep runs L's own levels, not the
+    // plan's, under both backends and every factor variant.
+    for (ExecBackend backend : {ExecBackend::kP2P, ExecBackend::kBarrier}) {
+      for (const auto& [name, m] :
+           {std::pair<const char*, const CsrMatrix*>{"circuit-unsym", &circ_u},
+            {"trans4", &trans4}}) {
+        IluOptions u = opts;
+        u.exec_backend = backend;
+        for (int fill : {0, 1}) {
+          u.fill_level = fill;
+          u.modified = false;
+          u.drop_tolerance = 0.0;
+          check_apply_parity(name, *m, u);
+          u.modified = true;
+          u.drop_tolerance = 1e-3;
+          check_apply_parity(name, *m, u);
+        }
+      }
     }
   }
 

@@ -257,7 +257,7 @@ struct StreamPoint {
   index_t k = 0;
   double batch_s = 0;        ///< wall time of one solve_many(k) batch
   double solves_per_s = 0;   ///< k / batch_s
-  bool batched_parity = true;  ///< bitwise equal to k independent applies
+  bool batched_parity = true;  ///< bitwise equal to k serial-reference applies
 };
 
 /// Throughput rows run under the SERVING configuration (retarget on): a
@@ -427,7 +427,7 @@ std::vector<value_t> random_vector(index_t n, std::uint64_t seed) {
 SolveReport run_robust(MatrixReport& rep, const CsrMatrix& a) {
   const auto xt = random_vector(a.rows(), 0x5EED);
   std::vector<value_t> b(xt.size());
-  spmv(a, xt, b);
+  spmv_serial(a, xt, b);
   std::vector<value_t> x(xt.size(), 0.0);
   RobustOptions ropts;
   ropts.solver.max_iterations = 2000;
@@ -706,8 +706,9 @@ MatrixReport bench_matrix(const gen::SuiteEntry& e, const BenchConfig& cfg) {
     // right-hand sides under the SERVING configuration (retarget on — a
     // planned team that oversubscribes the machine re-plans to the core
     // count instead of spinning, exactly what a deployed server does). Each
-    // point is bitwise-checked against k independent scalar applies of the
-    // SAME factor; k / batch_s is the solves/sec the batch sustained.
+    // point is bitwise-checked against k independent serial-reference
+    // applies of the SAME factor; k / batch_s is the solves/sec the batch
+    // sustained.
     {
       const bool saved_retarget = f.opts.retarget_oversubscribed;
       f.opts.retarget_oversubscribed = true;
@@ -729,16 +730,16 @@ MatrixReport bench_matrix(const gen::SuiteEntry& e, const BenchConfig& cfg) {
         std::copy(col.begin(), col.end(),
                   rp.begin() + static_cast<std::size_t>(j) * un);
       }
-      // Scalar reference, prefix-closed: the first k columns of the k_max
+      // Serial reference, prefix-closed: the first k columns of the k_max
       // reference ARE the k-RHS reference (columns are independent).
       std::vector<value_t> z_ref(rp.size());
       for (index_t j = 0; j < k_max; ++j) {
-        ilu_apply(f,
-                  std::span<const value_t>(rp).subspan(
-                      static_cast<std::size_t>(j) * un, un),
-                  std::span<value_t>(z_ref).subspan(
-                      static_cast<std::size_t>(j) * un, un),
-                  wt);
+        ilu_apply_serial(f,
+                         std::span<const value_t>(rp).subspan(
+                             static_cast<std::size_t>(j) * un, un),
+                         std::span<value_t>(z_ref).subspan(
+                             static_cast<std::size_t>(j) * un, un),
+                         wt);
       }
       std::vector<value_t> zp(rp.size());
       for (index_t k : cfg.streams) {

@@ -1,18 +1,22 @@
-// Batched many-RHS solve path — the "millions of users" serving axis
-// (ROADMAP item 1). One immutable Factorization is amortized across many
-// concurrent right-hand sides two complementary ways:
+// Batched many-RHS solve path — the serving axis. One immutable
+// Factorization is amortized across many concurrent right-hand sides two
+// complementary ways:
 //
-//   * PANEL SWEEPS: k right-hand sides are stored column-major in an n×k
-//     panel and swept together by register-blocked panel kernels — each
+//   * PANEL APPLIES: k right-hand sides are stored column-major in an n×k
+//     panel and solved together by the register-blocked row kernels — each
 //     row's L/U entries are loaded once per register block of columns
-//     (sparse/panel.hpp) instead of once per RHS. The columns of a panel
-//     share no dependencies, so when k is at least the runtime team every
-//     thread takes a contiguous group of whole columns and sweeps it
-//     straight through, rows 0…n−1 then n−1…0, with no progress counters,
-//     waits or barriers. Only with fewer columns than threads, or under an
-//     ExecObs sink (which instruments schedules), does the panel run the
-//     scalar solve's row-parallel execution schedules, paying their
-//     synchronization once per panel rather than once per RHS.
+//     (sparse/panel.hpp) instead of once per RHS. The scalar ilu_apply is
+//     the k = 1 case of the same apply (ilu/solve.cpp), which has two
+//     executions. The columns of a panel share no dependencies, so when k
+//     is at least the runtime team every thread takes a contiguous group of
+//     whole columns and sweeps it straight through, rows 0…n−1 then
+//     n−1…0, with no progress counters, waits or barriers (a team of one
+//     runs this for every k). Only with fewer columns than threads, or
+//     under an ExecObs sink (which instruments schedules), does the panel
+//     run the factor's row-parallel execution schedules, paying their
+//     synchronization once per panel rather than once per RHS. Either way
+//     the group width is fixed once per call, so no row picks a block
+//     width.
 //
 //   * WORKSPACE POOLS: independent serving streams check SolveWorkspaces out
 //     of a WorkspacePool and run concurrent ilu_apply/ilu_apply_panel calls
@@ -20,9 +24,10 @@
 //     distinct workspaces; the factor is never written after construction).
 //
 // The standing bitwise guarantee extends to this path: a batched solve of k
-// right-hand sides is bitwise equal to k independent scalar solves, at every
-// thread count, under both exec backends — column j's accumulation order is
-// the scalar order by construction (test_batch).
+// right-hand sides is bitwise equal to k independent serial-reference
+// solves (ilu_apply_serial), at every thread count, under both exec
+// backends — column j's accumulation order is the reference's by
+// construction (test_batch).
 #pragma once
 
 #include <memory>
@@ -36,22 +41,13 @@
 
 namespace javelin {
 
-/// Default panel width of solve_many when IluOptions::batch_rhs <= 0. Eight
-/// columns saturate the register block (sparse/panel.hpp), so wider panels
-/// only grow the workspace without loading factor entries less often.
-inline constexpr index_t kDefaultBatchRhs = 8;
-
-/// The panel width `f` was configured for (its batch_rhs, defaulted).
-inline index_t batch_rhs_of(const Factorization& f) noexcept {
-  return f.opts.batch_rhs > 0 ? f.opts.batch_rhs : kDefaultBatchRhs;
-}
-
 /// Panel preconditioner application Z = (L U)^{-1} R for k right-hand sides
 /// stored column-major (R and Z are n×k, column stride n, ORIGINAL row
 /// ordering; they must not overlap). Column j is bitwise equal to
-/// ilu_apply(f, column j of R, column j of Z, ws) at every thread count and
-/// backend. With k >= runtime_team(f) and no exec_obs sink, each thread
-/// solves a contiguous group of whole columns in ws's n×k panel with no
+/// ilu_apply_serial(f, column j of R, column j of Z, ws) at every thread
+/// count and backend; ilu_apply is this call at k = 1. With
+/// k >= runtime_team(f) and no exec_obs sink, each thread solves a
+/// contiguous group of whole columns in ws's n×k panel with no
 /// synchronization; otherwise the panel runs the forward and backward
 /// schedules row-parallel. A fault_hook fires after every row (of every
 /// column group); a veto throws AbortError naming the sweep and permuted row
@@ -138,10 +134,11 @@ class WorkspacePool {
 };
 
 /// Batched serving entry point: solve k right-hand sides (column-major n×k
-/// panels R → Z, original row ordering) against one factorization, sweeping
-/// panels of at most batch_rhs_of(f) columns per scheduled pass. Bitwise
-/// equal to k independent ilu_apply calls. Throws when k < 1 or a span is
-/// smaller than n×k.
+/// panels R → Z, original row ordering) against one factorization, as
+/// ilu_apply_panel calls of at most kPanelBlockCols (8) columns — one
+/// register block, so wider panels would only grow the workspace without
+/// loading factor entries less often. Bitwise equal to k independent
+/// ilu_apply_serial calls. Throws when k < 1 or a span is smaller than n×k.
 void solve_many(const Factorization& f, std::span<const value_t> r,
                 std::span<value_t> z, index_t k, SolveWorkspace& ws);
 

@@ -4,17 +4,13 @@
 
 #include "javelin/exec/run.hpp"
 #include "javelin/ilu/forward_sweep.hpp"
-#include "javelin/ilu/trsv_kernels.hpp"
 #include "javelin/sparse/ops.hpp"
+#include "javelin/sparse/panel.hpp"
 #include "javelin/sparse/spmv.hpp"
 #include "javelin/support/parallel.hpp"
 #include "javelin/verify/verify.hpp"
 
 namespace javelin {
-
-using detail::backward_row;
-using detail::lower_partial;
-using detail::spmv_row;
 
 FusedApplySpmv build_fused_apply_spmv(const ExecSchedule& bwd,
                                       const LevelPlan& plan,
@@ -112,43 +108,6 @@ void verify_fused_or_throw(const FusedApplySpmv& fs, const ExecSchedule& bwd,
                                fused_tail_deps(fs, f.plan, a), what);
 }
 
-/// Forward sweep with the rhs gather folded into each row: on exit
-/// L x = P r, without the separate permute-in pass. The shared forward_sweep
-/// makes this bitwise-identical to trsv_forward on a pre-gathered x by
-/// construction.
-ExecStatus fused_forward(const Factorization& f, std::span<const value_t> rv,
-                         std::span<value_t> x, SolveWorkspace& ws) {
-  const auto& perm = f.plan.perm;
-  return detail::forward_sweep(
-      f,
-      [&rv, &perm](index_t r) {
-        return rv[static_cast<std::size_t>(perm[static_cast<std::size_t>(r)])];
-      },
-      x, ws);
-}
-
-/// Straight-line backward sweep (scatter folded in) followed by the full
-/// SpMV — the single-thread execution of the fused pass (a schedule
-/// retargeted to T = 1), with zero synchronization.
-ExecStatus serial_backward_spmv(const Factorization& f, const CsrMatrix& a,
-                                std::span<value_t> x, std::span<value_t> z,
-                                std::span<value_t> t) {
-  const auto& perm = f.plan.perm;
-  const FaultHook& hook = f.opts.fault_hook;
-  for (index_t row : f.bwd.serial_order) {
-    backward_row(f.lu, f.diag_pos, row, x);
-    z[static_cast<std::size_t>(perm[static_cast<std::size_t>(row)])] =
-        x[static_cast<std::size_t>(row)];
-    if (hook && !hook(FaultSite::kBackwardRow, row)) {
-      return {ExecOutcome::kAborted, row};
-    }
-  }
-  for (index_t row = 0; row < a.rows(); ++row) {
-    t[static_cast<std::size_t>(row)] = spmv_row(a, row, z);
-  }
-  return {};
-}
-
 [[noreturn]] void throw_fused_abort(index_t row) {
   throw AbortError("fused apply+spmv aborted at permuted row " +
                    std::to_string(row) + " (fault injection)");
@@ -221,54 +180,49 @@ void ilu_apply_spmv(const Factorization& f, const CsrMatrix& a,
                     const FusedApplySpmv& fs, std::span<const value_t> r,
                     std::span<value_t> z, std::span<value_t> t,
                     SolveWorkspace& ws) {
+  detail::check_panel(f, 1, {r.size(), z.size(), t.size()}, "ilu_apply_spmv");
   const index_t n = f.n();
+  const std::size_t un = static_cast<std::size_t>(n);
   ws.resize(n);
-  const auto& perm = f.plan.perm;
-  const CsrMatrix& lu = f.lu;
-  const std::span<value_t> x =
-      std::span<value_t>(ws.x).first(static_cast<std::size_t>(n));
-
+  value_t* x = ws.x.data();
   const FusedRuntime rt = runtime_fused_schedule(f, a, fs, ws);
-  const FaultHook& hook = f.opts.fault_hook;
-  if (rt.team <= 1) {
-    // Single-thread team: gather+forward, backward+scatter and the SpMV as
-    // straight-line sweeps with zero synchronization — no point building
-    // schedules this path never reads. Same accumulation orders —
-    // bitwise-identical to the scheduled path.
-    for (index_t row = 0; row < n; ++row) {
-      x[static_cast<std::size_t>(row)] =
-          r[static_cast<std::size_t>(perm[static_cast<std::size_t>(row)])] -
-          lower_partial(lu, row, x);
-      if (hook && !hook(FaultSite::kForwardRow, row)) throw_fused_abort(row);
+  const auto spmv_rows = [&](index_t begin, index_t end) {
+    for (index_t row = begin; row < end; ++row) {
+      detail::spmv_row<1>(a, row, z.data(), un, t.data(), un);
     }
-    const ExecStatus bst = serial_backward_spmv(f, a, x, z, t);
-    if (!bst.ok()) throw_fused_abort(bst.row);
+  };
+
+  if (rt.team <= 1) {
+    // Single-thread team: the apply's straight-line column solve (gather
+    // and scatter folded in) followed by every SpMV row, with zero
+    // synchronization — no point building schedules this path never
+    // reads. Same accumulation orders — bitwise-identical to the scheduled
+    // path.
+    AbortFlag abort;
+    FaultSite vetoed = FaultSite::kForwardRow;
+    detail::solve_columns<1>(f, r.data(), z.data(), x, {0, 1}, abort, vetoed);
+    if (abort.aborted()) throw_fused_abort(abort.row());
+    spmv_rows(0, a.rows());
     return;
   }
 
-  const ExecStatus fst = fused_forward(f, r, x, ws);
+  // The apply's forward sweep, then one region: the backward sweep with the
+  // z scatter folded into each row, and the SpMV chunks as its tail
+  // (exec/run.hpp) — under P2P each chunk waits for exactly the backward
+  // items whose z entries it reads, on the counters the sweep publishes.
+  // Hook-free solves keep the void row function, and with it the
+  // no-polling waits.
+  const ExecStatus fst =
+      detail::forward_sweep<1>(f, r.data(), /*gather=*/true, x, 1, ws);
   if (!fst.ok()) throw_fused_abort(fst.row);
-
-  // One region: the backward sweep with the z scatter folded into each row,
-  // and the SpMV chunks as its tail (exec/run.hpp) — under P2P each chunk
-  // waits for exactly the backward items whose z entries it reads, on the
-  // counters the sweep publishes. Hook-free solves keep the void row
-  // function, and with it the no-polling waits.
-  const auto backward_scatter_row = [&](index_t row) {
-    backward_row(lu, f.diag_pos, row, x);
-    z[static_cast<std::size_t>(perm[static_cast<std::size_t>(row)])] =
-        x[static_cast<std::size_t>(row)];
-  };
   const FusedApplySpmv& chunks = *rt.chunks;
   const auto spmv_chunk = [&](index_t c, int) {
-    for (index_t row = chunks.chunk_begin[static_cast<std::size_t>(c)];
-         row < chunks.chunk_end[static_cast<std::size_t>(c)]; ++row) {
-      t[static_cast<std::size_t>(row)] = spmv_row(a, row, z);
-    }
+    spmv_rows(chunks.chunk_begin[static_cast<std::size_t>(c)],
+              chunks.chunk_end[static_cast<std::size_t>(c)]);
   };
-  const ExecStatus bst = detail::run_sweep(
-      f, *rt.bwd, FaultSite::kBackwardRow, obs::Region::kFused, ws.progress,
-      backward_scatter_row, chunks.tail(), spmv_chunk);
+  const ExecStatus bst = detail::backward_sweep<1>(
+      f, *rt.bwd, obs::Region::kFused, x, z.data(), 1, ws, chunks.tail(),
+      spmv_chunk);
   if (!bst.ok()) throw_fused_abort(bst.row);
 }
 

@@ -16,10 +16,14 @@
 //     dependencies are satisfied start multiplying while other threads are
 //     still solving. No barrier, no second kernel launch.
 //
-// Per Krylov iteration this removes one full pass over the vectors (the
-// permute-out), one parallel-region fork/join and the solve→SpMV barrier,
-// while every row keeps its fixed CSR-order accumulation — the fused and
-// unfused paths are bitwise-identical at any thread count.
+// The first two fusions are the apply's own (ilu/forward_sweep.hpp): the
+// fused pass runs the same forward sweep as ilu_apply and the same
+// backward sweep with the SpMV chunks as its tail, and at a runtime team
+// of one the apply's straight-line column solve followed by every SpMV
+// row. Per Krylov iteration the tail removes one parallel-region
+// fork/join and the solve→SpMV barrier, while every row keeps its fixed
+// CSR-order accumulation — the fused and unfused paths are
+// bitwise-identical at any thread count.
 //
 // The backward region is exec_run's, so every backend behaves as it does
 // for a plain backward sweep: under the barrier (CSR-LS) backend the SpMV
@@ -108,12 +112,13 @@ TailDepsFn fused_tail_deps(const FusedApplySpmv& fs, const LevelPlan& plan,
 
 /// z = (LU)^{-1} r and t = A z in one fused pass. r, z and t are in the
 /// ORIGINAL row ordering and must not alias each other. Bitwise-identical to
-/// `ilu_apply(f, r, z, ws)` followed by `spmv(a, part, z, t)` at any thread
-/// count. When the runtime team differs from the factor-time plan the whole
-/// fused pass — backward schedule AND SpMV chunks — is retargeted through
-/// ws.sched (a team of one runs the straight-line serial sweep, which is
-/// that team's schedule, not a fallback). Throws Error when `fs` was built
-/// for a different backward schedule (dimension, team or item granule).
+/// `ilu_apply_serial(f, r, z, ws)` followed by `spmv(a, part, z, t)` at any
+/// thread count. When the runtime team differs from the factor-time plan
+/// the whole fused pass — backward schedule AND SpMV chunks — is retargeted
+/// through ws.sched (a team of one runs the straight-line column solve and
+/// then the SpMV rows, which is that team's schedule, not a fallback).
+/// Throws Error when r, z or t is shorter than n, or when `fs` was built for
+/// a different backward schedule (dimension, team or item granule).
 /// Thread-safe across distinct workspaces.
 void ilu_apply_spmv(const Factorization& f, const CsrMatrix& a,
                     const FusedApplySpmv& fs, std::span<const value_t> r,

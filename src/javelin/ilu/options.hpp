@@ -1,6 +1,6 @@
 // User-facing options of the Javelin framework (paper §III: fill level k,
 // drop tolerance τ, modified ILU; then scheduling, execution backend,
-// batching, fault injection and telemetry). Levels are always computed on
+// fault injection and telemetry). Levels are always computed on
 // lower(A+Aᵀ) (paper §VII: "we by default always recommend using the
 // lower(A+Aᵀ) pattern"), and every row is level-scheduled, so the paper's
 // lower-stage method and planner sensitivity knobs (Tables III/IV) have no
@@ -61,16 +61,6 @@ struct IluOptions {
   /// retarget_oversubscribed — the hardware core count, like any team).
   /// 0, the default, keeps the planned team.
   int tuned_threads = 0;
-
-  // --- batched serving -----------------------------------------------------
-  /// Panel width of the batched many-RHS path (ilu/batch.hpp): solve_many
-  /// splits its k right-hand sides into column-major panels of at most this
-  /// many columns and sweeps each panel in one ilu_apply_panel pass (every
-  /// factor entry loaded once per register block instead of once per RHS,
-  /// per thread). <= 0
-  /// means the built-in default (kDefaultBatchRhs). Width never changes
-  /// results: batched solves are bitwise equal to k independent solves.
-  index_t batch_rhs = 0;
 
   // --- execution backend ---------------------------------------------------
   /// Synchronization strategy of the factorization/solve schedules:

@@ -15,6 +15,13 @@
 // workspace's ScheduleCache when the runtime team differs from the
 // factor-time plan — never a silent serial fallback.
 //
+// The scalar apply is the k = 1 case of the panel apply (ilu_apply_panel,
+// ilu/batch.hpp), and both run one implementation with two executions: at
+// a runtime team of one (or whenever k >= team) the straight-line column
+// solve with no synchronization, otherwise the two scheduled sweeps above.
+// The rhs gather is folded into the forward sweep and the solution scatter
+// into the backward sweep, so an apply makes no separate permute pass.
+//
 // All parallel sweeps are bitwise-identical to the serial reference: every
 // row's accumulation walks its CSR entries in the same ascending order, and
 // each vector slot has exactly one writer.
@@ -56,16 +63,11 @@ struct SolveWorkspace {
   }
 };
 
-/// Serial reference: x = U^{-1} L^{-1} b on the permuted factor. `b` and `x`
-/// are in the factor's (permuted) row ordering; x may alias b.
-void trsv_serial(const CsrMatrix& lu, std::span<const index_t> diag_pos,
-                 std::span<const value_t> b, std::span<value_t> x);
-
 /// In-place P2P forward sweep on the permuted factor: on entry x is the
 /// permuted rhs, on exit L x' = x (unit diagonal implicit). Every row runs
 /// in one region under f.fwd. Returns kAborted only when the factor's
 /// fault-injection hook vetoed a row (tests); the hook-free path is
-/// unguarded and always kOk.
+/// unguarded and always kOk. Throws Error when x is shorter than n.
 ExecStatus trsv_forward(const Factorization& f, std::span<value_t> x,
                         SolveWorkspace& ws);
 
@@ -75,21 +77,24 @@ ExecStatus trsv_forward(const Factorization& f, std::span<value_t> x,
 ExecStatus trsv_backward(const Factorization& f, std::span<value_t> x,
                          SolveWorkspace& ws);
 
-/// Serial in-place variants (reference paths for tests and fallback).
+/// Serial in-place variants (the reference the tests check every execution
+/// against). Throw Error when x is shorter than n.
 void trsv_forward_serial(const Factorization& f, std::span<value_t> x);
 void trsv_backward_serial(const Factorization& f, std::span<value_t> x);
 
 /// Preconditioner application z = (L U)^{-1} r with r and z in the ORIGINAL
 /// row ordering (the plan permutation is applied on the way in and undone on
-/// the way out, so callers never see the level ordering). r and z must not
-/// alias. Thread-safe across distinct workspaces. Throws AbortError when a
+/// the way out, so callers never see the level ordering): ilu_apply_panel at
+/// k = 1. r and z must not alias. Thread-safe across distinct workspaces.
+/// Throws Error when r or z is shorter than n, and AbortError when a
 /// fault-injection hook aborted a sweep (converted OUTSIDE the parallel
 /// region; z is untouched); use ilu_apply_status for the non-throwing form.
 void ilu_apply(const Factorization& f, std::span<const value_t> r,
                std::span<value_t> z, SolveWorkspace& ws);
 
 /// Non-throwing ilu_apply: reports a hook-driven abort as a status instead
-/// of AbortError. On kAborted, z is not written.
+/// of AbortError. On kAborted, z is not written (a hooked apply writes z
+/// only after both sweeps finished). Still throws Error on a short span.
 ExecStatus ilu_apply_status(const Factorization& f, std::span<const value_t> r,
                             std::span<value_t> z, SolveWorkspace& ws);
 

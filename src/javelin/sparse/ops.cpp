@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "javelin/support/parallel.hpp"
 #include "javelin/support/scan.hpp"
 
 namespace javelin {

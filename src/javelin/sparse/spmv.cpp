@@ -1,7 +1,6 @@
 #include "javelin/sparse/spmv.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 
@@ -38,28 +37,27 @@ index_t nnz_split_row(const CsrMatrix& a, int parts, int part) {
   return static_cast<index_t>(it - rp.begin());
 }
 
-template <class RowOp>
-void for_rows_balanced(const CsrMatrix& a, const RowOp& op) {
-#pragma omp parallel
-  {
-    const int parts = team_size();
-    const index_t lo = nnz_split_row(a, parts, thread_id());
-    const index_t hi = nnz_split_row(a, parts, thread_id() + 1);
-    for (index_t r = lo; r < hi; ++r) op(r);
-  }
-}
-
-template <class RowOp>
-void for_rows_partitioned(const CsrMatrix& a, const RowPartition& part,
-                          const RowOp& op) {
-  // schedule(static, 1) so a team smaller than the partition still covers
-  // every chunk (contiguous chunks stay with one thread when sizes match).
-  (void)a;
+/// Y = A X for k-column panels X (column stride cols()) and Y (stride
+/// rows()) over `part`, at the block width W fixed by with_block_width
+/// (W = 0: blocks chosen per row). schedule(static, 1) so a team smaller
+/// than the partition still covers every chunk (contiguous chunks stay
+/// with one thread when sizes match).
+template <int W>
+void spmv_rows(const CsrMatrix& a, const RowPartition& part, const value_t* x,
+               value_t* y, index_t k) {
+  const std::size_t ldx = static_cast<std::size_t>(a.cols());
+  const std::size_t ldy = static_cast<std::size_t>(a.rows());
 #pragma omp parallel for schedule(static, 1)
   for (int p = 0; p < part.parts(); ++p) {
     const index_t lo = part.bounds[static_cast<std::size_t>(p)];
     const index_t hi = part.bounds[static_cast<std::size_t>(p) + 1];
-    for (index_t r = lo; r < hi; ++r) op(r);
+    for (index_t r = lo; r < hi; ++r) {
+      detail::for_each_panel_block<W>(k, [&](index_t j0, auto kb) {
+        detail::spmv_row<decltype(kb)::value>(
+            a, r, x + static_cast<std::size_t>(j0) * ldx, ldx,
+            y + static_cast<std::size_t>(j0) * ldy, ldy);
+      });
+    }
   }
 }
 
@@ -90,33 +88,9 @@ void spmv_serial(const CsrMatrix& a, std::span<const value_t> x,
   }
 }
 
-void spmv(const CsrMatrix& a, std::span<const value_t> x, std::span<value_t> y) {
-  assert(x.size() >= static_cast<std::size_t>(a.cols()));
-  assert(y.size() >= static_cast<std::size_t>(a.rows()));
-  const auto ci = a.col_idx();
-  const auto vv = a.values();
-  for_rows_balanced(a, [&](index_t r) {
-    value_t acc = 0;
-    for (index_t k = a.row_begin(r); k < a.row_end(r); ++k) {
-      acc += vv[static_cast<std::size_t>(k)] * x[static_cast<std::size_t>(ci[static_cast<std::size_t>(k)])];
-    }
-    y[static_cast<std::size_t>(r)] = acc;
-  });
-}
-
 void spmv(const CsrMatrix& a, const RowPartition& part,
           std::span<const value_t> x, std::span<value_t> y) {
-  assert(x.size() >= static_cast<std::size_t>(a.cols()));
-  assert(y.size() >= static_cast<std::size_t>(a.rows()));
-  const auto ci = a.col_idx();
-  const auto vv = a.values();
-  for_rows_partitioned(a, part, [&](index_t r) {
-    value_t acc = 0;
-    for (index_t k = a.row_begin(r); k < a.row_end(r); ++k) {
-      acc += vv[static_cast<std::size_t>(k)] * x[static_cast<std::size_t>(ci[static_cast<std::size_t>(k)])];
-    }
-    y[static_cast<std::size_t>(r)] = acc;
-  });
+  spmv_panel(a, part, x, y, 1);
 }
 
 void spmv_panel(const CsrMatrix& a, const RowPartition& part,
@@ -128,98 +102,9 @@ void spmv_panel(const CsrMatrix& a, const RowPartition& part,
                 "spmv_panel: X panel smaller than cols() x k");
   JAVELIN_CHECK(y.size() >= ldy * static_cast<std::size_t>(k),
                 "spmv_panel: Y panel smaller than rows() x k");
-  const value_t* xp = x.data();
-  value_t* yp = y.data();
-  for_rows_partitioned(a, part, [&](index_t r) {
-    detail::for_each_panel_block(k, [&](index_t j0, auto kb) {
-      constexpr int KB = decltype(kb)::value;
-      detail::spmv_row_panel<KB>(a, r, xp + static_cast<std::size_t>(j0) * ldx,
-                                 ldx, yp + static_cast<std::size_t>(j0) * ldy,
-                                 ldy);
-    });
+  detail::with_block_width(k, [&](auto w) {
+    spmv_rows<decltype(w)::value>(a, part, x.data(), y.data(), k);
   });
-}
-
-void spmv_axpby(const CsrMatrix& a, value_t alpha, std::span<const value_t> x,
-                value_t beta, std::span<value_t> y) {
-  const auto ci = a.col_idx();
-  const auto vv = a.values();
-  for_rows_balanced(a, [&](index_t r) {
-    value_t acc = 0;
-    for (index_t k = a.row_begin(r); k < a.row_end(r); ++k) {
-      acc += vv[static_cast<std::size_t>(k)] * x[static_cast<std::size_t>(ci[static_cast<std::size_t>(k)])];
-    }
-    y[static_cast<std::size_t>(r)] = alpha * acc + beta * y[static_cast<std::size_t>(r)];
-  });
-}
-
-void spmv_axpby(const CsrMatrix& a, const RowPartition& part, value_t alpha,
-                std::span<const value_t> x, value_t beta, std::span<value_t> y) {
-  const auto ci = a.col_idx();
-  const auto vv = a.values();
-  for_rows_partitioned(a, part, [&](index_t r) {
-    value_t acc = 0;
-    for (index_t k = a.row_begin(r); k < a.row_end(r); ++k) {
-      acc += vv[static_cast<std::size_t>(k)] * x[static_cast<std::size_t>(ci[static_cast<std::size_t>(k)])];
-    }
-    y[static_cast<std::size_t>(r)] = alpha * acc + beta * y[static_cast<std::size_t>(r)];
-  });
-}
-
-SegmentedTiles SegmentedTiles::build(const CsrMatrix& a, index_t tile_size) {
-  JAVELIN_CHECK(tile_size > 0, "tile_size must be positive");
-  SegmentedTiles t;
-  t.tile_size = tile_size;
-  t.num_tiles = (a.nnz() + tile_size - 1) / tile_size;
-  t.first_row.resize(static_cast<std::size_t>(t.num_tiles));
-  const auto rp = a.row_ptr();
-  for (index_t tile = 0; tile < t.num_tiles; ++tile) {
-    const index_t first_nz = tile * tile_size;
-    // Row containing nonzero first_nz: last r with rp[r] <= first_nz.
-    const auto it = std::upper_bound(rp.begin(), rp.end(), first_nz);
-    t.first_row[static_cast<std::size_t>(tile)] =
-        static_cast<index_t>(it - rp.begin()) - 1;
-  }
-  return t;
-}
-
-void spmv_segmented(const CsrMatrix& a, const SegmentedTiles& tiles,
-                    std::span<const value_t> x, std::span<value_t> y) {
-  const auto ci = a.col_idx();
-  const auto vv = a.values();
-  const auto rp = a.row_ptr();
-  const index_t nnz = a.nnz();
-
-  // Zero the output first; boundary rows accumulate from several tiles.
-  fill(y.subspan(0, static_cast<std::size_t>(a.rows())), value_t{0});
-
-#pragma omp parallel for schedule(dynamic, 1)
-  for (index_t tile = 0; tile < tiles.num_tiles; ++tile) {
-    const index_t lo = tile * tiles.tile_size;
-    const index_t hi = std::min<index_t>(lo + tiles.tile_size, nnz);
-    index_t r = tiles.first_row[static_cast<std::size_t>(tile)];
-    // Skip empty rows whose pointer equals lo.
-    while (rp[static_cast<std::size_t>(r) + 1] <= lo) ++r;
-    index_t k = lo;
-    while (k < hi) {
-      const index_t row_end = std::min<index_t>(rp[static_cast<std::size_t>(r) + 1], hi);
-      value_t acc = 0;
-      for (; k < row_end; ++k) {
-        acc += vv[static_cast<std::size_t>(k)] * x[static_cast<std::size_t>(ci[static_cast<std::size_t>(k)])];
-      }
-      const bool whole_row = (rp[static_cast<std::size_t>(r)] >= lo) &&
-                             (rp[static_cast<std::size_t>(r) + 1] <= hi);
-      if (whole_row) {
-        y[static_cast<std::size_t>(r)] = acc;  // sole writer for this row
-      } else {
-        // Row straddles a tile boundary: combine atomically.
-#pragma omp atomic
-        y[static_cast<std::size_t>(r)] += acc;
-      }
-      ++r;
-      while (r < a.rows() && rp[static_cast<std::size_t>(r) + 1] <= k && k < hi) ++r;
-    }
-  }
 }
 
 value_t dot(std::span<const value_t> a, std::span<const value_t> b) {

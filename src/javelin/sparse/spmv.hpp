@@ -1,11 +1,14 @@
 // Sparse matrix–vector multiplication kernels.
 //
 // Javelin's raison d'être is leaving the preconditioner in a format where
-// spmv and stri run at state-of-the-art speed (paper §II). Three variants:
-//   * spmv_serial     — reference kernel
-//   * spmv            — OpenMP row-parallel CSR
-//   * spmv_segmented  — CSR5-inspired: nonzeros split into fixed-size tiles,
-//     per-tile partial products reduced with a segmented pass.
+// spmv and stri run at state-of-the-art speed (paper §II). Two entry points
+// over one row kernel (detail::spmv_row<KB>, sparse/panel.hpp), plus the
+// serial reference:
+//   * spmv_serial — reference kernel (its own loop, the tests' oracle)
+//   * spmv        — OpenMP row-parallel CSR over an nnz-balanced partition:
+//     the width-1 panel
+//   * spmv_panel  — the same rows over k column-major vectors, A's entries
+//     loaded once per register block of columns
 #pragma once
 
 #include <span>
@@ -34,12 +37,8 @@ struct RowPartition {
 void spmv_serial(const CsrMatrix& a, std::span<const value_t> x,
                  std::span<value_t> y);
 
-/// y = A x, OpenMP parallel over rows; each thread takes a row range
-/// balanced by nonzero count (computed on the fly, two binary searches per
-/// thread).
-void spmv(const CsrMatrix& a, std::span<const value_t> x, std::span<value_t> y);
-
-/// y = A x over a precomputed partition (the solver hot path).
+/// y = A x over a precomputed partition (the solver hot path): spmv_panel
+/// at k = 1, so a span shorter than cols() (x) or rows() (y) throws.
 void spmv(const CsrMatrix& a, const RowPartition& part,
           std::span<const value_t> x, std::span<value_t> y);
 
@@ -52,34 +51,6 @@ void spmv(const CsrMatrix& a, const RowPartition& part,
 /// the panel.
 void spmv_panel(const CsrMatrix& a, const RowPartition& part,
                 std::span<const value_t> x, std::span<value_t> y, index_t k);
-
-/// y = alpha * A x + beta * y, OpenMP parallel over rows (nnz-balanced).
-void spmv_axpby(const CsrMatrix& a, value_t alpha, std::span<const value_t> x,
-                value_t beta, std::span<value_t> y);
-
-/// y = alpha * A x + beta * y over a precomputed partition.
-void spmv_axpby(const CsrMatrix& a, const RowPartition& part, value_t alpha,
-                std::span<const value_t> x, value_t beta, std::span<value_t> y);
-
-/// Precomputed tile decomposition for the segmented-scan spmv. Tiles are
-/// fixed-length runs of nonzeros (last tile ragged); each records the first
-/// row intersecting it so the reduction can stitch row sums across tile
-/// boundaries — the "small additional array of pointers" CSR5 needs
-/// (paper §II).
-struct SegmentedTiles {
-  index_t tile_size = 0;
-  index_t num_tiles = 0;
-  /// First row whose nonzeros intersect tile t (size num_tiles).
-  std::vector<index_t> first_row;
-
-  static SegmentedTiles build(const CsrMatrix& a, index_t tile_size = 256);
-};
-
-/// y = A x using the tile decomposition. Tiles run in parallel; partial row
-/// sums at tile boundaries are combined with atomic adds (at most two per
-/// tile), everything interior is a plain serial reduction within the tile.
-void spmv_segmented(const CsrMatrix& a, const SegmentedTiles& tiles,
-                    std::span<const value_t> x, std::span<value_t> y);
 
 // --- Dense vector helpers shared by the solvers -----------------------------
 

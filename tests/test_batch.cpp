@@ -1,14 +1,16 @@
 // Property tests of the batched many-RHS path (ilu/batch.hpp,
 // solver/batch.hpp): a batched solve of k right-hand sides must be bitwise
-// equal to k independent scalar solves at every thread count, under both
-// exec backends; entry validation must throw instead of
-// reading out of bounds; WorkspacePool must serve concurrent streams on one
-// shared factorization; and pcg_many must reproduce scalar pcg per column.
+// equal to k independent serial-reference solves (ilu_apply_serial) at
+// every thread count, under both exec backends; entry validation of every
+// apply entry point must throw instead of reading or writing out of
+// bounds; WorkspacePool must serve concurrent streams on one shared
+// factorization; and pcg_many must reproduce scalar pcg per column.
 #include <algorithm>
 #include <atomic>
 
 #include "javelin/gen/generators.hpp"
 #include "javelin/ilu/batch.hpp"
+#include "javelin/ilu/fused.hpp"
 #include "javelin/solver/batch.hpp"
 #include "javelin/support/parallel.hpp"
 #include "test_util.hpp"
@@ -36,18 +38,17 @@ std::span<value_t> panel_col(std::vector<value_t>& p, index_t n, index_t j) {
       static_cast<std::size_t>(n));
 }
 
-/// Batched vs k-independent-scalar parity for one matrix under one
+/// Batched vs k-independent-serial-reference parity for one matrix under one
 /// (threads, backend) configuration, across panel widths that exercise the
-/// 8/4/2/1 register-block tail dispatch and both branches of
-/// ilu_apply_panel: the column split (k >= team, including one column per
-/// thread and uneven groups) and the scheduled row-parallel sweep
-/// (k < team). Returns the k = 8 panel result for cross-configuration
-/// comparison.
+/// widths fixed once per call (8/4/2/1), the per-row block split of other
+/// widths, and both branches of ilu_apply_panel: the column split
+/// (k >= team, including one column per thread and uneven groups) and the
+/// scheduled row-parallel sweep (k < team). Returns the k = 8 panel result
+/// for cross-configuration comparison.
 std::vector<value_t> check_batch_parity(const char* name, const CsrMatrix& a,
                                         IluOptions opts) {
   const index_t n = a.rows();
   const std::size_t un = static_cast<std::size_t>(n);
-  opts.batch_rhs = 4;  // force solve_many to split k > 4 into several panels
   const Factorization f = ilu_factor(a, opts);
   SolveWorkspace ws_scalar, ws_panel;
   std::vector<value_t> k8_result;
@@ -57,19 +58,20 @@ std::vector<value_t> check_batch_parity(const char* name, const CsrMatrix& a,
     const std::size_t nk = un * static_cast<std::size_t>(k);
     std::vector<value_t> r = random_panel(n, k, 0xBA7C4 + static_cast<std::uint64_t>(k));
 
-    // Scalar reference: k independent applies.
+    // Reference: k independent serial applies.
     std::vector<value_t> z_ref(nk);
     for (index_t j = 0; j < k; ++j) {
-      ilu_apply(f, panel_col(r, n, j), panel_col(z_ref, n, j), ws_scalar);
+      ilu_apply_serial(f, panel_col(r, n, j), panel_col(z_ref, n, j),
+                       ws_scalar);
     }
 
     // Scheduled panel apply.
     std::vector<value_t> z(nk, 0);
     ilu_apply_panel(f, r, z, k, ws_panel);
-    CHECK_MSG(bitwise_equal(z, z_ref), "%s panel vs scalar (T=%d k=%d)", name,
+    CHECK_MSG(bitwise_equal(z, z_ref), "%s panel vs serial (T=%d k=%d)", name,
               opts.num_threads, static_cast<int>(k));
 
-    // solve_many splits into batch_rhs-wide panels; still bitwise.
+    // solve_many splits k = 17 into panels of 8, 8 and 1; still bitwise.
     std::vector<value_t> z_many(nk, 0);
     solve_many(f, r, z_many, k, ws_panel);
     CHECK_MSG(bitwise_equal(z_many, z_ref), "%s solve_many (T=%d k=%d)", name,
@@ -136,6 +138,31 @@ void check_validation(const CsrMatrix& a) {
   CHECK(throws([&] { ilu_apply_panel(f, r, std::span<value_t>(z).first(un * 3), 4, ws); }));
   CHECK(throws([&] { solve_many(f, r, z, 0, ws); }));
   CHECK(throws([&] { solve_many(f, std::span<const value_t>(r).first(un), z, 4, ws); }));
+
+  // Single-vector entry points: a span one entry short of n throws before
+  // any sweep reads or writes it.
+  const std::span<const value_t> r1 = std::span<const value_t>(r).first(un);
+  const std::span<const value_t> r_short = r1.first(un - 1);
+  const std::span<value_t> z1 = std::span<value_t>(z).first(un);
+  const std::span<value_t> z_short = z1.first(un - 1);
+  std::vector<value_t> t(un);
+  const std::span<value_t> t_short = std::span<value_t>(t).first(un - 1);
+  const FusedApplySpmv fs = build_fused_apply_spmv(f, a);
+  CHECK(throws([&] { ilu_apply(f, r_short, z1, ws); }));
+  CHECK(throws([&] { ilu_apply(f, r1, z_short, ws); }));
+  CHECK(throws([&] { (void)ilu_apply_status(f, r_short, z1, ws); }));
+  CHECK(throws([&] { (void)ilu_apply_status(f, r1, z_short, ws); }));
+  CHECK(throws([&] { ilu_apply_serial(f, r1, z_short, ws); }));
+  CHECK(throws([&] { ilu_apply_spmv(f, a, fs, r_short, z1, t, ws); }));
+  CHECK(throws([&] { ilu_apply_spmv(f, a, fs, r1, z_short, t, ws); }));
+  CHECK(throws([&] { ilu_apply_spmv(f, a, fs, r1, z1, t_short, ws); }));
+  CHECK(throws([&] { (void)trsv_forward(f, z_short, ws); }));
+  CHECK(throws([&] { (void)trsv_backward(f, z_short, ws); }));
+  CHECK(throws([&] { trsv_forward_serial(f, z_short); }));
+  CHECK(throws([&] { trsv_backward_serial(f, z_short); }));
+  // Full-length spans still solve.
+  ilu_apply(f, r1, z1, ws);
+  ilu_apply_spmv(f, a, fs, r1, z1, t, ws);
   CHECK(throws([&] {
     std::vector<value_t> b(un * 2), x(un * 2);
     pcg_many(a, b, x, 4, identity_panel_preconditioner());
@@ -161,11 +188,12 @@ void check_pcg_many(const char* name, const CsrMatrix& a, IluOptions opts) {
   for (std::size_t i = 0; i < un; ++i) b[2 * un + i] *= 1e3;
   for (std::size_t i = 0; i < un; ++i) b[4 * un + i] = 0;
 
-  // Scalar reference trajectories on the SAME factorization.
+  // Scalar reference trajectories on the SAME factorization, preconditioned
+  // by the serial reference apply.
   SolveWorkspace ws_scalar;
   const PrecondFn scalar_m = [&](std::span<const value_t> r,
                                  std::span<value_t> z) {
-    ilu_apply(f, r, z, ws_scalar);
+    ilu_apply_serial(f, r, z, ws_scalar);
   };
   std::vector<value_t> x_ref(un * static_cast<std::size_t>(k), 0);
   std::vector<SolverResult> res_ref;

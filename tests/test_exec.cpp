@@ -128,7 +128,8 @@ void check_retarget_identity(const char* name, const CsrMatrix& a,
 }
 
 /// A runtime team below the plan must RETARGET (cache fills for the real
-/// team) and stay bitwise-identical to the serial reference.
+/// team) and stay bitwise-identical to the serial reference. A team of one
+/// runs the straight-line column solve, which builds no schedule.
 void check_runtime_retarget(const char* name, const CsrMatrix& a,
                             ExecBackend backend) {
   Factorization f = [&] {
@@ -157,12 +158,16 @@ void check_runtime_retarget(const char* name, const CsrMatrix& a,
     CHECK_MSG(bitwise_equal(z, z_ref), "%s apply at runtime team %d", name,
               team);
     // The mismatch re-planned instead of walking the serial order: the
-    // workspace cache targets exactly the runtime team.
-    CHECK_MSG(ws.sched.threads == team, "%s cache team %d != %d", name,
-              ws.sched.threads, team);
-    CHECK_MSG(ws.sched.fwd.threads == team && ws.sched.bwd.threads == team,
-              "%s cached schedules target %d/%d, want %d", name,
-              ws.sched.fwd.threads, ws.sched.bwd.threads, team);
+    // workspace cache targets exactly the runtime team. A team of one left
+    // it empty.
+    const int cached = team > 1 ? team : 0;
+    CHECK_MSG(ws.sched.threads == cached, "%s cache team %d != %d", name,
+              ws.sched.threads, cached);
+    if (team > 1) {
+      CHECK_MSG(ws.sched.fwd.threads == team && ws.sched.bwd.threads == team,
+                "%s cached schedules target %d/%d, want %d", name,
+                ws.sched.fwd.threads, ws.sched.bwd.threads, team);
+    }
 
     // Fused pass under the shrunk team: bitwise against the references and
     // retargeted chunk structure for team > 1.
@@ -179,7 +184,8 @@ void check_runtime_retarget(const char* name, const CsrMatrix& a,
 }
 
 /// Default policy: a planned team that oversubscribes the hardware retargets
-/// down to the core count; a matched team leaves the cache untouched.
+/// down to the core count; a matched team leaves the cache untouched, and
+/// so does a team of one (the column solve builds no schedule).
 void check_oversubscription_policy(const CsrMatrix& a) {
   ThreadCountGuard guard(4);
   IluOptions opts;
@@ -194,8 +200,9 @@ void check_oversubscription_policy(const CsrMatrix& a) {
   ilu_apply(f, r, z, ws);
   ilu_apply_serial(f, r, z_ref, ws_ref);
   CHECK(bitwise_equal(z, z_ref));
-  if (expected == 4) {
-    CHECK_MSG(ws.sched.threads == 0, "matched team must not fill the cache");
+  if (expected == 4 || expected == 1) {
+    CHECK_MSG(ws.sched.threads == 0,
+              "a matched team or a team of one must not fill the cache");
   } else {
     CHECK_MSG(ws.sched.threads == expected,
               "oversubscribed plan retargets to %d, cache says %d", expected,

@@ -1,6 +1,7 @@
 // Property tests of the fused solve+SpMV path: ilu_apply_spmv must be
-// bitwise-identical to the unfused reference (ilu_apply followed by a
-// partitioned spmv) at every thread count, and the restructured Krylov
+// bitwise-identical to the unfused operator (ilu_apply followed by a
+// partitioned spmv) and to the serial reference (ilu_apply_serial followed
+// by spmv_serial) at every thread count, and the restructured Krylov
 // drivers must produce bitwise-identical trajectories whether they consume
 // the fused or the unfused operator. The SpMV runs as the backward region's
 // tail under both executor branches (P2P and barrier), and a companion
@@ -8,6 +9,7 @@
 #include "javelin/gen/generators.hpp"
 #include "javelin/ilu/fused.hpp"
 #include "javelin/solver/krylov.hpp"
+#include "javelin/sparse/spmv.hpp"
 #include "javelin/support/parallel.hpp"
 #include "test_util.hpp"
 
@@ -37,6 +39,15 @@ std::pair<std::vector<value_t>, std::vector<value_t>> check_operator_parity(
             name, opts.num_threads);
   CHECK_MSG(bitwise_equal(t_f, t_u), "%s t fused vs unfused (threads=%d)",
             name, opts.num_threads);
+
+  // Serial reference: the independent apply and multiply.
+  std::vector<value_t> z_s(un), t_s(un);
+  SolveWorkspace ws_s;
+  ilu_apply_serial(fused.factorization(), r, z_s, ws_s);
+  spmv_serial(a, z_s, t_s);
+  CHECK_MSG(bitwise_equal(z_f, z_s) && bitwise_equal(t_f, t_s),
+            "%s fused vs serial reference (threads=%d)", name,
+            opts.num_threads);
 
   // Workspace reuse must not perturb results.
   std::vector<value_t> z2(un), t2(un);
@@ -102,7 +113,7 @@ int main() {
   for (const Entry& e : {Entry{"grid", &grid}, Entry{"fem", &fem},
                          Entry{"power", &power}, Entry{"chain", &chain}}) {
     std::vector<value_t> z_ref, t_ref;
-    for (int threads : {1, 2, 4}) {
+    for (int threads : {1, 2, 4, 8}) {
       IluOptions opts;
       opts.num_threads = threads;
       opts.retarget_oversubscribed = false;  // force planned-width schedules
@@ -157,8 +168,8 @@ int main() {
       std::vector<value_t> z_f(un), t_f(un), z_u(un), t_u(un);
       SolveWorkspace ws_f, ws_u;
       ilu_apply_spmv(f, *e.a, fs, r, z_f, t_f, ws_f);
-      ilu_apply(f, r, z_u, ws_u);
-      spmv(*e.a, RowPartition::build(*e.a), z_u, t_u);
+      ilu_apply_serial(f, r, z_u, ws_u);
+      spmv_serial(*e.a, z_u, t_u);
       CHECK_MSG(bitwise_equal(z_f, z_u), "%s scheduled z (threads=%d)",
                 e.name, threads);
       CHECK_MSG(bitwise_equal(t_f, t_u), "%s scheduled t (threads=%d)",
@@ -167,7 +178,7 @@ int main() {
   }
 
   // The SpMV tail under the barrier branch (chunks after the final level
-  // barrier), bitwise against the unfused pair.
+  // barrier), bitwise against the serial pair.
   for (const Entry& e : {Entry{"grid", &grid}, Entry{"fem", &fem},
                          Entry{"power", &power}, Entry{"chain", &chain}}) {
     for (int threads : {2, 3, 4}) {
@@ -182,8 +193,8 @@ int main() {
       std::vector<value_t> z_f(un), t_f(un), z_u(un), t_u(un);
       SolveWorkspace ws_f, ws_u;
       ilu_apply_spmv(f, *e.a, fs, r, z_f, t_f, ws_f);
-      ilu_apply(f, r, z_u, ws_u);
-      spmv(*e.a, RowPartition::build(*e.a), z_u, t_u);
+      ilu_apply_serial(f, r, z_u, ws_u);
+      spmv_serial(*e.a, z_u, t_u);
       CHECK_MSG(bitwise_equal(z_f, z_u), "%s barrier z (threads=%d)", e.name,
                 threads);
       CHECK_MSG(bitwise_equal(t_f, t_u), "%s barrier t (threads=%d)", e.name,

@@ -132,23 +132,34 @@ void check_sweep_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
   const auto row_text = [](index_t row) {
     return "aborted at permuted row " + std::to_string(row) + " ";
   };
+  // An aborted apply leaves its output as the caller filled it.
+  const value_t sentinel = -7.25;
+  const auto untouched = [sentinel](const std::vector<value_t>& v) {
+    return std::all_of(v.begin(), v.end(),
+                       [sentinel](value_t x) { return x == sentinel; });
+  };
 
   for (const index_t target : {n / 3, n - 1}) {
     for (FaultSite site : {FaultSite::kForwardRow, FaultSite::kBackwardRow}) {
       f.opts.fault_hook = poison(site, target);
 
-      // Non-throwing form: structured status with the poisoned row.
+      // Non-throwing form: structured status with the poisoned row, and z
+      // not written.
+      std::fill(z.begin(), z.end(), sentinel);
       const ExecStatus st = ilu_apply_status(f, r, z, ws);
       CHECK_MSG(!st.ok() && st.row == target,
                 "sweep abort row %lld != %lld (site=%d, %s, t=%d)",
                 static_cast<long long>(st.row),
                 static_cast<long long>(target), static_cast<int>(site),
                 backend_name(backend), threads);
+      CHECK_MSG(untouched(z),
+                "aborted ilu_apply_status wrote z (site=%d, %s, t=%d)",
+                static_cast<int>(site), backend_name(backend), threads);
 
       // Throwing forms: AbortError AFTER the region drained (never from a
       // worker thread — a thrown exception inside the region would
-      // terminate). The fused apply+SpMV must also drain the SpMV chunk
-      // waits.
+      // terminate), with z not written. The fused apply+SpMV must also
+      // drain the SpMV chunk waits.
       std::string what;
       try {
         ilu_apply(f, r, z, ws);
@@ -158,6 +169,8 @@ void check_sweep_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
       CHECK_MSG(what.find(row_text(target)) != std::string::npos,
                 "ilu_apply abort '%s' (target %lld, site=%d, %s, t=%d)",
                 what.c_str(), static_cast<long long>(target),
+                static_cast<int>(site), backend_name(backend), threads);
+      CHECK_MSG(untouched(z), "aborted ilu_apply wrote z (site=%d, %s, t=%d)",
                 static_cast<int>(site), backend_name(backend), threads);
       what.clear();
       try {
@@ -177,7 +190,6 @@ void check_sweep_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
     // and row, and z is left untouched.
     for (const index_t k : {index_t{2}, index_t{4}}) {
       const auto rp = random_vector(n * k, 0xB0B ^ 1);
-      const value_t sentinel = -7.25;
       std::vector<value_t> zp(un * static_cast<std::size_t>(k), sentinel);
       for (FaultSite site :
            {FaultSite::kForwardRow, FaultSite::kBackwardRow}) {
@@ -196,8 +208,7 @@ void check_sweep_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
                   "panel abort '%s' (k=%d, site=%d, %s, t=%d)", what.c_str(),
                   static_cast<int>(k), static_cast<int>(site),
                   backend_name(backend), threads);
-        CHECK_MSG(std::all_of(zp.begin(), zp.end(),
-                              [&](value_t v) { return v == sentinel; }),
+        CHECK_MSG(untouched(zp),
                   "aborted panel apply wrote z (k=%d, site=%d, %s, t=%d)",
                   static_cast<int>(k), static_cast<int>(site),
                   backend_name(backend), threads);

@@ -41,7 +41,8 @@ void check_apply_parity(const char* name, const CsrMatrix& a, IluOptions opts) {
   ilu_apply(f, r, z2, ws_par);
   CHECK(javelin::test::bitwise_equal(z2, z_par));
 
-  // Sweep-level parity on the permuted vectors.
+  // Sweep-level parity on the permuted vectors: a full solve, forward then
+  // backward, against the serial sweeps.
   auto xp = random_vector(f.n(), 0xBEEF);
   auto xs = xp;
   SolveWorkspace ws;
@@ -52,15 +53,6 @@ void check_apply_parity(const char* name, const CsrMatrix& a, IluOptions opts) {
   trsv_backward(f, xp, ws);
   trsv_backward_serial(f, xs);
   CHECK(javelin::test::bitwise_equal(xp, xs));
-
-  // And against the one-shot reference entry point.
-  auto b = random_vector(f.n(), 0xC0DE);
-  std::vector<value_t> x_ref(b.size());
-  trsv_serial(f.lu, f.diag_pos, b, x_ref);
-  auto x_p2p = b;
-  trsv_forward(f, x_p2p, ws);
-  trsv_backward(f, x_p2p, ws);
-  CHECK(javelin::test::bitwise_equal(x_p2p, x_ref));
 }
 
 /// The forward schedule must hold cross-thread waits on items of its
@@ -102,7 +94,7 @@ int main() {
   small.scale = 0.02;
   CsrMatrix trans4 = gen::make_suite_matrix("trans4", small).matrix;
 
-  for (int threads : {1, 2, 4}) {
+  for (int threads : {1, 2, 4, 8}) {
     IluOptions opts;
     opts.num_threads = threads;
     opts.retarget_oversubscribed = false;  // force planned-width schedules

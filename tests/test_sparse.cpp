@@ -1,5 +1,6 @@
-// SpMV variants against the serial reference, and the nnz-balanced
-// RowPartition invariants.
+// The partitioned and panel SpMV against the serial reference, the
+// nnz-balanced RowPartition invariants, and the Matrix-Market reader's
+// validation.
 #include <sstream>
 
 #include "javelin/gen/generators.hpp"
@@ -48,12 +49,9 @@ void check_spmv_variants(const CsrMatrix& a, std::uint64_t seed) {
   std::vector<value_t> y_ref(static_cast<std::size_t>(a.rows()));
   spmv_serial(a, x, y_ref);
 
-  std::vector<value_t> y(static_cast<std::size_t>(a.rows()), -1);
-  spmv(a, x, y);
   // Row sums accumulate in the same CSR order regardless of which thread
   // owns the row, so the parallel kernels are bitwise-identical.
-  CHECK(javelin::test::bitwise_equal(y, y_ref));
-
+  std::vector<value_t> y(static_cast<std::size_t>(a.rows()));
   for (int parts : {1, 2, 3, 7}) {
     const RowPartition p = RowPartition::build(a, parts);
     std::fill(y.begin(), y.end(), -1);
@@ -61,25 +59,44 @@ void check_spmv_variants(const CsrMatrix& a, std::uint64_t seed) {
     CHECK(javelin::test::bitwise_equal(y, y_ref));
   }
 
-  // axpby: y = 2*A x - y0.
-  auto y0 = random_vector(a.rows(), seed ^ 0xABCD);
-  std::vector<value_t> want(y0);
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    want[i] = 2.0 * y_ref[i] - y0[i];
-  }
-  std::vector<value_t> got(y0);
-  spmv_axpby(a, 2.0, x, -1.0, got);
-  CHECK(javelin::test::bitwise_equal(got, want));
-  got = y0;
-  spmv_axpby(a, RowPartition::build(a, 5), 2.0, x, -1.0, got);
-  CHECK(javelin::test::bitwise_equal(got, want));
+  // A span shorter than the matrix throws instead of being read or written
+  // out of bounds.
+  const RowPartition p = RowPartition::build(a, 2);
+  const auto throws = [](auto&& fn) {
+    try {
+      fn();
+    } catch (const Error&) {
+      return true;
+    }
+    return false;
+  };
+  CHECK(throws([&] {
+    spmv(a, p, std::span<const value_t>(x).first(x.size() - 1), y);
+  }));
+  CHECK(throws([&] { spmv(a, p, x, std::span<value_t>(y).first(y.size() - 1)); }));
+}
 
-  // Segmented spmv stitches rows with atomics: compare with tolerance.
-  const SegmentedTiles tiles = SegmentedTiles::build(a, 128);
-  std::fill(y.begin(), y.end(), -1);
-  spmv_segmented(a, tiles, x, y);
-  CHECK_MSG(javelin::test::max_abs_diff(y, y_ref) < 1e-12,
-            "segmented diff %.3g", javelin::test::max_abs_diff(y, y_ref));
+/// spmv_panel column j equals spmv_serial of column j bitwise, at the
+/// widths fixed once per call (1, 2, 4, 8) and at widths split into
+/// register blocks per row (3, 5, 11).
+void check_spmv_panel(const CsrMatrix& a, std::uint64_t seed) {
+  const std::size_t rows = static_cast<std::size_t>(a.rows());
+  const RowPartition part = RowPartition::build(a, 3);
+  for (const index_t k : {1, 2, 3, 4, 5, 8, 11}) {
+    const std::size_t uk = static_cast<std::size_t>(k);
+    std::vector<value_t> x, y(rows * uk, -1), y_ref(rows * uk);
+    for (index_t j = 0; j < k; ++j) {
+      const auto col =
+          random_vector(a.cols(), seed + static_cast<std::uint64_t>(j));
+      x.insert(x.end(), col.begin(), col.end());
+      spmv_serial(a, col,
+                  std::span<value_t>(y_ref).subspan(
+                      static_cast<std::size_t>(j) * rows, rows));
+    }
+    spmv_panel(a, part, x, y, k);
+    CHECK_MSG(javelin::test::bitwise_equal(y, y_ref), "spmv_panel k=%d",
+              static_cast<int>(k));
+  }
 }
 
 }  // namespace
@@ -93,6 +110,7 @@ int main() {
 
   for (const CsrMatrix* a : {&grid, &circ, &power}) {
     check_spmv_variants(*a, 123);
+    check_spmv_panel(*a, 321);
     for (int parts : {1, 2, 4, 9}) check_partition(*a, parts);
   }
 

@@ -12,25 +12,25 @@
 //     schedule's waits, so every wait is released at the same producer
 //     progress as a per-item walk would release it; a tail chunk waiting on
 //     a mid-run count is released at the run's end.
-//   * kBarrier: each thread recomputes its slice of every level (the same
-//     level_slice — a contiguous run of whole chunk_rows items — that the
-//     builder assigned) and the whole team crosses a spin barrier between
-//     levels — the CSR-LS baseline.
+//   * kBarrier: each thread walks its stored items level by level: at level
+//     l it runs its items tagged l (ExecSchedule::item_level), one
+//     contiguous row range, and the whole team crosses a spin barrier — also
+//     at levels where the thread has no items — the CSR-LS baseline.
 //
-// Both backends execute identical (row, thread) assignments with identical
-// per-row orders, so they are bitwise-interchangeable; only synchronization
-// differs. A schedule runs uniformly under its backend — the team region has
-// exactly these two branches. Every wait and barrier crossing uses the
-// spin budget of the team (spin_budget_for). Teams of 1 — including
-// schedules retargeted down to one thread — run the serial level-major order
-// with zero synchronization.
+// Both backends run the stored items, so they execute identical (row,
+// thread) assignments with identical per-row orders and are
+// bitwise-interchangeable; only synchronization differs. A schedule runs
+// uniformly under its backend — the team region has exactly these two
+// branches. Every wait and barrier crossing uses the spin budget of the team
+// (spin_budget_for). Teams of 1 — including schedules retargeted down to one
+// thread — run the serial level-major order with zero synchronization.
 //
 // If the OpenMP runtime delivers a SMALLER team than scheduled (nested
 // parallelism, thread limits), the region degrades to the serial order as a
 // last-resort correctness path. Consumers avoid this by retargeting the
 // schedule to the runtime team first (runtime_fwd/runtime_bwd, declared in
 // ilu/factorization.hpp) — the serial path here is a safety net, not a
-// policy.
+// policy. Both serial cases run one walker (detail::exec_run_serial).
 //
 // Cooperative abort: row_fn may return bool instead of void. A `false`
 // return marks the region aborted — the failing thread records the row in
@@ -48,12 +48,13 @@
 // Observability follows the same compile-time gating pattern: the region
 // body is one template, detail::exec_run_impl<Obs>. exec_run instantiates
 // it with detail::NoObs — every instrumentation site is an `if constexpr`
-// on Obs::kOn, so the default path compiles to exactly the historical loop
-// (no clock reads, no counter stores, no trace checks). exec_run_obs
-// instantiates with obs::SweepObs, which records per-thread spin-wait
-// counters, per-(thread, level) busy/wait time, and (when the trace
-// session is on) per-thread per-level spans — aggregated into the
-// obs::ExecStats of the caller's ExecObs, returned next to the ExecStatus.
+// on Obs::kOn, and the waits get no counter sink (support/spinwait.hpp), so
+// the default path compiles to exactly the historical loop (no clock reads,
+// no counter stores, no trace checks). exec_run_obs instantiates with
+// obs::SweepObs, which records per-thread spin-wait counters,
+// per-(thread, level) busy/wait time, and (when the trace session is on)
+// per-thread per-level spans — aggregated into the obs::ExecStats of the
+// caller's ExecObs, returned next to the ExecStatus.
 //
 // Tail phase: the overloads taking an ExecTail (exec/schedule.hpp) and a
 // chunk_fn(chunk, thread) append per-thread chunks to the region — the SpMV
@@ -138,10 +139,12 @@ template <class RowFn>
 }
 
 /// Disabled-observability policy: every instrumentation site below is
-/// `if constexpr (Obs::kOn)`, so this instantiation is the zero-overhead
-/// hot loop (bit-for-bit the pre-observability code path).
+/// `if constexpr (Obs::kOn)` and the waits get no counter sink, so this
+/// instantiation is the zero-overhead hot loop (bit-for-bit the
+/// pre-observability code path).
 struct NoObs {
   static constexpr bool kOn = false;
+  static NoWaitCounts* counts(int) noexcept { return nullptr; }
 };
 
 /// Stalls shorter than this are counters-only; longer ones also get a trace
@@ -161,16 +164,12 @@ template <class Waits, class Obs>
                                               int t) {
   for (index_t k = w.wait_ptr[static_cast<std::size_t>(i)];
        k < w.wait_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-    const int pt = static_cast<int>(w.wait_thread[static_cast<std::size_t>(k)]);
-    const index_t pc = w.wait_count[static_cast<std::size_t>(k)];
-    bool arrived;
-    if constexpr (Obs::kOn) {
-      arrived =
-          progress.wait_for_counted(pt, pc, spin_budget, abort, obs.slot(t));
-    } else {
-      arrived = progress.wait_for(pt, pc, spin_budget, abort);
+    if (!progress.wait_for(
+            static_cast<int>(w.wait_thread[static_cast<std::size_t>(k)]),
+            w.wait_count[static_cast<std::size_t>(k)], spin_budget, abort,
+            obs.counts(t))) {
+      return false;
     }
-    if (!arrived) return false;
   }
   return true;
 }
@@ -185,7 +184,7 @@ inline bool cross_barrier(SpinBarrier& barrier, int spin_budget,
   if constexpr (Obs::kOn) {
     const std::int64_t b0 = obs::now_ns();
     const bool turned =
-        barrier.arrive_and_wait_counted(spin_budget, abort, obs.slot(t));
+        barrier.arrive_and_wait(spin_budget, abort, obs.counts(t));
     const std::int64_t b1 = obs::now_ns();
     obs.slot(t).barrier_ns += static_cast<std::uint64_t>(b1 - b0);
     obs.add_level_wait(t, level, static_cast<std::uint64_t>(b1 - b0));
@@ -249,41 +248,29 @@ void run_tail(Tail& tail, int t, index_t c0, index_t c1, bool waits,
   }
 }
 
-}  // namespace detail
-
-/// Dependency-safe serial sweep (level-major order). Honors cooperative
-/// abort for bool-returning row functions and an optional external flag
-/// (e.g. raised by a concurrent stage sharing the same poison domain).
-template <class RowFn>
-ExecStatus exec_run_serial(const ExecSchedule& s, RowFn&& row_fn,
-                           AbortFlag* abort = nullptr) {
-  for (index_t r : s.serial_order) {
-    if (abort != nullptr && abort->aborted()) {
-      return {ExecOutcome::kAborted, abort->row()};
-    }
-    if (!detail::exec_row(row_fn, r, 0)) {
-      if (abort != nullptr) abort->request(r);
-      return {ExecOutcome::kAborted, r};
-    }
+/// The serial paths (teams of 1, the short-team fallback): the level-major
+/// sweep over serial_order, then — unless it aborted — every tail chunk in
+/// order. Honors cooperative abort for bool-returning row functions and the
+/// external flag. Uninstrumented it is one pass over serial_order; under
+/// Obs the pass is cut at the level boundaries, each level's time charged
+/// to thread slot 0 and traced as a span.
+template <class RowFn, class Obs, class Tail>
+ExecStatus exec_run_serial(const ExecSchedule& s, RowFn& row_fn,
+                           ProgressCounters& progress, AbortFlag* abort,
+                           Obs& obs, Tail& tail) {
+  const bool by_level = Obs::kOn && !s.level_ptr.empty();
+  const index_t nl = by_level ? s.num_levels : 1;
+  [[maybe_unused]] obs::TraceBuffer* buf = nullptr;
+  if constexpr (Obs::kOn) {
+    if (obs.tracing()) buf = &obs::TraceSession::instance().buffer();
   }
-  return {};
-}
-
-namespace detail {
-
-/// Serial sweep with per-level attribution (thread slot 0) and spans.
-template <class RowFn, class Obs>
-ExecStatus exec_run_serial_obs(const ExecSchedule& s, RowFn& row_fn,
-                               AbortFlag* abort, Obs& obs) {
-  obs::TraceBuffer* buf =
-      obs.tracing() ? &obs::TraceSession::instance().buffer() : nullptr;
-  const bool flat = s.level_ptr.empty();
-  const index_t nl = flat ? 1 : s.num_levels;
   for (index_t l = 0; l < nl; ++l) {
-    const index_t k0 = flat ? 0 : s.level_ptr[static_cast<std::size_t>(l)];
-    const index_t k1 = flat ? static_cast<index_t>(s.serial_order.size())
-                            : s.level_ptr[static_cast<std::size_t>(l) + 1];
-    const std::int64_t t0 = obs::now_ns();
+    const index_t k0 = by_level ? s.level_ptr[static_cast<std::size_t>(l)] : 0;
+    const index_t k1 = by_level
+                           ? s.level_ptr[static_cast<std::size_t>(l) + 1]
+                           : static_cast<index_t>(s.serial_order.size());
+    [[maybe_unused]] std::int64_t t0 = 0;
+    if constexpr (Obs::kOn) t0 = obs::now_ns();
     for (index_t k = k0; k < k1; ++k) {
       const index_t r = s.serial_order[static_cast<std::size_t>(k)];
       if (abort != nullptr && abort->aborted()) {
@@ -294,36 +281,21 @@ ExecStatus exec_run_serial_obs(const ExecSchedule& s, RowFn& row_fn,
         return {ExecOutcome::kAborted, r};
       }
     }
-    const std::int64_t t1 = obs::now_ns();
-    obs.add_level_busy(0, l, static_cast<std::uint64_t>(t1 - t0));
-    obs.slot(0).busy_ns += static_cast<std::uint64_t>(t1 - t0);
-    if (buf != nullptr) {
-      buf->begin_at(obs.name(), t0, l);
-      buf->end_at(obs.name(), t1);
+    if constexpr (Obs::kOn) {
+      const std::int64_t t1 = obs::now_ns();
+      obs.add_level_busy(0, l, static_cast<std::uint64_t>(t1 - t0));
+      obs.slot(0).busy_ns += static_cast<std::uint64_t>(t1 - t0);
+      if (buf != nullptr) {
+        buf->begin_at(obs.name(), t0, l);
+        buf->end_at(obs.name(), t1);
+      }
     }
-  }
-  return {};
-}
-
-/// The serial paths (teams of 1, the short-team fallback): the level-major
-/// sweep, then — unless it aborted — every tail chunk in order.
-template <class RowFn, class Obs, class Tail>
-ExecStatus exec_run_serial_tail(const ExecSchedule& s, RowFn& row_fn,
-                                ProgressCounters& progress, AbortFlag* abort,
-                                Obs& obs, Tail& tail) {
-  ExecStatus st;
-  if constexpr (Obs::kOn) {
-    st = exec_run_serial_obs(s, row_fn, abort, obs);
-  } else {
-    st = exec_run_serial(s, row_fn, abort);
   }
   if constexpr (Tail::kOn) {
-    if (st.ok()) {
-      run_tail(tail, 0, 0, tail.plan.num_chunks(), /*waits=*/false, progress,
-               0, abort, obs);
-    }
+    run_tail(tail, 0, 0, tail.plan.num_chunks(), /*waits=*/false, progress, 0,
+             abort, obs);
   }
-  return st;
+  return {};
 }
 
 /// The one region body every gating level instantiates; see the header
@@ -344,7 +316,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
   const bool watch = abort != nullptr;
 
   if (s.threads <= 1) {
-    return exec_run_serial_tail(s, row_fn, progress, abort, obs, tail);
+    return exec_run_serial(s, row_fn, progress, abort, obs, tail);
   }
 
   if (s.backend == ExecBackend::kP2P) {
@@ -371,20 +343,26 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
       // only on one), which is what the tail below keys on.
       bool live = true;
       if (s.backend == ExecBackend::kBarrier) {
+        // Thread t's items are level-ascending, so its items of level l are
+        // the next ones tagged l: one contiguous range of rows.
         [[maybe_unused]] obs::TraceBuffer* buf = nullptr;
         if constexpr (Obs::kOn) {
           if (obs.tracing()) buf = &obs::TraceSession::instance().buffer();
         }
+        index_t i = s.thread_ptr[static_cast<std::size_t>(t)];
+        const index_t hi = s.thread_ptr[static_cast<std::size_t>(t) + 1];
         for (index_t l = 0; l < s.num_levels; ++l) {
           if (watch && abort->aborted()) break;
-          const index_t base = s.level_ptr[static_cast<std::size_t>(l)];
-          const index_t lsz =
-              s.level_ptr[static_cast<std::size_t>(l) + 1] - base;
-          const Range rr = level_slice(lsz, s.threads, t, s.chunk_rows);
+          index_t j = i;
+          while (j < hi && s.item_level[static_cast<std::size_t>(j)] == l) {
+            ++j;
+          }
           std::int64_t t0 = 0;
           if constexpr (Obs::kOn) t0 = obs::now_ns();
-          live = exec_rows(row_fn, s.serial_order, base + rr.begin,
-                           base + rr.end, t, abort);
+          live = exec_rows(row_fn, s.rows,
+                           s.item_ptr[static_cast<std::size_t>(i)],
+                           s.item_ptr[static_cast<std::size_t>(j)], t, abort);
+          i = j;
           if constexpr (Obs::kOn) {
             const std::int64_t t1 = obs::now_ns();
             obs.add_level_busy(t, l, static_cast<std::uint64_t>(t1 - t0));
@@ -423,7 +401,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
           [[maybe_unused]] index_t lvl = 0;
           [[maybe_unused]] std::int64_t w0 = 0;
           if constexpr (Obs::kOn) {
-            lvl = obs.item_level(i0);
+            lvl = s.item_level[static_cast<std::size_t>(i0)];
             w0 = obs::now_ns();
             // One span per contiguous run of same-level items per thread.
             if (buf != nullptr && lvl != span_level) {
@@ -448,7 +426,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
             // attribution and spans of the item model.
             std::int64_t c0 = w1;
             for (index_t i = i0; live && i < i1; ++i) {
-              const index_t il = obs.item_level(i);
+              const index_t il = s.item_level[static_cast<std::size_t>(i)];
               if (buf != nullptr && il != span_level) {
                 buf->end_at(obs.name(), c0);
                 buf->begin_at(obs.name(), c0, il);
@@ -497,7 +475,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
     return {ExecOutcome::kAborted, abort->row()};
   }
   if (fallback) {
-    return exec_run_serial_tail(s, row_fn, progress, abort, obs, tail);
+    return exec_run_serial(s, row_fn, progress, abort, obs, tail);
   }
   return {};
 }

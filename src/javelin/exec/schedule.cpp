@@ -4,8 +4,24 @@
 #include <utility>
 
 #include "javelin/graph/levels.hpp"
+#include "javelin/support/parallel.hpp"
 
 namespace javelin {
+
+namespace {
+
+/// Thread t's share of a level of `rows` rows, as offsets into the level:
+/// the level is cut into ceil(rows / chunk) items of `chunk` consecutive
+/// rows (the last may be short) and thread t takes a contiguous run of whole
+/// items (partition_range over items), so the share starts on an item
+/// boundary.
+Range level_slice(index_t rows, int threads, int t, index_t chunk) noexcept {
+  const Range items = partition_range((rows + chunk - 1) / chunk, threads, t);
+  return {std::min(rows, items.begin * chunk),
+          std::min(rows, items.end * chunk)};
+}
+
+}  // namespace
 
 void ExecSchedule::producer_positions(std::vector<index_t>& owner,
                                       std::vector<index_t>& item_of) const {
@@ -97,12 +113,12 @@ ExecSchedule build_exec_schedule(ExecBackend backend, index_t n_total,
   const int T = s.threads;
 
   // Pass 1: give each thread its level_slice of every level, block each
-  // (level, thread) slice into items of up to `chunk` rows, and record
-  // (owner, item position) per row. Items never cross a level boundary —
-  // that keeps every item's dependencies in strictly earlier items on every
-  // thread (deadlock freedom). The barrier executor recomputes the SAME
-  // slices from level_ptr at run time, so the two backends execute
-  // identical (row, thread) assignments.
+  // (level, thread) slice into items of up to `chunk` rows, and record each
+  // item's level and (owner, item position) per row. Items never cross a
+  // level boundary — that keeps every item's dependencies in strictly
+  // earlier items on every thread (deadlock freedom). Both executors run
+  // these stored items, so they execute identical (row, thread)
+  // assignments.
   std::vector<index_t> row_count(static_cast<std::size_t>(T), 0);
   std::vector<index_t> item_count(static_cast<std::size_t>(T), 0);
   for (index_t l = 0; l < s.num_levels; ++l) {
@@ -125,6 +141,7 @@ ExecSchedule build_exec_schedule(ExecBackend backend, index_t n_total,
   const index_t n_items = s.thread_ptr.back();
   s.rows.assign(static_cast<std::size_t>(n_rows), kInvalidIndex);
   s.item_ptr.assign(static_cast<std::size_t>(n_items) + 1, 0);
+  s.item_level.assign(static_cast<std::size_t>(n_items), kInvalidIndex);
 
   std::vector<index_t> owner(static_cast<std::size_t>(n_total), kInvalidIndex);
   std::vector<index_t> posn(static_cast<std::size_t>(n_total), kInvalidIndex);
@@ -138,6 +155,7 @@ ExecSchedule build_exec_schedule(ExecBackend backend, index_t n_total,
       for (index_t idx = rr.begin; idx < rr.end;) {
         const index_t take = std::min<index_t>(chunk, rr.end - idx);
         const index_t item = icursor[static_cast<std::size_t>(t)]++;
+        s.item_level[static_cast<std::size_t>(item)] = l;
         for (index_t i = 0; i < take; ++i) {
           const index_t row =
               s.serial_order[static_cast<std::size_t>(base + idx + i)];

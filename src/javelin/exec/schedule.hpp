@@ -4,9 +4,9 @@
 //
 //   * kP2P — point-to-point level scheduling (paper §III-A, Fig. 4): each
 //     level is cut into ITEMS of up to chunk_rows consecutive rows, and each
-//     thread takes a contiguous run of whole items (level_slice); each thread
-//     executes its rows level-by-level in a fixed order. That fixed order is
-//     the "implied ordering" that lets dependencies be pruned:
+//     thread takes a contiguous run of whole items; each thread executes its
+//     rows level-by-level in a fixed order. That fixed order is the
+//     "implied ordering" that lets dependencies be pruned:
 //       - same-thread dependencies vanish (program order),
 //       - per producer thread only the MAXIMUM needed schedule position is
 //         kept (its progress counter is monotone),
@@ -16,9 +16,15 @@
 //     progress counters — no barriers, no tasks.
 //
 //   * kBarrier — the classic barrier-synchronized level-set sweep (CSR-LS):
-//     the SAME (level, thread) slices, but the team barriers between levels
-//     instead of spin-waiting on sparsified dependencies. This is the §VI
-//     baseline the point-to-point scheme is measured against.
+//     the SAME stored items, walked level by level through item_level, with
+//     a team barrier between levels instead of spin-waits on sparsified
+//     dependencies. This is the §VI baseline the point-to-point scheme is
+//     measured against.
+//
+// build_exec_schedule is the one place that assigns rows to threads: both
+// executors, the telemetry (obs/exec_obs.hpp) and the static verifier
+// (verify/verify.hpp) read the stored items, so the proof covers the
+// assignment that runs under either backend.
 //
 // The item is the BLOCKING granule: waits are computed per item, every
 // published count is an item count, and items never cross a level boundary,
@@ -43,12 +49,11 @@
 // synchronize the same way, and flipping `backend` in place is always legal
 // because the wait lists are built for either one.
 //
-// Schedules are RUNTIME-RETARGETABLE: retarget() re-chunks the (level,
-// thread) slices and rebuilds the sparsified waits for any team size from
-// the retained level structure, bitwise-identical to a fresh build at that
-// size. Consumers re-plan on a team-size mismatch instead of falling back to
-// a serial sweep (runtime_fwd/runtime_bwd, declared in
-// ilu/factorization.hpp).
+// Schedules are RUNTIME-RETARGETABLE: retarget() re-deals the levels' items
+// and rebuilds the sparsified waits for any team size from the retained
+// level structure, bitwise-identical to a fresh build at that size.
+// Consumers re-plan on a team-size mismatch instead of falling back to a
+// serial sweep (runtime_fwd/runtime_bwd, declared in ilu/factorization.hpp).
 #pragma once
 
 #include <algorithm>
@@ -59,25 +64,8 @@
 
 #include "javelin/exec/backend.hpp"
 #include "javelin/sparse/csr.hpp"
-#include "javelin/support/parallel.hpp"
 
 namespace javelin {
-
-/// Thread t's slice of a level of `rows` rows, as offsets into the level:
-/// the level is cut into ceil(rows / chunk_rows) items of chunk_rows
-/// consecutive rows (the last may be short) and thread t takes a contiguous
-/// run of whole items (partition_range over items). The slice therefore
-/// starts on an item boundary and holds ceil(size / chunk_rows) items. The
-/// schedule builder and every executor that re-derives slices at run time
-/// (barrier, fused, panel) call this one function, so they cannot
-/// disagree on which thread runs a row. chunk_rows < 1 is treated as 1.
-inline Range level_slice(index_t rows, int threads, int t,
-                         index_t chunk_rows) noexcept {
-  const index_t chunk = std::max<index_t>(1, chunk_rows);
-  const Range items = partition_range((rows + chunk - 1) / chunk, threads, t);
-  return {std::min(rows, items.begin * chunk),
-          std::min(rows, items.end * chunk)};
-}
 
 struct ExecSchedule {
   ExecBackend backend = ExecBackend::kP2P;
@@ -87,10 +75,15 @@ struct ExecSchedule {
 
   /// Execution order: thread t runs items [thread_ptr[t] .. thread_ptr[t+1]);
   /// item i covers rows[item_ptr[i] .. item_ptr[i+1]) (a contiguous chunk of
-  /// one (level, thread) level_slice, executed in stored order).
+  /// thread t's share of one level, executed in stored order).
   std::vector<index_t> thread_ptr;
   std::vector<index_t> item_ptr;
   std::vector<index_t> rows;
+  /// Level of each item (index into level_ptr), ascending within each
+  /// thread. The barrier executor runs thread t's items tagged l between
+  /// level l's barriers, and the telemetry charges item i's time to
+  /// item_level[i].
+  std::vector<index_t> item_level;
 
   /// Sparsified waits, per ITEM (consumed by the P2P backend; the barrier
   /// backend synchronizes with one barrier per level instead): before

@@ -71,28 +71,4 @@ index_t pseudo_peripheral_vertex(const CsrMatrix& a, index_t start) {
   return v;
 }
 
-Components connected_components(const CsrMatrix& a) {
-  const index_t n = a.rows();
-  Components comps;
-  comps.component.assign(static_cast<std::size_t>(n), kInvalidIndex);
-  std::vector<index_t> stack;
-  for (index_t s = 0; s < n; ++s) {
-    if (comps.component[static_cast<std::size_t>(s)] != kInvalidIndex) continue;
-    const index_t id = comps.count++;
-    stack.push_back(s);
-    comps.component[static_cast<std::size_t>(s)] = id;
-    while (!stack.empty()) {
-      const index_t v = stack.back();
-      stack.pop_back();
-      for (index_t c : a.row_cols(v)) {
-        if (c != v && comps.component[static_cast<std::size_t>(c)] == kInvalidIndex) {
-          comps.component[static_cast<std::size_t>(c)] = id;
-          stack.push_back(c);
-        }
-      }
-    }
-  }
-  return comps;
-}
-
 }  // namespace javelin

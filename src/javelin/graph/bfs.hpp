@@ -1,6 +1,6 @@
 // Breadth-first traversal utilities over the symmetric adjacency of a CSR
-// pattern: distances, pseudo-peripheral vertex search (George–Liu), and
-// connected components. These feed the RCM and nested-dissection orderings.
+// pattern: distances and pseudo-peripheral vertex search (George–Liu). These
+// feed the RCM and nested-dissection orderings and AMG's aggregation.
 #pragma once
 
 #include <span>
@@ -27,13 +27,5 @@ BfsResult bfs(const CsrMatrix& a, index_t source);
 /// George–Liu pseudo-peripheral vertex: repeatedly BFS and jump to a
 /// smallest-degree vertex of the last level until eccentricity stops growing.
 index_t pseudo_peripheral_vertex(const CsrMatrix& a, index_t start);
-
-/// Connected components of the undirected pattern; returns component id per
-/// vertex and the number of components.
-struct Components {
-  std::vector<index_t> component;
-  index_t count = 0;
-};
-Components connected_components(const CsrMatrix& a);
 
 }  // namespace javelin

@@ -3,9 +3,6 @@
 #include <string>
 
 #include "javelin/ilu/row_kernel.hpp"
-#include "javelin/ilu/symbolic.hpp"
-#include "javelin/sparse/ops.hpp"
-#include "javelin/support/scan.hpp"
 
 namespace javelin {
 
@@ -21,61 +18,6 @@ void ilu_factor_serial_inplace(CsrMatrix& lu, std::span<const index_t> diag_pos,
                   " (Javelin does not pivot)");
     }
   }
-}
-
-SerialFactorResult ilu_factor_serial(const CsrMatrix& a, const IluOptions& opts) {
-  SerialFactorResult res;
-  res.lu = ilu_symbolic(a, opts.fill_level);
-  res.diag_pos = diagonal_positions(res.lu);
-  ilu_factor_serial_inplace(res.lu, res.diag_pos, opts);
-  return res;
-}
-
-SplitFactors split_lu(const CsrMatrix& lu) {
-  const index_t n = lu.rows();
-  std::vector<index_t> lrp(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<index_t> urp(static_cast<std::size_t>(n) + 1, 0);
-  for (index_t r = 0; r < n; ++r) {
-    index_t lc = 1;  // explicit unit diagonal
-    index_t uc = 0;
-    for (index_t c : lu.row_cols(r)) {
-      if (c < r) {
-        ++lc;
-      } else {
-        ++uc;
-      }
-    }
-    lrp[static_cast<std::size_t>(r) + 1] = lc;
-    urp[static_cast<std::size_t>(r) + 1] = uc;
-  }
-  inclusive_scan_inplace(std::span<index_t>(lrp).subspan(1));
-  inclusive_scan_inplace(std::span<index_t>(urp).subspan(1));
-  std::vector<index_t> lci(static_cast<std::size_t>(lrp.back()));
-  std::vector<value_t> lvv(static_cast<std::size_t>(lrp.back()));
-  std::vector<index_t> uci(static_cast<std::size_t>(urp.back()));
-  std::vector<value_t> uvv(static_cast<std::size_t>(urp.back()));
-  for (index_t r = 0; r < n; ++r) {
-    index_t lw = lrp[static_cast<std::size_t>(r)];
-    index_t uw = urp[static_cast<std::size_t>(r)];
-    for (index_t k = lu.row_begin(r); k < lu.row_end(r); ++k) {
-      const index_t c = lu.col_idx()[static_cast<std::size_t>(k)];
-      const value_t v = lu.values()[static_cast<std::size_t>(k)];
-      if (c < r) {
-        lci[static_cast<std::size_t>(lw)] = c;
-        lvv[static_cast<std::size_t>(lw)] = v;
-        ++lw;
-      } else {
-        uci[static_cast<std::size_t>(uw)] = c;
-        uvv[static_cast<std::size_t>(uw)] = v;
-        ++uw;
-      }
-    }
-    lci[static_cast<std::size_t>(lw)] = r;
-    lvv[static_cast<std::size_t>(lw)] = 1;
-  }
-  return SplitFactors{
-      CsrMatrix(n, n, std::move(lrp), std::move(lci), std::move(lvv)),
-      CsrMatrix(n, n, std::move(urp), std::move(uci), std::move(uvv))};
 }
 
 }  // namespace javelin

@@ -3,7 +3,7 @@
 // results are bitwise identical).
 #pragma once
 
-#include <vector>
+#include <span>
 
 #include "javelin/ilu/options.hpp"
 #include "javelin/sparse/csr.hpp"
@@ -18,20 +18,5 @@ namespace javelin {
 /// Throws Error on a zero/tiny pivot (row index in the message).
 void ilu_factor_serial_inplace(CsrMatrix& lu, std::span<const index_t> diag_pos,
                                const IluOptions& opts);
-
-/// Convenience: symbolic + copy + serial numeric in one call.
-struct SerialFactorResult {
-  CsrMatrix lu;
-  std::vector<index_t> diag_pos;
-};
-SerialFactorResult ilu_factor_serial(const CsrMatrix& a, const IluOptions& opts);
-
-/// Split a combined LU into explicit L (unit diagonal stored) and U factors;
-/// used by tests and by consumers that want standalone triangles.
-struct SplitFactors {
-  CsrMatrix l;
-  CsrMatrix u;
-};
-SplitFactors split_lu(const CsrMatrix& lu);
 
 }  // namespace javelin

@@ -60,34 +60,6 @@ void SweepObs::begin(Region kind, const ExecSchedule& s) {
   lvl_busy_.assign(cells, 0);
   lvl_wait_.assign(cells, 0);
 
-  // item -> level map for P2P attribution, rebuilt when the schedule's
-  // identity or shape changes (retarget() changes the item structure).
-  if (s.backend == ExecBackend::kP2P && s.num_items() > 0 &&
-      (cached_sched_ != &s || cached_items_ != s.num_items() ||
-       cached_levels_ != s.num_levels || cached_threads_ != s.threads)) {
-    row_level_.assign(static_cast<std::size_t>(s.n_total), 0);
-    for (index_t l = 0; l < s.num_levels; ++l) {
-      for (index_t k = s.level_ptr[static_cast<std::size_t>(l)];
-           k < s.level_ptr[static_cast<std::size_t>(l) + 1]; ++k) {
-        row_level_[static_cast<std::size_t>(
-            s.serial_order[static_cast<std::size_t>(k)])] = l;
-      }
-    }
-    const index_t items = s.num_items();
-    item_level_.resize(static_cast<std::size_t>(items));
-    for (index_t i = 0; i < items; ++i) {
-      // Items never cross a level boundary, so the first row's level is the
-      // item's level.
-      item_level_[static_cast<std::size_t>(i)] = row_level_[static_cast<
-          std::size_t>(s.rows[static_cast<std::size_t>(
-          s.item_ptr[static_cast<std::size_t>(i)])])];
-    }
-    cached_sched_ = &s;
-    cached_items_ = items;
-    cached_levels_ = s.num_levels;
-    cached_threads_ = s.threads;
-  }
-
   wall_t0_ = now_ns();
   if (tracing_) TraceSession::instance().buffer().begin(name_);
 }

@@ -6,8 +6,10 @@
 // so the default build keeps the zero-polling hot loop and its bitwise
 // serial/parallel parity — or with SweepObs, which adds per-thread wait
 // counters, per-(thread, level) busy/wait attribution, and optional trace
-// spans. Nothing is measured unless a caller explicitly attaches an ExecObs
-// (IluOptions::exec_obs) or enables the trace session.
+// spans. The level of each item comes from the schedule itself
+// (ExecSchedule::item_level), the index the barrier executor walks and the
+// verifier proves. Nothing is measured unless a caller explicitly attaches
+// an ExecObs (IluOptions::exec_obs) or enables the trace session.
 //
 // Aggregation model: each exec_run_obs sweep records into private
 // per-thread slots (cache-line padded, owner-written only — the telemetry
@@ -142,15 +144,13 @@ class SweepObs {
   WaitCounters& slot(int t) noexcept {
     return slots_[static_cast<std::size_t>(t)].c;
   }
+  /// Thread t's slot as the counter sink of its waits (support/spinwait.hpp).
+  WaitCounters* counts(int t) noexcept { return &slot(t); }
   void add_level_busy(int t, index_t level, std::uint64_t ns) noexcept {
     lvl_busy_[lvl_index(t, level)] += ns;
   }
   void add_level_wait(int t, index_t level, std::uint64_t ns) noexcept {
     lvl_wait_[lvl_index(t, level)] += ns;
-  }
-  /// Level of schedule item i (P2P attribution; cached per schedule).
-  index_t item_level(index_t i) const noexcept {
-    return item_level_[static_cast<std::size_t>(i)];
   }
   bool tracing() const noexcept { return tracing_; }
   const char* name() const noexcept { return name_; }
@@ -177,14 +177,6 @@ class SweepObs {
   std::vector<PaddedSlot> slots_;
   std::vector<std::uint64_t> lvl_busy_;  // [thread][level], thread-major
   std::vector<std::uint64_t> lvl_wait_;
-  std::vector<index_t> item_level_;
-  std::vector<index_t> row_level_;  // scratch for item_level_ builds
-  // item_level_ cache key: schedules are long-lived objects mutated only by
-  // retarget(), which changes the item structure we also key on.
-  const void* cached_sched_ = nullptr;
-  index_t cached_items_ = -1;
-  index_t cached_levels_ = -1;
-  int cached_threads_ = -1;
 };
 
 /// Owner of per-region ExecStats; attach via IluOptions::exec_obs and run

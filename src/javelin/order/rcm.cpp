@@ -46,14 +46,10 @@ std::vector<index_t> cuthill_mckee(const CsrMatrix& sym) {
 
 }  // namespace
 
-std::vector<index_t> cm_order(const CsrMatrix& a) {
+std::vector<index_t> rcm_order(const CsrMatrix& a) {
   JAVELIN_CHECK(a.square(), "ordering requires a square matrix");
   const CsrMatrix sym = pattern_symmetric(a) ? a : pattern_symmetrize(a);
-  return cuthill_mckee(sym);
-}
-
-std::vector<index_t> rcm_order(const CsrMatrix& a) {
-  std::vector<index_t> order = cm_order(a);
+  std::vector<index_t> order = cuthill_mckee(sym);
   std::reverse(order.begin(), order.end());
   return order;
 }
@@ -62,26 +58,6 @@ std::vector<index_t> natural_order(index_t n) {
   std::vector<index_t> p(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i) p[static_cast<std::size_t>(i)] = i;
   return p;
-}
-
-const char* ordering_name(OrderingKind k) {
-  switch (k) {
-    case OrderingKind::kNatural: return "NAT";
-    case OrderingKind::kRcm: return "RCM";
-    case OrderingKind::kMinDegree: return "AMD";
-    case OrderingKind::kNestedDissection: return "ND";
-  }
-  return "?";
-}
-
-std::vector<index_t> make_ordering(const CsrMatrix& a, OrderingKind k) {
-  switch (k) {
-    case OrderingKind::kNatural: return natural_order(a.rows());
-    case OrderingKind::kRcm: return rcm_order(a);
-    case OrderingKind::kMinDegree: return min_degree_order(a);
-    case OrderingKind::kNestedDissection: return nested_dissection_order(a);
-  }
-  throw Error("unknown ordering kind");
 }
 
 }  // namespace javelin

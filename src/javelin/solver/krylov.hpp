@@ -222,7 +222,6 @@ class FusedIluOperator {
   }
 
   const Factorization& factorization() const noexcept { return f_; }
-  const FusedApplySpmv& fused_schedule() const noexcept { return fs_; }
 
  private:
   const CsrMatrix* a_;

@@ -46,6 +46,14 @@ const char* to_string(FailureCause cause) noexcept {
 
 namespace {
 
+/// The ladder's fixed shape (robust.hpp). Shifted rung k = 0 … 3 adds
+/// α = kInitialShift · kShiftGrowthᵏ · max|a_ii| to the diagonal.
+constexpr value_t kInitialShift = 1e-3;
+constexpr value_t kShiftGrowth = 10.0;
+constexpr int kMaxShiftAttempts = 4;  ///< shifted rungs after the unshifted one
+constexpr value_t kJacobiDamping = 0.8;
+constexpr int kStagnationWindow = 50;  ///< when solver.stagnation_window is 0
+
 /// The shift unit: the largest finite |a_ii| the pattern stores, so the
 /// ladder's α is scale-invariant. 1 when the diagonal is absent/zero — an
 /// absolute fallback unit is still a usable escalation base.
@@ -124,7 +132,7 @@ SolveReport RobustSolver::solve(std::span<const value_t> b,
 
   SolverOptions so = opts_.solver;
   if (so.stagnation_window == 0) {
-    so.stagnation_window = opts_.default_stagnation_window;
+    so.stagnation_window = kStagnationWindow;
   }
 
   // Every rung restarts from the caller's guess; the best-residual iterate
@@ -133,10 +141,6 @@ SolveReport RobustSolver::solve(std::span<const value_t> b,
   std::vector<value_t> best_x;
   value_t best_res = std::numeric_limits<value_t>::infinity();
   bool any_krylov = false;
-
-  const bool prefer_pcg =
-      opts_.method == KrylovMethod::kPcg ||
-      (opts_.method == KrylovMethod::kAuto && symmetric_);
 
   // Run one ladder rung: restart from x0, solve, record the attempt, track
   // the best iterate. Returns true when the rung converged.
@@ -151,7 +155,7 @@ SolveReport RobustSolver::solve(std::span<const value_t> b,
     at.level = level;
     at.shift = shift;
     std::copy(x0.begin(), x0.end(), x.begin());
-    if (prefer_pcg) {
+    if (symmetric_) {
       at.result = pcg(*a_, b, x, precond, so);
       if (!at.result.converged &&
           (at.result.stop == SolverStop::kBreakdown ||
@@ -191,14 +195,13 @@ SolveReport RobustSolver::solve(std::span<const value_t> b,
     return report;
   };
 
-  // --- rungs 0..max_shift_attempts: ILU(k), then shifted ILU ---------------
+  // --- rungs 0..kMaxShiftAttempts: ILU(k), then shifted ILU ----------------
   if (factor_) {
-    for (int attempt = 0; attempt <= opts_.max_shift_attempts; ++attempt) {
+    for (int attempt = 0; attempt <= kMaxShiftAttempts; ++attempt) {
       const value_t shift =
-          attempt == 0
-              ? value_t{0}
-              : opts_.initial_shift *
-                    std::pow(opts_.shift_growth, attempt - 1) * diag_scale_;
+          attempt == 0 ? value_t{0}
+                       : kInitialShift * std::pow(kShiftGrowth, attempt - 1) *
+                             diag_scale_;
       const PrecondLevel level =
           attempt == 0 ? PrecondLevel::kIlu : PrecondLevel::kShiftedIlu;
       // O(nnz) retry: rescatter A's values through the persistent map, add
@@ -242,8 +245,7 @@ SolveReport RobustSolver::solve(std::span<const value_t> b,
     for (index_t r = 0; r < a_->rows(); ++r) {
       const value_t d = a_->at(r, r);
       scaled_inv_diag[static_cast<std::size_t>(r)] =
-          (d != 0 && std::isfinite(d)) ? opts_.jacobi_damping / d
-                                       : opts_.jacobi_damping;
+          (d != 0 && std::isfinite(d)) ? kJacobiDamping / d : kJacobiDamping;
     }
     const PrecondFn jacobi = [inv = std::move(scaled_inv_diag)](
                                  std::span<const value_t> r,

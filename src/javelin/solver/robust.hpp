@@ -1,12 +1,13 @@
 // Breakdown-safe solve pipeline: walk a preconditioner ladder — ILU(k),
 // Manteuffel-shifted ILU with geometrically escalating α, damped Jacobi,
-// identity — restarting the Krylov solve at each rung, and return a
-// structured SolveReport (per-attempt trail, failure cause, final shift)
-// instead of throwing. Factorization breakdowns surface as FactorStatus via
-// the cooperative-abort protocol of exec/run.hpp, so no retry ever crosses
-// an exception out of a parallel region; each shifted retry reuses the
-// one-time symbolic analysis of ilu_prepare and costs only an O(nnz)
-// scatter plus the numeric sweep.
+// identity — restarting the Krylov solve at each rung (PCG on exactly
+// symmetric matrices, retried with GMRES on the same rung when it breaks
+// down; GMRES otherwise), and return a structured SolveReport (per-attempt
+// trail, failure cause, final shift) instead of throwing. Factorization
+// breakdowns surface as FactorStatus via the cooperative-abort protocol of
+// exec/run.hpp, so no retry ever crosses an exception out of a parallel
+// region; each shifted retry reuses the one-time symbolic analysis of
+// ilu_prepare and costs only an O(nnz) scatter plus the numeric sweep.
 #pragma once
 
 #include <cstdint>
@@ -31,11 +32,6 @@ enum class PrecondLevel : std::uint8_t {
 
 const char* to_string(PrecondLevel level) noexcept;
 
-/// Krylov driver selection. kAuto picks PCG for (exactly) symmetric
-/// matrices and GMRES otherwise; an indefinite "symmetric" system that
-/// breaks PCG down is retried with GMRES on the same ladder rung.
-enum class KrylovMethod : std::uint8_t { kAuto, kPcg, kGmres };
-
 /// Why the pipeline's final answer is not a converged solve (kNone when it
 /// is). Mirrors SolverStop plus the factorization-side breakdown.
 enum class FailureCause : std::uint8_t {
@@ -53,7 +49,8 @@ const char* to_string(FailureCause cause) noexcept;
 struct AttemptReport {
   PrecondLevel level = PrecondLevel::kIlu;
   /// Absolute Manteuffel shift α applied to the diagonal (0 off the shifted
-  /// rungs). Escalates geometrically: initial_shift · growthᵏ · max|a_ii|.
+  /// rungs). Escalates geometrically: 1e-3 · 10ᵏ · max|a_ii| on shifted
+  /// rung k = 0 … 3.
   value_t shift = 0;
   /// Whether the numeric factorization succeeded (always true on the
   /// Jacobi/identity rungs, which factor nothing).
@@ -66,25 +63,16 @@ struct AttemptReport {
   SolverResult result;
 };
 
+/// The ladder's shape is fixed (robust.cpp): PCG on exactly symmetric
+/// matrices and GMRES otherwise, four shifted-ILU rungs after the unshifted
+/// one, Jacobi damping ω = 0.8, and a 50-iteration stagnation window when
+/// solver.stagnation_window is 0 (plateaus must trigger the next rung, not
+/// burn the iteration budget).
 struct RobustOptions {
   IluOptions ilu;
   SolverOptions solver;
-  KrylovMethod method = KrylovMethod::kAuto;
-  /// First shift, relative to max|a_ii| (the absolute α of shifted attempt
-  /// k ≥ 0 is initial_shift · shift_growth^k · max|a_ii|).
-  value_t initial_shift = 1e-3;
-  value_t shift_growth = 10.0;
-  /// Shifted-ILU attempts after the unshifted one.
-  int max_shift_attempts = 4;
-  /// Damping ω of the Jacobi rung.
-  value_t jacobi_damping = 0.8;
   bool allow_jacobi = true;
   bool allow_identity = true;
-  /// Stagnation window handed to the Krylov drivers when solver.
-  /// stagnation_window is 0 — the robust pipeline always wants plateaus
-  /// reported (they trigger the next rung) rather than a silently burned
-  /// iteration budget. Set solver.stagnation_window to override.
-  int default_stagnation_window = 50;
 };
 
 /// What a robust solve did, end to end. Returned instead of thrown: the
@@ -121,10 +109,8 @@ class RobustSolver {
   /// rung when nothing converged.
   SolveReport solve(std::span<const value_t> b, std::span<value_t> x);
 
-  /// Exact symmetry (drives the kAuto method choice).
+  /// Exact symmetry: PCG runs when true, GMRES otherwise.
   bool symmetric() const noexcept { return symmetric_; }
-  /// max|a_ii| — the shift unit (1 when the stored diagonal is all zero).
-  value_t diagonal_scale() const noexcept { return diag_scale_; }
   /// Null when the matrix is structurally unfactorable.
   const Factorization* factorization() const noexcept { return factor_.get(); }
 

@@ -47,30 +47,6 @@ bool CsrMatrix::has_full_diagonal() const noexcept {
   return !missing;
 }
 
-void CsrMatrix::sort_rows() {
-#pragma omp parallel
-  {
-    std::vector<std::pair<index_t, value_t>> buf;
-#pragma omp for schedule(dynamic, 64)
-    for (index_t r = 0; r < rows_; ++r) {
-      const index_t lo = row_begin(r);
-      const index_t hi = row_end(r);
-      if (std::is_sorted(col_idx_.begin() + lo, col_idx_.begin() + hi)) continue;
-      buf.clear();
-      for (index_t k = lo; k < hi; ++k) {
-        buf.emplace_back(col_idx_[static_cast<std::size_t>(k)],
-                         values_[static_cast<std::size_t>(k)]);
-      }
-      std::sort(buf.begin(), buf.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      for (index_t k = lo; k < hi; ++k) {
-        col_idx_[static_cast<std::size_t>(k)] = buf[static_cast<std::size_t>(k - lo)].first;
-        values_[static_cast<std::size_t>(k)] = buf[static_cast<std::size_t>(k - lo)].second;
-      }
-    }
-  }
-}
-
 void CsrMatrix::validate() const {
   JAVELIN_CHECK(rows_ >= 0 && cols_ >= 0, "negative dimension");
   JAVELIN_CHECK(row_ptr_.size() == static_cast<std::size_t>(rows_) + 1,

@@ -90,9 +90,6 @@ class CsrMatrix {
   /// up-looking ILU, which divides by the pivot). Parallel over rows.
   bool has_full_diagonal() const noexcept;
 
-  /// Sort every row by column index (values carried along). Parallel.
-  void sort_rows();
-
   /// Throws Error on any structural inconsistency.
   void validate() const;
 

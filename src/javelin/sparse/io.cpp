@@ -124,10 +124,4 @@ void write_matrix_market(std::ostream& out, const CsrMatrix& a) {
   }
 }
 
-void write_matrix_market_file(const std::string& path, const CsrMatrix& a) {
-  std::ofstream f(path);
-  JAVELIN_CHECK(f.good(), "cannot open file for writing: " + path);
-  write_matrix_market(f, a);
-}
-
 }  // namespace javelin

@@ -20,6 +20,4 @@ CsrMatrix read_matrix_market_file(const std::string& path);
 /// Write `a` as `matrix coordinate real general` (1-based indices).
 void write_matrix_market(std::ostream& out, const CsrMatrix& a);
 
-void write_matrix_market_file(const std::string& path, const CsrMatrix& a);
-
 }  // namespace javelin

@@ -221,32 +221,12 @@ bool pattern_symmetric(const CsrMatrix& a) {
          std::equal(a.col_idx().begin(), a.col_idx().end(), at.col_idx().begin());
 }
 
-bool is_permutation(std::span<const index_t> perm) {
-  const index_t n = static_cast<index_t>(perm.size());
-  std::vector<bool> seen(static_cast<std::size_t>(n), false);
-  for (index_t v : perm) {
-    if (v < 0 || v >= n || seen[static_cast<std::size_t>(v)]) return false;
-    seen[static_cast<std::size_t>(v)] = true;
-  }
-  return true;
-}
-
 std::vector<index_t> invert_permutation(std::span<const index_t> perm) {
   std::vector<index_t> inv(perm.size(), kInvalidIndex);
   for (std::size_t i = 0; i < perm.size(); ++i) {
     inv[static_cast<std::size_t>(perm[i])] = static_cast<index_t>(i);
   }
   return inv;
-}
-
-std::vector<index_t> compose_permutations(std::span<const index_t> first,
-                                          std::span<const index_t> second) {
-  JAVELIN_CHECK(first.size() == second.size(), "permutation size mismatch");
-  std::vector<index_t> out(first.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = first[static_cast<std::size_t>(second[i])];
-  }
-  return out;
 }
 
 CsrMatrix permute_symmetric(const CsrMatrix& a, std::span<const index_t> perm,
@@ -297,72 +277,6 @@ CsrMatrix permute_symmetric(const CsrMatrix& a, std::span<const index_t> perm,
   return CsrMatrix(n, n, std::move(rp), std::move(ci), std::move(vv));
 }
 
-CsrMatrix permute_rows(const CsrMatrix& a, std::span<const index_t> perm) {
-  JAVELIN_CHECK(perm.size() == static_cast<std::size_t>(a.rows()),
-                "permutation length mismatch");
-  const index_t n = a.rows();
-  std::vector<index_t> rp(static_cast<std::size_t>(n) + 1, 0);
-  for (index_t r = 0; r < n; ++r) {
-    rp[static_cast<std::size_t>(r) + 1] = a.row_nnz(perm[static_cast<std::size_t>(r)]);
-  }
-  inclusive_scan_inplace(std::span<index_t>(rp).subspan(1));
-  std::vector<index_t> ci(static_cast<std::size_t>(a.nnz()));
-  std::vector<value_t> vv(static_cast<std::size_t>(a.nnz()));
-#pragma omp parallel for schedule(static)
-  for (index_t r = 0; r < n; ++r) {
-    const index_t old_r = perm[static_cast<std::size_t>(r)];
-    index_t w = rp[static_cast<std::size_t>(r)];
-    for (index_t k = a.row_begin(old_r); k < a.row_end(old_r); ++k, ++w) {
-      ci[static_cast<std::size_t>(w)] = a.col_idx()[static_cast<std::size_t>(k)];
-      vv[static_cast<std::size_t>(w)] = a.values()[static_cast<std::size_t>(k)];
-    }
-  }
-  return CsrMatrix(n, a.cols(), std::move(rp), std::move(ci), std::move(vv));
-}
-
-namespace {
-
-template <class Keep>
-CsrMatrix extract_if(const CsrMatrix& a, Keep keep) {
-  const index_t n = a.rows();
-  std::vector<index_t> rp(static_cast<std::size_t>(n) + 1, 0);
-  for (index_t r = 0; r < n; ++r) {
-    index_t cnt = 0;
-    for (index_t c : a.row_cols(r)) cnt += keep(r, c) ? 1 : 0;
-    rp[static_cast<std::size_t>(r) + 1] = cnt;
-  }
-  inclusive_scan_inplace(std::span<index_t>(rp).subspan(1));
-  std::vector<index_t> ci(static_cast<std::size_t>(rp.back()));
-  std::vector<value_t> vv(static_cast<std::size_t>(rp.back()));
-#pragma omp parallel for schedule(static)
-  for (index_t r = 0; r < n; ++r) {
-    index_t w = rp[static_cast<std::size_t>(r)];
-    for (index_t k = a.row_begin(r); k < a.row_end(r); ++k) {
-      const index_t c = a.col_idx()[static_cast<std::size_t>(k)];
-      if (!keep(r, c)) continue;
-      ci[static_cast<std::size_t>(w)] = c;
-      vv[static_cast<std::size_t>(w)] = a.values()[static_cast<std::size_t>(k)];
-      ++w;
-    }
-  }
-  return CsrMatrix(n, a.cols(), std::move(rp), std::move(ci), std::move(vv));
-}
-
-}  // namespace
-
-CsrMatrix extract_strict_lower(const CsrMatrix& a) {
-  return extract_if(a, [](index_t r, index_t c) { return c < r; });
-}
-CsrMatrix extract_strict_upper(const CsrMatrix& a) {
-  return extract_if(a, [](index_t r, index_t c) { return c > r; });
-}
-CsrMatrix extract_lower(const CsrMatrix& a) {
-  return extract_if(a, [](index_t r, index_t c) { return c <= r; });
-}
-CsrMatrix extract_upper(const CsrMatrix& a) {
-  return extract_if(a, [](index_t r, index_t c) { return c >= r; });
-}
-
 std::vector<index_t> diagonal_positions(const CsrMatrix& a) {
   JAVELIN_CHECK(a.square(), "diagonal_positions requires a square matrix");
   std::vector<index_t> pos(static_cast<std::size_t>(a.rows()));
@@ -405,12 +319,6 @@ value_t max_abs_difference(const CsrMatrix& a, const CsrMatrix& b) {
     }
   }
   return worst;
-}
-
-value_t frobenius_norm(const CsrMatrix& a) {
-  value_t s = 0;
-  for (value_t v : a.values()) s += v * v;
-  return std::sqrt(s);
 }
 
 std::vector<value_t> to_dense(const CsrMatrix& a) {

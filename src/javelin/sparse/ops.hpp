@@ -1,8 +1,9 @@
-// Structural operations on CSR matrices: transpose, symmetric permutation,
-// pattern symmetrization (A + Aᵀ), triangular extraction, and pattern
-// comparisons. These are the preprocessing primitives Javelin composes
-// (paper §III: permutation into the level ordering during the copy-fill
-// phase, which also records where each nonzero of A lands).
+// Structural operations on CSR matrices: transpose, SpGEMM, symmetric
+// permutation, pattern symmetrization (A + Aᵀ), diagonal lookup, and the
+// small dense helpers the tests compare against. These are the
+// preprocessing primitives Javelin composes (paper §III: permutation into
+// the level ordering during the copy-fill phase, which also records where
+// each nonzero of A lands).
 #pragma once
 
 #include <span>
@@ -45,32 +46,8 @@ bool pattern_symmetric(const CsrMatrix& a);
 CsrMatrix permute_symmetric(const CsrMatrix& a, std::span<const index_t> perm,
                             std::vector<index_t>* slot_of = nullptr);
 
-/// Row permutation P·A (new-to-old), columns untouched. Used by the
-/// Dulmage–Mendelsohn step which permutes rows to cover the diagonal.
-CsrMatrix permute_rows(const CsrMatrix& a, std::span<const index_t> perm);
-
 /// Invert a permutation: out[perm[i]] = i.
 std::vector<index_t> invert_permutation(std::span<const index_t> perm);
-
-/// True iff perm is a permutation of 0..n-1.
-bool is_permutation(std::span<const index_t> perm);
-
-/// Compose permutations: result[i] = first[second[i]] (apply `first`, then
-/// `second`, both new-to-old).
-std::vector<index_t> compose_permutations(std::span<const index_t> first,
-                                          std::span<const index_t> second);
-
-/// Strictly lower-triangular part (diagonal excluded).
-CsrMatrix extract_strict_lower(const CsrMatrix& a);
-
-/// Strictly upper-triangular part (diagonal excluded).
-CsrMatrix extract_strict_upper(const CsrMatrix& a);
-
-/// Lower-triangular part including diagonal.
-CsrMatrix extract_lower(const CsrMatrix& a);
-
-/// Upper-triangular part including diagonal.
-CsrMatrix extract_upper(const CsrMatrix& a);
 
 /// Position of each diagonal entry in the nonzero array (row-parallel);
 /// throws if a diagonal entry is structurally missing.
@@ -79,9 +56,6 @@ std::vector<index_t> diagonal_positions(const CsrMatrix& a);
 /// Max |a_ij - b_ij| over the union pattern (dense-free comparison helper for
 /// tests and benches).
 value_t max_abs_difference(const CsrMatrix& a, const CsrMatrix& b);
-
-/// Frobenius norm.
-value_t frobenius_norm(const CsrMatrix& a);
 
 /// Dense A*B for small validation problems in tests (n <= a few thousand).
 std::vector<value_t> dense_matmul(const CsrMatrix& a, const CsrMatrix& b);

@@ -1,7 +1,6 @@
 #include "javelin/sparse/spmv.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "javelin/sparse/panel.hpp"
@@ -75,8 +74,10 @@ RowPartition RowPartition::build(const CsrMatrix& a, int parts) {
 
 void spmv_serial(const CsrMatrix& a, std::span<const value_t> x,
                  std::span<value_t> y) {
-  assert(x.size() >= static_cast<std::size_t>(a.cols()));
-  assert(y.size() >= static_cast<std::size_t>(a.rows()));
+  JAVELIN_CHECK(x.size() >= static_cast<std::size_t>(a.cols()),
+                "spmv_serial: x smaller than cols()");
+  JAVELIN_CHECK(y.size() >= static_cast<std::size_t>(a.rows()),
+                "spmv_serial: y smaller than rows()");
   const auto ci = a.col_idx();
   const auto vv = a.values();
   for (index_t r = 0; r < a.rows(); ++r) {
@@ -108,7 +109,7 @@ void spmv_panel(const CsrMatrix& a, const RowPartition& part,
 }
 
 value_t dot(std::span<const value_t> a, std::span<const value_t> b) {
-  assert(a.size() == b.size());
+  JAVELIN_CHECK(a.size() == b.size(), "dot: vector sizes differ");
   // Fixed-block pairwise reduction: each 4096-element block accumulates
   // serially in index order, then the block partials are summed serially in
   // block order. Blocks run in parallel, but the combination tree depends
@@ -157,7 +158,7 @@ value_t dot(std::span<const value_t> a, std::span<const value_t> b) {
 value_t norm2(std::span<const value_t> a) { return std::sqrt(dot(a, a)); }
 
 void axpy(value_t alpha, std::span<const value_t> x, std::span<value_t> y) {
-  assert(x.size() == y.size());
+  JAVELIN_CHECK(x.size() == y.size(), "axpy: vector sizes differ");
 #pragma omp parallel for schedule(static) if (parallel_vectors_worthwhile())
   for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(x.size()); ++i) {
     y[static_cast<std::size_t>(i)] += alpha * x[static_cast<std::size_t>(i)];
@@ -165,7 +166,7 @@ void axpy(value_t alpha, std::span<const value_t> x, std::span<value_t> y) {
 }
 
 void xpby(std::span<const value_t> x, value_t beta, std::span<value_t> y) {
-  assert(x.size() == y.size());
+  JAVELIN_CHECK(x.size() == y.size(), "xpby: vector sizes differ");
 #pragma omp parallel for schedule(static) if (parallel_vectors_worthwhile())
   for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(x.size()); ++i) {
     y[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(i)] + beta * y[static_cast<std::size_t>(i)];
@@ -180,7 +181,7 @@ void scale(value_t alpha, std::span<value_t> x) {
 }
 
 void copy(std::span<const value_t> src, std::span<value_t> dst) {
-  assert(src.size() <= dst.size());
+  JAVELIN_CHECK(src.size() <= dst.size(), "copy: destination too small");
   std::copy(src.begin(), src.end(), dst.begin());
 }
 

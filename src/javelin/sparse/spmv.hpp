@@ -33,7 +33,8 @@ struct RowPartition {
   static RowPartition build(const CsrMatrix& a, int parts = 0);
 };
 
-/// y = A x (serial reference).
+/// y = A x (serial reference). Throws when x is shorter than cols() or y
+/// shorter than rows().
 void spmv_serial(const CsrMatrix& a, std::span<const value_t> x,
                  std::span<value_t> y);
 
@@ -53,6 +54,8 @@ void spmv_panel(const CsrMatrix& a, const RowPartition& part,
                 std::span<const value_t> x, std::span<value_t> y, index_t k);
 
 // --- Dense vector helpers shared by the solvers -----------------------------
+// dot, axpy and xpby throw when their two spans differ in size, copy when
+// dst is shorter than src.
 
 value_t dot(std::span<const value_t> a, std::span<const value_t> b);
 value_t norm2(std::span<const value_t> a);

@@ -6,11 +6,17 @@
 // published. A consumer that needs rows {r1..rk} owned by thread t waits for
 // a single counter to pass max(position(ri)) — the "sparsified" dependency
 // of Park et al. [11] that Javelin builds on.
+//
+// Each wait primitive (ProgressCounters::wait_for, SpinBarrier::
+// arrive_and_wait) is one function with an optional counter sink: the
+// instrumented executor passes its per-thread obs::WaitCounters, and without
+// a sink every counting statement compiles away.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -99,6 +105,10 @@ class Backoff {
   const int max_pauses_;
 };
 
+/// The counter sink of a wait that counts nothing: the default of
+/// ProgressCounters::wait_for and SpinBarrier::arrive_and_wait.
+struct NoWaitCounts {};
+
 /// Cooperative poison flag for a parallel region: the first worker that
 /// detects a condition the region cannot recover from (zero pivot,
 /// injected fault, non-finite value) publishes the offending row here and
@@ -181,47 +191,39 @@ class ProgressCounters {
   /// When `abort` is non-null the wait also polls the abort flag on every
   /// miss and gives up as soon as it is raised — the producer may never
   /// publish `count`. Returns false on abort, true when the count arrived.
-  bool wait_for(int t, index_t count, int spin_budget = kSpinsBeforeYield,
-                const AbortFlag* abort = nullptr) const noexcept {
-    const auto& c = counters_[static_cast<std::size_t>(t)].value;
-    Backoff backoff(spin_budget);
-    while (c.load(std::memory_order_acquire) < count) {
-      if (abort != nullptr && abort->aborted()) return false;
-      backoff.miss();
-    }
-    return true;
-  }
-
-  /// wait_for with per-event accounting into `c` — any struct with the
-  /// counter fields of obs::WaitCounters (duck-typed template so this
-  /// header stays free of obs/ includes). Counts: one `waits` per call,
-  /// classified `waits_immediate` (first poll succeeded) or
-  /// `waits_stalled`; per miss one `spins`, plus `yields` when the backoff
-  /// escalated and `abort_polls` when a flag was polled. Time attribution
-  /// is the caller's job (it already brackets the wait-list loop with one
-  /// clock read on each side; re-reading the clock per counter poll here
-  /// would perturb the stall being measured).
   ///
-  /// Identical wait semantics to wait_for — same loads, same backoff, same
-  /// abort protocol — so instrumented runs stay bitwise-equal in results.
-  template <class Counters>
-  bool wait_for_counted(int t, index_t count, int spin_budget,
-                        const AbortFlag* abort, Counters& c) const noexcept {
+  /// A sink `c` — any struct with the counter fields of obs::WaitCounters
+  /// (duck-typed so this header stays free of obs/ includes) — counts one
+  /// `waits` per call, classified `waits_immediate` (first poll succeeded)
+  /// or `waits_stalled`, and per miss one `spins`, plus `yields` when the
+  /// backoff escalated and `abort_polls` when a flag was polled. Time
+  /// attribution is the caller's job (re-reading the clock per poll would
+  /// perturb the stall being measured). Counting changes no load, backoff
+  /// or abort step, so instrumented runs stay bitwise-equal in results.
+  template <class Counters = NoWaitCounts>
+  bool wait_for(int t, index_t count, int spin_budget = kSpinsBeforeYield,
+                const AbortFlag* abort = nullptr,
+                Counters* c = nullptr) const noexcept {
+    constexpr bool kCount = !std::is_same_v<Counters, NoWaitCounts>;
     const auto& v = counters_[static_cast<std::size_t>(t)].value;
-    c.waits += 1;
-    if (v.load(std::memory_order_acquire) >= count) {
-      c.waits_immediate += 1;
-      return true;
+    if constexpr (kCount) {
+      c->waits += 1;
+      if (v.load(std::memory_order_acquire) >= count) {
+        c->waits_immediate += 1;
+        return true;
+      }
+      c->waits_stalled += 1;
     }
-    c.waits_stalled += 1;
     Backoff backoff(spin_budget);
     while (v.load(std::memory_order_acquire) < count) {
       if (abort != nullptr) {
-        c.abort_polls += 1;
+        if constexpr (kCount) c->abort_polls += 1;
         if (abort->aborted()) return false;
       }
-      c.spins += 1;
-      if (backoff.miss()) c.yields += 1;
+      if constexpr (kCount) c->spins += 1;
+      if (backoff.miss()) {
+        if constexpr (kCount) c->yields += 1;
+      }
     }
     return true;
   }
@@ -247,34 +249,19 @@ class SpinBarrier {
   /// an aborted region abandons the whole level loop — and with it this
   /// (per-call) barrier — on every thread. Returns true when the barrier
   /// completed normally.
+  ///
+  /// A sink `c` (duck-typed like ProgressCounters::wait_for's) counts one
+  /// `barrier_waits` per crossing and `spins`/`yields`/`abort_polls` per
+  /// miss while spinning on the sense flip (the last arriver spins zero
+  /// times). Only barrier_* and the shared miss counters are touched — the
+  /// waits/waits_immediate/waits_stalled identity of the P2P counters stays
+  /// exact.
+  template <class Counters = NoWaitCounts>
   bool arrive_and_wait(int spin_budget = kSpinsBeforeYield,
-                       const AbortFlag* abort = nullptr) noexcept {
-    const bool my_sense = !sense_.load(std::memory_order_relaxed);
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
-      arrived_.store(0, std::memory_order_relaxed);
-      sense_.store(my_sense, std::memory_order_release);
-    } else {
-      Backoff backoff(spin_budget);
-      while (sense_.load(std::memory_order_acquire) != my_sense) {
-        if (abort != nullptr && abort->aborted()) return false;
-        backoff.miss();
-      }
-    }
-    return true;
-  }
-
-  /// arrive_and_wait with per-event accounting into `c` (duck-typed like
-  /// ProgressCounters::wait_for_counted): one `barrier_waits` per crossing,
-  /// `spins`/`yields`/`abort_polls` per miss while spinning on the sense
-  /// flip (the last arriver spins zero times). Only barrier_* and the
-  /// shared miss counters are touched — the waits/waits_immediate/
-  /// waits_stalled identity of the P2P counters stays exact. Wait time is
-  /// bracketed by the caller. Synchronization behaviour is identical to
-  /// arrive_and_wait.
-  template <class Counters>
-  bool arrive_and_wait_counted(int spin_budget, const AbortFlag* abort,
-                               Counters& c) noexcept {
-    c.barrier_waits += 1;
+                       const AbortFlag* abort = nullptr,
+                       Counters* c = nullptr) noexcept {
+    constexpr bool kCount = !std::is_same_v<Counters, NoWaitCounts>;
+    if constexpr (kCount) c->barrier_waits += 1;
     const bool my_sense = !sense_.load(std::memory_order_relaxed);
     if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
       arrived_.store(0, std::memory_order_relaxed);
@@ -284,11 +271,13 @@ class SpinBarrier {
     Backoff backoff(spin_budget);
     while (sense_.load(std::memory_order_acquire) != my_sense) {
       if (abort != nullptr) {
-        c.abort_polls += 1;
+        if constexpr (kCount) c->abort_polls += 1;
         if (abort->aborted()) return false;
       }
-      c.spins += 1;
-      if (backoff.miss()) c.yields += 1;
+      if constexpr (kCount) c->spins += 1;
+      if (backoff.miss()) {
+        if constexpr (kCount) c->yields += 1;
+      }
     }
     return true;
   }

@@ -202,6 +202,7 @@ const char* mutation_name(Mutation m) noexcept {
     case Mutation::kDuplicateRow: return "duplicate_row";
     case Mutation::kCorruptWaitCount: return "corrupt_wait_count";
     case Mutation::kMoveWaitsInRun: return "move_waits_in_run";
+    case Mutation::kRetagItemLevel: return "retag_item_level";
   }
   return "unknown";
 }
@@ -301,6 +302,26 @@ MutationResult mutate(ExecSchedule& s, Mutation m, const DepsFn& deps,
 
     case Mutation::kMoveWaitsInRun:
       return move_waits_in_run(s, seed);
+
+    case Mutation::kRetagItemLevel: {
+      // Tag one item with the next level (the previous one on the last
+      // level): the barrier executor would run its rows between the wrong
+      // barriers, which the verifier must flag on the item's head row.
+      const index_t items = s.num_items();
+      if (s.num_levels < 2 || items == 0 ||
+          s.item_level.size() != uz(items)) {
+        res.detail = "fewer than two levels or no tagged items";
+        return res;
+      }
+      const index_t i = static_cast<index_t>(
+          splitmix(st) % static_cast<std::uint64_t>(items));
+      index_t& tag = s.item_level[uz(i)];
+      tag = tag + 1 < s.num_levels ? tag + 1 : tag - 1;
+      res.consumer_row = item_head_row(s, i);
+      res.applied = true;
+      res.detail = "tagged an item with a neighbouring level";
+      return res;
+    }
   }
   res.detail = "unknown mutation";
   return res;

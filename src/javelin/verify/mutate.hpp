@@ -32,13 +32,14 @@ enum class Mutation {
   kDuplicateRow,       ///< one row executed twice, another lost
   kCorruptWaitCount,   ///< count beyond the producer's item count
   kMoveWaitsInRun,     ///< move a run's wait list onto a later item of it
+  kRetagItemLevel,     ///< tag one item with a neighbouring level
 };
 
 inline constexpr Mutation kAllMutations[] = {
     Mutation::kDropWait,           Mutation::kWeakenWait,
     Mutation::kRedirectWait,       Mutation::kMoveRowAcrossLevel,
     Mutation::kDuplicateRow,       Mutation::kCorruptWaitCount,
-    Mutation::kMoveWaitsInRun,
+    Mutation::kMoveWaitsInRun,     Mutation::kRetagItemLevel,
 };
 
 const char* mutation_name(Mutation m) noexcept;

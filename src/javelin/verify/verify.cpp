@@ -263,10 +263,16 @@ VerifyReport analyze_schedule(const ExecSchedule& s, const DepsFn& deps,
   // ---- Phase 2: level soundness. (a) Items must not mix levels and each
   // thread's item sequence must be level-monotone — the P2P pruning
   // argument ("dependencies live in strictly earlier items on every
-  // thread") rests on exactly this. (b) Every scheduled dependency must
-  // live in a STRICTLY earlier level: the barrier backend synchronizes only
-  // between levels, so a same-or-later-level dependency is a data race
-  // under kBarrier no matter what the wait lists say.
+  // thread") rests on exactly this. (b) The stored item_level the barrier
+  // executor walks must name each item's level. (c) Every scheduled
+  // dependency must live in a STRICTLY earlier level: the barrier backend
+  // synchronizes only between levels, so a same-or-later-level dependency
+  // is a data race under kBarrier no matter what the wait lists say.
+  auto item_head_row = [&](index_t i) {
+    return s.item_ptr[uz(i)] < s.item_ptr[uz(i) + 1]
+               ? s.rows[uz(s.item_ptr[uz(i)])]
+               : kInvalidIndex;
+  };
   std::vector<index_t> item_level(uz(n_items), kInvalidIndex);
   for (int t = 0; t < T; ++t) {
     index_t prev_level = kInvalidIndex;
@@ -284,14 +290,43 @@ VerifyReport analyze_schedule(const ExecSchedule& s, const DepsFn& deps,
       }
       if (item_level[uz(i)] != kInvalidIndex) {
         if (prev_level != kInvalidIndex && item_level[uz(i)] < prev_level) {
-          sink.add(DiagKind::kLevelOrder,
-                   s.item_ptr[uz(i)] < s.item_ptr[uz(i) + 1]
-                       ? s.rows[uz(s.item_ptr[uz(i)])]
-                       : kInvalidIndex,
-                   kInvalidIndex, t, -1, item_level[uz(i)], i,
+          sink.add(DiagKind::kLevelOrder, item_head_row(i), kInvalidIndex, t,
+                   -1, item_level[uz(i)], i,
                    "thread's items are not in level order");
         }
         prev_level = item_level[uz(i)];
+      }
+    }
+  }
+  // (b) The barrier executor runs thread t's items tagged l between level
+  // l's barriers, advancing while the tags match: a tag that is not the
+  // level of the item's rows runs them between the wrong barriers, and an
+  // out-of-range or descending tag leaves the item (and the thread's later
+  // ones) never run.
+  if (s.item_level.size() != uz(n_items)) {
+    sink.add(DiagKind::kLevelOrder, kInvalidIndex, kInvalidIndex, -1, -1,
+             kInvalidIndex, kInvalidIndex,
+             "item_level does not hold one entry per item");
+  } else {
+    for (int t = 0; t < T; ++t) {
+      index_t prev_tag = 0;
+      for (index_t i = s.thread_ptr[uz(t)]; i < s.thread_ptr[uz(t) + 1]; ++i) {
+        const index_t tag = s.item_level[uz(i)];
+        const char* what = nullptr;
+        if (tag < 0 || tag >= n_levels) {
+          what = "stored item level out of range";
+        } else if (tag < prev_tag) {
+          what = "stored item levels descend within the thread";
+        } else if (item_level[uz(i)] != kInvalidIndex &&
+                   tag != item_level[uz(i)]) {
+          what = "stored item level is not the level of the item's rows";
+        }
+        if (what != nullptr) {
+          sink.add(DiagKind::kLevelOrder, item_head_row(i), kInvalidIndex, t,
+                   -1, item_level[uz(i)], i, what);
+        } else {
+          prev_tag = tag;
+        }
       }
     }
   }
@@ -326,11 +361,6 @@ VerifyReport analyze_schedule(const ExecSchedule& s, const DepsFn& deps,
   std::vector<char> wait_valid(uz(n_waits), 1);
   auto items_of = [&](index_t p) {
     return s.thread_ptr[uz(p) + 1] - s.thread_ptr[uz(p)];
-  };
-  auto item_head_row = [&](index_t i) {
-    return s.item_ptr[uz(i)] < s.item_ptr[uz(i) + 1]
-               ? s.rows[uz(s.item_ptr[uz(i)])]
-               : kInvalidIndex;
   };
   for (int t = 0; t < T; ++t) {
     for (index_t i = s.thread_ptr[uz(t)]; i < s.thread_ptr[uz(t) + 1]; ++i) {
@@ -770,6 +800,7 @@ VerifyReport verify_retarget(const ExecSchedule& s, const DepsFn& deps,
   if (rt.thread_ptr != fresh.thread_ptr) mismatch("thread_ptr");
   if (rt.item_ptr != fresh.item_ptr) mismatch("item_ptr");
   if (rt.rows != fresh.rows) mismatch("rows");
+  if (rt.item_level != fresh.item_level) mismatch("item_level");
   if (rt.wait_ptr != fresh.wait_ptr) mismatch("wait_ptr");
   if (rt.wait_thread != fresh.wait_thread) mismatch("wait_thread");
   if (rt.wait_count != fresh.wait_count) mismatch("wait_count");

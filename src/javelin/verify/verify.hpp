@@ -10,9 +10,13 @@
 //   * partition — every row of the retained level structure is executed by
 //     exactly one item, and no item executes a row outside it;
 //   * level soundness — items never mix levels, per-thread item order is
-//     level-monotone, and every scheduled dependency lives in a STRICTLY
-//     earlier level (the barrier backend synchronizes only between levels,
-//     so a same-level dependency is a data race under kBarrier);
+//     level-monotone, the stored item_level holds one in-range entry per
+//     item, ascending within each thread and equal to the level of the
+//     item's rows (the barrier executor runs items by that index, so the
+//     proof covers the assignment both backends run), and every scheduled
+//     dependency lives in a STRICTLY earlier level (the barrier backend
+//     synchronizes only between levels, so a same-level dependency is a
+//     data race under kBarrier);
 //   * happens-before coverage — for the P2P backend, intra-thread program
 //     order plus the sparsified wait edges must cover every cross-thread
 //     dependency. The proof runs a vector clock over the item graph
@@ -58,7 +62,7 @@ namespace javelin::verify {
 enum class DiagKind {
   kMalformed,            ///< arrays not indexable / indices out of range
   kPartition,            ///< row missing, duplicated, or unknown
-  kLevelOrder,           ///< item mixes levels / thread items out of level order
+  kLevelOrder,           ///< items mix or reorder levels / wrong item_level
   kLevelDependency,      ///< dependency not in a strictly earlier level
   kWaitMetadata,         ///< wait names self / bad thread / unsatisfiable count
   kDeadlock,             ///< cycle in program-order + wait-edge item graph

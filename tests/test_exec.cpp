@@ -21,6 +21,9 @@
 //   * the P2P and barrier executors run exactly the (row, thread) pairs the
 //     builder assigned, a level of at most chunk_rows rows runs on one
 //     thread, and both branches run each tail chunk once, on its thread;
+//   * barrier sweeps of n = 0, 1 and 3 rows at T = 8 run every row once, in
+//     dependency order, on its builder thread, and every thread crosses
+//     every level's barrier;
 //   * the run layer (maximal runs: waits only on a run's first item, every
 //     waited-for count a run end) the P2P executor walks holds for fwd and
 //     bwd on every suite matrix at T in {2, 3, 4, 8}; a chain of one-row
@@ -28,6 +31,7 @@
 //   * the fused companion of every retargeted schedule verifies clean.
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <string>
 
 #include "javelin/exec/run.hpp"
@@ -65,6 +69,7 @@ bool schedules_equal(const ExecSchedule& a, const ExecSchedule& b) {
   ok = vec_eq("thread_ptr", a.thread_ptr, b.thread_ptr) && ok;
   ok = vec_eq("item_ptr", a.item_ptr, b.item_ptr) && ok;
   ok = vec_eq("rows", a.rows, b.rows) && ok;
+  ok = vec_eq("item_level", a.item_level, b.item_level) && ok;
   ok = vec_eq("wait_ptr", a.wait_ptr, b.wait_ptr) && ok;
   ok = vec_eq("wait_thread", a.wait_thread, b.wait_thread) && ok;
   ok = vec_eq("wait_count", a.wait_count, b.wait_count) && ok;
@@ -305,9 +310,8 @@ int check_sweep_levels(const std::string& name, const CsrMatrix& a) {
 }
 
 /// Both executor branches must run exactly the (row, thread) pairs the
-/// builder assigned (producer_positions): kBarrier re-derives its slices at
-/// run time, so this pins it to the builder's layout. A level of at most
-/// chunk_rows rows is one item on one thread.
+/// builder assigned (producer_positions). A level of at most chunk_rows rows
+/// is one item on one thread.
 void check_executor_slices(const char* name, const CsrMatrix& a) {
   IluOptions opts;
   opts.num_threads = 2;
@@ -384,6 +388,89 @@ void check_executor_slices(const char* name, const CsrMatrix& a) {
         }
         CHECK_MSG(same, "%s %s %s T=%d ran rows off the builder's threads",
                   name, sw.dir, mode, T);
+      }
+    }
+  }
+}
+
+/// Barrier sweeps far narrower than a team of 8: n = 0, n = 1, and 3 rows
+/// where rows 0 and 1 feed row 2 (two levels; with one-row items level 0
+/// runs on threads 0 and 1, level 1 on thread 0). Threads with no item at a
+/// level still cross its barrier. Every row runs once, on the thread the
+/// builder gave it, after its dependencies — plain and instrumented.
+void check_tiny_barrier_sweeps() {
+  constexpr int T = 8;
+  ThreadCountGuard guard(T);
+  for (const index_t n : {0, 1, 3}) {
+    std::vector<index_t> rp{0}, ci;
+    std::vector<value_t> vv;
+    for (index_t r = 0; r < n; ++r) {
+      if (r == 2) {
+        ci.insert(ci.end(), {0, 1});
+        vv.insert(vv.end(), {0.5, 0.25});
+      }
+      ci.push_back(r);
+      vv.push_back(1.0);
+      rp.push_back(static_cast<index_t>(ci.size()));
+    }
+    const CsrMatrix m(n, n, std::move(rp), std::move(ci), std::move(vv));
+    const DepsFn deps = lower_triangular_deps(m);
+    const LevelSets ls = compute_level_sets_lower(m);
+    const ExecSchedule s =
+        build_exec_schedule(ExecBackend::kBarrier, n, ls.level_ptr,
+                            ls.rows_by_level, deps, T, /*chunk_rows=*/1);
+    const verify::VerifyReport rep = verify::verify_schedule(s, deps);
+    CHECK_MSG(rep.ok(), "n=%d: %s", static_cast<int>(n),
+              rep.summary().c_str());
+    std::vector<index_t> owner, item_of;
+    s.producer_positions(owner, item_of);
+    // x[r] = 1 + Σ a_rc x[c] over r's dependencies (the diagonal is each
+    // row's last entry). NaN marks a row not yet run, so a row run before
+    // its inputs reads NaN.
+    const auto eval = [&m](std::vector<value_t>& x, index_t r) {
+      value_t acc = 1.0;
+      const auto cols = m.row_cols(r);
+      const auto vals = m.row_vals(r);
+      for (std::size_t k = 0; k + 1 < cols.size(); ++k) {
+        acc += vals[k] * x[static_cast<std::size_t>(cols[k])];
+      }
+      x[static_cast<std::size_t>(r)] = acc;
+    };
+    const auto un = static_cast<std::size_t>(n);
+    std::vector<value_t> ref(un);
+    for (index_t r = 0; r < n; ++r) eval(ref, r);
+    for (const bool instrumented : {false, true}) {
+      std::vector<value_t> x(un, std::numeric_limits<value_t>::quiet_NaN());
+      std::vector<index_t> ran(un, kInvalidIndex);
+      std::vector<int> runs(un, 0);
+      const auto row = [&](index_t r, int t) {
+        eval(x, r);
+        ran[static_cast<std::size_t>(r)] = t;
+        ++runs[static_cast<std::size_t>(r)];
+      };
+      ProgressCounters progress;
+      obs::ExecObs eo;
+      const ExecStatus st =
+          instrumented
+              ? exec_run_obs(s, row, progress, eo, obs::Region::kForward)
+              : exec_run(s, row, progress);
+      CHECK(st.ok());
+      bool same = bitwise_equal(x, ref);
+      for (std::size_t r = 0; r < un; ++r) {
+        same = same && runs[r] == 1 && ran[r] == owner[r];
+      }
+      CHECK_MSG(same, "n=%d T=%d %s barrier sweep off the builder's rows",
+                static_cast<int>(n), T,
+                instrumented ? "instrumented" : "plain");
+      if (instrumented) {
+        const obs::ExecStats& es = eo.stats(obs::Region::kForward);
+        CHECK_MSG(es.total.barrier_waits ==
+                      static_cast<std::uint64_t>(T) *
+                          static_cast<std::uint64_t>(s.num_levels),
+                  "n=%d: %llu barrier crossings for %d levels",
+                  static_cast<int>(n),
+                  static_cast<unsigned long long>(es.total.barrier_waits),
+                  static_cast<int>(s.num_levels));
       }
     }
   }
@@ -511,6 +598,7 @@ int main() {
   check_executor_slices("chain", chain);
   check_executor_slices("fem", fem);
   check_executor_slices("circuit-unsym", circ);
+  check_tiny_barrier_sweeps();
   for (const std::string& name : gen::suite_names()) {
     check_run_layer(name, gen::make_suite_matrix(name, small).matrix);
   }

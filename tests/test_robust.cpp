@@ -464,7 +464,7 @@ void check_robust_report_contract() {
   const SolveReport dead = solve_robust(a, bb, x, opts);
   CHECK(!dead.converged);
   CHECK(dead.cause == FailureCause::kFactorBreakdown);
-  CHECK(dead.attempts.size() == 1 + 4);  // unshifted + max_shift_attempts
+  CHECK(dead.attempts.size() == 1 + 4);  // unshifted + 4 shifted rungs
   for (const AttemptReport& at : dead.attempts) CHECK(!at.factored);
   for (const value_t v : x) CHECK(v == 0.0);  // caller's guess untouched
 }

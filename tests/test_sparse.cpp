@@ -1,6 +1,6 @@
 // The partitioned and panel SpMV against the serial reference, the
-// nnz-balanced RowPartition invariants, and the Matrix-Market reader's
-// validation.
+// nnz-balanced RowPartition invariants, short spans rejected by the serial
+// SpMV and the vector helpers, and the Matrix-Market reader's validation.
 #include <sstream>
 
 #include "javelin/gen/generators.hpp"
@@ -99,6 +99,39 @@ void check_spmv_panel(const CsrMatrix& a, std::uint64_t seed) {
   }
 }
 
+/// A span one element short throws, in Release builds too, instead of
+/// being read or written past its end.
+void check_short_spans(const CsrMatrix& a) {
+  const auto expect_throw = [](const char* what, const auto& fn) {
+    bool threw = false;
+    try {
+      fn();
+    } catch (const Error&) {
+      threw = true;
+    }
+    CHECK_MSG(threw, "%s accepted a span one element short", what);
+  };
+  const std::size_t n = static_cast<std::size_t>(a.rows());
+  std::vector<value_t> x(n, 1.0), y(n, 0.0);
+  const std::span<const value_t> xs(x);
+  const std::span<value_t> ys(y);
+  const std::span<const value_t> x_short = xs.first(n - 1);
+  const std::span<value_t> y_short = ys.first(n - 1);
+  expect_throw("spmv_serial x", [&] { spmv_serial(a, x_short, ys); });
+  expect_throw("spmv_serial y", [&] { spmv_serial(a, xs, y_short); });
+  expect_throw("dot a", [&] { (void)dot(x_short, xs); });
+  expect_throw("dot b", [&] { (void)dot(xs, x_short); });
+  expect_throw("axpy x", [&] { axpy(1.0, x_short, ys); });
+  expect_throw("axpy y", [&] { axpy(1.0, xs, y_short); });
+  expect_throw("xpby x", [&] { xpby(x_short, 1.0, ys); });
+  expect_throw("xpby y", [&] { xpby(xs, 1.0, y_short); });
+  expect_throw("copy", [&] { copy(xs, y_short); });
+  // Full-size spans still run.
+  spmv_serial(a, xs, ys);
+  copy(xs, ys);
+  CHECK(dot(xs, ys) == static_cast<value_t>(n));
+}
+
 }  // namespace
 
 int main() {
@@ -113,6 +146,8 @@ int main() {
     check_spmv_panel(*a, 321);
     for (int parts : {1, 2, 4, 9}) check_partition(*a, parts);
   }
+
+  check_short_spans(grid);
 
   // Degenerate shapes.
   check_partition(CsrMatrix::zeros(10, 10), 4);

@@ -11,6 +11,9 @@
 //     (MutateSchedule) is flagged, with the expected defect class and a
 //     row-precise diagnostic naming the mutated row or a real broken
 //     dependency edge — the analyzer is itself tested adversarially;
+//   * the stored item levels the barrier executor walks are proven: a
+//     short array, an out-of-range tag, a descending tag and a retagged
+//     item are each a level-order defect;
 //   * the fused solve's SpMV tail verifies clean behind every suite
 //     matrix's backward schedule at T in {2, 3, 4, 8}, and dropping a
 //     load-bearing chunk wait is reported with the A row and the backward
@@ -280,6 +283,15 @@ void check_one_mutation(const std::string& name, const char* dir,
         }
       }
       break;
+    case Mutation::kRetagItemLevel:
+      // The retagged item must be named by its head row.
+      for (const ScheduleDiagnostic& d : rep.diagnostics) {
+        if (d.kind == DiagKind::kLevelOrder &&
+            d.consumer_row == res.consumer_row) {
+          precise = true;
+        }
+      }
+      break;
   }
   CHECK_MSG(precise,
             "%s %s %s seed=%llu flagged without a row-precise diagnostic: %s",
@@ -376,6 +388,36 @@ void check_structural_edges() {
   stale.deps_kept += 1;
   CHECK(has_kind(verify::verify_schedule(stale, low),
                  DiagKind::kStatsMismatch));
+
+  // The stored item levels the barrier executor walks: a short array, an
+  // out-of-range tag and a tag below its predecessor's are level-order
+  // defects (a tag that disagrees with its rows is the retag mutation).
+  const auto level_order = [&](const ExecSchedule& s, const char* what) {
+    const VerifyReport rep = verify::verify_schedule(s, low);
+    CHECK_MSG(has_kind(rep, DiagKind::kLevelOrder), "%s: %s", what,
+              rep.summary().c_str());
+  };
+  ExecSchedule short_tags = f.fwd;
+  short_tags.item_level.pop_back();
+  level_order(short_tags, "item_level one entry short");
+  ExecSchedule out_of_range = f.fwd;
+  out_of_range.item_level.back() = out_of_range.num_levels;
+  level_order(out_of_range, "item level past the last level");
+  ExecSchedule descending = f.fwd;
+  std::vector<index_t>& tags = descending.item_level;
+  const std::vector<index_t>& tp = descending.thread_ptr;
+  bool found = false;
+  for (std::size_t t = 0; t + 1 < tp.size() && !found; ++t) {
+    for (index_t i = tp[t]; !found && i + 1 < tp[t + 1]; ++i) {
+      const auto ui = static_cast<std::size_t>(i);
+      if (tags[ui] > 0) {
+        tags[ui + 1] = tags[ui] - 1;
+        found = true;
+      }
+    }
+  }
+  CHECK_MSG(found, "fem_filter fwd has no thread with two items past level 0");
+  level_order(descending, "item levels descending within a thread");
 }
 
 }  // namespace

@@ -145,11 +145,6 @@ void scatter_values(Factorization& f, const CsrMatrix& a);
 /// records the map); scatter_values' debug check and tests re-derive with it.
 void build_scatter_map(Factorization& f, const CsrMatrix& a);
 
-/// The pre-scatter-map algorithm (per-call permutation inversion plus a
-/// binary search per nonzero), kept as the benchmark baseline the persistent
-/// map is measured against.
-void scatter_values_searched(Factorization& f, const CsrMatrix& a);
-
 // --- runtime retargeting (ilu/retarget.cpp) --------------------------------
 
 /// The team a sweep over `f` should launch right now: the factor-time plan,

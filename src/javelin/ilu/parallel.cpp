@@ -51,37 +51,11 @@ void throw_pivot(index_t row) {
 
 }  // namespace
 
-void scatter_values_searched(Factorization& f, const CsrMatrix& a) {
-  // Values travel: a (preordered) -> symbolic pattern -> plan permutation.
-  // The factor rows are plan.perm[r] of the symbolic pattern, whose columns
-  // map through the inverse permutation; we reuse the stored column indices
-  // and only refresh values, walking a's rows in permuted order.
-  const index_t n = f.n();
-  const auto& perm = f.plan.perm;
-  const std::vector<index_t> inv = invert_permutation(perm);
-#pragma omp parallel for schedule(dynamic, 64)
-  for (index_t r = 0; r < n; ++r) {
-    const index_t old_r = perm[static_cast<std::size_t>(r)];
-    auto vals = f.lu.row_vals_mut(r);
-    auto cols = f.lu.row_cols(r);
-    // Zero (fill positions) then scatter a's row via the permuted columns.
-    for (auto& v : vals) v = 0;
-    for (index_t k = a.row_begin(old_r); k < a.row_end(old_r); ++k) {
-      const index_t new_c =
-          inv[static_cast<std::size_t>(a.col_idx()[static_cast<std::size_t>(k)])];
-      const auto it = std::lower_bound(cols.begin(), cols.end(), new_c);
-      if (it != cols.end() && *it == new_c) {
-        vals[static_cast<std::size_t>(it - cols.begin())] =
-            a.values()[static_cast<std::size_t>(k)];
-      }
-    }
-  }
-}
-
 void build_scatter_map(Factorization& f, const CsrMatrix& a) {
-  // Same index chase as scatter_values_searched, performed ONCE: record
-  // where each a-nonzero lands. Walking a's rows in permuted order touches
-  // every original row exactly once, so writes to a_scatter never race.
+  // One binary search per a-nonzero, performed ONCE: record where each
+  // a-nonzero lands in the permuted factor row. Walking a's rows in permuted
+  // order touches every original row exactly once, so writes to a_scatter
+  // never race.
   const index_t n = f.n();
   const auto& perm = f.plan.perm;
   const std::vector<index_t> inv = invert_permutation(perm);

@@ -1,11 +1,13 @@
 // Metrics registry: named monotone counters and fixed-bucket (power-of-two)
 // histograms with a deterministic merge and export order.
 //
-// The registry is the hand-off format between the instrumented execution
-// paths and the bench's `stall_profile` JSON block (schema v4): regions
-// accumulate into per-thread or per-region structures (obs/exec_obs.hpp)
-// and export here; the bench serializes `export_json` output directly.
-// Determinism matters because BENCH_javelin.json is diffed run-to-run:
+// The registry is the flat, named export of the instrumented layers:
+// regions accumulate into per-thread or per-region structures
+// (obs/exec_obs.hpp) and ExecObs / TuneReport::export_metrics copy them
+// here, and `export_json` serializes the result. The bench's
+// `stall_profile` JSON block does not go through the registry: it is
+// written from ExecStats itself. Determinism matters because exported
+// counters are compared run-to-run:
 //   * counters merge by addition (commutative), histograms bucket-wise —
 //     merging per-thread registries in any order yields the same state;
 //   * export iterates std::map, so field order is name-sorted regardless

@@ -1,34 +1,21 @@
 #include "javelin/solver/batch.hpp"
 
 #include <cmath>
-#include <string>
+
+#include "javelin/obs/trace.hpp"
 
 namespace javelin {
 
 namespace {
 
-/// Per-column live state of the panel iteration. A retired column's panel
-/// data is frozen exactly where the scalar solver would have returned.
+/// Per-column live state of the panel iteration. A retired column's x is
+/// frozen exactly where a one-column run would have returned.
 struct ColumnState {
   value_t bnorm = 0;
   value_t rz = 0;
   bool active = false;
   detail::StagnationGuard stagnation;
 };
-
-/// True relative residual of column j, recomputed exactly the way scalar
-/// pcg's breakdown/exit paths do (same partitioned SpMV, same subtraction
-/// order, same deterministic norm) so the reported values match bitwise.
-value_t true_relative_residual_col(const CsrMatrix& a, const RowPartition& part,
-                                   std::span<const value_t> bj,
-                                   std::span<const value_t> xj,
-                                   std::span<value_t> scratch, value_t bnorm) {
-  spmv(a, part, xj, scratch);
-  for (std::size_t i = 0; i < scratch.size(); ++i) {
-    scratch[i] = bj[i] - scratch[i];
-  }
-  return norm2(scratch) / bnorm;
-}
 
 }  // namespace
 
@@ -62,7 +49,7 @@ std::vector<SolverResult> pcg_many(const CsrMatrix& a,
                 "pcg_many: solution panel smaller than n x k");
   const RowPartition part = RowPartition::build(a);
 
-  std::vector<value_t> r(need), z(need), p(need), q(need), scratch(un);
+  std::vector<value_t> r(need), z(need), p(need), q(need);
   std::vector<SolverResult> res(static_cast<std::size_t>(k));
   std::vector<ColumnState> st(static_cast<std::size_t>(k));
 
@@ -85,7 +72,7 @@ std::vector<SolverResult> pcg_many(const CsrMatrix& a,
       fill(xcol(j), 0);
       res[static_cast<std::size_t>(j)].converged = true;
       res[static_cast<std::size_t>(j)].stop = SolverStop::kConverged;
-      continue;  // retired before the iteration starts, like scalar pcg
+      continue;  // retired before the iteration starts
     }
     s.active = true;
   }
@@ -115,16 +102,17 @@ std::vector<SolverResult> pcg_many(const CsrMatrix& a,
   };
   if (!any_active()) return res;
 
-  // Mirrors scalar pcg's `retire`: an abnormal column exit reports the TRUE
-  // residual of the x that column actually returns, and `converged` stays
-  // the single source of truth (a guard exit meeting the tolerance reports
-  // kConverged). Only this column retires — its panel neighbors keep
-  // iterating, so a breakdown degrades per-column, never per-panel.
+  // An abnormal column exit reports the TRUE residual of the x that column
+  // actually returns (the recurrence residual is stale or poisoned there, so
+  // its r column is free to hold b - A x), and `converged` stays the single
+  // source of truth (a guard exit meeting the tolerance reports kConverged).
+  // Only this column retires — its panel neighbors keep iterating, so a
+  // breakdown degrades per-column, never per-panel.
   const auto retire_col = [&](index_t j, SolverStop cause) {
     ColumnState& s = st[static_cast<std::size_t>(j)];
     SolverResult& rr = res[static_cast<std::size_t>(j)];
-    rr.relative_residual = true_relative_residual_col(a, part, bcol(j), xcol(j),
-                                                      scratch, s.bnorm);
+    rr.relative_residual = detail::true_relative_residual(
+        a, part, bcol(j), xcol(j), col(r, j), s.bnorm);
     rr.converged = rr.relative_residual <= opts.tolerance;
     rr.stop = rr.converged ? SolverStop::kConverged : cause;
     s.active = false;
@@ -139,8 +127,13 @@ std::vector<SolverResult> pcg_many(const CsrMatrix& a,
   }
 
   for (int it = 0; it < opts.max_iterations; ++it) {
-    // rz breakdown/non-finite check at the iteration head, exactly like
-    // scalar pcg.
+    obs::TraceSpan iter_span("pcg_iter", static_cast<index_t>(it));
+    // Breakdown: (r, M^{-1} r) <= 0 means the preconditioner is indefinite
+    // (or exactly orthogonal) — for an SPD M this inner product is strictly
+    // positive, so a non-positive value is proof the CG assumptions are
+    // broken and the next beta would poison the iterate. A non-finite rz
+    // means the recurrence already produced NaN/Inf; same drill, different
+    // cause.
     for (index_t j = 0; j < k; ++j) {
       ColumnState& s = st[static_cast<std::size_t>(j)];
       if (!s.active) continue;
@@ -159,6 +152,9 @@ std::vector<SolverResult> pcg_many(const CsrMatrix& a,
       SolverResult& rr = res[static_cast<std::size_t>(j)];
       const value_t pq = dot(col(p, j), col(q, j));
       if (pq <= 0 || !std::isfinite(pq)) {
+        // Negative curvature ((p, Ap) <= 0): A is not SPD along this
+        // direction — a breakdown of the method, not of the preconditioner,
+        // so the robust ladder can retry the same one with GMRES.
         retire_col(j, std::isfinite(pq) ? SolverStop::kBreakdown
                                         : SolverStop::kNonFinite);
         continue;

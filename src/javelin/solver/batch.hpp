@@ -5,13 +5,15 @@
 // passes — the "apply thousands of times" axis of the paper batched across
 // concurrent right-hand sides.
 //
-// Parity contract: column j of a pcg_many run is bitwise equal to a scalar
-// pcg run on (A, column j of B) with the matching scalar preconditioner, at
-// every thread count and exec backend — panel kernels keep each column's
-// scalar accumulation order, the deterministic reductions see the same
-// contiguous column spans, and a column that converges (or breaks down)
-// RETIRES: its x / r / p / q columns are frozen exactly where the scalar
-// solver would have returned, while the remaining columns keep sweeping.
+// Scalar pcg (solver/krylov.hpp) is this driver at k = 1, so the textbook
+// CG recurrence exists once. Parity contract: column j of a pcg_many run is
+// bitwise equal to pcg on (A, column j of B) with the matching scalar
+// preconditioner, at every thread count and exec backend — panel kernels
+// keep each column's scalar accumulation order, the deterministic
+// reductions see the same contiguous column spans, and a column that
+// converges (or breaks down) RETIRES: its x column is frozen exactly where
+// a one-column run returns, while the remaining columns keep sweeping.
+// Every iteration is one `pcg_iter` trace span.
 #pragma once
 
 #include <functional>
@@ -42,8 +44,8 @@ PanelPrecondFn identity_panel_preconditioner();
 /// Preconditioned CG over k systems A x_j = b_j driven as one panel
 /// iteration. `b` and `x` are column-major n×k panels (x holds the initial
 /// guesses on entry, the solutions on exit). Returns one SolverResult per
-/// column; result j is bitwise equal to scalar pcg on column j (see the
-/// header comment). Throws when k < 1 or a panel is smaller than n×k.
+/// column; result j is bitwise equal to pcg on column j (see the header
+/// comment). Throws when k < 1 or a panel is smaller than n×k.
 std::vector<SolverResult> pcg_many(const CsrMatrix& a,
                                    std::span<const value_t> b,
                                    std::span<value_t> x, index_t k,

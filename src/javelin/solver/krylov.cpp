@@ -4,35 +4,43 @@
 #include <memory>
 
 #include "javelin/obs/trace.hpp"
+#include "javelin/solver/batch.hpp"
 
 namespace javelin {
 
 namespace {
 
-/// True relative residual ||b - A x|| / bnorm, recomputed from scratch with
-/// the partitioned SpMV (the recurrence residuals the iterations maintain
-/// are estimates; every breakdown / exit path reports this instead).
+/// Entry checks of the operator drivers (pcg_many checks its own panels):
+/// a square A, b and x of at least n entries, and the operator's partition,
+/// which every SpMV the driver runs itself goes through.
+const RowPartition& checked_partition(const CsrMatrix& a,
+                                      std::span<const value_t> b,
+                                      std::span<const value_t> x,
+                                      const KrylovOperator& op) {
+  JAVELIN_CHECK(a.square(), "Krylov drivers require a square matrix");
+  const std::size_t un = static_cast<std::size_t>(a.rows());
+  JAVELIN_CHECK(b.size() >= un, "Krylov driver: rhs smaller than n");
+  JAVELIN_CHECK(x.size() >= un, "Krylov driver: solution smaller than n");
+  JAVELIN_CHECK(op.part != nullptr,
+                "Krylov driver: KrylovOperator::part is required");
+  return *op.part;
+}
+
+}  // namespace
+
+namespace detail {
+
 value_t true_relative_residual(const CsrMatrix& a, const RowPartition& part,
                                std::span<const value_t> b,
                                std::span<const value_t> x,
                                std::span<value_t> scratch, value_t bnorm) {
+  const std::size_t un = static_cast<std::size_t>(a.rows());
   spmv(a, part, x, scratch);
-  for (std::size_t i = 0; i < scratch.size(); ++i) {
-    scratch[i] = b[i] - scratch[i];
-  }
-  return norm2(scratch) / bnorm;
+  for (std::size_t i = 0; i < un; ++i) scratch[i] = b[i] - scratch[i];
+  return norm2(scratch.first(un)) / bnorm;
 }
 
-/// The operator's shared partition, or a freshly built private one — the
-/// fused drivers run their own SpMVs (initial/restart/exit true residuals)
-/// and must not rebuild the partition per call on the hot path.
-std::shared_ptr<const RowPartition> operator_partition(
-    const KrylovOperator& op, const CsrMatrix& a) {
-  if (op.part) return op.part;
-  return std::make_shared<const RowPartition>(RowPartition::build(a));
-}
-
-}  // namespace
+}  // namespace detail
 
 const char* to_string(SolverStop stop) noexcept {
   switch (stop) {
@@ -74,107 +82,18 @@ KrylovOperator unfused_operator(const CsrMatrix& a, PrecondFn m) {
 SolverResult pcg(const CsrMatrix& a, std::span<const value_t> b,
                  std::span<value_t> x, const PrecondFn& precond,
                  const SolverOptions& opts) {
-  JAVELIN_CHECK(a.square(), "pcg requires a square matrix");
-  const index_t n = a.rows();
-  const std::size_t un = static_cast<std::size_t>(n);
-  const RowPartition part = RowPartition::build(a);
-
-  std::vector<value_t> r(un), z(un), p(un), q(un);
-  SolverResult res;
-
-  const value_t bnorm = norm2(b.subspan(0, un));
-  if (bnorm == 0) {
-    fill(x.subspan(0, un), 0);
-    res.converged = true;
-    res.stop = SolverStop::kConverged;
-    return res;
-  }
-
-  // r = b - A x
-  spmv(a, part, x, r);
-  for (std::size_t i = 0; i < un; ++i) r[i] = b[i] - r[i];
-  res.relative_residual = norm2(r) / bnorm;
-  if (res.relative_residual <= opts.tolerance) {
-    res.converged = true;  // warm start already solves the system
-    res.stop = SolverStop::kConverged;
-    return res;
-  }
-
-  // Every abnormal exit reports the TRUE residual of the x actually
-  // returned (the recurrence residual in `r` is stale/poisoned there), and
-  // `converged` stays the single source of truth: a guard exit whose true
-  // residual meets the tolerance reports kConverged.
-  const auto retire = [&](SolverStop cause) -> SolverResult& {
-    res.relative_residual =
-        true_relative_residual(a, part, b, x.subspan(0, un), r, bnorm);
-    res.converged = res.relative_residual <= opts.tolerance;
-    res.stop = res.converged ? SolverStop::kConverged : cause;
-    return res;
-  };
-
-  precond(r, z);
-  copy(std::span<const value_t>(z), std::span<value_t>(p));
-  value_t rz = dot(r, z);
-  detail::StagnationGuard stagnation{opts.stagnation_window};
-
-  for (int it = 0; it < opts.max_iterations; ++it) {
-    obs::TraceSpan iter_span("pcg_iter", static_cast<index_t>(it));
-    if (rz <= 0 || !std::isfinite(rz)) {
-      // Breakdown: (r, M^{-1} r) <= 0 means the preconditioner is
-      // indefinite (or exactly orthogonal) — for an SPD M this inner
-      // product is strictly positive, so a non-positive value is proof the
-      // CG assumptions are broken and the next beta would poison the
-      // iterate. Exit with the honest residual instead. A non-finite rz
-      // means the recurrence already produced NaN/Inf; same drill,
-      // different cause.
-      return retire(std::isfinite(rz) ? SolverStop::kBreakdown
-                                      : SolverStop::kNonFinite);
-    }
-    spmv(a, part, p, q);
-    const value_t pq = dot(p, q);
-    if (pq <= 0 || !std::isfinite(pq)) {
-      // Negative curvature ((p, Ap) <= 0): A is not SPD along this
-      // direction — a breakdown of the method, not of the rung, so the
-      // robust ladder can retry the same preconditioner with GMRES.
-      return retire(std::isfinite(pq) ? SolverStop::kBreakdown
-                                      : SolverStop::kNonFinite);
-    }
-    const value_t alpha = rz / pq;
-    axpy(alpha, p, x.subspan(0, un));
-    axpy(-alpha, q, r);
-    res.iterations = it + 1;
-    const value_t rnorm = norm2(r);
-    res.relative_residual = rnorm / bnorm;
-    if (!std::isfinite(res.relative_residual)) {
-      return retire(SolverStop::kNonFinite);
-    }
-    if (res.relative_residual <= opts.tolerance) {
-      res.converged = true;
-      res.stop = SolverStop::kConverged;
-      return res;
-    }
-    if (stagnation.stagnated(res.iterations, res.relative_residual)) {
-      return retire(SolverStop::kStagnation);
-    }
+  const PanelPrecondFn column = [&precond](std::span<const value_t> r,
+                                           std::span<value_t> z, index_t) {
     precond(r, z);
-    const value_t rz_next = dot(r, z);
-    const value_t beta = rz_next / rz;
-    rz = rz_next;
-    // p = z + beta p
-    xpby(std::span<const value_t>(z), beta, std::span<value_t>(p));
-  }
-  res.stop = SolverStop::kMaxIterations;
-  return res;
+  };
+  return pcg_many(a, b, x, 1, column, opts).front();
 }
 
 SolverResult pcg_fused(const CsrMatrix& a, std::span<const value_t> b,
                        std::span<value_t> x, const KrylovOperator& op,
                        const SolverOptions& opts) {
-  JAVELIN_CHECK(a.square(), "pcg requires a square matrix");
-  const index_t n = a.rows();
-  const std::size_t un = static_cast<std::size_t>(n);
-  const std::shared_ptr<const RowPartition> part_ptr = operator_partition(op, a);
-  const RowPartition& part = *part_ptr;
+  const RowPartition& part = checked_partition(a, b, x, op);
+  const std::size_t un = static_cast<std::size_t>(a.rows());
 
   std::vector<value_t> r(un), z(un), t(un), p(un), q(un);
   SolverResult res;
@@ -188,9 +107,8 @@ SolverResult pcg_fused(const CsrMatrix& a, std::span<const value_t> b,
   }
 
   // r = b - A x
-  spmv(a, part, x, r);
-  for (std::size_t i = 0; i < un; ++i) r[i] = b[i] - r[i];
-  res.relative_residual = norm2(r) / bnorm;
+  res.relative_residual =
+      detail::true_relative_residual(a, part, b, x, r, bnorm);
   if (res.relative_residual <= opts.tolerance) {
     res.converged = true;  // warm start (true residual by construction)
     res.stop = SolverStop::kConverged;
@@ -231,7 +149,7 @@ SolverResult pcg_fused(const CsrMatrix& a, std::span<const value_t> b,
     rz_prev = rz;
     const value_t pq = dot(p, q);
     if (pq <= 0 || !std::isfinite(pq)) {
-      // Negative curvature: A not SPD along p (see scalar pcg).
+      // Negative curvature: A not SPD along p (see pcg_many).
       cause = std::isfinite(pq) ? SolverStop::kBreakdown : SolverStop::kNonFinite;
       break;
     }
@@ -254,7 +172,7 @@ SolverResult pcg_fused(const CsrMatrix& a, std::span<const value_t> b,
     }
   }
   res.relative_residual =
-      true_relative_residual(a, part, b, x.subspan(0, un), t, bnorm);
+      detail::true_relative_residual(a, part, b, x, t, bnorm);
   res.converged = res.relative_residual <= opts.tolerance;
   res.stop = res.converged ? SolverStop::kConverged : cause;
   if (!res.converged && cause == SolverStop::kConverged) {
@@ -274,12 +192,9 @@ SolverResult gmres(const CsrMatrix& a, std::span<const value_t> b,
 SolverResult gmres_fused(const CsrMatrix& a, std::span<const value_t> b,
                          std::span<value_t> x, const KrylovOperator& op,
                          const SolverOptions& opts) {
-  JAVELIN_CHECK(a.square(), "gmres requires a square matrix");
-  const index_t n = a.rows();
-  const std::size_t un = static_cast<std::size_t>(n);
+  const RowPartition& part = checked_partition(a, b, x, op);
+  const std::size_t un = static_cast<std::size_t>(a.rows());
   const int m = std::max(1, opts.restart);
-  const std::shared_ptr<const RowPartition> part_ptr = operator_partition(op, a);
-  const RowPartition& part = *part_ptr;
 
   SolverResult res;
   const value_t bnorm = norm2(b.subspan(0, un));
@@ -295,9 +210,8 @@ SolverResult gmres_fused(const CsrMatrix& a, std::span<const value_t> b,
   // bails without applying its correction, so x is the last finite iterate.
   const auto finish_true_residual = [&](std::span<value_t> scratch,
                                         SolverStop cause) -> SolverResult& {
-    spmv(a, part, x, scratch);
-    for (std::size_t i = 0; i < un; ++i) scratch[i] = b[i] - scratch[i];
-    res.relative_residual = norm2(scratch) / bnorm;
+    res.relative_residual =
+        detail::true_relative_residual(a, part, b, x, scratch, bnorm);
     res.converged = res.relative_residual <= opts.tolerance;
     res.stop = res.converged ? SolverStop::kConverged : cause;
     return res;

@@ -38,10 +38,10 @@ struct KrylovOperator {
   PrecondFn precond;
   ApplySpmvFn apply_spmv;
   /// Partition of A shared with the drivers' own SpMVs (initial/restart/exit
-  /// true residuals) so they don't rebuild one per call. Optional: drivers
-  /// build a private partition when null. The partition only changes which
-  /// thread computes a row, never the row's accumulation order, so results
-  /// are partition-invariant bitwise.
+  /// true residuals), built once by whoever builds the operator. Required:
+  /// pcg_fused and gmres_fused throw when it is null. The partition only
+  /// changes which thread computes a row, never the row's accumulation
+  /// order, so results are partition-invariant bitwise.
   std::shared_ptr<const RowPartition> part;
 };
 
@@ -84,10 +84,9 @@ struct SolverResult {
 
 namespace detail {
 
-/// Plateau detector shared by the scalar and batched drivers (one
-/// implementation so the per-column retirement of pcg_many cannot drift from
-/// scalar pcg): stagnated when `window` iterations pass without a new best
-/// relative residual. Aggregate so ColumnState can hold one per column.
+/// Plateau detector shared by every driver: stagnated when `window`
+/// iterations pass without a new best relative residual. Aggregate so
+/// pcg_many's per-column state can hold one per column.
 struct StagnationGuard {
   int window = 0;
   value_t best = std::numeric_limits<value_t>::infinity();
@@ -104,17 +103,31 @@ struct StagnationGuard {
   }
 };
 
+/// ||b - A x||_2 / bnorm, recomputed from scratch: the partitioned SpMV of
+/// x into `scratch` (at least n entries), then b - A x in place. The one
+/// true-residual routine of solver/: every exit that reports a residual the
+/// recurrence did not track goes through it.
+value_t true_relative_residual(const CsrMatrix& a, const RowPartition& part,
+                               std::span<const value_t> b,
+                               std::span<const value_t> x,
+                               std::span<value_t> scratch, value_t bnorm);
+
 }  // namespace detail
 
 /// Preconditioned conjugate gradients (SPD systems). `x` holds the initial
-/// guess on entry and the solution on exit.
+/// guess on entry and the solution on exit. This is pcg_many
+/// (solver/batch.hpp) at k = 1 with `precond` as the one-column panel
+/// preconditioner, so the textbook recurrence exists once and a pcg_many
+/// column equals this driver bitwise by construction. Throws when `b` or
+/// `x` is shorter than n.
 SolverResult pcg(const CsrMatrix& a, std::span<const value_t> b,
                  std::span<value_t> x, const PrecondFn& precond,
                  const SolverOptions& opts = {});
 
 /// Right-preconditioned restarted GMRES(m): solves A M^{-1} u = b and
 /// returns x = M^{-1} u, so the reported residual is the TRUE residual of
-/// A x = b (the advantage of right preconditioning).
+/// A x = b (the advantage of right preconditioning). Throws when `b` or `x`
+/// is shorter than n.
 SolverResult gmres(const CsrMatrix& a, std::span<const value_t> b,
                    std::span<value_t> x, const PrecondFn& precond,
                    const SolverOptions& opts = {});
@@ -126,14 +139,16 @@ SolverResult gmres(const CsrMatrix& a, std::span<const value_t> b,
 /// iterations, the TRUE residual b - A x is recomputed at every exit and is
 /// what `relative_residual` / `converged` report. Identical operations in
 /// identical order whether `op` is fused or unfused, so the two are
-/// bitwise-interchangeable at any thread count.
+/// bitwise-interchangeable at any thread count. Throws when `b` or `x` is
+/// shorter than n or `op.part` is null.
 SolverResult pcg_fused(const CsrMatrix& a, std::span<const value_t> b,
                        std::span<value_t> x, const KrylovOperator& op,
                        const SolverOptions& opts = {});
 
 /// Right-preconditioned GMRES(m) whose Arnoldi step consumes the fused
 /// operator: w = A M^{-1} v_j is one op.apply_spmv call. `gmres` above is
-/// exactly this driver over `unfused_operator(a, precond)`.
+/// exactly this driver over `unfused_operator(a, precond)`. Throws like
+/// pcg_fused.
 SolverResult gmres_fused(const CsrMatrix& a, std::span<const value_t> b,
                          std::span<value_t> x, const KrylovOperator& op,
                          const SolverOptions& opts = {});

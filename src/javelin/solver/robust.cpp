@@ -270,15 +270,13 @@ SolveReport RobustSolver::solve(std::span<const value_t> b,
   }
   if (!any_krylov) {
     // Every rung died in the factorization and the fallbacks were disabled:
-    // the honest answer is the caller's own guess and its residual.
+    // the honest answer is the caller's own guess and its residual
+    // (absolute when b = 0).
     report.cause = FailureCause::kFactorBreakdown;
     std::vector<value_t> scratch(un);
-    const RowPartition part = RowPartition::build(*a_);
-    spmv(*a_, part, x.subspan(0, un), scratch);
-    for (std::size_t i = 0; i < un; ++i) scratch[i] = b[i] - scratch[i];
     const value_t bnorm = norm2(b.subspan(0, un));
-    report.relative_residual =
-        bnorm == 0 ? norm2(scratch) : norm2(scratch) / bnorm;
+    report.relative_residual = detail::true_relative_residual(
+        *a_, RowPartition::build(*a_), b, x, scratch, bnorm == 0 ? 1 : bnorm);
   }
   return report;
 }

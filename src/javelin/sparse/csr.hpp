@@ -52,8 +52,6 @@ class CsrMatrix {
   std::span<const index_t> row_ptr() const noexcept { return row_ptr_; }
   std::span<const index_t> col_idx() const noexcept { return col_idx_; }
   std::span<const value_t> values() const noexcept { return values_; }
-  std::span<index_t> row_ptr_mut() noexcept { return row_ptr_; }
-  std::span<index_t> col_idx_mut() noexcept { return col_idx_; }
   std::span<value_t> values_mut() noexcept { return values_; }
 
   index_t row_begin(index_t r) const noexcept { return row_ptr_[static_cast<std::size_t>(r)]; }
@@ -66,10 +64,6 @@ class CsrMatrix {
   }
   std::span<const value_t> row_vals(index_t r) const noexcept {
     return std::span<const value_t>(values_).subspan(
-        static_cast<std::size_t>(row_begin(r)), static_cast<std::size_t>(row_nnz(r)));
-  }
-  std::span<value_t> row_vals_mut(index_t r) noexcept {
-    return std::span<value_t>(values_).subspan(
         static_cast<std::size_t>(row_begin(r)), static_cast<std::size_t>(row_nnz(r)));
   }
 

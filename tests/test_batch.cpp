@@ -4,7 +4,8 @@
 // every thread count, under both exec backends; entry validation of every
 // apply entry point must throw instead of reading or writing out of
 // bounds; WorkspacePool must serve concurrent streams on one shared
-// factorization; and pcg_many must reproduce scalar pcg per column.
+// factorization; and pcg_many over k columns must reproduce its own k = 1
+// runs (scalar pcg) per column.
 #include <algorithm>
 #include <atomic>
 
@@ -173,23 +174,30 @@ void check_validation(const CsrMatrix& a) {
   }));
 }
 
-void check_pcg_many(const char* name, const CsrMatrix& a, IluOptions opts) {
+/// pcg_many over k columns at the team opts.num_threads against k scalar
+/// pcg runs (pcg_many at k = 1) on one thread, on the same factorization.
+/// k >= the team takes the panel apply's column split, k < the team its
+/// scheduled sweeps.
+void check_pcg_many(const char* name, const CsrMatrix& a, IluOptions opts,
+                    index_t k) {
   const index_t n = a.rows();
   const std::size_t un = static_cast<std::size_t>(n);
-  const index_t k = 5;
   const Factorization f = ilu_factor(a, opts);
   SolverOptions sopts;
   sopts.max_iterations = 300;
   sopts.tolerance = 1e-10;
 
   std::vector<value_t> b = random_panel(n, k, 0x5EED);
-  // Column 2 scaled up (retires at a different iteration), column 4 zero
-  // (exercises the bnorm == 0 immediate-converge path).
-  for (std::size_t i = 0; i < un; ++i) b[2 * un + i] *= 1e3;
-  for (std::size_t i = 0; i < un; ++i) b[4 * un + i] = 0;
+  // Column 1 scaled up (retires at a different iteration), the last column
+  // zero (exercises the bnorm == 0 immediate-converge path).
+  const std::size_t last = static_cast<std::size_t>(k - 1) * un;
+  for (std::size_t i = 0; i < un; ++i) b[un + i] *= 1e3;
+  for (std::size_t i = 0; i < un; ++i) b[last + i] = 0;
 
   // Scalar reference trajectories on the SAME factorization, preconditioned
-  // by the serial reference apply.
+  // by the serial reference apply. One thread: the oracle opens no OpenMP
+  // region, which keeps the test cheap when ctest runs it beside another
+  // multi-threaded test.
   SolveWorkspace ws_scalar;
   const PrecondFn scalar_m = [&](std::span<const value_t> r,
                                  std::span<value_t> z) {
@@ -197,11 +205,16 @@ void check_pcg_many(const char* name, const CsrMatrix& a, IluOptions opts) {
   };
   std::vector<value_t> x_ref(un * static_cast<std::size_t>(k), 0);
   std::vector<SolverResult> res_ref;
-  for (index_t j = 0; j < k; ++j) {
-    res_ref.push_back(
-        pcg(a, panel_col(b, n, j), panel_col(x_ref, n, j), scalar_m, sopts));
+  {
+    ThreadCountGuard serial(1);
+    for (index_t j = 0; j < k; ++j) {
+      res_ref.push_back(
+          pcg(a, panel_col(b, n, j), panel_col(x_ref, n, j), scalar_m, sopts));
+    }
   }
 
+  // The whole batched solve (panel apply, SpMV, vector ops) at the team.
+  ThreadCountGuard team(opts.num_threads);
   WorkspacePool pool;
   std::vector<value_t> x(un * static_cast<std::size_t>(k), 0);
   const std::vector<SolverResult> res =
@@ -211,19 +224,24 @@ void check_pcg_many(const char* name, const CsrMatrix& a, IluOptions opts) {
   for (index_t j = 0; j < k; ++j) {
     const SolverResult& rj = res[static_cast<std::size_t>(j)];
     const SolverResult& sj = res_ref[static_cast<std::size_t>(j)];
-    CHECK_MSG(rj.iterations == sj.iterations && rj.converged == sj.converged,
-              "%s col %d: many it=%d conv=%d vs scalar it=%d conv=%d", name,
-              static_cast<int>(j), rj.iterations, rj.converged, sj.iterations,
-              sj.converged);
+    CHECK_MSG(rj.iterations == sj.iterations && rj.converged == sj.converged &&
+                  rj.stop == sj.stop,
+              "%s col %d: many it=%d conv=%d stop=%s vs scalar it=%d conv=%d "
+              "stop=%s",
+              name, static_cast<int>(j), rj.iterations, rj.converged,
+              to_string(rj.stop), sj.iterations, sj.converged,
+              to_string(sj.stop));
     CHECK_MSG(rj.relative_residual == sj.relative_residual,
               "%s col %d residual %.17g vs %.17g", name, static_cast<int>(j),
               rj.relative_residual, sj.relative_residual);
   }
-  CHECK_MSG(bitwise_equal(x, x_ref), "%s pcg_many solutions (T=%d)", name,
-            opts.num_threads);
-  CHECK_MSG(res[0].converged && res[2].converged,
-            "%s pcg_many converged (res0=%.3g res2=%.3g)", name,
-            res[0].relative_residual, res[2].relative_residual);
+  CHECK_MSG(bitwise_equal(x, x_ref),
+            "%s pcg_many solutions (T=%d backend=%d k=%d)", name,
+            opts.num_threads, static_cast<int>(opts.exec_backend),
+            static_cast<int>(k));
+  CHECK_MSG(res[0].converged && res[1].converged,
+            "%s pcg_many converged (res0=%.3g res1=%.3g)", name,
+            res[0].relative_residual, res[1].relative_residual);
 }
 
 void check_workspace_pool(const CsrMatrix& a) {
@@ -316,12 +334,21 @@ int main() {
   check_validation(grid);
   check_mixed_workspace(fem);
 
-  for (int threads : {1, 4}) {
+  for (ExecBackend backend : {ExecBackend::kP2P, ExecBackend::kBarrier}) {
+    for (int threads : {1, 2, 4}) {
+      IluOptions opts;
+      opts.num_threads = threads;
+      opts.exec_backend = backend;
+      opts.retarget_oversubscribed = false;
+      check_pcg_many("grid", grid, opts, 5);
+      check_pcg_many("jump", jump, opts, 5);
+    }
     IluOptions opts;
-    opts.num_threads = threads;
+    opts.num_threads = 4;
+    opts.exec_backend = backend;
     opts.retarget_oversubscribed = false;
-    check_pcg_many("grid", grid, opts);
-    check_pcg_many("jump", jump, opts);
+    check_pcg_many("grid", grid, opts, 3);
+    check_pcg_many("jump", jump, opts, 3);
   }
 
   check_workspace_pool(grid);

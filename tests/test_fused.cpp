@@ -4,8 +4,9 @@
 // by spmv_serial) at every thread count, and the restructured Krylov
 // drivers must produce bitwise-identical trajectories whether they consume
 // the fused or the unfused operator. The SpMV runs as the backward region's
-// tail under both executor branches (P2P and barrier), and a companion
-// left stale by a re-chunked backward schedule is refused.
+// tail under both executor branches (P2P and barrier), a companion left
+// stale by a re-chunked backward schedule is refused, and so is an operator
+// without the partition the drivers' own SpMVs run over.
 #include "javelin/gen/generators.hpp"
 #include "javelin/ilu/fused.hpp"
 #include "javelin/solver/krylov.hpp"
@@ -241,6 +242,26 @@ int main() {
     auto [z64, t64] = check_operator_parity("grid-chunk64", grid, opts);
     CHECK(bitwise_equal(z1, z64));
     CHECK(bitwise_equal(t1, t64));
+  }
+
+  // KrylovOperator::part is required: both operator drivers refuse a null
+  // one instead of building a partition per solve.
+  {
+    FusedIluOperator fused(grid);
+    KrylovOperator op = fused.op();
+    op.part.reset();
+    const auto b = random_vector(grid.rows(), 0x5EED);
+    std::vector<value_t> x(b.size(), 0);
+    for (const bool spd : {true, false}) {
+      bool threw = false;
+      try {
+        (void)(spd ? pcg_fused(grid, b, x, op) : gmres_fused(grid, b, x, op));
+      } catch (const Error&) {
+        threw = true;
+      }
+      CHECK_MSG(threw, "%s accepted an operator without a partition",
+                spd ? "pcg_fused" : "gmres_fused");
+    }
   }
 
   return javelin::test::finish("test_fused");

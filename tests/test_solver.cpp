@@ -1,10 +1,12 @@
 // End-to-end Krylov convergence on suite-class matrices: PCG on SPD, right-
 // preconditioned GMRES(m) on unsymmetric, both with and without the Javelin
 // ILU preconditioner. Residuals are re-verified from scratch — the solver's
-// own bookkeeping is not trusted.
+// own bookkeeping is not trusted. Every driver refuses a right-hand side or
+// solution one entry short before reading it.
 #include <cmath>
 
 #include "javelin/gen/generators.hpp"
+#include "javelin/solver/batch.hpp"
 #include "javelin/solver/krylov.hpp"
 #include "javelin/support/parallel.hpp"
 #include "test_util.hpp"
@@ -20,6 +22,16 @@ double true_relative_residual(const CsrMatrix& a, std::span<const value_t> b,
   spmv_serial(a, x, r);
   for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
   return norm2(r) / norm2(b);
+}
+
+template <class Fn>
+bool throws(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error&) {
+    return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -224,6 +236,43 @@ int main() {
     CHECK_MSG(res.converged, "post-refactor PCG rel res %.3g",
               res.relative_residual);
     CHECK(true_relative_residual(a2, b, x) < 1e-7);
+  }
+
+  // --- a span one entry short throws before any driver reads it -----------
+  {
+    CsrMatrix a = gen::laplacian2d(20, 20, 5);
+    const std::size_t un = static_cast<std::size_t>(a.rows());
+    FusedIluOperator fused(a);
+    const KrylovOperator op = fused.op();
+    const PrecondFn m = fused.fn();
+    std::vector<value_t> b(2 * un, 1), x(2 * un, 0);
+    const std::span<const value_t> b1 = std::span<const value_t>(b).first(un);
+    const std::span<value_t> x1 = std::span<value_t>(x).first(un);
+    for (const bool short_b : {true, false}) {
+      const char* what = short_b ? "b" : "x";
+      const std::span<const value_t> bs = short_b ? b1.first(un - 1) : b1;
+      const std::span<value_t> xs = short_b ? x1 : x1.first(un - 1);
+      CHECK_MSG(throws([&] { pcg(a, bs, xs, m, sopts); }), "pcg short %s",
+                what);
+      CHECK_MSG(throws([&] { gmres(a, bs, xs, m, sopts); }), "gmres short %s",
+                what);
+      CHECK_MSG(throws([&] { pcg_fused(a, bs, xs, op, sopts); }),
+                "pcg_fused short %s", what);
+      CHECK_MSG(throws([&] { gmres_fused(a, bs, xs, op, sopts); }),
+                "gmres_fused short %s", what);
+      // Two columns, the panel one entry short of n x 2.
+      const std::span<const value_t> bp =
+          short_b ? std::span<const value_t>(b).first(2 * un - 1)
+                  : std::span<const value_t>(b);
+      const std::span<value_t> xp = short_b ? std::span<value_t>(x)
+                                            : std::span<value_t>(x).first(2 * un - 1);
+      CHECK_MSG(throws([&] {
+                  pcg_many(a, bp, xp, 2, identity_panel_preconditioner(), sopts);
+                }),
+                "pcg_many short %s", what);
+    }
+    // Full-length spans still solve.
+    CHECK(pcg_fused(a, b1, x1, op, sopts).converged);
   }
 
   return javelin::test::finish("test_solver");

@@ -457,7 +457,7 @@ void collect_stall_profile(MatrixReport& rep, const Factorization& f,
   std::vector<value_t> z(r.size());
   for (const ExecBackend be : {ExecBackend::kP2P, ExecBackend::kBarrier}) {
     Factorization fb = f;
-    set_exec_backend(fb, be);
+    fb.opts.exec_backend = be;
     obs::ExecObs eo;
     fb.opts.exec_obs = &eo;
     SolveWorkspace ws;
@@ -667,12 +667,12 @@ MatrixReport bench_matrix(const gen::SuiteEntry& e, const BenchConfig& cfg) {
       tt.solve_med_s = rt.median_s;
     }
 
-    // Barrier (CSR-LS) baseline on the SAME factor — flip the backend tag
-    // (structure is shared), re-time the apply, and check bitwise parity
-    // against the P2P sweep. This is the paper's §VI per-sweep comparison.
+    // Barrier (CSR-LS) baseline on the SAME schedules — switch the factor's
+    // backend option, re-time the apply, and check bitwise parity against
+    // the P2P sweep. This is the paper's §VI per-sweep comparison.
     {
-      Factorization fb = f;  // schedule copy; retarget caches reset
-      set_exec_backend(fb, ExecBackend::kBarrier);
+      Factorization fb = f;
+      fb.opts.exec_backend = ExecBackend::kBarrier;
       std::vector<value_t> zb(r.size());
       SolveWorkspace wsb;
       ilu_apply(fb, r, zb, wsb);  // warm
@@ -827,11 +827,12 @@ MatrixReport bench_matrix(const gen::SuiteEntry& e, const BenchConfig& cfg) {
       // Symmetric-pattern entries: full AMG-PCG vs ILU-PCG wall-time race at
       // every thread count (iteration counts are deterministic, so they are
       // recorded once), with the ILU-PCG run under BOTH backends — same
-      // factor, same trajectory, only the sweep synchronization differs.
+      // factor and schedules, same trajectory, only the backend option (the
+      // sweep synchronization) differs.
       std::vector<value_t> x(r.size(), 0), x_ls(r.size(), 0);
       {
         Factorization fb = f;
-        set_exec_backend(fb, ExecBackend::kBarrier);
+        fb.opts.exec_backend = ExecBackend::kBarrier;
         IluPreconditioner mb(std::move(fb));
         Timer ls_t;
         const SolverResult lres = pcg(a, r, x_ls, mb.fn(), sopts);
@@ -881,7 +882,7 @@ MatrixReport bench_matrix(const gen::SuiteEntry& e, const BenchConfig& cfg) {
       // recorded once (the per-sweep timing race above already runs at every
       // thread count).
       Factorization fb = f;
-      set_exec_backend(fb, ExecBackend::kBarrier);
+      fb.opts.exec_backend = ExecBackend::kBarrier;
       IluPreconditioner mb(std::move(fb));
       IluPreconditioner m(std::move(f));
       std::vector<value_t> x(r.size(), 0), x_ls(r.size(), 0);

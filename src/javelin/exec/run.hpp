@@ -1,7 +1,10 @@
 // Runtime execution of an ExecSchedule under either backend.
 //
-// exec_run(s, row_fn, progress) launches one parallel region of s.threads
-// and drives row_fn(row, thread) in dependency order:
+// exec_run(s, backend, row_fn, progress) launches one parallel region of
+// s.threads and drives row_fn(row, thread) in dependency order. The backend
+// is an argument, not part of the schedule: factor-driven regions pass
+// IluOptions::exec_backend, so flipping that option switches every later
+// sweep of the factor without touching a schedule.
 //
 //   * kP2P: each thread walks its RUNS (exec/schedule.hpp): before a run it
 //     performs the sparsified spin-waits of the run's first item on the
@@ -19,7 +22,7 @@
 //
 // Both backends run the stored items, so they execute identical (row,
 // thread) assignments with identical per-row orders and are
-// bitwise-interchangeable; only synchronization differs. A schedule runs
+// bitwise-interchangeable; only synchronization differs. A region runs
 // uniformly under its backend — the team region has exactly these two
 // branches. Every wait and barrier crossing uses the spin budget of the team
 // (spin_budget_for). Teams of 1 — including schedules retargeted down to one
@@ -75,6 +78,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "javelin/exec/backend.hpp"
 #include "javelin/exec/schedule.hpp"
 #include "javelin/obs/exec_obs.hpp"
 #include "javelin/obs/trace.hpp"
@@ -88,12 +92,12 @@ enum class ExecOutcome : std::uint8_t {
   kAborted,  ///< a row function vetoed; the region drained cooperatively
 };
 
-/// Structured result of an exec_run region. On abort, `row` is the first
-/// row recorded by the winning AbortFlag request — when a single row can
-/// fail (one bad pivot, one injected fault) this is deterministic, and it
-/// always lies in the earliest level that contains a failing row, because
-/// no thread passes a level whose barrier never completed (kBarrier) or
-/// consumes a publication that never happened (kP2P).
+/// Structured result of an exec_run region. On abort, `row` is the row of
+/// the winning AbortFlag request. When a single row can fail (one bad
+/// pivot, one injected fault) this is deterministic. With several failing
+/// rows it is the first in serial order at a team of 1, and at a larger
+/// team whichever failing row aborted first, which can differ between
+/// runs.
 struct ExecStatus {
   ExecOutcome outcome = ExecOutcome::kOk;
   index_t row = kInvalidIndex;
@@ -302,9 +306,9 @@ ExecStatus exec_run_serial(const ExecSchedule& s, RowFn& row_fn,
 /// comment. Structure (and, for NoObs/NoTail, codegen) matches the
 /// historical exec_run exactly.
 template <class RowFn, class Obs, class Tail>
-ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
-                         ProgressCounters& progress, AbortFlag* external_abort,
-                         Obs& obs, Tail tail) {
+ExecStatus exec_run_impl(const ExecSchedule& s, ExecBackend backend,
+                         RowFn&& row_fn, ProgressCounters& progress,
+                         AbortFlag* external_abort, Obs& obs, Tail tail) {
   constexpr bool kGuarded = kGuardedRowFn<std::remove_reference_t<RowFn>>;
   AbortFlag local_abort;
   AbortFlag* abort = external_abort;
@@ -319,7 +323,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
     return exec_run_serial(s, row_fn, progress, abort, obs, tail);
   }
 
-  if (s.backend == ExecBackend::kP2P) {
+  if (backend == ExecBackend::kP2P) {
     if (progress.num_threads() < s.threads) {
       progress.reset(s.threads);
     } else {
@@ -342,7 +346,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
       // is an abort (a vetoed row requests one; waits and barriers give up
       // only on one), which is what the tail below keys on.
       bool live = true;
-      if (s.backend == ExecBackend::kBarrier) {
+      if (backend == ExecBackend::kBarrier) {
         // Thread t's items are level-ascending, so its items of level l are
         // the next ones tagged l: one contiguous range of rows.
         [[maybe_unused]] obs::TraceBuffer* buf = nullptr;
@@ -465,7 +469,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
         if (live && !(watch && abort->aborted())) {
           run_tail(tail, t, tail.plan.thread_ptr[static_cast<std::size_t>(t)],
                    tail.plan.thread_ptr[static_cast<std::size_t>(t) + 1],
-                   /*waits=*/s.backend == ExecBackend::kP2P, progress,
+                   /*waits=*/backend == ExecBackend::kP2P, progress,
                    spin_budget, abort, obs);
         }
       }
@@ -482,10 +486,11 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
 
 }  // namespace detail
 
-/// Execute the schedule with caller-provided progress counters. `row_fn(row,
-/// thread)` is called once per row, in dependency order, from inside a
-/// parallel region; it must not throw. Returning bool (false = poison this
-/// region) opts into cooperative abort; see the header comment.
+/// Execute the schedule under `backend` with caller-provided progress
+/// counters. `row_fn(row, thread)` is called once per row, in dependency
+/// order, from inside a parallel region; it must not throw. Returning bool
+/// (false = poison this region) opts into cooperative abort; see the header
+/// comment.
 ///
 /// `progress` is grown (reallocating) only when it is smaller than the
 /// schedule's team and re-armed (zeroed) otherwise, so callers that sweep
@@ -498,36 +503,28 @@ ExecStatus exec_run_impl(const ExecSchedule& s, RowFn&& row_fn,
 /// issued once it is raised, waits give up) and raised on row failure, so
 /// several cooperating stages can share one poison domain.
 template <class RowFn>
-ExecStatus exec_run(const ExecSchedule& s, RowFn&& row_fn,
-                    ProgressCounters& progress,
+ExecStatus exec_run(const ExecSchedule& s, ExecBackend backend,
+                    RowFn&& row_fn, ProgressCounters& progress,
                     AbortFlag* external_abort = nullptr) {
   detail::NoObs no_obs;
-  return detail::exec_run_impl(s, std::forward<RowFn>(row_fn), progress,
-                               external_abort, no_obs, detail::NoTail{});
+  return detail::exec_run_impl(s, backend, std::forward<RowFn>(row_fn),
+                               progress, external_abort, no_obs,
+                               detail::NoTail{});
 }
 
 /// exec_run with a tail phase: after its last item, thread t runs
 /// `chunk_fn(chunk, t)` for its chunks of `tail`, guarded as the header
 /// comment describes. chunk_fn must not throw.
 template <class RowFn, class ChunkFn>
-ExecStatus exec_run(const ExecSchedule& s, RowFn&& row_fn,
-                    const ExecTail& tail, ChunkFn&& chunk_fn,
+ExecStatus exec_run(const ExecSchedule& s, ExecBackend backend,
+                    RowFn&& row_fn, const ExecTail& tail, ChunkFn&& chunk_fn,
                     ProgressCounters& progress,
                     AbortFlag* external_abort = nullptr) {
   detail::NoObs no_obs;
   return detail::exec_run_impl(
-      s, std::forward<RowFn>(row_fn), progress, external_abort, no_obs,
+      s, backend, std::forward<RowFn>(row_fn), progress, external_abort,
+      no_obs,
       detail::WithTail<std::remove_reference_t<ChunkFn>>{tail, chunk_fn});
-}
-
-/// Convenience overload with per-call counters (one-shot executions such as
-/// the factorization numeric phase; sweep loops should pass a persistent
-/// ProgressCounters instead).
-template <class RowFn>
-ExecStatus exec_run(const ExecSchedule& s, RowFn&& row_fn,
-                    AbortFlag* external_abort = nullptr) {
-  ProgressCounters progress;
-  return exec_run(s, std::forward<RowFn>(row_fn), progress, external_abort);
 }
 
 /// Instrumented execution: identical scheduling and results to exec_run
@@ -537,12 +534,13 @@ ExecStatus exec_run(const ExecSchedule& s, RowFn&& row_fn,
 /// `eo.stats(kind)`, the ExecStats aggregate next to the returned
 /// ExecStatus.
 template <class RowFn>
-ExecStatus exec_run_obs(const ExecSchedule& s, RowFn&& row_fn,
-                        ProgressCounters& progress, obs::ExecObs& eo,
-                        obs::Region kind, AbortFlag* external_abort = nullptr) {
+ExecStatus exec_run_obs(const ExecSchedule& s, ExecBackend backend,
+                        RowFn&& row_fn, ProgressCounters& progress,
+                        obs::ExecObs& eo, obs::Region kind,
+                        AbortFlag* external_abort = nullptr) {
   obs::SweepObs& so = eo.begin_sweep(kind, s);
   const ExecStatus status =
-      detail::exec_run_impl(s, std::forward<RowFn>(row_fn), progress,
+      detail::exec_run_impl(s, backend, std::forward<RowFn>(row_fn), progress,
                             external_abort, so, detail::NoTail{});
   eo.end_sweep(kind, s);
   return status;
@@ -550,13 +548,14 @@ ExecStatus exec_run_obs(const ExecSchedule& s, RowFn&& row_fn,
 
 /// Instrumented exec_run with a tail phase.
 template <class RowFn, class ChunkFn>
-ExecStatus exec_run_obs(const ExecSchedule& s, RowFn&& row_fn,
-                        const ExecTail& tail, ChunkFn&& chunk_fn,
-                        ProgressCounters& progress, obs::ExecObs& eo,
-                        obs::Region kind, AbortFlag* external_abort = nullptr) {
+ExecStatus exec_run_obs(const ExecSchedule& s, ExecBackend backend,
+                        RowFn&& row_fn, const ExecTail& tail,
+                        ChunkFn&& chunk_fn, ProgressCounters& progress,
+                        obs::ExecObs& eo, obs::Region kind,
+                        AbortFlag* external_abort = nullptr) {
   obs::SweepObs& so = eo.begin_sweep(kind, s);
   const ExecStatus status = detail::exec_run_impl(
-      s, std::forward<RowFn>(row_fn), progress, external_abort, so,
+      s, backend, std::forward<RowFn>(row_fn), progress, external_abort, so,
       detail::WithTail<std::remove_reference_t<ChunkFn>>{tail, chunk_fn});
   eo.end_sweep(kind, s);
   return status;

@@ -94,13 +94,12 @@ void build_sparsified_waits(int threads,
   deps_kept = static_cast<index_t>(wait_thread.size());
 }
 
-ExecSchedule build_exec_schedule(ExecBackend backend, index_t n_total,
+ExecSchedule build_exec_schedule(index_t n_total,
                                  std::vector<index_t> level_ptr,
                                  std::vector<index_t> rows_by_level,
                                  const DepsFn& deps, int threads,
                                  index_t chunk_rows) {
   ExecSchedule s;
-  s.backend = backend;
   s.threads = std::max(1, threads);
   s.n_total = n_total;
   s.num_levels = static_cast<index_t>(level_ptr.size()) - 1;
@@ -183,8 +182,8 @@ ExecSchedule build_exec_schedule(ExecBackend backend, index_t n_total,
   // Pass 2: sparsified per-item wait lists. An item's need is the max over
   // all its rows; same-thread and unscheduled dependencies are filtered
   // here, the dedup + monotone pruning live in build_sparsified_waits.
-  // Built for either backend: the waits are what a later retarget() or
-  // backend switch relies on; the barrier executor just never reads them.
+  // Built for either backend: the P2P executor runs on them; the barrier
+  // executor just never reads them.
   // The per-row callback is built once and reaches the current item's
   // thread and yield through `cur`, so no row allocates a std::function.
   struct {
@@ -258,8 +257,8 @@ void build_run_layer(ExecSchedule& s) {
 ExecSchedule retarget(const ExecSchedule& s, const DepsFn& deps, int threads) {
   // Same builder, same retained level structure, new team: the result is
   // field-for-field identical to a fresh build at `threads` by construction.
-  return build_exec_schedule(s.backend, s.n_total, s.level_ptr, s.serial_order,
-                             deps, threads, s.chunk_rows);
+  return build_exec_schedule(s.n_total, s.level_ptr, s.serial_order, deps,
+                             threads, s.chunk_rows);
 }
 
 DepsFn lower_triangular_deps(const CsrMatrix& lu) {
@@ -285,8 +284,8 @@ DepsFn upper_triangular_deps(const CsrMatrix& lu) {
 
 ExecSchedule build_forward_schedule(const CsrMatrix& lu,
                                     std::span<const index_t> plan_level_ptr,
-                                    bool plan_is_lower, ExecBackend backend,
-                                    int threads, index_t chunk_rows) {
+                                    bool plan_is_lower, int threads,
+                                    index_t chunk_rows) {
   const index_t n = lu.rows();
   JAVELIN_CHECK(!plan_level_ptr.empty() && plan_level_ptr.front() == 0 &&
                     plan_level_ptr.back() == n,
@@ -296,7 +295,7 @@ ExecSchedule build_forward_schedule(const CsrMatrix& lu,
     // Only the grouping moves in; the per-row levels go before the builder
     // allocates.
     own.level = std::vector<index_t>();
-    return build_exec_schedule(backend, n, std::move(own.level_ptr),
+    return build_exec_schedule(n, std::move(own.level_ptr),
                                std::move(own.rows_by_level),
                                lower_triangular_deps(lu), threads, chunk_rows);
   }
@@ -306,15 +305,13 @@ ExecSchedule build_forward_schedule(const CsrMatrix& lu,
   std::vector<index_t> rows(static_cast<std::size_t>(n));
   for (index_t k = 0; k < n; ++k) rows[static_cast<std::size_t>(k)] = k;
   return build_exec_schedule(
-      backend, n,
-      std::vector<index_t>(plan_level_ptr.begin(), plan_level_ptr.end()),
+      n, std::vector<index_t>(plan_level_ptr.begin(), plan_level_ptr.end()),
       std::move(rows), lower_triangular_deps(lu), threads, chunk_rows);
 }
 
 ExecSchedule build_backward_schedule(const CsrMatrix& lu,
                                      std::span<const index_t> level_ptr,
-                                     ExecBackend backend, int threads,
-                                     index_t chunk_rows) {
+                                     int threads, index_t chunk_rows) {
   const index_t n = lu.rows();
   JAVELIN_CHECK(!level_ptr.empty() && level_ptr.front() == 0 &&
                     level_ptr.back() == n,
@@ -325,7 +322,7 @@ ExecSchedule build_backward_schedule(const CsrMatrix& lu,
   for (index_t& b : rev) b = n - b;
   std::vector<index_t> rows(static_cast<std::size_t>(n));
   for (index_t k = 0; k < n; ++k) rows[static_cast<std::size_t>(k)] = n - 1 - k;
-  return build_exec_schedule(backend, n, std::move(rev), std::move(rows),
+  return build_exec_schedule(n, std::move(rev), std::move(rows),
                              upper_triangular_deps(lu), threads, chunk_rows);
 }
 

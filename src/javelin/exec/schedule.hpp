@@ -1,6 +1,9 @@
 // Pluggable execution schedules for level-ordered row sweeps.
 //
-// One build, two runtime backends (exec/run.hpp):
+// A schedule is pure STRUCTURE: items, waits, runs and the retained levels.
+// How it synchronizes is a run-time choice the caller passes to exec_run
+// (exec/run.hpp) — the factor's IluOptions::exec_backend — and the same
+// schedule runs under either backend:
 //
 //   * kP2P — point-to-point level scheduling (paper §III-A, Fig. 4): each
 //     level is cut into ITEMS of up to chunk_rows consecutive rows, and each
@@ -45,10 +48,6 @@
 // derived from the wait lists and rebuilt wherever they are written
 // (build_exec_schedule, hence retarget()).
 //
-// Every schedule runs UNIFORMLY under its backend: all of its levels
-// synchronize the same way, and flipping `backend` in place is always legal
-// because the wait lists are built for either one.
-//
 // Schedules are RUNTIME-RETARGETABLE: retarget() re-deals the levels' items
 // and rebuilds the sparsified waits for any team size from the retained
 // level structure, bitwise-identical to a fresh build at that size.
@@ -62,13 +61,11 @@
 #include <span>
 #include <vector>
 
-#include "javelin/exec/backend.hpp"
 #include "javelin/sparse/csr.hpp"
 
 namespace javelin {
 
 struct ExecSchedule {
-  ExecBackend backend = ExecBackend::kP2P;
   int threads = 1;
   index_t n_total = 0;     ///< dimension of the row-index space
   index_t chunk_rows = 0;  ///< blocking granule the schedule was built with
@@ -211,9 +208,9 @@ inline constexpr index_t kDefaultChunkRows = 32;
 /// schedule's serial_order / level_ptr (move them in to skip a copy). `deps` is
 /// consulted once per row at build time. `chunk_rows` bounds the rows per
 /// item (blocking granule); values < 1 are clamped to 1. The wait lists are
-/// built for EITHER backend (they are what retarget() and a later backend
-/// switch rely on); the barrier executor simply never consults them.
-ExecSchedule build_exec_schedule(ExecBackend backend, index_t n_total,
+/// always built: the P2P executor runs on them, retarget() rebuilds them,
+/// and the barrier executor simply never consults them.
+ExecSchedule build_exec_schedule(index_t n_total,
                                  std::vector<index_t> level_ptr,
                                  std::vector<index_t> rows_by_level,
                                  const DepsFn& deps, int threads,
@@ -253,8 +250,7 @@ DepsFn upper_triangular_deps(const CsrMatrix& lu);  ///< strictly-upper cols
 /// as its level_ptr and serial_order.
 ExecSchedule build_forward_schedule(const CsrMatrix& lu,
                                     std::span<const index_t> plan_level_ptr,
-                                    bool plan_is_lower, ExecBackend backend,
-                                    int threads,
+                                    bool plan_is_lower, int threads,
                                     index_t chunk_rows = kDefaultChunkRows);
 
 /// Backward schedule over ALL rows: the plan's levels (`level_ptr`, which
@@ -265,7 +261,7 @@ ExecSchedule build_forward_schedule(const CsrMatrix& lu,
 /// valid U order.
 ExecSchedule build_backward_schedule(const CsrMatrix& lu,
                                      std::span<const index_t> level_ptr,
-                                     ExecBackend backend, int threads,
+                                     int threads,
                                      index_t chunk_rows = kDefaultChunkRows);
 
 }  // namespace javelin

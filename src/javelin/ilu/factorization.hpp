@@ -1,14 +1,13 @@
 // The complete Javelin factorization object: symbolic pattern, level plan,
 // execution schedules (the forward solve and the numeric factorization run
 // L's own levels, which are the plan's on a symmetric pattern; the backward
-// solve runs the plan's levels reversed; all run under the pluggable exec/
-// backend — P2P spin-waits or barrier CSR-LS), and the numeric factor
-// itself. Built once, then reused by thousands of triangular solves (paper
-// §VI: "the incomplete factorization may only be formed once, but stri may
-// be called thousands of times").
+// solve runs the plan's levels reversed; every region runs under the exec/
+// backend opts.exec_backend names — P2P spin-waits or barrier CSR-LS), and
+// the numeric factor itself. Built once, then reused by thousands of
+// triangular solves (paper §VI: "the incomplete factorization may only be
+// formed once, but stri may be called thousands of times").
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "javelin/exec/schedule.hpp"
@@ -19,35 +18,16 @@
 
 namespace javelin {
 
-struct Factorization;
-struct FusedApplySpmv;
-
 /// Consumer-side cache of schedules re-planned (retargeted) for a runtime
-/// team that differs from the factor-time plan. One immutable factor can
-/// serve many solvers: each keeps its own cache (SolveWorkspace embeds one)
-/// and the factor itself carries one for the numeric refactorization path.
-/// Copying yields an EMPTY cache — retargeted schedules are scratch,
-/// rebuilt on demand.
+/// team that differs from the factor-time plan (runtime_fwd/runtime_bwd),
+/// one slot per direction, filled on its first retargeted sweep. One
+/// immutable factor can serve many solvers: each keeps its own cache
+/// (SolveWorkspace embeds one) and the factor itself carries one for the
+/// numeric phase. The entries depend only on the factor's retained levels,
+/// the team and the item granule, so a copy of the cache stays valid for a
+/// copy of the factor.
 struct ScheduleCache {
-  int threads = 0;  ///< team the cached schedules target; 0 = empty
   ExecSchedule fwd, bwd;
-  /// Fused-SpMV companion rebuilt against `bwd` (filled lazily by
-  /// ilu_apply_spmv; null until the fused path retargets). The chunk wait
-  /// lists depend on A's column structure, so the cache records which A it
-  /// was built from — by address, nnz AND column-array address, so a
-  /// recycled heap address alone cannot serve stale chunks for a different
-  /// matrix.
-  std::unique_ptr<FusedApplySpmv> fused;
-  const CsrMatrix* fused_matrix = nullptr;
-  const index_t* fused_cols = nullptr;
-  index_t fused_nnz = 0;
-
-  ScheduleCache();
-  ScheduleCache(const ScheduleCache&);  ///< copies as empty
-  ScheduleCache(ScheduleCache&&) noexcept;
-  ScheduleCache& operator=(const ScheduleCache&);  ///< resets to empty
-  ScheduleCache& operator=(ScheduleCache&&) noexcept;
-  ~ScheduleCache();
 };
 
 struct Factorization {
@@ -71,8 +51,9 @@ struct Factorization {
   /// first, rows descending, so serial_order is n-1 … 0
   /// (build_backward_schedule).
   ExecSchedule bwd;
-  /// Retargeted schedules for a refactorization team that differs from the
-  /// plan (ilu_factor_numeric); solves cache in their workspace instead.
+  /// Retargeted forward schedule for a numeric-phase team that differs from
+  /// the plan (runtime_fwd in ilu_factor_numeric_status; its bwd slot stays
+  /// empty); solves cache in their workspace instead.
   ScheduleCache numeric_cache;
 
   /// Persistent refactor scatter map: a_scatter[k] is the position in
@@ -94,8 +75,12 @@ enum class FactorOutcome : std::uint8_t { kOk, kBadPivot };
 
 struct FactorStatus {
   FactorOutcome outcome = FactorOutcome::kOk;
-  /// Permuted index of the first row whose pivot failed (zero/subthreshold/
+  /// Permuted index of a row whose pivot failed (zero/subthreshold/
   /// non-finite magnitude, or a fault-injection veto); kInvalidIndex on kOk.
+  /// At a numeric-phase team of one it is the first failing row in the
+  /// schedule's serial order. At a larger team it is whichever failing row
+  /// aborted the region first, so with several failing rows it can differ
+  /// between runs.
   index_t row = kInvalidIndex;
 
   bool ok() const noexcept { return outcome == FactorOutcome::kOk; }
@@ -147,24 +132,21 @@ void build_scatter_map(Factorization& f, const CsrMatrix& a);
 
 // --- runtime retargeting (ilu/retarget.cpp) --------------------------------
 
-/// The team a sweep over `f` should launch right now: the factor-time plan,
-/// clamped by the current OpenMP runtime setting (omp_set_num_threads /
-/// OMP_NUM_THREADS) and — when opts.retarget_oversubscribed — by the
+/// The team every region over `f` — the numeric phase and each sweep —
+/// launches right now: opts.tuned_threads when set, else the factor-time
+/// plan, clamped by the current OpenMP runtime setting (omp_set_num_threads
+/// / OMP_NUM_THREADS) and — when opts.retarget_oversubscribed — by the
 /// hardware core count. Never less than 1.
 int runtime_team(const Factorization& f);
 
 /// Schedules matching runtime_team(f): the factor's own when the team equals
-/// the plan, otherwise re-planned through `cache` (both directions rebuilt
-/// together, and only when the team changed since the cache was filled).
-/// Retargeted schedules are bitwise-identical to a fresh build at that team
-/// (test_exec), so no solve path ever degrades to a serial sweep on a
-/// team-size mismatch — it re-plans.
+/// the plan, otherwise re-planned through `cache`'s slot for that direction,
+/// rebuilt when the slot was filled at another team or item granule or for
+/// a factor with another row or level count (an O(1) test, so give each
+/// factor its own cache). Retargeted schedules are bitwise-identical to a
+/// fresh build at that team (test_exec), so no region ever degrades to a
+/// serial sweep on a team-size mismatch — it re-plans.
 const ExecSchedule& runtime_fwd(const Factorization& f, ScheduleCache& cache);
 const ExecSchedule& runtime_bwd(const Factorization& f, ScheduleCache& cache);
-
-/// Flip every schedule of `f` (and its option block) to `backend` in place —
-/// legal at any time because both backends share one schedule structure
-/// (the bench uses this to race P2P against CSR-LS on one factor).
-void set_exec_backend(Factorization& f, ExecBackend backend);
 
 }  // namespace javelin

@@ -37,8 +37,9 @@ void check_panel(const Factorization& f, index_t k,
                  std::initializer_list<std::size_t> span_sizes,
                  const char* what);
 
-/// Run `row(r)` for every row of `s` as one exec_run region, instantiated by
-/// the precedence IluOptions documents: with a fault hook, the guarded
+/// Run `row(r)` for every row of `s` as one exec_run region under the
+/// factor's f.opts.exec_backend, instantiated by the precedence IluOptions
+/// documents: with a fault hook, the guarded
 /// region (the hook fires at `site` after each row; a veto aborts the region
 /// cooperatively); else, with an exec_obs sink, the instrumented region
 /// charged to `region`; else the unguarded, zero-polling one. `tail` is
@@ -49,9 +50,10 @@ ExecStatus run_sweep(const Factorization& f, const ExecSchedule& s,
                      FaultSite site, obs::Region region,
                      ProgressCounters& progress, RowFn&& row, Tail&&... tail) {
   const FaultHook& hook = f.opts.fault_hook;
+  const ExecBackend backend = f.opts.exec_backend;
   if (hook) {
     return exec_run(
-        s,
+        s, backend,
         [&](index_t r, int) -> bool {
           row(r);
           return hook(site, r);
@@ -60,12 +62,12 @@ ExecStatus run_sweep(const Factorization& f, const ExecSchedule& s,
   }
   if (f.opts.exec_obs != nullptr) {
     return exec_run_obs(
-        s, [&](index_t r, int) { row(r); }, std::forward<Tail>(tail)...,
-        progress, *f.opts.exec_obs, region);
+        s, backend, [&](index_t r, int) { row(r); },
+        std::forward<Tail>(tail)..., progress, *f.opts.exec_obs, region);
   }
   return exec_run(
-      s, [&](index_t r, int) { row(r); }, std::forward<Tail>(tail)...,
-      progress);
+      s, backend, [&](index_t r, int) { row(r); },
+      std::forward<Tail>(tail)..., progress);
 }
 
 /// Forward row of the k-column panel x (column stride ld): x_j[row] =

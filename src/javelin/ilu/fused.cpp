@@ -12,9 +12,19 @@
 
 namespace javelin {
 
-FusedApplySpmv build_fused_apply_spmv(const ExecSchedule& bwd,
-                                      const LevelPlan& plan,
+namespace {
+
+[[noreturn]] void throw_fused_abort(index_t row) {
+  throw AbortError("fused apply+spmv aborted at permuted row " +
+                   std::to_string(row) + " (fault injection)");
+}
+
+}  // namespace
+
+FusedApplySpmv build_fused_apply_spmv(const Factorization& f,
+                                      const ExecSchedule& bwd,
                                       const CsrMatrix& a, index_t chunk_rows) {
+  const LevelPlan& plan = f.plan;
   JAVELIN_CHECK(a.rows() == plan.n && a.cols() == plan.n,
                 "fused apply+spmv requires A with the factor's dimension");
   FusedApplySpmv fs;
@@ -81,7 +91,16 @@ FusedApplySpmv build_fused_apply_spmv(const ExecSchedule& bwd,
       },
       fs.wait_ptr, fs.wait_thread, fs.wait_count, fs.deps_total,
       fs.deps_kept);
+  if (f.opts.verify_schedules) {
+    verify::verify_tail_or_throw(bwd, upper_triangular_deps(f.lu), fs.tail(),
+                                 fused_tail_deps(fs, plan, a), "fused");
+  }
   return fs;
+}
+
+FusedApplySpmv build_fused_apply_spmv(const Factorization& f,
+                                      const CsrMatrix& a, index_t chunk_rows) {
+  return build_fused_apply_spmv(f, f.bwd, a, chunk_rows);
 }
 
 TailDepsFn fused_tail_deps(const FusedApplySpmv& fs, const LevelPlan& plan,
@@ -98,101 +117,24 @@ TailDepsFn fused_tail_deps(const FusedApplySpmv& fs, const LevelPlan& plan,
   };
 }
 
-namespace {
-
-/// The IluOptions::verify_schedules assertion for a (re)built companion.
-void verify_fused_or_throw(const FusedApplySpmv& fs, const ExecSchedule& bwd,
-                           const Factorization& f, const CsrMatrix& a,
-                           const char* what) {
-  verify::verify_tail_or_throw(bwd, upper_triangular_deps(f.lu), fs.tail(),
-                               fused_tail_deps(fs, f.plan, a), what);
-}
-
-[[noreturn]] void throw_fused_abort(index_t row) {
-  throw AbortError("fused apply+spmv aborted at permuted row " +
-                   std::to_string(row) + " (fault injection)");
-}
-
-/// The (team, backward schedule, SpMV chunk structure) triple a fused pass
-/// runs right now: the factor's own when the runtime team matches the
-/// factor-time plan, otherwise retargeted through ws.sched (the cached
-/// companion is rebuilt when the team, the matrix identity or the chunk
-/// size changed). team <= 1 means "run the straight-line serial sweep".
-struct FusedRuntime {
-  int team = 1;
-  const ExecSchedule* bwd = nullptr;
-  const FusedApplySpmv* chunks = nullptr;
-};
-
-FusedRuntime runtime_fused_schedule(const Factorization& f, const CsrMatrix& a,
-                                    const FusedApplySpmv& fs,
-                                    SolveWorkspace& ws) {
-  // The chunk waits count items of the backward schedule they were built
-  // against, so a re-chunked f.bwd (tune::autotune installs a candidate's
-  // granule in place) must be caught here, not raced or deadlocked on.
-  JAVELIN_CHECK(fs.n == f.n() && fs.threads == f.bwd.threads &&
-                    fs.bwd_chunk_rows == f.bwd.chunk_rows,
-                "fused schedule does not match this factorization");
-  // Runtime team selection: re-plan the backward schedule AND the SpMV
-  // chunk structure when the team differs from the factor-time plan (a
-  // mismatched team retargets; only T = 1 runs the straight-line sweep, as
-  // its own plan).
-  FusedRuntime rt{1, &f.bwd, &fs};
-  const int team = runtime_team(f);
-  if (team <= 1 || f.bwd.threads <= 1) return rt;
-  rt.team = team;
-  if (team != f.bwd.threads) {
-    const ExecSchedule& bwd = runtime_bwd(f, ws.sched);
-    // The chunk wait lists depend on A's column structure, so the cache is
-    // keyed on the matrix as well as the team — address, nnz and column
-    // array together, so a recycled allocation cannot alias a different
-    // matrix into a stale chunk structure. (runtime_bwd drops the cached
-    // companion whenever it rebuilds the schedules.)
-    if (!ws.sched.fused || ws.sched.fused_matrix != &a ||
-        ws.sched.fused_nnz != a.nnz() ||
-        ws.sched.fused_cols != a.col_idx().data() ||
-        ws.sched.fused->chunk_rows != fs.chunk_rows) {
-      ws.sched.fused = std::make_unique<FusedApplySpmv>(
-          build_fused_apply_spmv(bwd, f.plan, a, fs.chunk_rows));
-      ws.sched.fused_matrix = &a;
-      ws.sched.fused_cols = a.col_idx().data();
-      ws.sched.fused_nnz = a.nnz();
-      if (f.opts.verify_schedules) {
-        verify_fused_or_throw(*ws.sched.fused, bwd, f, a, "fused retarget");
-      }
-    }
-    rt.bwd = &bwd;
-    rt.chunks = ws.sched.fused.get();
-  }
-  return rt;
-}
-
-}  // namespace
-
-FusedApplySpmv build_fused_apply_spmv(const Factorization& f,
-                                      const CsrMatrix& a, index_t chunk_rows) {
-  FusedApplySpmv fs = build_fused_apply_spmv(f.bwd, f.plan, a, chunk_rows);
-  if (f.opts.verify_schedules) verify_fused_or_throw(fs, f.bwd, f, a, "fused");
-  return fs;
-}
-
 void ilu_apply_spmv(const Factorization& f, const CsrMatrix& a,
                     const FusedApplySpmv& fs, std::span<const value_t> r,
                     std::span<value_t> z, std::span<value_t> t,
                     SolveWorkspace& ws) {
   detail::check_panel(f, 1, {r.size(), z.size(), t.size()}, "ilu_apply_spmv");
+  JAVELIN_CHECK(fs.n == f.n(),
+                "fused schedule does not match this factorization");
   const index_t n = f.n();
   const std::size_t un = static_cast<std::size_t>(n);
   ws.resize(n);
   value_t* x = ws.x.data();
-  const FusedRuntime rt = runtime_fused_schedule(f, a, fs, ws);
   const auto spmv_rows = [&](index_t begin, index_t end) {
     for (index_t row = begin; row < end; ++row) {
       detail::spmv_row<1>(a, row, z.data(), un, t.data(), un);
     }
   };
 
-  if (rt.team <= 1) {
+  if (runtime_team(f) <= 1) {
     // Single-thread team: the apply's straight-line column solve (gather
     // and scatter folded in) followed by every SpMV row, with zero
     // synchronization — no point building schedules this path never
@@ -206,6 +148,14 @@ void ilu_apply_spmv(const Factorization& f, const CsrMatrix& a,
     return;
   }
 
+  // The chunk waits count items of the backward schedule they were built
+  // against, so a companion of another team or granule (a retargeted or
+  // re-chunked backward schedule) must be refused here, not raced or
+  // deadlocked on.
+  const ExecSchedule& bwd = runtime_bwd(f, ws.sched);
+  JAVELIN_CHECK(fs.built_for(bwd),
+                "fused schedule was built for another backward schedule "
+                "(team or item granule)");
   // The apply's forward sweep, then one region: the backward sweep with the
   // z scatter folded into each row, and the SpMV chunks as its tail
   // (exec/run.hpp) — under P2P each chunk waits for exactly the backward
@@ -215,14 +165,12 @@ void ilu_apply_spmv(const Factorization& f, const CsrMatrix& a,
   const ExecStatus fst =
       detail::forward_sweep<1>(f, r.data(), /*gather=*/true, x, 1, ws);
   if (!fst.ok()) throw_fused_abort(fst.row);
-  const FusedApplySpmv& chunks = *rt.chunks;
   const auto spmv_chunk = [&](index_t c, int) {
-    spmv_rows(chunks.chunk_begin[static_cast<std::size_t>(c)],
-              chunks.chunk_end[static_cast<std::size_t>(c)]);
+    spmv_rows(fs.chunk_begin[static_cast<std::size_t>(c)],
+              fs.chunk_end[static_cast<std::size_t>(c)]);
   };
   const ExecStatus bst = detail::backward_sweep<1>(
-      f, *rt.bwd, obs::Region::kFused, x, z.data(), 1, ws, chunks.tail(),
-      spmv_chunk);
+      f, bwd, obs::Region::kFused, x, z.data(), 1, ws, fs.tail(), spmv_chunk);
   if (!bst.ok()) throw_fused_abort(bst.row);
 }
 

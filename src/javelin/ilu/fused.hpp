@@ -29,6 +29,12 @@
 // for a plain backward sweep: under the barrier (CSR-LS) backend the SpMV
 // chunks start after the final level barrier — one region and zero extra
 // vector passes either way, so the backend comparison stays honest.
+//
+// The companion's chunk waits count the items of ONE backward schedule, so
+// it serves exactly that schedule: the object that owns A owns the
+// companion and rebuilds it when the runtime team re-plans the backward
+// sweep (FusedIluOperator, solver/krylov.hpp). ilu_apply_spmv runs the
+// companion it is given and refuses one built for another schedule.
 #pragma once
 
 #include <span>
@@ -39,9 +45,9 @@
 
 namespace javelin {
 
-/// Build-once companion of a (Factorization, A) pair: the SpMV phase of the
-/// fused pass. A's rows are nnz-balanced across the backward schedule's
-/// threads and blocked into chunks; each chunk stores the pruned wait list
+/// Companion of a (backward schedule, A) pair: the SpMV phase of the fused
+/// pass. A's rows are nnz-balanced across the backward schedule's threads
+/// and blocked into chunks; each chunk stores the pruned wait list
 /// (producer thread, backward item count) covering every column it reads.
 struct FusedApplySpmv {
   int threads = 1;
@@ -62,11 +68,12 @@ struct FusedApplySpmv {
   std::vector<index_t> wait_thread;
   std::vector<index_t> wait_count;
 
-  /// Rows per SpMV chunk the companion was built with (reused on retarget).
+  /// Rows per SpMV chunk the companion was built with (reused on rebuild).
   index_t chunk_rows = 0;
   /// Item granule (chunk_rows) of the backward schedule the waits were
-  /// built against: the waits count that schedule's items, so a re-chunked
-  /// backward schedule invalidates them (ilu_apply_spmv then throws).
+  /// built against: with `threads` it names that schedule, whose item
+  /// counts the waits use, so another team or a re-chunked backward
+  /// schedule invalidates them (ilu_apply_spmv then throws).
   index_t bwd_chunk_rows = 0;
 
   // --- statistics ----------------------------------------------------------
@@ -75,6 +82,12 @@ struct FusedApplySpmv {
 
   index_t num_chunks() const noexcept {
     return static_cast<index_t>(chunk_begin.size());
+  }
+
+  /// Whether the waits count the items of `bwd`: built for its team and
+  /// item granule.
+  bool built_for(const ExecSchedule& bwd) const noexcept {
+    return threads == bwd.threads && bwd_chunk_rows == bwd.chunk_rows;
   }
 
   /// The chunks as the tail phase of the backward region (exec/run.hpp).
@@ -86,19 +99,18 @@ struct FusedApplySpmv {
 /// Default rows per fused-SpMV chunk.
 inline constexpr index_t kDefaultSpmvChunkRows = 1024;
 
-/// Build the fused-SpMV companion against an explicit backward schedule
-/// (the retarget path rebuilds through this for the runtime team). `plan`
-/// supplies the permutation; `a` is square with the factor's dimension.
-FusedApplySpmv build_fused_apply_spmv(const ExecSchedule& bwd,
-                                      const LevelPlan& plan,
+/// Build the fused-SpMV companion of factor `f`'s backward schedule `bwd`
+/// (f.bwd, or a retargeted one such as runtime_bwd's) and matrix `a`
+/// (square, same dimension as the factor; in Krylov use `a` is the matrix
+/// `f` was factored from). `chunk_rows` bounds the rows per SpMV chunk.
+/// When f.opts.verify_schedules is set the chunk waits are proven against
+/// `bwd` (verify::verify_tail) and a defect throws Error.
+FusedApplySpmv build_fused_apply_spmv(const Factorization& f,
+                                      const ExecSchedule& bwd,
                                       const CsrMatrix& a,
                                       index_t chunk_rows = kDefaultSpmvChunkRows);
 
-/// Build the fused-SpMV companion for factor `f` and matrix `a` (square,
-/// same dimension as the factor; in Krylov use `a` is the matrix `f` was
-/// factored from). `chunk_rows` bounds the rows per SpMV chunk. When
-/// f.opts.verify_schedules is set the chunk waits are proven against f.bwd
-/// (verify::verify_tail) and a defect throws Error.
+/// The companion of the factor-time backward schedule f.bwd.
 FusedApplySpmv build_fused_apply_spmv(const Factorization& f,
                                       const CsrMatrix& a,
                                       index_t chunk_rows = kDefaultSpmvChunkRows);
@@ -113,12 +125,13 @@ TailDepsFn fused_tail_deps(const FusedApplySpmv& fs, const LevelPlan& plan,
 /// z = (LU)^{-1} r and t = A z in one fused pass. r, z and t are in the
 /// ORIGINAL row ordering and must not alias each other. Bitwise-identical to
 /// `ilu_apply_serial(f, r, z, ws)` followed by `spmv(a, part, z, t)` at any
-/// thread count. When the runtime team differs from the factor-time plan
-/// the whole fused pass — backward schedule AND SpMV chunks — is retargeted
-/// through ws.sched (a team of one runs the straight-line column solve and
-/// then the SpMV rows, which is that team's schedule, not a fallback).
-/// Throws Error when r, z or t is shorter than n, or when `fs` was built for
-/// a different backward schedule (dimension, team or item granule).
+/// thread count. The sweeps run runtime_fwd/runtime_bwd(f, ws.sched), and
+/// `fs` must be the companion of that backward schedule — FusedIluOperator
+/// keeps it so. A runtime team of one runs the straight-line column solve
+/// and then the SpMV rows, which is that team's schedule, not a fallback,
+/// and reads no chunk. Throws Error when r, z or t is shorter than n, when
+/// `fs` was built for another dimension, or, at a team above one, when it
+/// was built for another backward schedule (team or item granule).
 /// Thread-safe across distinct workspaces.
 void ilu_apply_spmv(const Factorization& f, const CsrMatrix& a,
                     const FusedApplySpmv& fs, std::span<const value_t> r,

@@ -56,25 +56,27 @@ struct IluOptions {
   /// Thread count to plan for; <= 0 means use the OpenMP default.
   int num_threads = 0;
   /// Runtime team override installed by the autotuner (tune/): when > 0 the
-  /// solve paths retarget to this team instead of the factor-time plan's
-  /// width (still clamped by the OpenMP runtime setting and — under
-  /// retarget_oversubscribed — the hardware core count, like any team).
-  /// 0, the default, keeps the planned team.
+  /// numeric phase and the solve paths retarget to this team instead of the
+  /// factor-time plan's width (still clamped by the OpenMP runtime setting
+  /// and — under retarget_oversubscribed — the hardware core count, like
+  /// any team). 0, the default, keeps the planned team.
   int tuned_threads = 0;
 
   // --- execution backend ---------------------------------------------------
-  /// Synchronization strategy of the factorization/solve schedules:
-  /// point-to-point sparsified spin-waits (the paper's contribution) or the
-  /// classic barrier-synchronized level-set sweep (CSR-LS, the §VI
-  /// baseline). Both are bitwise-identical at any team size; only the
-  /// synchronization cost differs.
+  /// Synchronization strategy of every region over the factor (numeric
+  /// phase and sweeps): point-to-point sparsified spin-waits (the paper's
+  /// contribution) or the classic barrier-synchronized level-set sweep
+  /// (CSR-LS, the §VI baseline). Read at run time — a schedule carries no
+  /// backend — so assigning it on a built factor switches later regions.
+  /// Both are bitwise-identical at any team size; only the synchronization
+  /// cost differs.
   ExecBackend exec_backend = ExecBackend::kP2P;
-  /// Runtime-team autotune (first slice of the ROADMAP thread-count item):
-  /// when a SOLVE would launch the planned team onto fewer hardware cores
-  /// than threads, re-plan (retarget) the schedules down to the core count
-  /// instead of spinning more threads than cores. A runtime
-  /// omp_set_num_threads below the plan always retargets, independent of
-  /// this flag. Tests pin false to force planned-width scheduled execution.
+  /// Runtime-team clamp: when a region (numeric phase or sweep) would launch
+  /// the planned team onto fewer hardware cores than threads, re-plan
+  /// (retarget) the schedules down to the core count instead of spinning
+  /// more threads than cores. A runtime omp_set_num_threads below the plan
+  /// always retargets, independent of this flag. Tests pin false to force
+  /// planned-width scheduled execution.
   bool retarget_oversubscribed = true;
   /// Statically verify every schedule this factorization builds or
   /// retargets (verify/verify.hpp): partition integrity, level soundness,

@@ -17,10 +17,8 @@
 
 #include "javelin/exec/run.hpp"
 #include "javelin/ilu/factorization.hpp"
-#include "javelin/ilu/fused.hpp"  // completes FusedApplySpmv for the cache
 #include "javelin/ilu/row_kernel.hpp"
 #include "javelin/sparse/ops.hpp"
-#include "javelin/support/parallel.hpp"
 #include "javelin/verify/verify.hpp"
 
 namespace javelin {
@@ -122,46 +120,29 @@ FactorStatus ilu_factor_numeric_status(Factorization& f) {
   const FaultHook& hook = f.opts.fault_hook;
   FactorView fv{f.lu.row_ptr(), f.lu.col_idx(), f.lu.values_mut(), f.diag_pos};
 
-  // Level-scheduled up-looking rows under the factor's execution backend.
-  // A refactorization team dialed below the plan (omp_set_num_threads after
-  // factoring — the time-stepping use case) retargets the schedule through
-  // the factor's own cache instead of degrading to the serial order. The
-  // one-shot factor phase deliberately skips the oversubscription clamp:
-  // the plan width was an explicit request, and the numeric phase runs
-  // once, not thousands of times.
-  const int team = std::max(1, std::min(f.plan.threads, max_threads()));
-  WorkspacePool pool(team, f.n());
-  const ExecSchedule* fwd = &f.fwd;
-  if (team != f.fwd.threads) {
-    if (f.numeric_cache.threads != team) {
-      f.numeric_cache.fwd = retarget(f.fwd, lower_triangular_deps(f.lu), team);
-      f.numeric_cache.bwd = ExecSchedule{};  // numeric phase never sweeps bwd
-      f.numeric_cache.fused.reset();
-      f.numeric_cache.threads = team;
-      if (f.opts.verify_schedules) {
-        verify::verify_schedule_or_throw(f.numeric_cache.fwd,
-                                         lower_triangular_deps(f.lu),
-                                         "numeric fwd retarget");
-      }
-    }
-    fwd = &f.numeric_cache.fwd;
-  }
+  // Level-scheduled up-looking rows on the forward schedule of the runtime
+  // team (runtime_team, like every sweep): a team other than the plan's —
+  // omp_set_num_threads after factoring in a time-stepping loop, a tuned
+  // team, the oversubscription clamp — re-plans through the factor's own
+  // cache instead of degrading to the serial order.
+  const ExecSchedule& fwd = runtime_fwd(f, f.numeric_cache);
+  WorkspacePool pool(fwd.threads, f.n());
   // Guarded row function: a failed pivot poisons the region, peers drain
-  // out of their spin-waits, and the first failing row comes back in the
-  // ExecStatus — no exception ever crosses the parallel region.
+  // out of their spin-waits, and the failing row that aborted the region
+  // comes back in the ExecStatus — no exception ever crosses the parallel
+  // region.
   const auto numeric_row = [&](index_t r, int t) -> bool {
     RowWorkspace& ws = pool.get(t);
     if (!factor_row(fv, r, ws, params)) return false;
     return !hook || hook(FaultSite::kFactorRow, r);
   };
-  ExecStatus st;
-  if (f.opts.exec_obs != nullptr && !hook) {
-    ProgressCounters progress;
-    st = exec_run_obs(*fwd, numeric_row, progress, *f.opts.exec_obs,
-                      obs::Region::kFactor);
-  } else {
-    st = exec_run(*fwd, numeric_row);
-  }
+  const ExecBackend backend = f.opts.exec_backend;
+  ProgressCounters progress;
+  const ExecStatus st =
+      f.opts.exec_obs != nullptr && !hook
+          ? exec_run_obs(fwd, backend, numeric_row, progress,
+                         *f.opts.exec_obs, obs::Region::kFactor)
+          : exec_run(fwd, backend, numeric_row, progress);
   if (!st.ok()) return {FactorOutcome::kBadPivot, st.row};
   return {};
 }
@@ -202,9 +183,9 @@ Factorization ilu_prepare(const CsrMatrix& a, const IluOptions& opts) {
   // L's own levels: the plan's when lower_only, far fewer where c > r
   // entries deepened the plan (the trans4 analog: 2 against 24,504).
   f.fwd = build_forward_schedule(f.lu, f.plan.level_ptr, f.plan.lower_only,
-                                 opts.exec_backend, f.plan.threads, chunk);
-  f.bwd = build_backward_schedule(f.lu, f.plan.level_ptr, opts.exec_backend,
-                                  f.plan.threads, chunk);
+                                 f.plan.threads, chunk);
+  f.bwd = build_backward_schedule(f.lu, f.plan.level_ptr, f.plan.threads,
+                                  chunk);
   if (opts.verify_schedules) {
     verify::verify_schedule_or_throw(f.fwd, lower_triangular_deps(f.lu),
                                      "fwd");

@@ -10,10 +10,10 @@
 // The backward (U) sweep runs under f.bwd, the plan's levels reversed, each
 // level a contiguous row range, with the diagonal scale fused into the
 // sweep — no separate D^{-1} pass over the vector. Each sweep is one region
-// under the exec/ backend the factor was built with (P2P, or barrier
-// CSR-LS: then both are plain level-set sweeps) and RETARGETS through the
-// workspace's ScheduleCache when the runtime team differs from the
-// factor-time plan — never a silent serial fallback.
+// under the factor's f.opts.exec_backend (P2P, or barrier CSR-LS: then both
+// are plain level-set sweeps) and RETARGETS through the workspace's
+// ScheduleCache when the runtime team differs from the factor-time plan —
+// never a silent serial fallback.
 //
 // The scalar apply is the k = 1 case of the panel apply (ilu_apply_panel,
 // ilu/batch.hpp), and both run one implementation with two executions: at
@@ -41,7 +41,8 @@ namespace javelin {
 /// retargeted-schedule cache the sweeps re-plan through when the runtime
 /// team differs from the factor-time plan). Kept outside the Factorization
 /// so multiple solves may share one immutable factor with private
-/// workspaces. Move-only: the counters are atomics.
+/// workspaces; give each factor its own workspace (runtime_fwd). Move-only:
+/// the counters are atomics.
 struct SolveWorkspace {
   std::vector<value_t> x;     ///< permuted vector/panel being solved in place
   ProgressCounters progress;  ///< spin-wait counters reused every sweep

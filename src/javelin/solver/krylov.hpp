@@ -188,9 +188,12 @@ class IluPreconditioner {
 };
 
 /// Factor-once packaging of the FUSED Javelin apply+SpMV path: owns the
-/// Factorization, the fused SpMV schedule built against `a`, and a
+/// Factorization, the fused SpMV companion built against `a`, and a
 /// SolveWorkspace, behind the KrylovOperator interface the restructured
-/// drivers consume. `a` must outlive this object (the fused pass multiplies
+/// drivers consume. It is the companion's one owner: at a runtime team
+/// above one, apply_spmv rebuilds it against runtime_bwd(f, ws.sched)
+/// whenever that schedule's team or item granule differs from the one it
+/// was built for. `a` must outlive this object (the fused pass multiplies
 /// it every iteration). Not safe for concurrent calls on one instance.
 class FusedIluOperator {
  public:
@@ -214,6 +217,12 @@ class FusedIluOperator {
   /// Fused z = M^{-1} r, t = A z — one scheduled pass.
   void apply_spmv(std::span<const value_t> r, std::span<value_t> z,
                   std::span<value_t> t) const {
+    if (runtime_team(f_) > 1) {
+      const ExecSchedule& bwd = runtime_bwd(f_, ws_.sched);
+      if (!fs_.built_for(bwd)) {
+        fs_ = build_fused_apply_spmv(f_, bwd, *a_, fs_.chunk_rows);
+      }
+    }
     ilu_apply_spmv(f_, *a_, fs_, r, z, t, ws_);
   }
 
@@ -241,7 +250,7 @@ class FusedIluOperator {
  private:
   const CsrMatrix* a_;
   Factorization f_;
-  FusedApplySpmv fs_;
+  mutable FusedApplySpmv fs_;
   std::shared_ptr<const RowPartition> part_;
   mutable SolveWorkspace ws_;
 };

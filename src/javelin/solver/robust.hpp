@@ -55,7 +55,9 @@ struct AttemptReport {
   /// Whether the numeric factorization succeeded (always true on the
   /// Jacobi/identity rungs, which factor nothing).
   bool factored = true;
-  /// Permuted index of the first failed pivot when !factored.
+  /// Permuted index of a failed pivot when !factored: FactorStatus::row, so
+  /// the first failing row in serial order at a numeric-phase team of one,
+  /// and at a larger team some failing row, which can differ between runs.
   index_t factor_row = kInvalidIndex;
   /// PCG broke down on this rung and GMRES re-ran it from the same guess.
   bool used_gmres = false;

@@ -11,15 +11,22 @@ namespace javelin {
 
 namespace {
 
-/// The dense helpers are pure streaming passes: when the requested team
-/// exceeds the hardware's concurrency, a parallel region buys no bandwidth
-/// and its fork/join churn dwarfs the loop itself — run inline instead.
-/// Value-neutral either way: the ops are elementwise (and dot's reduction
-/// tree is fixed by the vector length, never the team size).
-bool parallel_vectors_worthwhile() noexcept {
+/// dot's fixed reduction block, and the length at or below which every
+/// dense helper runs inline.
+constexpr std::ptrdiff_t kVectorBlock = 4096;
+
+/// The dense helpers are pure streaming passes: on a vector of at most one
+/// block, or when the requested team exceeds the hardware's concurrency, a
+/// parallel region buys no bandwidth and its fork/join churn dwarfs the
+/// loop itself — run inline instead. Value-neutral either way: the ops are
+/// elementwise (and dot's reduction tree is fixed by the vector length,
+/// never the team size).
+bool parallel_vectors_worthwhile(std::size_t n) noexcept {
 #ifdef _OPENMP
-  return !team_oversubscribed(max_threads());
+  return n > static_cast<std::size_t>(kVectorBlock) &&
+         !team_oversubscribed(max_threads());
 #else
+  (void)n;
   return false;
 #endif
 }
@@ -110,23 +117,23 @@ void spmv_panel(const CsrMatrix& a, const RowPartition& part,
 
 value_t dot(std::span<const value_t> a, std::span<const value_t> b) {
   JAVELIN_CHECK(a.size() == b.size(), "dot: vector sizes differ");
-  // Fixed-block pairwise reduction: each 4096-element block accumulates
-  // serially in index order, then the block partials are summed serially in
-  // block order. Blocks run in parallel, but the combination tree depends
-  // ONLY on the vector length — never on the thread count — so every dot
-  // (and hence every Krylov trajectory built on it) is bitwise-identical
-  // across thread counts. An `omp reduction` would combine per-thread
-  // partials in a team-size-dependent order and break that.
-  constexpr std::ptrdiff_t kBlock = 4096;
+  // Fixed-block pairwise reduction: each kVectorBlock-element block
+  // accumulates serially in index order, then the block partials are summed
+  // serially in block order. Blocks run in parallel, but the combination
+  // tree depends ONLY on the vector length — never on the thread count — so
+  // every dot (and hence every Krylov trajectory built on it) is
+  // bitwise-identical across thread counts. An `omp reduction` would
+  // combine per-thread partials in a team-size-dependent order and break
+  // that.
   const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(a.size());
-  if (n <= kBlock) {
+  if (n <= kVectorBlock) {
     value_t s = 0;
     for (std::ptrdiff_t i = 0; i < n; ++i) {
       s += a[static_cast<std::size_t>(i)] * b[static_cast<std::size_t>(i)];
     }
     return s;
   }
-  const std::ptrdiff_t num_blocks = (n + kBlock - 1) / kBlock;
+  const std::ptrdiff_t num_blocks = (n + kVectorBlock - 1) / kVectorBlock;
   // Grow-only per-HOST-thread scratch: dot is the hottest scalar reduction
   // in the Krylov inner loop (GMRES runs j+1 of these per Arnoldi step), so
   // keep malloc/free out of it. The OpenMP workers must all write the
@@ -138,10 +145,10 @@ value_t dot(std::span<const value_t> a, std::span<const value_t> b) {
     scratch.resize(static_cast<std::size_t>(num_blocks));
   }
   value_t* const partial = scratch.data();
-#pragma omp parallel for schedule(static) if (parallel_vectors_worthwhile())
+#pragma omp parallel for schedule(static) if (parallel_vectors_worthwhile(a.size()))
   for (std::ptrdiff_t blk = 0; blk < num_blocks; ++blk) {
-    const std::ptrdiff_t lo = blk * kBlock;
-    const std::ptrdiff_t hi = std::min(lo + kBlock, n);
+    const std::ptrdiff_t lo = blk * kVectorBlock;
+    const std::ptrdiff_t hi = std::min(lo + kVectorBlock, n);
     value_t s = 0;
     for (std::ptrdiff_t i = lo; i < hi; ++i) {
       s += a[static_cast<std::size_t>(i)] * b[static_cast<std::size_t>(i)];
@@ -159,7 +166,7 @@ value_t norm2(std::span<const value_t> a) { return std::sqrt(dot(a, a)); }
 
 void axpy(value_t alpha, std::span<const value_t> x, std::span<value_t> y) {
   JAVELIN_CHECK(x.size() == y.size(), "axpy: vector sizes differ");
-#pragma omp parallel for schedule(static) if (parallel_vectors_worthwhile())
+#pragma omp parallel for schedule(static) if (parallel_vectors_worthwhile(x.size()))
   for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(x.size()); ++i) {
     y[static_cast<std::size_t>(i)] += alpha * x[static_cast<std::size_t>(i)];
   }
@@ -167,14 +174,14 @@ void axpy(value_t alpha, std::span<const value_t> x, std::span<value_t> y) {
 
 void xpby(std::span<const value_t> x, value_t beta, std::span<value_t> y) {
   JAVELIN_CHECK(x.size() == y.size(), "xpby: vector sizes differ");
-#pragma omp parallel for schedule(static) if (parallel_vectors_worthwhile())
+#pragma omp parallel for schedule(static) if (parallel_vectors_worthwhile(x.size()))
   for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(x.size()); ++i) {
     y[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(i)] + beta * y[static_cast<std::size_t>(i)];
   }
 }
 
 void scale(value_t alpha, std::span<value_t> x) {
-#pragma omp parallel for schedule(static) if (parallel_vectors_worthwhile())
+#pragma omp parallel for schedule(static) if (parallel_vectors_worthwhile(x.size()))
   for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(x.size()); ++i) {
     x[static_cast<std::size_t>(i)] *= alpha;
   }

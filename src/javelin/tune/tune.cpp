@@ -39,24 +39,24 @@ void restore_policy(Factorization& f, const PolicySnapshot& s) {
   f.bwd = s.bwd;
   f.opts.exec_backend = s.backend;
   f.opts.tuned_threads = s.tuned_threads;
-  f.numeric_cache = ScheduleCache{};
 }
 
 /// Install one candidate on a factor currently holding its pristine policy.
+/// Retarget caches (f.numeric_cache, workspaces) key on team and granule,
+/// so they follow without a reset.
 void apply_candidate(Factorization& f, const TuneCandidate& c) {
-  set_exec_backend(f, c.backend);
+  f.opts.exec_backend = c.backend;
   if (c.chunk_rows > 0 && (f.fwd.chunk_rows != c.chunk_rows ||
                            f.bwd.chunk_rows != c.chunk_rows)) {
     // A different blocking granule re-chunks the retained level structure —
     // the same cheap path retarget() uses, bitwise-neutral by the standing
     // schedule contract.
-    f.fwd = build_exec_schedule(c.backend, f.fwd.n_total, f.fwd.level_ptr,
+    f.fwd = build_exec_schedule(f.fwd.n_total, f.fwd.level_ptr,
                                 f.fwd.serial_order, lower_triangular_deps(f.lu),
                                 f.fwd.threads, c.chunk_rows);
-    f.bwd = build_exec_schedule(c.backend, f.bwd.n_total, f.bwd.level_ptr,
+    f.bwd = build_exec_schedule(f.bwd.n_total, f.bwd.level_ptr,
                                 f.bwd.serial_order, upper_triangular_deps(f.lu),
                                 f.bwd.threads, c.chunk_rows);
-    f.numeric_cache = ScheduleCache{};
   }
   f.opts.tuned_threads = c.threads;
   if (f.opts.verify_schedules) {

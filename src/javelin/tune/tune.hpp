@@ -1,8 +1,10 @@
 // Factor-time autotuner: measure a small grid of uniform execution
 // policies — backend (P2P / barrier / serial), team width and blocking
 // granule — on the REAL solve path, then pin the winner into the
-// factorization so every later sweep (plain, fused, panel, batched)
-// dispatches it automatically.
+// factorization so every later region (the numeric phase of a refactor;
+// plain, fused, panel and batched sweeps) dispatches it automatically: the
+// backend and team are options every region reads, the granule is the
+// schedules' own.
 //
 // Everything a candidate changes is a bitwise-neutral transformation of the
 // same (level, thread, row) assignment: backends and teams are
@@ -103,11 +105,12 @@ TuneContext make_context(const Factorization& f);
 CostModelFn deterministic_cost_model();
 
 /// Measure the candidate grid on `f` and pin the winner: the chosen
-/// backend and granule are installed on f.fwd/f.bwd and the chosen team
-/// width in f.opts.tuned_threads (runtime_team consumes it; runtime clamps
-/// still apply). The factor's results are unchanged for every candidate —
-/// only synchronization and blocking differ. Exception-safe: on throw the
-/// factor is restored to its pre-tune policy.
+/// backend goes to f.opts.exec_backend, the chosen granule re-chunks
+/// f.fwd/f.bwd and the chosen team width goes to f.opts.tuned_threads
+/// (runtime_team consumes it — for the numeric phase as for every sweep;
+/// runtime clamps still apply). The factor's results are unchanged for
+/// every candidate — only synchronization and blocking differ.
+/// Exception-safe: on throw the factor is restored to its pre-tune policy.
 TuneReport autotune(Factorization& f, const TuneOptions& topt = {});
 
 }  // namespace javelin::tune

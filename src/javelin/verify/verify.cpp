@@ -687,9 +687,9 @@ VerifyReport verify_tail(const ExecSchedule& s, const DepsFn& deps,
   // ---- Coverage. A chunk on thread t starts after every item of t (program
   // order), so its clock starts from t's last item; each of its waits — and
   // each wait of t's earlier chunks — merges the producer item's clock, as
-  // in the item analysis. The schedule is proven under P2P whatever its
-  // backend tag says, because set_exec_backend flips the tag in place (the
-  // barrier executor's last level barrier orders strictly more).
+  // in the item analysis. The schedule is proven under P2P, because a
+  // schedule carries no backend and may run under either (the barrier
+  // executor's last level barrier orders strictly more).
   const auto items_of = [&](index_t p) {
     return s.thread_ptr[uz(p) + 1] - s.thread_ptr[uz(p)];
   };
@@ -782,8 +782,8 @@ VerifyReport verify_retarget(const ExecSchedule& s, const DepsFn& deps,
   if (s.level_ptr.empty()) return verify_schedule(s, deps, max_diagnostics);
 
   const ExecSchedule fresh =
-      build_exec_schedule(s.backend, s.n_total, s.level_ptr, s.serial_order,
-                          deps, threads, s.chunk_rows);
+      build_exec_schedule(s.n_total, s.level_ptr, s.serial_order, deps,
+                          threads, s.chunk_rows);
   const ExecSchedule rt = retarget(s, deps, threads);
   VerifyReport rep = verify_schedule(rt, deps, max_diagnostics);
   Sink sink(rep, max_diagnostics);
@@ -793,7 +793,6 @@ VerifyReport verify_retarget(const ExecSchedule& s, const DepsFn& deps,
              std::string("retargeted schedule differs from a fresh build: ") +
                  field);
   };
-  if (rt.backend != fresh.backend) mismatch("backend");
   if (rt.threads != fresh.threads) mismatch("threads");
   if (rt.n_total != fresh.n_total) mismatch("n_total");
   if (rt.chunk_rows != fresh.chunk_rows) mismatch("chunk_rows");

@@ -35,10 +35,10 @@
 //     order, only a run's first item has waits, and every count a wait
 //     names ends a run. A violation is kRunLayout naming the item.
 //
-// Both the level check and the wait check always run regardless of
-// s.backend: set_exec_backend() flips the tag in place, so a schedule must
-// be sound for either executor at all times. Every schedule runs uniformly
-// under its backend, so program order and the stored waits are the only
+// Both the level check and the wait check always run: a schedule carries
+// no backend — the caller picks one per region (exec/run.hpp) — so it must
+// be sound for either executor at all times. A region runs uniformly under
+// its backend, so program order and the stored waits are the only
 // synchronization the analysis has to model.
 //
 // TAILS: a region may end in a tail phase (exec/run.hpp — the fused solve's

@@ -7,12 +7,22 @@
 //   * a runtime team below the factor-time plan RETARGETS the solve paths
 //     (the workspace cache fills for the real team) instead of degrading to
 //     a serial sweep, and stays bitwise-identical to the serial reference;
+//     there the raw fused pass refuses the companion of the plan's backward
+//     schedule and runs one built for the runtime schedule bitwise;
+//   * FusedIluOperator under a plan of 4 follows runtime teams 1-4 under
+//     both backends, rebuilding its companion, bitwise against the serial
+//     pair;
+//   * the numeric phase follows the runtime team too: a refactor below the
+//     plan fills f.numeric_cache's forward slot at that team and reproduces
+//     the factor bitwise;
+//   * one workspace applying two factors of different size re-plans for
+//     each, in either order;
 //   * the barrier (CSR-LS) backend is bitwise-identical to the P2P backend
 //     and to the serial reference at every thread count, for ilu_apply, the
 //     fused apply+SpMV, and full Krylov trajectories;
-//   * set_exec_backend flips a factor between backends in place, and a
-//     workspace whose cache holds schedules retargeted to a smaller runtime
-//     team rebuilds them under the new backend;
+//   * flipping f.opts.exec_backend between two applies below the plan keeps
+//     the workspace's retargeted schedules (the backend is not part of a
+//     schedule) and gives bitwise-equal z;
 //   * the forward schedule runs L's own levels (compute_level_sets_lower
 //     of the factor; on a symmetric pattern the plan's levels, serial order
 //     0 … n-1) and the backward schedule the plan's levels reversed (serial
@@ -61,10 +71,9 @@ bool vec_eq(const char* what, const std::vector<T>& a, const std::vector<T>& b) 
 }
 
 bool schedules_equal(const ExecSchedule& a, const ExecSchedule& b) {
-  bool ok = a.backend == b.backend && a.threads == b.threads &&
-            a.n_total == b.n_total && a.chunk_rows == b.chunk_rows &&
-            a.num_levels == b.num_levels && a.deps_total == b.deps_total &&
-            a.deps_kept == b.deps_kept;
+  bool ok = a.threads == b.threads && a.n_total == b.n_total &&
+            a.chunk_rows == b.chunk_rows && a.num_levels == b.num_levels &&
+            a.deps_total == b.deps_total && a.deps_kept == b.deps_kept;
   if (!ok) std::printf("  schedule scalars differ\n");
   ok = vec_eq("thread_ptr", a.thread_ptr, b.thread_ptr) && ok;
   ok = vec_eq("item_ptr", a.item_ptr, b.item_ptr) && ok;
@@ -94,6 +103,11 @@ bool fused_equal(const FusedApplySpmv& a, const FusedApplySpmv& b) {
   return ok;
 }
 
+/// A schedule cache no retargeted sweep has filled.
+bool cache_empty(const ScheduleCache& c) {
+  return c.fwd.level_ptr.empty() && c.bwd.level_ptr.empty();
+}
+
 /// Retargeting a factor's schedules must reproduce a fresh build at every
 /// team size, for both directions and the fused companion.
 void check_retarget_identity(const char* name, const CsrMatrix& a,
@@ -109,17 +123,16 @@ void check_retarget_identity(const char* name, const CsrMatrix& a,
   const DepsFn up = upper_triangular_deps(f.lu);
   for (int T : {1, 2, 4, 8}) {
     const ExecSchedule fresh_fwd =
-        build_forward_schedule(f.lu, f.plan.level_ptr, f.plan.lower_only,
-                               backend, T, f.fwd.chunk_rows);
+        build_forward_schedule(f.lu, f.plan.level_ptr, f.plan.lower_only, T,
+                               f.fwd.chunk_rows);
     const ExecSchedule fresh_bwd = build_backward_schedule(
-        f.lu, f.plan.level_ptr, backend, T, f.bwd.chunk_rows);
+        f.lu, f.plan.level_ptr, T, f.bwd.chunk_rows);
     CHECK_MSG(schedules_equal(retarget(f.fwd, low, T), fresh_fwd),
               "%s fwd retarget(%d)", name, T);
     CHECK_MSG(schedules_equal(retarget(f.bwd, up, T), fresh_bwd),
               "%s bwd retarget(%d)", name, T);
-    const FusedApplySpmv fs = build_fused_apply_spmv(fresh_bwd, f.plan, a);
-    CHECK_MSG(fused_equal(build_fused_apply_spmv(retarget(f.bwd, up, T),
-                                                 f.plan, a),
+    const FusedApplySpmv fs = build_fused_apply_spmv(f, fresh_bwd, a);
+    CHECK_MSG(fused_equal(build_fused_apply_spmv(f, retarget(f.bwd, up, T), a),
                           fs),
               "%s fused retarget(%d)", name, T);
     const verify::VerifyReport rep = verify::verify_tail(
@@ -151,9 +164,8 @@ void check_runtime_retarget(const char* name, const CsrMatrix& a,
   ilu_apply_serial(f, r, z_ref, ws_ref);
 
   const FusedApplySpmv fs = build_fused_apply_spmv(f, a);
-  const RowPartition part = RowPartition::build(a, 1);
   std::vector<value_t> t_ref(r.size());
-  spmv(a, part, z_ref, t_ref);
+  spmv_serial(a, z_ref, t_ref);
 
   for (int team : {1, 2, 3}) {
     ThreadCountGuard guard(team);
@@ -163,27 +175,139 @@ void check_runtime_retarget(const char* name, const CsrMatrix& a,
     CHECK_MSG(bitwise_equal(z, z_ref), "%s apply at runtime team %d", name,
               team);
     // The mismatch re-planned instead of walking the serial order: the
-    // workspace cache targets exactly the runtime team. A team of one left
-    // it empty.
-    const int cached = team > 1 ? team : 0;
-    CHECK_MSG(ws.sched.threads == cached, "%s cache team %d != %d", name,
-              ws.sched.threads, cached);
+    // workspace's cached schedules target exactly the runtime team. A team
+    // of one left the cache empty.
     if (team > 1) {
       CHECK_MSG(ws.sched.fwd.threads == team && ws.sched.bwd.threads == team,
                 "%s cached schedules target %d/%d, want %d", name,
                 ws.sched.fwd.threads, ws.sched.bwd.threads, team);
+    } else {
+      CHECK_MSG(cache_empty(ws.sched), "%s team 1 filled the cache", name);
     }
 
-    // Fused pass under the shrunk team: bitwise against the references and
-    // retargeted chunk structure for team > 1.
+    // Fused pass under the shrunk team. Above one it runs the backward
+    // schedule retargeted through the workspace, so the companion of the
+    // plan's schedule is refused, and one built for the runtime schedule
+    // runs bitwise against the references. A team of one reads no chunk.
     std::vector<value_t> zf(r.size()), tf(r.size());
     SolveWorkspace wsf;
-    ilu_apply_spmv(f, a, fs, r, zf, tf, wsf);
+    if (team > 1) {
+      bool threw = false;
+      try {
+        ilu_apply_spmv(f, a, fs, r, zf, tf, wsf);
+      } catch (const Error&) {
+        threw = true;
+      }
+      CHECK_MSG(threw, "%s plan companion accepted at team %d", name, team);
+    }
+    const FusedApplySpmv fsr =
+        build_fused_apply_spmv(f, runtime_bwd(f, wsf.sched), a);
+    CHECK_MSG(fsr.threads == team, "%s runtime companion team %d != %d", name,
+              fsr.threads, team);
+    ilu_apply_spmv(f, a, fsr, r, zf, tf, wsf);
     CHECK_MSG(bitwise_equal(zf, z_ref), "%s fused z at team %d", name, team);
     CHECK_MSG(bitwise_equal(tf, t_ref), "%s fused t at team %d", name, team);
-    if (team > 1) {
-      CHECK_MSG(wsf.sched.fused && wsf.sched.fused->threads == team,
-                "%s fused chunks retargeted to %d", name, team);
+  }
+}
+
+/// FusedIluOperator owns its companion: under a plan of 4 it follows the
+/// runtime team down and back up, under both backends, rebuilding the
+/// companion for each re-planned backward schedule, and matches the serial
+/// pair bitwise at every team.
+void check_operator_teams(const char* name, const CsrMatrix& a) {
+  const auto r = random_vector(a.rows(), 0x0FE);
+  const std::size_t un = static_cast<std::size_t>(a.rows());
+  for (const ExecBackend backend : {ExecBackend::kP2P, ExecBackend::kBarrier}) {
+    ThreadCountGuard plan_guard(4);
+    IluOptions opts;
+    opts.num_threads = 4;
+    opts.exec_backend = backend;
+    opts.retarget_oversubscribed = false;
+    const FusedIluOperator op(a, opts);
+    std::vector<value_t> z_ref(un), t_ref(un);
+    SolveWorkspace ws_ref;
+    ilu_apply_serial(op.factorization(), r, z_ref, ws_ref);
+    spmv_serial(a, z_ref, t_ref);
+    for (const int team : {1, 2, 3, 4, 2}) {
+      ThreadCountGuard guard(team);
+      std::vector<value_t> z(un), t(un);
+      op.apply_spmv(r, z, t);
+      CHECK_MSG(bitwise_equal(z, z_ref) && bitwise_equal(t, t_ref),
+                "%s operator under %s at team %d", name,
+                exec_backend_name(backend), team);
+    }
+  }
+}
+
+/// The numeric phase takes its team from runtime_team like every sweep: a
+/// refactor at a team below the plan fills f.numeric_cache's forward slot at
+/// that team, builds no backward schedule, and reproduces the planned-team
+/// factor bitwise.
+void check_numeric_retarget(const char* name, const CsrMatrix& a,
+                            ExecBackend backend) {
+  IluOptions opts;
+  opts.num_threads = 4;
+  opts.exec_backend = backend;
+  opts.retarget_oversubscribed = false;
+  Factorization f = [&] {
+    ThreadCountGuard guard(4);
+    return ilu_factor(a, opts);
+  }();
+  CHECK_MSG(cache_empty(f.numeric_cache),
+            "%s planned-team factor filled the numeric cache", name);
+  const std::vector<value_t> ref(f.lu.values().begin(), f.lu.values().end());
+  for (const int team : {1, 2, 3}) {
+    ThreadCountGuard guard(team);
+    ilu_refactor(f, a);
+    CHECK_MSG(!f.numeric_cache.fwd.level_ptr.empty() &&
+                  f.numeric_cache.fwd.threads == team,
+              "%s numeric cache holds team %d at team %d", name,
+              f.numeric_cache.fwd.threads, team);
+    CHECK_MSG(f.numeric_cache.bwd.level_ptr.empty(),
+              "%s numeric phase built a backward schedule", name);
+    CHECK_MSG(bitwise_equal(f.lu.values(), ref),
+              "%s %s refactor at team %d", name, exec_backend_name(backend),
+              team);
+  }
+}
+
+/// One workspace applying two factors of different size at the same
+/// retargeted team: each cache slot re-plans for the factor it sweeps, in
+/// either order, so every apply matches its serial reference. A slot kept
+/// on the team alone would sweep the first factor's schedules, past the
+/// rows of a smaller second factor.
+void check_workspace_reuse() {
+  const CsrMatrix small = gen::laplacian2d(30, 30, 5);
+  const CsrMatrix large = gen::laplacian2d(40, 40, 5);
+  IluOptions opts;
+  opts.num_threads = 4;
+  opts.retarget_oversubscribed = false;
+  Factorization fs, fl;
+  {
+    ThreadCountGuard guard(4);
+    fs = ilu_factor(small, opts);
+    fl = ilu_factor(large, opts);
+  }
+  ThreadCountGuard guard(2);
+  for (const bool small_first : {true, false}) {
+    SolveWorkspace ws;
+    for (const Factorization* f :
+         {small_first ? &fs : &fl, small_first ? &fl : &fs}) {
+      const auto r = random_vector(f->n(), 0x2E5);
+      std::vector<value_t> z(r.size()), z_ref(r.size());
+      SolveWorkspace ws_ref;
+      ilu_apply(*f, r, z, ws);
+      ilu_apply_serial(*f, r, z_ref, ws_ref);
+      CHECK_MSG(bitwise_equal(z, z_ref), "%s first: apply of n = %lld",
+                small_first ? "small" : "large",
+                static_cast<long long>(f->n()));
+      CHECK_MSG(ws.sched.fwd.n_total == f->n() &&
+                    ws.sched.bwd.n_total == f->n(),
+                "%s first: cache holds n = %lld/%lld for n = %lld",
+                small_first ? "small" : "large",
+                static_cast<long long>(ws.sched.fwd.n_total),
+                static_cast<long long>(ws.sched.bwd.n_total),
+                static_cast<long long>(f->n()));
     }
   }
 }
@@ -206,12 +330,13 @@ void check_oversubscription_policy(const CsrMatrix& a) {
   ilu_apply_serial(f, r, z_ref, ws_ref);
   CHECK(bitwise_equal(z, z_ref));
   if (expected == 4 || expected == 1) {
-    CHECK_MSG(ws.sched.threads == 0,
+    CHECK_MSG(cache_empty(ws.sched),
               "a matched team or a team of one must not fill the cache");
   } else {
-    CHECK_MSG(ws.sched.threads == expected,
-              "oversubscribed plan retargets to %d, cache says %d", expected,
-              ws.sched.threads);
+    CHECK_MSG(ws.sched.fwd.threads == expected &&
+                  ws.sched.bwd.threads == expected,
+              "oversubscribed plan retargets to %d, cache says %d/%d",
+              expected, ws.sched.fwd.threads, ws.sched.bwd.threads);
   }
 }
 
@@ -227,7 +352,7 @@ void check_backend_parity(const char* name, const CsrMatrix& a, int threads) {
   FusedIluOperator p2p(a, opts);
   opts.exec_backend = ExecBackend::kBarrier;
   FusedIluOperator ls(a, opts);
-  CHECK(ls.factorization().fwd.backend == ExecBackend::kBarrier);
+  CHECK(ls.factorization().opts.exec_backend == ExecBackend::kBarrier);
 
   const auto r = random_vector(a.rows(), 0xC5A);
   const std::size_t un = static_cast<std::size_t>(a.rows());
@@ -346,14 +471,17 @@ void check_executor_slices(const char* name, const CsrMatrix& a) {
                     static_cast<long long>(base.chunk_rows));
         }
       }
-      for (const char* mode : {"p2p", "barrier"}) {
-        ExecSchedule s = base;
-        if (mode[0] == 'b') s.backend = ExecBackend::kBarrier;
+      for (const ExecBackend backend :
+           {ExecBackend::kP2P, ExecBackend::kBarrier}) {
+        const ExecSchedule& s = base;
+        const char* mode = exec_backend_name(backend);
         std::vector<index_t> ran(static_cast<std::size_t>(s.n_total),
                                  kInvalidIndex);
-        const ExecStatus st = exec_run(s, [&](index_t row, int t) {
-          ran[static_cast<std::size_t>(row)] = t;
-        });
+        ProgressCounters progress;
+        const ExecStatus st = exec_run(
+            s, backend,
+            [&](index_t row, int t) { ran[static_cast<std::size_t>(row)] = t; },
+            progress);
         CHECK(st.ok());
         // A wait-free tail of two chunks per thread: every chunk runs once,
         // on its own thread, in both branches.
@@ -365,9 +493,9 @@ void check_executor_slices(const char* name, const CsrMatrix& a) {
                                             0);
         std::vector<int> chunk_ran(static_cast<std::size_t>(2 * T), -1);
         std::vector<int> chunk_runs(static_cast<std::size_t>(2 * T), 0);
-        ProgressCounters progress;
         const ExecStatus tst = exec_run(
-            s, [](index_t, int) {}, ExecTail{tail_ptr, no_waits, {}, {}},
+            s, backend, [](index_t, int) {},
+            ExecTail{tail_ptr, no_waits, {}, {}},
             [&](index_t c, int t) {
               chunk_ran[static_cast<std::size_t>(c)] = t;
               ++chunk_runs[static_cast<std::size_t>(c)];
@@ -416,9 +544,8 @@ void check_tiny_barrier_sweeps() {
     const CsrMatrix m(n, n, std::move(rp), std::move(ci), std::move(vv));
     const DepsFn deps = lower_triangular_deps(m);
     const LevelSets ls = compute_level_sets_lower(m);
-    const ExecSchedule s =
-        build_exec_schedule(ExecBackend::kBarrier, n, ls.level_ptr,
-                            ls.rows_by_level, deps, T, /*chunk_rows=*/1);
+    const ExecSchedule s = build_exec_schedule(
+        n, ls.level_ptr, ls.rows_by_level, deps, T, /*chunk_rows=*/1);
     const verify::VerifyReport rep = verify::verify_schedule(s, deps);
     CHECK_MSG(rep.ok(), "n=%d: %s", static_cast<int>(n),
               rep.summary().c_str());
@@ -451,9 +578,9 @@ void check_tiny_barrier_sweeps() {
       ProgressCounters progress;
       obs::ExecObs eo;
       const ExecStatus st =
-          instrumented
-              ? exec_run_obs(s, row, progress, eo, obs::Region::kForward)
-              : exec_run(s, row, progress);
+          instrumented ? exec_run_obs(s, ExecBackend::kBarrier, row, progress,
+                                      eo, obs::Region::kForward)
+                       : exec_run(s, ExecBackend::kBarrier, row, progress);
       CHECK(st.ok());
       bool same = bitwise_equal(x, ref);
       for (std::size_t r = 0; r < un; ++r) {
@@ -575,6 +702,12 @@ int main() {
 
   check_oversubscription_policy(grid);
 
+  check_operator_teams("grid", grid);
+  check_operator_teams("circuit-unsym", circ);
+  check_numeric_retarget("grid", grid, ExecBackend::kP2P);
+  check_numeric_retarget("circuit-unsym-ls", circ, ExecBackend::kBarrier);
+  check_workspace_reuse();
+
   gen::SuiteOptions small;
   small.scale = 0.02;
   {
@@ -625,12 +758,13 @@ int main() {
     check_backend_parity("fem", fem, threads);
   }
 
-  // In-place backend flip: one factor, both backends, one workspace. At
-  // the plan's team the factor's own schedules run; with OpenMP at 2 below
-  // the plan's 4 the sweeps run the workspace's retargeted copies, which
-  // must follow the flip (ensure_cache keys on the backend).
-  for (const int omp : {4, 2}) {
-    ThreadCountGuard guard(omp);
+  // Backend flip: one factor, both backends, one workspace. With OpenMP at
+  // 2 below the plan's 4 the sweeps run the workspace's retargeted
+  // schedules. The backend is the option every region reads, not part of a
+  // schedule, so the flip keeps those schedules (the same row arrays) and
+  // z is bitwise unchanged.
+  {
+    ThreadCountGuard guard(2);
     IluOptions opts;
     opts.num_threads = 4;
     opts.retarget_oversubscribed = false;
@@ -639,17 +773,17 @@ int main() {
     std::vector<value_t> z1(r.size()), z2(r.size());
     SolveWorkspace ws;
     ilu_apply(f, r, z1, ws);
-    set_exec_backend(f, ExecBackend::kBarrier);
-    CHECK(f.fwd.backend == ExecBackend::kBarrier);
-    CHECK(f.bwd.backend == ExecBackend::kBarrier);
+    CHECK_MSG(ws.sched.fwd.threads == 2 && ws.sched.bwd.threads == 2,
+              "cache holds team %d/%d at omp=2", ws.sched.fwd.threads,
+              ws.sched.bwd.threads);
+    const index_t* fwd_rows = ws.sched.fwd.rows.data();
+    const index_t* bwd_rows = ws.sched.bwd.rows.data();
+    f.opts.exec_backend = ExecBackend::kBarrier;
     ilu_apply(f, r, z2, ws);
-    CHECK_MSG(bitwise_equal(z1, z2), "backend flip at omp=%d", omp);
-    if (omp < 4) {
-      CHECK_MSG(ws.sched.threads == runtime_team(f),
-                "cache holds team %d at omp=%d", ws.sched.threads, omp);
-      CHECK(ws.sched.fwd.backend == ExecBackend::kBarrier);
-      CHECK(ws.sched.bwd.backend == ExecBackend::kBarrier);
-    }
+    CHECK_MSG(bitwise_equal(z1, z2), "backend flip below the plan");
+    CHECK_MSG(ws.sched.fwd.rows.data() == fwd_rows &&
+                  ws.sched.bwd.rows.data() == bwd_rows,
+              "backend flip rebuilt the retargeted schedules");
   }
 
   return javelin::test::finish("test_exec");

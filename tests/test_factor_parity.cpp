@@ -143,6 +143,8 @@ int main() {
           opts.num_threads = threads;
           opts.exec_backend = backend;
           opts.fill_level = fill;
+          // The numeric phase at the planned team, also above the cores.
+          opts.retarget_oversubscribed = false;
           check_parity(c.name, *c.a, opts);
 
           // Modified ILU folds each row's compensation into its own pivot,
@@ -181,6 +183,7 @@ int main() {
     const CsrMatrix holed = drop_diagonal(grid, 250);
     IluOptions opts;
     opts.num_threads = 4;
+    opts.retarget_oversubscribed = false;
     check_parity("grid-nodiag", holed, opts);
     CHECK(ilu_prepare(holed, opts).symbolic.added_diagonals == 1);
     const Factorization f = ilu_prepare(grid, opts);
@@ -192,6 +195,7 @@ int main() {
   // survive it.
   IluOptions drop;
   drop.num_threads = 4;
+  drop.retarget_oversubscribed = false;
   drop.drop_tolerance = 1e-3;
   check_parity("grid-drop", grid, drop);
   check_parity("chain-drop", chain, drop);

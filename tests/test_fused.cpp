@@ -214,7 +214,7 @@ int main() {
     Factorization f = ilu_factor(grid, opts);
     const FusedApplySpmv fs = build_fused_apply_spmv(f, grid);
     CHECK(f.bwd.chunk_rows != 64);
-    f.bwd = build_exec_schedule(f.bwd.backend, f.bwd.n_total, f.bwd.level_ptr,
+    f.bwd = build_exec_schedule(f.bwd.n_total, f.bwd.level_ptr,
                                 f.bwd.serial_order,
                                 upper_triangular_deps(f.lu), f.bwd.threads, 64);
     const auto r = random_vector(grid.rows(), 0xF00D);

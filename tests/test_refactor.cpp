@@ -73,6 +73,8 @@ int main() {
       IluOptions opts;
       opts.num_threads = threads;
       opts.fill_level = fill;
+      // The numeric phase at the planned team, also above the cores.
+      opts.retarget_oversubscribed = false;
       check_refactor("grid", grid, opts);
       check_refactor("fem", fem, opts);
       check_refactor("circuit", circ, opts);

@@ -1,7 +1,8 @@
 // Breakdown-safety properties: cooperative abort of the exec backends under
 // fault injection (bounded termination, structured status, no throw from
 // inside a parallel region — for middle and last-level rows alike, with a
-// non-vetoing hook seeing each row once per region), the shifted-ILU retry
+// non-vetoing hook seeing each row once per region, and with every row
+// failing, the row the status names), the shifted-ILU retry
 // ladder and preconditioner fallback chain of RobustSolver, the Krylov
 // breakdown/non-finite/stagnation guards, and WorkspacePool lease
 // exception-safety when an abort unwinds through the batched apply path.
@@ -70,6 +71,34 @@ void check_factor_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
     const FactorStatus ok = ilu_refactor_status(f, a);
     CHECK_MSG(ok.ok(), "refactor after abort failed (%s, t=%d)",
               backend_name(backend), threads);
+  }
+}
+
+/// Every factor row vetoed: which failing row the status names. At a team
+/// of one it is the first row in serial order. At a larger team it is
+/// whichever failing row won the abort, and that always lies in f.fwd's
+/// first level: every thread stops at the first row it runs, and a thread
+/// whose first item lies in a later level first waits on another thread,
+/// which never publishes (P2P), or on a level barrier that never completes
+/// (kBarrier).
+void check_all_rows_vetoed(const char* name, const CsrMatrix& a) {
+  for (ExecBackend backend : {ExecBackend::kP2P, ExecBackend::kBarrier}) {
+    for (int threads : {1, 2, 4}) {
+      ThreadCountGuard guard(threads);
+      IluOptions opts = pinned_opts(backend, threads);
+      opts.fault_hook = [](FaultSite, index_t) { return false; };
+      Factorization f = ilu_prepare(a, opts);
+      const auto first = f.fwd.serial_order.begin();
+      const auto first_end = first + f.fwd.level_ptr[1];
+      for (int rep = 0; rep < 20; ++rep) {
+        const FactorStatus st = ilu_refactor_status(f, a);
+        const bool in_first = std::find(first, first_end, st.row) != first_end;
+        CHECK_MSG(!st.ok() && (threads == 1 ? st.row == *first : in_first),
+                  "%s all rows vetoed: row %lld (%s, t=%d)", name,
+                  static_cast<long long>(st.row), backend_name(backend),
+                  threads);
+      }
+    }
   }
 }
 
@@ -487,6 +516,15 @@ int main() {
       check_hook_counts(grid, backend, threads);
       check_hook_counts(fem, backend, threads);
     }
+  }
+
+  check_all_rows_vetoed("grid", grid);
+  {
+    gen::SuiteOptions small;
+    small.scale = 0.02;
+    check_all_rows_vetoed(
+        "TSOPF_RS_b300_c2",
+        gen::make_suite_matrix("TSOPF_RS_b300_c2", small).matrix);
   }
 
   for (const index_t k : {index_t{3}, index_t{4}}) check_lease_safety(grid, k);

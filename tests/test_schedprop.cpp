@@ -114,8 +114,8 @@ std::string run_trial(const Trial& tr) {
   const DepsFn deps = lower_triangular_deps(m);
   const LevelSets ls = compute_level_sets_lower(m);
   const ExecSchedule s =
-      build_exec_schedule(tr.backend, tr.n, ls.level_ptr, ls.rows_by_level,
-                          deps, tr.threads, tr.chunk);
+      build_exec_schedule(tr.n, ls.level_ptr, ls.rows_by_level, deps,
+                          tr.threads, tr.chunk);
 
   const verify::VerifyReport rep = verify::verify_schedule(s, deps);
   if (!rep.ok()) {
@@ -131,7 +131,9 @@ std::string run_trial(const Trial& tr) {
   std::vector<value_t> x(uz(tr.n), nan);
   {
     ThreadCountGuard guard(tr.threads);
-    exec_run(s, [&](index_t r, int) { eval_row(m, x, r); });
+    ProgressCounters progress;
+    exec_run(s, tr.backend, [&](index_t r, int) { eval_row(m, x, r); },
+             progress);
   }
   if (!javelin::test::bitwise_equal(x, ref)) {
     return "scheduled execution diverged from the serial reference";
@@ -150,7 +152,9 @@ std::string run_trial(const Trial& tr) {
     if (mrep.ok()) {
       std::vector<value_t> y(uz(tr.n), nan);
       ThreadCountGuard guard(tr.threads);
-      exec_run(mut, [&](index_t r, int) { eval_row(m, y, r); });
+      ProgressCounters progress;
+      exec_run(mut, tr.backend, [&](index_t r, int) { eval_row(m, y, r); },
+               progress);
       if (!javelin::test::bitwise_equal(y, ref)) {
         return std::string("verifier cleared a mutant (") +
                verify::mutation_name(kind) +

@@ -1,6 +1,9 @@
 // The partitioned and panel SpMV against the serial reference, the
-// nnz-balanced RowPartition invariants, short spans rejected by the serial
-// SpMV and the vector helpers, and the Matrix-Market reader's validation.
+// nnz-balanced RowPartition invariants, the vector helpers against plain
+// loops at and past their inline length, short spans rejected by the
+// serial SpMV and the vector helpers, and the Matrix-Market reader's
+// validation.
+#include <algorithm>
 #include <sstream>
 
 #include "javelin/gen/generators.hpp"
@@ -11,6 +14,7 @@
 #include "test_util.hpp"
 
 using namespace javelin;
+using javelin::test::bitwise_equal;
 using javelin::test::random_vector;
 
 namespace {
@@ -132,6 +136,51 @@ void check_short_spans(const CsrMatrix& a) {
   CHECK(dot(xs, ys) == static_cast<value_t>(n));
 }
 
+/// At dot's block length (4096, the longest vector the helpers run inline)
+/// and one past it, at teams 1 and 4, dot, axpy, xpby and scale equal plain
+/// loops bitwise. dot's loop is its fixed blocking: each 4096-element block
+/// summed in index order, then the block sums in block order.
+void check_vector_ops() {
+  constexpr std::size_t kBlock = 4096;
+  for (const std::size_t n : {kBlock, kBlock + 1}) {
+    const auto x = random_vector(static_cast<index_t>(n), 0xD07);
+    const auto y = random_vector(static_cast<index_t>(n), 0xA11);
+    value_t dot_ref = 0;
+    for (std::size_t lo = 0; lo < n; lo += kBlock) {
+      value_t s = 0;
+      for (std::size_t i = lo; i < std::min(lo + kBlock, n); ++i) {
+        const volatile value_t p = x[i] * y[i];
+        s += p;
+      }
+      dot_ref += s;
+    }
+    // The products go through a volatile so this file's loops round them
+    // as the library does (it builds with -ffp-contract=off; a fused
+    // multiply-add would differ in the last bit).
+    std::vector<value_t> axpy_ref = y, xpby_ref = y, scale_ref = y;
+    for (std::size_t i = 0; i < n; ++i) {
+      volatile value_t p = 0.75 * x[i];
+      axpy_ref[i] += p;
+      p = -1.25 * xpby_ref[i];
+      xpby_ref[i] = x[i] + p;
+      scale_ref[i] *= 1.5;
+    }
+    for (const int team : {1, 4}) {
+      ThreadCountGuard guard(team);
+      std::vector<value_t> ya = y, yx = y, ys = y;
+      axpy(0.75, x, ya);
+      xpby(x, -1.25, yx);
+      scale(1.5, ys);
+      const value_t d = dot(x, y);
+      CHECK_MSG(bitwise_equal({&d, 1}, {&dot_ref, 1}), "dot n=%zu team %d", n,
+                team);
+      CHECK_MSG(bitwise_equal(ya, axpy_ref), "axpy n=%zu team %d", n, team);
+      CHECK_MSG(bitwise_equal(yx, xpby_ref), "xpby n=%zu team %d", n, team);
+      CHECK_MSG(bitwise_equal(ys, scale_ref), "scale n=%zu team %d", n, team);
+    }
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -148,6 +197,7 @@ int main() {
   }
 
   check_short_spans(grid);
+  check_vector_ops();
 
   // Degenerate shapes.
   check_partition(CsrMatrix::zeros(10, 10), 4);

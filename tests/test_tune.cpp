@@ -51,7 +51,9 @@ void check_policy_parity(const char* name, const char* what,
   ilu_apply(f, r, z, ws);
   CHECK_MSG(bitwise_equal(z, z_ref), "%s %s plain apply", name, what);
 
-  const FusedApplySpmv fs = build_fused_apply_spmv(f, a);
+  // The companion of the backward schedule the pinned team runs.
+  const FusedApplySpmv fs =
+      build_fused_apply_spmv(f, runtime_bwd(f, ws.sched), a);
   std::vector<value_t> z_f(un), t_f(un), t_u(un);
   ilu_apply_spmv(f, a, fs, r, z_f, t_f, ws);
   CHECK_MSG(bitwise_equal(z_f, z_ref), "%s %s fused z", name, what);
@@ -122,9 +124,10 @@ void check_deterministic_tuner(const char* name, const CsrMatrix& a) {
 }
 
 /// A rigged cost model must be obeyed verbatim — this is how tests and
-/// bench --verify pin an exact policy. The pinned backend and granule must
-/// also reach the schedules a smaller runtime team retargets to: the
-/// workspace cache keys on team, backend and granule.
+/// bench --verify pin an exact policy. The pinned granule must also reach
+/// the schedules a smaller runtime team retargets to (the workspace cache
+/// keys on team and granule), and the pinned backend is the option every
+/// region reads.
 void check_forced_winner(const char* name, const CsrMatrix& a) {
   ThreadCountGuard guard(4);
   IluOptions opts;
@@ -144,8 +147,7 @@ void check_forced_winner(const char* name, const CsrMatrix& a) {
   const tune::TuneReport rep = tune::autotune(f, topt);
   CHECK_MSG(rep.chosen.name() == "barrier/t4/c16", "%s chose %s", name,
             rep.chosen.name().c_str());
-  CHECK(f.fwd.backend == ExecBackend::kBarrier);
-  CHECK(f.bwd.backend == ExecBackend::kBarrier);
+  CHECK(f.opts.exec_backend == ExecBackend::kBarrier);
   CHECK(f.fwd.chunk_rows == 16 && f.bwd.chunk_rows == 16);
   CHECK(f.opts.tuned_threads == 4);
   check_policy_parity(name, "forced-barrier", f, a);
@@ -156,10 +158,11 @@ void check_forced_winner(const char* name, const CsrMatrix& a) {
   std::vector<value_t> z(r.size());
   SolveWorkspace ws;
   ilu_apply(f, r, z, ws);
-  CHECK_MSG(ws.sched.threads == runtime_team(f) && ws.sched.threads < 4,
-            "%s cache holds team %d", name, ws.sched.threads);
-  CHECK(ws.sched.fwd.backend == ExecBackend::kBarrier);
-  CHECK(ws.sched.bwd.backend == ExecBackend::kBarrier);
+  CHECK_MSG(ws.sched.fwd.threads == runtime_team(f) &&
+                ws.sched.bwd.threads == runtime_team(f) &&
+                ws.sched.fwd.threads < 4,
+            "%s cache holds team %d/%d", name, ws.sched.fwd.threads,
+            ws.sched.bwd.threads);
   CHECK(ws.sched.fwd.chunk_rows == 16 && ws.sched.bwd.chunk_rows == 16);
   CHECK_MSG(bitwise_equal(z, serial_apply(f, r)), "%s retargeted apply",
             name);

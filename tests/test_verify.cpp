@@ -1,10 +1,10 @@
 // Tests of the static schedule verifier (verify/):
 //
 //   * the verifier is CLEAN on every suite + degenerate matrix, forward and
-//     backward schedules, under both backend tags, and on retargeted
-//     schedules for every T in {1..16} (verify_retarget also proves the
-//     retarget bitwise-equivalent to a fresh build) — far beyond the thread
-//     counts bitwise-parity tests can afford to execute;
+//     backward schedules, and on retargeted schedules for every T in
+//     {1..16} (verify_retarget also proves the retarget bitwise-equivalent
+//     to a fresh build) — far beyond the thread counts bitwise-parity tests
+//     can afford to execute;
 //   * coverage accounting is exact: waits_total == deps_kept, the
 //     direct/transitive split sums to deps_total, nothing uncovered;
 //   * the mutation self-test: every seeded single-defect mutation
@@ -19,14 +19,15 @@
 //     load-bearing chunk wait is reported with the A row and the backward
 //     row it reads;
 //   * the wired assertion layers (IluOptions::verify_schedules) pass
-//     through ilu_prepare / solve-time retarget / refactor-time retarget
-//     without throwing.
+//     through ilu_prepare / solve-time retarget / the operator's companion
+//     rebuild / refactor-time retarget without throwing.
 #include <string>
 #include <vector>
 
 #include "javelin/gen/generators.hpp"
 #include "javelin/ilu/fused.hpp"
 #include "javelin/ilu/solve.hpp"
+#include "javelin/solver/krylov.hpp"
 #include "javelin/support/parallel.hpp"
 #include "javelin/verify/mutate.hpp"
 #include "javelin/verify/verify.hpp"
@@ -95,15 +96,6 @@ void check_matrix_clean(const std::string& name) {
   CHECK_MSG(fwd_rep.stats.deps_uncovered == 0, "%s fwd uncovered",
             name.c_str());
 
-  // The analysis is backend-complete (level AND wait phases always run),
-  // so flipping the tag — what set_exec_backend does in place — must not
-  // change the verdict.
-  ExecSchedule flipped = f.fwd;
-  flipped.backend = ExecBackend::kBarrier;
-  const VerifyReport flip_rep = verify::verify_schedule(flipped, low);
-  CHECK_MSG(flip_rep.ok(), "%s fwd barrier tag: %s", name.c_str(),
-            flip_rep.summary().c_str());
-
   for (int T = 1; T <= 16; ++T) {
     const VerifyReport rf = verify::verify_retarget(f.fwd, low, T);
     const VerifyReport rb = verify::verify_retarget(f.bwd, up, T);
@@ -126,7 +118,7 @@ void check_tail_clean(const std::string& name) {
     opts.retarget_oversubscribed = false;
     opts.verify_schedules = false;  // this test drives the verifier itself
     const Factorization f = ilu_prepare(e.matrix, opts);
-    const FusedApplySpmv fs = build_fused_apply_spmv(f.bwd, f.plan, e.matrix);
+    const FusedApplySpmv fs = build_fused_apply_spmv(f, e.matrix);
     const VerifyReport rep = verify::verify_tail(
         f.bwd, upper_triangular_deps(f.lu), fs.tail(),
         fused_tail_deps(fs, f.plan, e.matrix));
@@ -155,7 +147,7 @@ void check_tail_mutations(const std::string& name, int T) {
   opts.verify_schedules = false;
   const Factorization f = ilu_prepare(e.matrix, opts);
   const CsrMatrix& a = e.matrix;
-  const FusedApplySpmv fs = build_fused_apply_spmv(f.bwd, f.plan, a);
+  const FusedApplySpmv fs = build_fused_apply_spmv(f, a);
   const DepsFn up = upper_triangular_deps(f.lu);
   std::vector<index_t> owner, item_of;
   f.bwd.producer_positions(owner, item_of);
@@ -345,15 +337,15 @@ void check_wired_layers() {
   const auto r = javelin::test::random_vector(f.n(), 0xC0FFEE);
   std::vector<value_t> z(r.size()), t(r.size());
   // The fused companion's tail is verified at build ...
-  const FusedApplySpmv fs = build_fused_apply_spmv(f, e.matrix);
+  FusedIluOperator op(e.matrix, Factorization(f));
   {
     // Team below the plan: runtime_fwd/bwd retarget through ensure_cache,
     // which re-verifies under verify_schedules.
     ThreadCountGuard guard(2);
     SolveWorkspace ws;
     ilu_apply(f, r, z, ws);
-    // ... and again when the fused pass rebuilds it for the runtime team.
-    ilu_apply_spmv(f, e.matrix, fs, r, z, t, ws);
+    // ... and again when the operator rebuilds it for the runtime team.
+    op.apply_spmv(r, z, t);
     // Numeric-phase retarget cache, also wired.
     ilu_refactor(f, e.matrix);
   }

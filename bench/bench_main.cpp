@@ -8,8 +8,8 @@
 // ride along in the JSON.
 //
 // The sweep pins retarget_oversubscribed = false: each thread-count row must
-// measure the PLANNED team, not whatever the autotune clamp would re-plan it
-// to on a smaller machine (otherwise every t > cores row measures the same
+// measure the PLANNED team, not whatever the core clamp would re-plan it to
+// on a smaller machine (otherwise every t > cores row measures the same
 // retargeted schedule).
 //
 //   javelin_bench [--scale S] [--threads 1,2,4] [--repeats N] [--fill K]
@@ -68,7 +68,6 @@
 #include "javelin/sparse/spmv.hpp"
 #include "javelin/support/parallel.hpp"
 #include "javelin/support/timer.hpp"
-#include "javelin/tune/tune.hpp"
 #include "javelin/verify/verify.hpp"
 
 using namespace javelin;
@@ -327,34 +326,6 @@ struct StallProfile {
   RegionProfile ls_fwd, ls_bwd;
 };
 
-/// Factor-time autotuner decision on one matrix (the `autotune` block,
-/// schema v7, + the console `auto` row): the wall-clock grid of uniform
-/// candidates, the pinned winner re-measured on the real solve path, and the
-/// bitwise parity of the tuned sweep against the serial reference.
-struct AutotuneBlock {
-  bool present = false;
-  /// --verify runs: candidates ranked by the deterministic cost model (the
-  /// grid's `seconds` are dimensionless scores and ratio_vs_best_fixed is
-  /// withheld), so the decision replays bit-for-bit.
-  bool deterministic = false;
-  int threads = 0;  ///< widest sweep team — the grid's cap and OMP setting
-  std::string chosen;
-  int chosen_threads = 0;
-  index_t chosen_chunk_rows = 0;
-  double auto_solve_s = 0;   ///< pinned winner, re-measured (min of reps)
-  double serial_s = 0;       ///< the grid's serial candidate
-  std::string best_fixed;    ///< cheapest grid candidate (incl. serial)
-  double best_fixed_s = 0;
-  double ratio_vs_serial = -1;      ///< auto_solve_s / serial_s
-  double ratio_vs_best_fixed = -1;  ///< auto_solve_s / best_fixed_s
-  bool parity = true;  ///< tuned ilu_apply bitwise == serial reference
-  struct Candidate {
-    std::string name;
-    double seconds = 0;
-  };
-  std::vector<Candidate> candidates;  ///< grid in evaluation order
-};
-
 struct MatrixReport {
   std::string name;
   index_t n = 0;
@@ -403,7 +374,6 @@ struct MatrixReport {
   std::vector<ThreadTimings> timings;
   std::vector<ThroughputRow> throughput;
   StallProfile stall;  ///< instrumented pass at the last thread count
-  AutotuneBlock autotune;  ///< tuner decision at the widest thread count
 };
 
 double peak_rss_mb_now() {
@@ -494,80 +464,6 @@ void collect_stall_profile(MatrixReport& rep, const Factorization& f,
     }
     obs::TraceSession::instance().disable();
   }
-}
-
-/// Factor-time autotuning at the widest sweep team: fresh factor, wall-clock
-/// grid over backend × team × blocking granule (the serial candidate is the
-/// grid's anchor), winner pinned into the factor and
-/// re-measured on the real solve path. The tuned sweep is bitwise-checked
-/// against the serial reference — `autotune_parity` joins the exit gate, so
-/// a policy that changed results fails the run like any other parity break.
-void run_autotune(MatrixReport& rep, const CsrMatrix& a,
-                  const BenchConfig& cfg) {
-  const int t_max =
-      *std::max_element(cfg.threads.begin(), cfg.threads.end());
-  ThreadCountGuard guard(t_max);
-  IluOptions opts;
-  opts.num_threads = t_max;
-  opts.fill_level = cfg.fill;
-  opts.retarget_oversubscribed = false;
-  // --verify switches the tuner to deterministic-policy mode: the injected
-  // cost model ranks candidates from the schedule shape alone (no clocks),
-  // so the decision — and therefore the whole JSON — is reproducible, and
-  // every candidate's schedules pass the static verifier as they are tried.
-  opts.verify_schedules = cfg.verify;
-  Factorization f = ilu_factor(a, opts);
-
-  tune::TuneOptions topt;
-  topt.reps = cfg.reps;
-  topt.max_threads = t_max;
-  topt.chunk_candidates = {16, 64};
-  if (cfg.verify) topt.cost_model = tune::deterministic_cost_model();
-  const tune::TuneReport tr = tune::autotune(f, topt);
-
-  AutotuneBlock& ab = rep.autotune;
-  ab.present = true;
-  ab.deterministic = cfg.verify;
-  ab.threads = t_max;
-  ab.chosen = tr.chosen.name();
-  ab.chosen_threads = tr.chosen.threads;
-  ab.chosen_chunk_rows = tr.chosen.chunk_rows;
-  ab.serial_s = tr.serial_seconds;
-  // Every candidate is a fixed uniform policy, so the best fixed one is the
-  // grid's argmin — the tuner's own pick, at its grid score.
-  ab.best_fixed = ab.chosen;
-  ab.best_fixed_s = tr.chosen_seconds;
-  for (const tune::TuneMeasurement& m : tr.measured) {
-    ab.candidates.push_back({m.cand.name(), m.seconds});
-  }
-
-  const auto r = random_vector(a.rows(), 0xA07);
-  std::vector<value_t> z(r.size()), z_ref(r.size());
-  SolveWorkspace ws;
-  ilu_apply(f, r, z, ws);  // warm the tuned policy's caches
-  ab.auto_solve_s =
-      min_time_seconds([&] { ilu_apply(f, r, z, ws); }, cfg.reps, 1);
-  ilu_apply_serial(f, r, z_ref, ws);
-  ab.parity = z == z_ref;
-  // In deterministic-policy mode the grid numbers are model scores, not
-  // seconds — re-measure the serial wall time for a real ratio, and leave
-  // the best-fixed ratio to wall-clock runs (the CI autotune gate).
-  if (ab.deterministic) {
-    ab.serial_s = min_time_seconds(
-        [&] { ilu_apply_serial(f, r, z_ref, ws); }, cfg.reps, 1);
-  }
-  ab.ratio_vs_serial = ab.serial_s > 0 ? ab.auto_solve_s / ab.serial_s : -1;
-  if (!ab.deterministic) {
-    ab.ratio_vs_best_fixed =
-        ab.best_fixed_s > 0 ? ab.auto_solve_s / ab.best_fixed_s : -1;
-  }
-
-  std::printf(
-      "  %-18s auto  chose %s  solve %.5fs  serial %.5fs (%.2fx)  best fixed "
-      "%s%s\n",
-      rep.name.c_str(), ab.chosen.c_str(), ab.auto_solve_s, ab.serial_s,
-      ab.ratio_vs_serial, ab.best_fixed.c_str(),
-      ab.parity ? "" : " PARITY-FAIL");
 }
 
 /// Degenerate fixtures run ONLY the robust pipeline: the timing sweep
@@ -926,9 +822,6 @@ MatrixReport bench_matrix(const gen::SuiteEntry& e, const BenchConfig& cfg) {
     }
     std::printf("\n");
   }
-  // Factor-time autotuner decision (the `autotune` block) — after the
-  // fixed-policy sweep so the grid measurements can't perturb it.
-  run_autotune(rep, a, cfg);
   // Robust-pipeline statistics (skipped at production scale: one more full
   // Krylov solve). On this healthy suite the expectation is a one-attempt,
   // zero-shift trail — anything else is a regression worth seeing in the
@@ -940,6 +833,9 @@ MatrixReport bench_matrix(const gen::SuiteEntry& e, const BenchConfig& cfg) {
 
 void write_json(const BenchConfig& cfg, const std::vector<MatrixReport>& reps) {
   std::ofstream os(cfg.out);
+  // schema_version 10 removes the per-matrix `autotune` block and the
+  // console `auto` row, with the factor-time tuner they reported: every
+  // region's team is the plan's width under the runtime clamps.
   // schema_version 9 removes scatter_searched_s from every timings row:
   // the seed binary-search scatter it timed is deleted. The persistent map
   // beat it on 71 of the 76 v8 rows; the other 5 were oversubscribed T = 8
@@ -967,7 +863,7 @@ void write_json(const BenchConfig& cfg, const std::vector<MatrixReport>& reps) {
   // 3 added the robust_* breakdown-retry trail and robust_only; 2 added
   // tier / streams headers, the throughput table, peak_rss_mb and trimmed.
   // See README "Benchmark JSON schema".
-  os << "{\n  \"schema_version\": 9,\n  \"tier\": \"" << cfg.tier
+  os << "{\n  \"schema_version\": 10,\n  \"tier\": \"" << cfg.tier
      << "\",\n  \"suite_scale\": " << cfg.scale
      << ",\n  \"fill_level\": " << cfg.fill << ",\n  \"reps\": " << cfg.reps
      << ",\n  \"threads\": [";
@@ -1121,29 +1017,6 @@ void write_json(const BenchConfig& cfg, const std::vector<MatrixReport>& reps) {
       os << ", ";
       region("bwd", r.stall.ls_bwd);
       os << "}}";
-    }
-    os << ",\n     \"autotune\": ";
-    if (!r.autotune.present) {
-      os << "null";
-    } else {
-      const AutotuneBlock& ab = r.autotune;
-      os << "{\"threads\": " << ab.threads << ", \"mode\": \""
-         << (ab.deterministic ? "cost_model" : "wallclock")
-         << "\", \"chosen\": \"" << ab.chosen
-         << "\", \"chosen_threads\": " << ab.chosen_threads
-         << ", \"chosen_chunk_rows\": " << ab.chosen_chunk_rows
-         << ", \"auto_solve_s\": " << ab.auto_solve_s
-         << ", \"serial_s\": " << ab.serial_s << ", \"best_fixed\": \""
-         << ab.best_fixed << "\", \"best_fixed_s\": " << ab.best_fixed_s
-         << ", \"ratio_vs_serial\": " << ab.ratio_vs_serial
-         << ", \"ratio_vs_best_fixed\": " << ab.ratio_vs_best_fixed
-         << ", \"autotune_parity\": " << (ab.parity ? "true" : "false")
-         << ",\n      \"candidates\": [";
-      for (std::size_t c = 0; c < ab.candidates.size(); ++c) {
-        os << (c ? ", " : "") << "{\"name\": \"" << ab.candidates[c].name
-           << "\", \"seconds\": " << ab.candidates[c].seconds << "}";
-      }
-      os << "]}";
     }
     os << "}" << (i + 1 < reps.size() ? "," : "") << "\n";
   }
@@ -1299,14 +1172,11 @@ int main(int argc, char** argv) {
   bool parity_ok = true;
   for (const MatrixReport& r : reports) {
     if (r.robust_only) continue;
-    if (!r.backend_parity || !r.batched_parity || !r.fused_parity ||
-        (r.autotune.present && !r.autotune.parity)) {
-      std::fprintf(
-          stderr,
-          "PARITY FAILURE on %s: backend=%d batched=%d fused=%d autotune=%d\n",
-          r.name.c_str(), r.backend_parity ? 1 : 0, r.batched_parity ? 1 : 0,
-          r.fused_parity ? 1 : 0,
-          r.autotune.present && !r.autotune.parity ? 0 : 1);
+    if (!r.backend_parity || !r.batched_parity || !r.fused_parity) {
+      std::fprintf(stderr,
+                   "PARITY FAILURE on %s: backend=%d batched=%d fused=%d\n",
+                   r.name.c_str(), r.backend_parity ? 1 : 0,
+                   r.batched_parity ? 1 : 0, r.fused_parity ? 1 : 0);
       parity_ok = false;
     }
     // --verify failures already printed row-precise diagnostics inline; the

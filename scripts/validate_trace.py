@@ -22,10 +22,7 @@ cross-checked against the static analysis:
   7. (schema >= 6) verifier coverage splits exactly: direct + transitive
      == cross-thread deps, nothing uncovered — every dependency is ordered
      by a wait of its own item or by the publish chain of earlier waits;
-  8. (schema >= 6) every autotune block is self-consistent: parity true,
-     the chosen candidate is in the measured grid, and the serial anchor
-     candidate is present;
-  9. in every timings row, sched_bwd.levels equals the matrix's plan
+  8. in every timings row, sched_bwd.levels equals the matrix's plan
      `levels` and sched_fwd.levels is at most that — the backward sweep runs
      the plan's levels reversed, the forward sweep L's own levels, which
      are the plan's on a symmetric pattern and fewer where an upper entry
@@ -62,7 +59,6 @@ def check_bench(path):
     if schema < 5:
         fail(f"{path}: --bench needs schema_version >= 5 (--verify runs)")
     checked = 0
-    autotuned = 0
     for r in doc.get("results", []):
         for row in r.get("timings", []):
             fwd, bwd = row.get("sched_fwd"), row.get("sched_bwd")
@@ -103,19 +99,6 @@ def check_bench(path):
                             f"{r['matrix']} {direction} t={row['threads']}: "
                             f"{vb['deps_uncovered']} uncovered deps"
                         )
-            ab = r.get("autotune")
-            if ab:
-                names = [c["name"] for c in ab.get("candidates", [])]
-                if not ab["autotune_parity"]:
-                    fail(f"{r['matrix']}: autotune_parity is false")
-                if ab["chosen"] not in names:
-                    fail(
-                        f"{r['matrix']}: chosen '{ab['chosen']}' not in the "
-                        f"measured grid"
-                    )
-                if "serial" not in names:
-                    fail(f"{r['matrix']}: autotune grid has no serial anchor")
-                autotuned += 1
         stall = r.get("stall_profile")
         if not stall:
             continue
@@ -161,8 +144,7 @@ def check_bench(path):
             checked += 1
     print(
         f"validate_trace: bench OK: {checked} stall-profile regions match "
-        f"the verifier's predicted wait counts, {autotuned} autotune blocks "
-        f"consistent"
+        f"the verifier's predicted wait counts"
     )
 
 

@@ -63,16 +63,6 @@ std::vector<value_t> scaled_inverse_diagonal(const CsrMatrix& a,
 
 }  // namespace
 
-const char* amg_smoother_name(AmgSmoother s) {
-  switch (s) {
-    case AmgSmoother::kJacobi:
-      return "jacobi";
-    case AmgSmoother::kIlu:
-      return "ilu";
-  }
-  return "?";
-}
-
 CsrMatrix tentative_prolongation(const Aggregates& agg) {
   const index_t n = static_cast<index_t>(agg.id.size());
   std::vector<index_t> rp(static_cast<std::size_t>(n) + 1);
@@ -86,13 +76,6 @@ CsrMatrix tentative_prolongation(const Aggregates& agg) {
     ci[static_cast<std::size_t>(i)] = g;
   }
   return CsrMatrix(n, agg.count, std::move(rp), std::move(ci), std::move(vv));
-}
-
-double AmgHierarchy::grid_complexity() const noexcept {
-  if (levels.empty() || levels.front().n() == 0) return 0;
-  double s = 0;
-  for (const AmgLevel& l : levels) s += static_cast<double>(l.n());
-  return s / static_cast<double>(levels.front().n());
 }
 
 double AmgHierarchy::operator_complexity() const noexcept {

@@ -71,8 +71,6 @@ struct AmgHierarchy {
   }
   int num_levels() const noexcept { return static_cast<int>(levels.size()); }
 
-  /// Σ n_l / n_0 — how much extra vector storage the hierarchy carries.
-  double grid_complexity() const noexcept;
   /// Σ nnz(A_l) / nnz(A_0) — how much extra operator storage (the classic
   /// AMG health metric; ~1.1–1.5 is healthy for smoothed aggregation).
   double operator_complexity() const noexcept;

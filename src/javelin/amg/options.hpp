@@ -19,8 +19,6 @@ enum class AmgSmoother {
   kIlu,     ///< ILU(0) sweep: x += (L U)⁻¹ (r − A x) via the P2P stri path
 };
 
-const char* amg_smoother_name(AmgSmoother s);
-
 struct AmgOptions {
   // --- coarsening ----------------------------------------------------------
   /// Strength-of-connection threshold ε: (i,j) is strong iff

@@ -118,7 +118,7 @@ struct ExecSchedule {
     return run_ptr.empty() ? 0 : static_cast<index_t>(run_ptr.size()) - 1;
   }
 
-  // --- level-shape statistics (tuner cost model + bench signal) ------------
+  // --- level-shape statistics (bench signal) --------------------------------
   /// Mean rows per level (0 for an empty schedule).
   double mean_rows_per_level() const noexcept {
     return num_levels > 0

@@ -112,12 +112,7 @@ struct SuiteOptions {
   /// default to a smaller scale so the full harness runs in minutes).
   double scale = 0.05;
   std::uint64_t seed = 0x9E3779B97F4A7C15ull;
-  /// Generate only group A (convergence study) matrices.
-  bool group_a_only = false;
 };
-
-/// Build the full 18-matrix synthetic analog of paper Table I.
-std::vector<SuiteEntry> make_suite(const SuiteOptions& opts = {});
 
 /// Build one suite entry by its SuiteSparse counterpart name; throws if
 /// unknown.

@@ -168,14 +168,4 @@ SuiteEntry make_suite_matrix(const std::string& name, const SuiteOptions& opts) 
   return e;
 }
 
-std::vector<SuiteEntry> make_suite(const SuiteOptions& opts) {
-  std::vector<SuiteEntry> out;
-  for (const std::string& name : suite_names()) {
-    SuiteEntry e = make_suite_matrix(name, opts);
-    if (opts.group_a_only && e.group != 'A') continue;
-    out.push_back(std::move(e));
-  }
-  return out;
-}
-
 }  // namespace javelin::gen

@@ -133,10 +133,10 @@ void build_scatter_map(Factorization& f, const CsrMatrix& a);
 // --- runtime retargeting (ilu/retarget.cpp) --------------------------------
 
 /// The team every region over `f` — the numeric phase and each sweep —
-/// launches right now: opts.tuned_threads when set, else the factor-time
-/// plan, clamped by the current OpenMP runtime setting (omp_set_num_threads
-/// / OMP_NUM_THREADS) and — when opts.retarget_oversubscribed — by the
-/// hardware core count. Never less than 1.
+/// launches right now: the factor-time plan's width, clamped by the current
+/// OpenMP runtime setting (omp_set_num_threads / OMP_NUM_THREADS) and — when
+/// opts.retarget_oversubscribed — by the hardware core count. Never less
+/// than 1.
 int runtime_team(const Factorization& f);
 
 /// Schedules matching runtime_team(f): the factor's own when the team equals

@@ -55,12 +55,6 @@ struct IluOptions {
   index_t p2p_chunk_rows = 0;
   /// Thread count to plan for; <= 0 means use the OpenMP default.
   int num_threads = 0;
-  /// Runtime team override installed by the autotuner (tune/): when > 0 the
-  /// numeric phase and the solve paths retarget to this team instead of the
-  /// factor-time plan's width (still clamped by the OpenMP runtime setting
-  /// and — under retarget_oversubscribed — the hardware core count, like
-  /// any team). 0, the default, keeps the planned team.
-  int tuned_threads = 0;
 
   // --- execution backend ---------------------------------------------------
   /// Synchronization strategy of every region over the factor (numeric

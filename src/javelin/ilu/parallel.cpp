@@ -122,9 +122,9 @@ FactorStatus ilu_factor_numeric_status(Factorization& f) {
 
   // Level-scheduled up-looking rows on the forward schedule of the runtime
   // team (runtime_team, like every sweep): a team other than the plan's —
-  // omp_set_num_threads after factoring in a time-stepping loop, a tuned
-  // team, the oversubscription clamp — re-plans through the factor's own
-  // cache instead of degrading to the serial order.
+  // omp_set_num_threads after factoring in a time-stepping loop, the
+  // oversubscription clamp — re-plans through the factor's own cache
+  // instead of degrading to the serial order.
   const ExecSchedule& fwd = runtime_fwd(f, f.numeric_cache);
   WorkspacePool pool(fwd.threads, f.n());
   // Guarded row function: a failed pivot poisons the region, peers drain

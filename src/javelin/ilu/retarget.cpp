@@ -1,11 +1,11 @@
 // Runtime schedule retargeting: when the team a region can actually use
 // differs from the factor-time plan — the user dialed omp_set_num_threads
-// down after factoring, the tuner pinned another team, or the planned team
-// would oversubscribe the hardware — the numeric phase and the solve paths
-// re-plan the schedules for the real team instead of degrading to a serial
-// sweep. The plan's permutation and level structure are reused untouched;
-// only the (level, thread) slicing and the sparsified waits are rebuilt,
-// bitwise-identical to a fresh build at the new team (test_exec).
+// down after factoring, or the planned team would oversubscribe the
+// hardware — the numeric phase and the solve paths re-plan the schedules
+// for the real team instead of degrading to a serial sweep. The plan's
+// permutation and level structure are reused untouched; only the (level,
+// thread) slicing and the sparsified waits are rebuilt, bitwise-identical
+// to a fresh build at the new team (test_exec).
 #include <algorithm>
 
 #include "javelin/ilu/factorization.hpp"
@@ -16,9 +16,7 @@
 namespace javelin {
 
 int runtime_team(const Factorization& f) {
-  const int planned =
-      f.opts.tuned_threads > 0 ? f.opts.tuned_threads : f.plan.threads;
-  int t = std::min(planned, max_threads());
+  int t = std::min(f.plan.threads, max_threads());
   if (f.opts.retarget_oversubscribed) {
     const int hw = hardware_cores();
     if (hw > 0) t = std::min(t, hw);
@@ -31,10 +29,11 @@ namespace {
 /// `src` re-planned for `team` in the cache slot `entry`. A retargeted
 /// schedule is a function of its source's levels, the team and the item
 /// granule (not the backend), so the slot is rebuilt only when it was filled
-/// at another team or granule — a team change, or a re-chunk the autotuner
-/// applies between sweeps sharing the cache — or from a source of another
-/// shape (a workspace moved to another factor). One slot per direction: the
-/// numeric phase, which sweeps forward only, builds no backward schedule.
+/// at another team or granule — a team change, or a factor schedule
+/// reassigned at another granule since (nothing in the library re-chunks a
+/// built factor; a caller may) — or from a source of another shape (a
+/// workspace moved to another factor). One slot per direction: the numeric
+/// phase, which sweeps forward only, builds no backward schedule.
 const ExecSchedule& cached_retarget(const Factorization& f,
                                     const ExecSchedule& src,
                                     const DepsFn& deps, int team,

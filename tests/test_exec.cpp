@@ -8,7 +8,9 @@
 //     (the workspace cache fills for the real team) instead of degrading to
 //     a serial sweep, and stays bitwise-identical to the serial reference;
 //     there the raw fused pass refuses the companion of the plan's backward
-//     schedule and runs one built for the runtime schedule bitwise;
+//     schedule and runs one built for the runtime schedule bitwise; a
+//     factor's non-default item granule carries into the retargeted
+//     schedules;
 //   * FusedIluOperator under a plan of 4 follows runtime teams 1-4 under
 //     both backends, rebuilding its companion, bitwise against the serial
 //     pair;
@@ -147,14 +149,17 @@ void check_retarget_identity(const char* name, const CsrMatrix& a,
 
 /// A runtime team below the plan must RETARGET (cache fills for the real
 /// team) and stay bitwise-identical to the serial reference. A team of one
-/// runs the straight-line column solve, which builds no schedule.
+/// runs the straight-line column solve, which builds no schedule. A factor
+/// built at a non-default item granule (`chunk_rows` > 0) keeps it: the
+/// retargeted schedules carry the factor's granule, not the default.
 void check_runtime_retarget(const char* name, const CsrMatrix& a,
-                            ExecBackend backend) {
+                            ExecBackend backend, index_t chunk_rows = 0) {
   Factorization f = [&] {
     ThreadCountGuard guard(4);
     IluOptions opts;
     opts.num_threads = 4;
     opts.exec_backend = backend;
+    opts.p2p_chunk_rows = chunk_rows;
     opts.retarget_oversubscribed = false;  // isolate the runtime-team clamp
     return ilu_factor(a, opts);
   }();
@@ -181,6 +186,14 @@ void check_runtime_retarget(const char* name, const CsrMatrix& a,
       CHECK_MSG(ws.sched.fwd.threads == team && ws.sched.bwd.threads == team,
                 "%s cached schedules target %d/%d, want %d", name,
                 ws.sched.fwd.threads, ws.sched.bwd.threads, team);
+      if (chunk_rows > 0) {
+        CHECK_MSG(ws.sched.fwd.chunk_rows == chunk_rows &&
+                      ws.sched.bwd.chunk_rows == chunk_rows,
+                  "%s cached granule %lld/%lld at team %d, want %lld", name,
+                  static_cast<long long>(ws.sched.fwd.chunk_rows),
+                  static_cast<long long>(ws.sched.bwd.chunk_rows), team,
+                  static_cast<long long>(chunk_rows));
+      }
     } else {
       CHECK_MSG(cache_empty(ws.sched), "%s team 1 filled the cache", name);
     }
@@ -699,6 +712,8 @@ int main() {
   check_runtime_retarget("chain", chain, ExecBackend::kP2P);
   check_runtime_retarget("circuit-unsym", circ, ExecBackend::kP2P);
   check_runtime_retarget("circuit-unsym-ls", circ, ExecBackend::kBarrier);
+  check_runtime_retarget("chain-c16", chain, ExecBackend::kP2P, 16);
+  check_runtime_retarget("chain-c16-ls", chain, ExecBackend::kBarrier, 16);
 
   check_oversubscription_policy(grid);
 

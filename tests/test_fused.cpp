@@ -155,7 +155,8 @@ int main() {
   // Force the SCHEDULED fused path (oversubscription retarget off) so the
   // combined backward+SpMV region and its sparsified waits are exercised
   // even on machines where the team oversubscribes the hardware and the
-  // autotune policy would re-plan down to the core count.
+  // core clamp of retarget_oversubscribed would re-plan down to the core
+  // count.
   for (const Entry& e : {Entry{"grid", &grid}, Entry{"fem", &fem},
                          Entry{"power", &power}, Entry{"chain", &chain}}) {
     for (int threads : {2, 4}) {

@@ -37,16 +37,18 @@
 //
 // Cooperative abort: row_fn may return bool instead of void. A `false`
 // return marks the region aborted — the failing thread records the row in
-// an AbortFlag and stops publishing; every spin-wait (P2P counter waits and
-// the level barrier alike) polls the flag, so peers drain out of their wait
-// loops within a bounded number of misses instead of spinning on a row that
-// will never complete. A P2P thread that is not waiting notices the flag at
-// its next run boundary; a run has no waits after its first item, so the
-// extra work is bounded by one run and cannot hang. No exception crosses the
-// parallel region: exec_run returns a structured ExecStatus and the caller
-// decides whether to throw, retry, or fall back. Void-returning row
-// functions keep the historical zero-overhead hot path (no flag polling at
-// all).
+// the region's AbortFlag and stops publishing; every spin-wait (P2P counter
+// waits and the level barrier alike) polls the flag, so peers drain out of
+// their wait loops within a bounded number of misses instead of spinning on
+// a row that will never complete. A P2P thread that is not waiting notices
+// the flag at its next run boundary; a run has no waits after its first
+// item, so the extra work is bounded by one run and cannot hang. No
+// exception crosses the parallel region: exec_run returns a structured
+// ExecStatus and the caller decides whether to throw, retry, or fall back.
+// Whether a region polls is fixed at compile time by the row function's
+// return type: only the numeric factorization (ilu/parallel.cpp) returns
+// bool, and void-returning row functions — every sweep — compile to a loop
+// with no flag at all.
 //
 // Observability follows the same compile-time gating pattern: the region
 // body is one template, detail::exec_run_impl<Obs>. exec_run instantiates
@@ -253,15 +255,14 @@ void run_tail(Tail& tail, int t, index_t c0, index_t c1, bool waits,
 }
 
 /// The serial paths (teams of 1, the short-team fallback): the level-major
-/// sweep over serial_order, then — unless it aborted — every tail chunk in
-/// order. Honors cooperative abort for bool-returning row functions and the
-/// external flag. Uninstrumented it is one pass over serial_order; under
-/// Obs the pass is cut at the level boundaries, each level's time charged
-/// to thread slot 0 and traced as a span.
+/// sweep over serial_order, then — unless a row vetoed — every tail chunk
+/// in order. A vetoed row ends the sweep and is the status's row (there are
+/// no peers to drain). Uninstrumented it is one pass over serial_order;
+/// under Obs the pass is cut at the level boundaries, each level's time
+/// charged to thread slot 0 and traced as a span.
 template <class RowFn, class Obs, class Tail>
 ExecStatus exec_run_serial(const ExecSchedule& s, RowFn& row_fn,
-                           ProgressCounters& progress, AbortFlag* abort,
-                           Obs& obs, Tail& tail) {
+                           ProgressCounters& progress, Obs& obs, Tail& tail) {
   const bool by_level = Obs::kOn && !s.level_ptr.empty();
   const index_t nl = by_level ? s.num_levels : 1;
   [[maybe_unused]] obs::TraceBuffer* buf = nullptr;
@@ -277,13 +278,7 @@ ExecStatus exec_run_serial(const ExecSchedule& s, RowFn& row_fn,
     if constexpr (Obs::kOn) t0 = obs::now_ns();
     for (index_t k = k0; k < k1; ++k) {
       const index_t r = s.serial_order[static_cast<std::size_t>(k)];
-      if (abort != nullptr && abort->aborted()) {
-        return {ExecOutcome::kAborted, abort->row()};
-      }
-      if (!exec_row(row_fn, r, 0)) {
-        if (abort != nullptr) abort->request(r);
-        return {ExecOutcome::kAborted, r};
-      }
+      if (!exec_row(row_fn, r, 0)) return {ExecOutcome::kAborted, r};
     }
     if constexpr (Obs::kOn) {
       const std::int64_t t1 = obs::now_ns();
@@ -297,7 +292,7 @@ ExecStatus exec_run_serial(const ExecSchedule& s, RowFn& row_fn,
   }
   if constexpr (Tail::kOn) {
     run_tail(tail, 0, 0, tail.plan.num_chunks(), /*waits=*/false, progress, 0,
-             abort, obs);
+             nullptr, obs);
   }
   return {};
 }
@@ -307,20 +302,17 @@ ExecStatus exec_run_serial(const ExecSchedule& s, RowFn& row_fn,
 /// historical exec_run exactly.
 template <class RowFn, class Obs, class Tail>
 ExecStatus exec_run_impl(const ExecSchedule& s, ExecBackend backend,
-                         RowFn&& row_fn, ProgressCounters& progress,
-                         AbortFlag* external_abort, Obs& obs, Tail tail) {
+                         RowFn&& row_fn, ProgressCounters& progress, Obs& obs,
+                         Tail tail) {
+  // Only a bool-returning row function can abort the region, so only its
+  // instantiation polls `flag`; every other one passes the waits a null
+  // flag and compiles with zero abort polling.
   constexpr bool kGuarded = kGuardedRowFn<std::remove_reference_t<RowFn>>;
-  AbortFlag local_abort;
-  AbortFlag* abort = external_abort;
-  if constexpr (kGuarded) {
-    if (abort == nullptr) abort = &local_abort;
-  }
-  // `watch` folds to false for unguarded fns without an external flag, so
-  // the historical hot path compiles with zero abort polling.
-  const bool watch = abort != nullptr;
+  AbortFlag flag;
+  AbortFlag* const abort = kGuarded ? &flag : nullptr;
 
   if (s.threads <= 1) {
-    return exec_run_serial(s, row_fn, progress, abort, obs, tail);
+    return exec_run_serial(s, row_fn, progress, obs, tail);
   }
 
   if (backend == ExecBackend::kP2P) {
@@ -356,7 +348,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, ExecBackend backend,
         index_t i = s.thread_ptr[static_cast<std::size_t>(t)];
         const index_t hi = s.thread_ptr[static_cast<std::size_t>(t) + 1];
         for (index_t l = 0; l < s.num_levels; ++l) {
-          if (watch && abort->aborted()) break;
+          if (kGuarded && flag.aborted()) break;
           index_t j = i;
           while (j < hi && s.item_level[static_cast<std::size_t>(j)] == l) {
             ++j;
@@ -381,7 +373,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, ExecBackend backend,
           // abort-aware wait and drain. No thread ever advances past a
           // poisoned level. The last level's barrier orders the whole sweep
           // before the tail.
-          if (!live || (watch && abort->aborted())) break;
+          if (!live || (kGuarded && flag.aborted())) break;
           live = cross_barrier(barrier, spin_budget, abort, obs, t, l);
         }
       } else {
@@ -399,7 +391,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, ExecBackend backend,
           if (obs.tracing()) buf = &obs::TraceSession::instance().buffer();
         }
         for (index_t run = run_lo; run < run_hi; ++run) {
-          if (watch && abort->aborted()) break;
+          if (kGuarded && flag.aborted()) break;
           const index_t i0 = s.run_ptr[static_cast<std::size_t>(run)];
           const index_t i1 = s.run_ptr[static_cast<std::size_t>(run) + 1];
           [[maybe_unused]] index_t lvl = 0;
@@ -466,7 +458,7 @@ ExecStatus exec_run_impl(const ExecSchedule& s, ExecBackend backend,
         // Under P2P each chunk waits for exactly the items it reads, on the
         // counters the sweep just published; under kBarrier the last level
         // barrier above already ordered the whole sweep.
-        if (live && !(watch && abort->aborted())) {
+        if (live && !(kGuarded && flag.aborted())) {
           run_tail(tail, t, tail.plan.thread_ptr[static_cast<std::size_t>(t)],
                    tail.plan.thread_ptr[static_cast<std::size_t>(t) + 1],
                    /*waits=*/backend == ExecBackend::kP2P, progress,
@@ -475,12 +467,10 @@ ExecStatus exec_run_impl(const ExecSchedule& s, ExecBackend backend,
       }
     }
   }
-  if (abort != nullptr && abort->aborted()) {
-    return {ExecOutcome::kAborted, abort->row()};
+  if (kGuarded && flag.aborted()) {
+    return {ExecOutcome::kAborted, flag.row()};
   }
-  if (fallback) {
-    return exec_run_serial(s, row_fn, progress, abort, obs, tail);
-  }
+  if (fallback) return exec_run_serial(s, row_fn, progress, obs, tail);
   return {};
 }
 
@@ -498,18 +488,12 @@ ExecStatus exec_run_impl(const ExecSchedule& s, ExecBackend backend,
 /// smoother running stri at every level of every V-cycle — pay the
 /// threads×64B counter allocation once, not per sweep. (The barrier backend
 /// leaves `progress` untouched; it synchronizes through a stack barrier.)
-///
-/// `external_abort`, when provided, is both observed (rows stop being
-/// issued once it is raised, waits give up) and raised on row failure, so
-/// several cooperating stages can share one poison domain.
 template <class RowFn>
 ExecStatus exec_run(const ExecSchedule& s, ExecBackend backend,
-                    RowFn&& row_fn, ProgressCounters& progress,
-                    AbortFlag* external_abort = nullptr) {
+                    RowFn&& row_fn, ProgressCounters& progress) {
   detail::NoObs no_obs;
   return detail::exec_run_impl(s, backend, std::forward<RowFn>(row_fn),
-                               progress, external_abort, no_obs,
-                               detail::NoTail{});
+                               progress, no_obs, detail::NoTail{});
 }
 
 /// exec_run with a tail phase: after its last item, thread t runs
@@ -518,12 +502,10 @@ ExecStatus exec_run(const ExecSchedule& s, ExecBackend backend,
 template <class RowFn, class ChunkFn>
 ExecStatus exec_run(const ExecSchedule& s, ExecBackend backend,
                     RowFn&& row_fn, const ExecTail& tail, ChunkFn&& chunk_fn,
-                    ProgressCounters& progress,
-                    AbortFlag* external_abort = nullptr) {
+                    ProgressCounters& progress) {
   detail::NoObs no_obs;
   return detail::exec_run_impl(
-      s, backend, std::forward<RowFn>(row_fn), progress, external_abort,
-      no_obs,
+      s, backend, std::forward<RowFn>(row_fn), progress, no_obs,
       detail::WithTail<std::remove_reference_t<ChunkFn>>{tail, chunk_fn});
 }
 
@@ -536,12 +518,10 @@ ExecStatus exec_run(const ExecSchedule& s, ExecBackend backend,
 template <class RowFn>
 ExecStatus exec_run_obs(const ExecSchedule& s, ExecBackend backend,
                         RowFn&& row_fn, ProgressCounters& progress,
-                        obs::ExecObs& eo, obs::Region kind,
-                        AbortFlag* external_abort = nullptr) {
+                        obs::ExecObs& eo, obs::Region kind) {
   obs::SweepObs& so = eo.begin_sweep(kind, s);
-  const ExecStatus status =
-      detail::exec_run_impl(s, backend, std::forward<RowFn>(row_fn), progress,
-                            external_abort, so, detail::NoTail{});
+  const ExecStatus status = detail::exec_run_impl(
+      s, backend, std::forward<RowFn>(row_fn), progress, so, detail::NoTail{});
   eo.end_sweep(kind, s);
   return status;
 }
@@ -551,11 +531,10 @@ template <class RowFn, class ChunkFn>
 ExecStatus exec_run_obs(const ExecSchedule& s, ExecBackend backend,
                         RowFn&& row_fn, const ExecTail& tail,
                         ChunkFn&& chunk_fn, ProgressCounters& progress,
-                        obs::ExecObs& eo, obs::Region kind,
-                        AbortFlag* external_abort = nullptr) {
+                        obs::ExecObs& eo, obs::Region kind) {
   obs::SweepObs& so = eo.begin_sweep(kind, s);
   const ExecStatus status = detail::exec_run_impl(
-      s, backend, std::forward<RowFn>(row_fn), progress, external_abort, so,
+      s, backend, std::forward<RowFn>(row_fn), progress, so,
       detail::WithTail<std::remove_reference_t<ChunkFn>>{tail, chunk_fn});
   eo.end_sweep(kind, s);
   return status;

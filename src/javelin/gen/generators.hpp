@@ -93,15 +93,12 @@ CsrMatrix degenerate_saddle(index_t nx, index_t ny, index_t m);
 /// Krylov guards instead of the factorization path.
 CsrMatrix degenerate_near_singular(index_t nx, index_t ny, double eps);
 
-/// A named matrix of the synthetic suite, plus the statistics the paper
-/// reports in Table I for its SuiteSparse counterpart.
+/// A named matrix of the synthetic suite, plus what the paper reports in
+/// Table I for its SuiteSparse counterpart (at full scale).
 struct SuiteEntry {
-  std::string name;        ///< SuiteSparse counterpart name
-  char group = 'B';        ///< paper group: 'A' (convergence set) or 'B'
+  std::string name;  ///< SuiteSparse counterpart name
   CsrMatrix matrix;
-  // Paper-reported reference statistics (at full scale):
-  index_t paper_n = 0;
-  double paper_rd = 0;
+  /// Symmetric pattern: the bench solves these with PCG, the rest with GMRES.
   bool paper_sym_pattern = true;
   index_t paper_levels = 0;
 };
@@ -122,7 +119,7 @@ SuiteEntry make_suite_matrix(const std::string& name,
 /// Names in suite order.
 std::vector<std::string> suite_names();
 
-/// Names of the degenerate robustness fixtures (group 'D'). Disjoint from
+/// Names of the degenerate robustness fixtures. Disjoint from
 /// suite_names() — the parity/bench suite never sees them; make_suite_matrix
 /// accepts both sets.
 std::vector<std::string> degenerate_names();

@@ -49,10 +49,8 @@ namespace javelin {
 /// k >= runtime_team(f) and no exec_obs sink, each thread solves a
 /// contiguous group of whole columns in ws's n×k panel with no
 /// synchronization; otherwise the panel runs the forward and backward
-/// schedules row-parallel. A fault_hook fires after every row (of every
-/// column group); a veto throws AbortError naming the sweep and permuted row
-/// once the region has drained, with Z unwritten. Throws when k < 1 or a
-/// span is smaller than n×k. Thread-safe across distinct workspaces.
+/// schedules row-parallel. Throws Error when k < 1 or a span is smaller
+/// than n×k, before any sweep runs. Thread-safe across distinct workspaces.
 void ilu_apply_panel(const Factorization& f, std::span<const value_t> r,
                      std::span<value_t> z, index_t k, SolveWorkspace& ws);
 

@@ -2,11 +2,10 @@
 // region helper (run_sweep), the forward and backward rows of a k-column
 // panel, the scheduled forward and backward sweeps, and the straight-line
 // column solve. trsv_forward / trsv_backward, the apply at every width
-// (solve.cpp: ilu_apply, ilu_apply_status, ilu_apply_panel) and the fused
-// solve+SpMV pass (fused.cpp) all run them; a single vector is the panel of
-// width 1. One implementation keeps each row's accumulation in a single
-// place, so the bitwise parity between the unfused, fused and batched
-// paths cannot drift.
+// (solve.cpp: ilu_apply, ilu_apply_panel) and the fused solve+SpMV pass
+// (fused.cpp) all run them; a single vector is the panel of width 1. One
+// implementation keeps each row's accumulation in a single place, so the
+// bitwise parity between the unfused, fused and batched paths cannot drift.
 //
 // The forward sweep is one exec_run region over f.fwd — L's own levels —
 // and the backward sweep one over the plan's levels reversed. The rhs
@@ -16,11 +15,14 @@
 // fixes once per call (with_block_width, sparse/panel.hpp); only widths
 // outside {1, 2, 4, 8} run W = 0, which splits each row into blocks at run
 // time.
+//
+// No sweep can fail: without pivoting (paper §III) only the numeric phase
+// meets values it cannot divide by, so every row function here returns void
+// and every region runs the executor's unguarded loop.
 #pragma once
 
 #include <initializer_list>
 #include <span>
-#include <type_traits>
 #include <utility>
 
 #include "javelin/exec/run.hpp"
@@ -38,36 +40,22 @@ void check_panel(const Factorization& f, index_t k,
                  const char* what);
 
 /// Run `row(r)` for every row of `s` as one exec_run region under the
-/// factor's f.opts.exec_backend, instantiated by the precedence IluOptions
-/// documents: with a fault hook, the guarded
-/// region (the hook fires at `site` after each row; a veto aborts the region
-/// cooperatively); else, with an exec_obs sink, the instrumented region
-/// charged to `region`; else the unguarded, zero-polling one. `tail` is
+/// factor's f.opts.exec_backend: instrumented and charged to `region` when
+/// an exec_obs sink is attached, the zero-polling loop otherwise. `tail` is
 /// empty or the (ExecTail, chunk function) pair of a region with a tail
-/// phase. Only the guarded region can return kAborted.
+/// phase.
 template <class RowFn, class... Tail>
-ExecStatus run_sweep(const Factorization& f, const ExecSchedule& s,
-                     FaultSite site, obs::Region region,
-                     ProgressCounters& progress, RowFn&& row, Tail&&... tail) {
-  const FaultHook& hook = f.opts.fault_hook;
+void run_sweep(const Factorization& f, const ExecSchedule& s,
+               obs::Region region, ProgressCounters& progress, RowFn&& row,
+               Tail&&... tail) {
   const ExecBackend backend = f.opts.exec_backend;
-  if (hook) {
-    return exec_run(
-        s, backend,
-        [&](index_t r, int) -> bool {
-          row(r);
-          return hook(site, r);
-        },
-        std::forward<Tail>(tail)..., progress);
-  }
+  const auto row_fn = [&](index_t r, int) { row(r); };
   if (f.opts.exec_obs != nullptr) {
-    return exec_run_obs(
-        s, backend, [&](index_t r, int) { row(r); },
-        std::forward<Tail>(tail)..., progress, *f.opts.exec_obs, region);
+    exec_run_obs(s, backend, row_fn, std::forward<Tail>(tail)..., progress,
+                 *f.opts.exec_obs, region);
+  } else {
+    exec_run(s, backend, row_fn, std::forward<Tail>(tail)..., progress);
   }
-  return exec_run(
-      s, backend, [&](index_t r, int) { row(r); },
-      std::forward<Tail>(tail)..., progress);
 }
 
 /// Forward row of the k-column panel x (column stride ld): x_j[row] =
@@ -134,82 +122,52 @@ struct BackwardRow {
 
 /// Forward sweep of the k-column panel x (column stride n) under f.fwd,
 /// retargeted to the runtime team: a ForwardRow for every row, gathering
-/// from b through the plan permutation (`gather`) or in place. Returns
-/// kAborted only when the factor's fault hook vetoed a row.
+/// from b through the plan permutation (`gather`) or in place.
 template <int W>
-ExecStatus forward_sweep(const Factorization& f, const value_t* b,
-                         bool gather, value_t* x, index_t k,
-                         SolveWorkspace& ws) {
-  return run_sweep(
-      f, runtime_fwd(f, ws.sched), FaultSite::kForwardRow,
-      obs::Region::kForward, ws.progress,
-      ForwardRow<W>{f.lu, b, gather ? f.plan.perm.data() : nullptr, x,
-                    static_cast<std::size_t>(f.n()), k});
+void forward_sweep(const Factorization& f, const value_t* b, bool gather,
+                   value_t* x, index_t k, SolveWorkspace& ws) {
+  run_sweep(f, runtime_fwd(f, ws.sched), obs::Region::kForward, ws.progress,
+            ForwardRow<W>{f.lu, b, gather ? f.plan.perm.data() : nullptr, x,
+                          static_cast<std::size_t>(f.n()), k});
 }
 
 /// Backward sweep of the k-column panel x (column stride n) under `s` —
 /// runtime_bwd(f, ws.sched), or the fused pass's schedule — charged to
 /// `region`: a BackwardRow for every row, scattering to z when `z` is set.
 /// `tail` as in run_sweep. Shares the forward sweep's progress counters
-/// (the sweeps never overlap). Same abort semantics as forward_sweep.
+/// (the sweeps never overlap).
 template <int W, class... Tail>
-ExecStatus backward_sweep(const Factorization& f, const ExecSchedule& s,
-                          obs::Region region, value_t* x, value_t* z,
-                          index_t k, SolveWorkspace& ws, Tail&&... tail) {
-  return run_sweep(
-      f, s, FaultSite::kBackwardRow, region, ws.progress,
-      BackwardRow<W>{f.lu, f.diag_pos, f.plan.perm.data(), x, z,
-                     static_cast<std::size_t>(f.n()), k},
-      std::forward<Tail>(tail)...);
+void backward_sweep(const Factorization& f, const ExecSchedule& s,
+                    obs::Region region, value_t* x, value_t* z, index_t k,
+                    SolveWorkspace& ws, Tail&&... tail) {
+  run_sweep(f, s, region, ws.progress,
+            BackwardRow<W>{f.lu, f.diag_pos, f.plan.perm.data(), x, z,
+                           static_cast<std::size_t>(f.n()), k},
+            std::forward<Tail>(tail)...);
 }
 
 /// Solve columns `cols` of the n×k panel start to finish on the calling
 /// thread, in the same columns of x: the straight-line forward sweep (rows
 /// 0…n−1, each row's right-hand side gathered from r) and backward sweep
-/// (n−1…0, each finished row scattered to z unless `z` is null). Every
-/// column keeps the scheduled sweeps' accumulation order, and no other
-/// thread's work is ever read. Under a fault hook: stop before the next row
-/// once any group vetoed, and fire the hook after each row; a veto requests
-/// `abort` (its site goes to `vetoed`, written only by the request that
-/// wins). Hook-free solves never poll.
+/// (n−1…0, each finished row scattered to z). Every column keeps the
+/// scheduled sweeps' accumulation order, and no other thread's work is ever
+/// read.
 ///
 /// The rows are short (a few nonzeros), so per-row overhead shows: W fixes
 /// the group width at compile time, which folds the per-row block dispatch
 /// away, and flattening keeps every kernel inline in the row loops.
 template <int W>
 [[gnu::flatten]] void solve_columns(const Factorization& f, const value_t* r,
-                                    value_t* z, value_t* x, Range cols,
-                                    AbortFlag& abort, FaultSite& vetoed) {
+                                    value_t* z, value_t* x, Range cols) {
   const index_t n = f.n();
   const std::size_t un = static_cast<std::size_t>(n);
   const std::size_t off = static_cast<std::size_t>(cols.begin) * un;
   const index_t* perm = f.plan.perm.data();
   const ForwardRow<W> fwd{f.lu, r + off, perm, x + off, un, cols.size()};
-  const BackwardRow<W> bwd{f.lu, f.diag_pos, perm, x + off,
-                           z != nullptr ? z + off : nullptr, un, cols.size()};
-  const auto veto = [&](FaultSite site, index_t row) {
-    if (f.opts.fault_hook(site, row)) return false;
-    if (abort.request(row)) vetoed = site;
-    return true;
-  };
-  const auto sweeps = [&](auto hooked) {
-    constexpr bool kHooked = decltype(hooked)::value;
-    for (index_t row = 0; row < n; ++row) {
-      if (kHooked && abort.aborted()) return;
-      fwd(row);
-      if (kHooked && veto(FaultSite::kForwardRow, row)) return;
-    }
-    for (index_t row = n; row-- > 0;) {
-      if (kHooked && abort.aborted()) return;
-      bwd(row);
-      if (kHooked && veto(FaultSite::kBackwardRow, row)) return;
-    }
-  };
-  if (f.opts.fault_hook) {
-    sweeps(std::true_type{});
-  } else {
-    sweeps(std::false_type{});
-  }
+  const BackwardRow<W> bwd{f.lu, f.diag_pos, perm, x + off, z + off, un,
+                           cols.size()};
+  for (index_t row = 0; row < n; ++row) fwd(row);
+  for (index_t row = n; row-- > 0;) bwd(row);
 }
 
 }  // namespace javelin::detail

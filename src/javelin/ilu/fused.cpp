@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "javelin/exec/run.hpp"
 #include "javelin/ilu/forward_sweep.hpp"
 #include "javelin/sparse/ops.hpp"
 #include "javelin/sparse/panel.hpp"
@@ -11,15 +10,6 @@
 #include "javelin/verify/verify.hpp"
 
 namespace javelin {
-
-namespace {
-
-[[noreturn]] void throw_fused_abort(index_t row) {
-  throw AbortError("fused apply+spmv aborted at permuted row " +
-                   std::to_string(row) + " (fault injection)");
-}
-
-}  // namespace
 
 FusedApplySpmv build_fused_apply_spmv(const Factorization& f,
                                       const ExecSchedule& bwd,
@@ -140,10 +130,7 @@ void ilu_apply_spmv(const Factorization& f, const CsrMatrix& a,
     // synchronization — no point building schedules this path never
     // reads. Same accumulation orders — bitwise-identical to the scheduled
     // path.
-    AbortFlag abort;
-    FaultSite vetoed = FaultSite::kForwardRow;
-    detail::solve_columns<1>(f, r.data(), z.data(), x, {0, 1}, abort, vetoed);
-    if (abort.aborted()) throw_fused_abort(abort.row());
+    detail::solve_columns<1>(f, r.data(), z.data(), x, {0, 1});
     spmv_rows(0, a.rows());
     return;
   }
@@ -160,18 +147,13 @@ void ilu_apply_spmv(const Factorization& f, const CsrMatrix& a,
   // z scatter folded into each row, and the SpMV chunks as its tail
   // (exec/run.hpp) — under P2P each chunk waits for exactly the backward
   // items whose z entries it reads, on the counters the sweep publishes.
-  // Hook-free solves keep the void row function, and with it the
-  // no-polling waits.
-  const ExecStatus fst =
-      detail::forward_sweep<1>(f, r.data(), /*gather=*/true, x, 1, ws);
-  if (!fst.ok()) throw_fused_abort(fst.row);
+  detail::forward_sweep<1>(f, r.data(), /*gather=*/true, x, 1, ws);
   const auto spmv_chunk = [&](index_t c, int) {
     spmv_rows(fs.chunk_begin[static_cast<std::size_t>(c)],
               fs.chunk_end[static_cast<std::size_t>(c)]);
   };
-  const ExecStatus bst = detail::backward_sweep<1>(
-      f, bwd, obs::Region::kFused, x, z.data(), 1, ws, fs.tail(), spmv_chunk);
-  if (!bst.ok()) throw_fused_abort(bst.row);
+  detail::backward_sweep<1>(f, bwd, obs::Region::kFused, x, z.data(), 1, ws,
+                            fs.tail(), spmv_chunk);
 }
 
 }  // namespace javelin

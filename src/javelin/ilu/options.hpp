@@ -1,7 +1,7 @@
 // User-facing options of the Javelin framework (paper §III: fill level k,
 // drop tolerance τ, modified ILU; then scheduling, execution backend,
-// fault injection and telemetry). Levels are always computed on
-// lower(A+Aᵀ) (paper §VII: "we by default always recommend using the
+// numeric-phase fault injection and telemetry). Levels are always computed
+// on lower(A+Aᵀ) (paper §VII: "we by default always recommend using the
 // lower(A+Aᵀ) pattern"), and every row is level-scheduled, so the paper's
 // lower-stage method and planner sensitivity knobs (Tables III/IV) have no
 // counterpart here.
@@ -18,19 +18,12 @@ namespace obs {
 class ExecObs;  // obs/exec_obs.hpp
 }
 
-/// Where a fault-injection hook fires (see IluOptions::fault_hook).
-enum class FaultSite {
-  kFactorRow,   ///< after a numeric-phase row factored
-  kForwardRow,  ///< after a forward-sweep row (incl. fused/panel variants)
-  kBackwardRow, ///< after a backward-sweep row (incl. fused/panel variants)
-};
-
-/// Test-only fault-injection hook: called with the site and the (permuted)
-/// row just processed; returning false poisons that row exactly as a bad
-/// pivot would, driving the cooperative-abort path of the exec backends.
-/// An empty hook (the default) keeps every hot path on its unguarded,
-/// zero-polling variant.
-using FaultHook = std::function<bool(FaultSite, index_t)>;
+/// Test-only fault-injection hook of the numeric phase: called with the
+/// (permuted) row just factored; returning false poisons that row exactly as
+/// a bad pivot would, driving the cooperative-abort path of the exec
+/// backends. Javelin does not pivot (paper §III), so the numeric phase is the
+/// only region that can fail on values; the sweeps have no hook to call.
+using FaultHook = std::function<bool(index_t row)>;
 
 struct IluOptions {
   // --- numerical options -----------------------------------------------
@@ -85,10 +78,10 @@ struct IluOptions {
 #endif
 
   // --- fault injection (tests only) ---------------------------------------
-  /// When set, consulted after every factor/sweep row; returning false
-  /// aborts the enclosing region cooperatively (no throw from inside the
-  /// parallel region, bounded spin-wait termination). Leave empty in
-  /// production: the empty-hook paths carry no abort polling.
+  /// When set, consulted after every numeric-phase row; returning false
+  /// aborts the region cooperatively (no throw from inside the parallel
+  /// region, bounded spin-wait termination) and the numeric phase reports
+  /// that row as its bad pivot.
   FaultHook fault_hook;
 
   // --- observability --------------------------------------------------------
@@ -98,9 +91,9 @@ struct IluOptions {
   /// spans when the trace session is enabled) and aggregate into the
   /// sink's per-region ExecStats. Null — the default — keeps every hot
   /// path on the zero-overhead uninstrumented instantiation. The fault
-  /// hook takes precedence: a region with both set runs the guarded
-  /// (hook) variant uninstrumented. The sink is not thread-safe across
-  /// concurrent solves; attach one per stream.
+  /// hook takes precedence: a numeric phase with both set runs
+  /// uninstrumented. The sink is not thread-safe across concurrent solves;
+  /// attach one per stream.
   obs::ExecObs* exec_obs = nullptr;
 };
 

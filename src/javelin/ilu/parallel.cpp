@@ -134,7 +134,7 @@ FactorStatus ilu_factor_numeric_status(Factorization& f) {
   const auto numeric_row = [&](index_t r, int t) -> bool {
     RowWorkspace& ws = pool.get(t);
     if (!factor_row(fv, r, ws, params)) return false;
-    return !hook || hook(FaultSite::kFactorRow, r);
+    return !hook || hook(r);
   };
   const ExecBackend backend = f.opts.exec_backend;
   ProgressCounters progress;

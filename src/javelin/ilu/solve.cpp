@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "javelin/exec/run.hpp"
 #include "javelin/ilu/batch.hpp"
 #include "javelin/ilu/forward_sweep.hpp"
 #include "javelin/ilu/trsv_kernels.hpp"
@@ -23,41 +22,21 @@ void detail::check_panel(const Factorization& f, index_t k,
 
 namespace {
 
-/// Panel scatter z = Pᵀ x on a team of `team` threads: the write-back of a
-/// hooked apply, made only once no sweep vetoed.
-void scatter_panel(std::span<const index_t> perm, const value_t* x,
-                   value_t* z, index_t n, index_t k, int team) {
-  const std::size_t un = static_cast<std::size_t>(n);
-#pragma omp parallel for num_threads(team) collapse(2) schedule(static)
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t i = 0; i < n; ++i) {
-      z[static_cast<std::size_t>(j) * un +
-        static_cast<std::size_t>(perm[static_cast<std::size_t>(i)])] =
-          x[static_cast<std::size_t>(j) * un + static_cast<std::size_t>(i)];
-    }
-  }
-}
-
 /// The column split (k >= team): thread t of the team solves the t-th
 /// contiguous group of whole columns with the straight-line column solve,
 /// at the group's width fixed once. Columns share no dependencies, so the
 /// region has no progress counters, waits or barriers.
-ExecStatus apply_by_columns(const Factorization& f, const value_t* r,
-                            value_t* z, index_t k, int team, value_t* x,
-                            FaultSite& vetoed) {
-  AbortFlag abort;
+void apply_by_columns(const Factorization& f, const value_t* r, value_t* z,
+                      index_t k, int team, value_t* x) {
 #pragma omp parallel num_threads(team)
   {
     // Grouped by the team actually delivered, so a smaller (nested) team
     // still covers every column.
     const Range cols = partition_range(k, team_size(), thread_id());
     detail::with_block_width(cols.size(), [&](auto width) {
-      detail::solve_columns<decltype(width)::value>(f, r, z, x, cols, abort,
-                                                    vetoed);
+      detail::solve_columns<decltype(width)::value>(f, r, z, x, cols);
     });
   }
-  if (abort.aborted()) return {ExecOutcome::kAborted, abort.row()};
-  return {};
 }
 
 /// The scheduled sweeps (k < team, or an instrumented apply): the forward
@@ -65,60 +44,43 @@ ExecStatus apply_by_columns(const Factorization& f, const value_t* r,
 /// z[perm[row]] per row, each one region under the factor's schedules,
 /// paying their synchronization once per panel rather than once per RHS.
 template <int W>
-ExecStatus apply_scheduled(const Factorization& f, const value_t* r,
-                           value_t* z, index_t k, value_t* x,
-                           SolveWorkspace& ws, FaultSite& vetoed) {
-  ExecStatus st = detail::forward_sweep<W>(f, r, /*gather=*/true, x, k, ws);
-  if (!st.ok()) {
-    vetoed = FaultSite::kForwardRow;
-    return st;
-  }
-  st = detail::backward_sweep<W>(f, runtime_bwd(f, ws.sched),
-                                 obs::Region::kBackward, x, z, k, ws);
-  if (!st.ok()) vetoed = FaultSite::kBackwardRow;
-  return st;
+void apply_scheduled(const Factorization& f, const value_t* r, value_t* z,
+                     index_t k, value_t* x, SolveWorkspace& ws) {
+  detail::forward_sweep<W>(f, r, /*gather=*/true, x, k, ws);
+  detail::backward_sweep<W>(f, runtime_bwd(f, ws.sched),
+                            obs::Region::kBackward, x, z, k, ws);
 }
 
 /// Z = (L U)^{-1} R for the n×k panels r and z (validated by the caller):
 /// the column split when k >= runtime_team(f) and no exec_obs sink is
-/// attached, the scheduled sweeps otherwise. Under a fault hook neither
-/// writes z in its region; z is scattered afterwards, only when no sweep
-/// vetoed. On kAborted, `vetoed` names the sweep.
-ExecStatus apply_status(const Factorization& f, const value_t* r, value_t* z,
-                        index_t k, SolveWorkspace& ws, FaultSite& vetoed) {
-  const index_t n = f.n();
-  ws.resize_panel(n, k);
+/// attached, the scheduled sweeps otherwise.
+void apply(const Factorization& f, const value_t* r, value_t* z, index_t k,
+           SolveWorkspace& ws) {
+  ws.resize_panel(f.n(), k);
   value_t* x = ws.x.data();
-  const bool hooked = static_cast<bool>(f.opts.fault_hook);
-  value_t* z_rows = hooked ? nullptr : z;
-
   const int team = runtime_team(f);
-  const ExecStatus st =
-      k >= team && f.opts.exec_obs == nullptr
-          ? apply_by_columns(f, r, z_rows, k, team, x, vetoed)
-          : detail::with_block_width(k, [&](auto width) {
-              return apply_scheduled<decltype(width)::value>(f, r, z_rows, k,
-                                                             x, ws, vetoed);
-            });
-  if (st.ok() && hooked) scatter_panel(f.plan.perm, x, z, n, k, team);
-  return st;
+  if (k >= team && f.opts.exec_obs == nullptr) {
+    apply_by_columns(f, r, z, k, team, x);
+  } else {
+    detail::with_block_width(k, [&](auto width) {
+      apply_scheduled<decltype(width)::value>(f, r, z, k, x, ws);
+    });
+  }
 }
 
 }  // namespace
 
-ExecStatus trsv_forward(const Factorization& f, std::span<value_t> x,
-                        SolveWorkspace& ws) {
+void trsv_forward(const Factorization& f, std::span<value_t> x,
+                  SolveWorkspace& ws) {
   detail::check_panel(f, 1, {x.size()}, "trsv_forward");
-  return detail::forward_sweep<1>(f, x.data(), /*gather=*/false, x.data(), 1,
-                                  ws);
+  detail::forward_sweep<1>(f, x.data(), /*gather=*/false, x.data(), 1, ws);
 }
 
-ExecStatus trsv_backward(const Factorization& f, std::span<value_t> x,
-                         SolveWorkspace& ws) {
+void trsv_backward(const Factorization& f, std::span<value_t> x,
+                   SolveWorkspace& ws) {
   detail::check_panel(f, 1, {x.size()}, "trsv_backward");
-  return detail::backward_sweep<1>(f, runtime_bwd(f, ws.sched),
-                                   obs::Region::kBackward, x.data(), nullptr,
-                                   1, ws);
+  detail::backward_sweep<1>(f, runtime_bwd(f, ws.sched),
+                            obs::Region::kBackward, x.data(), nullptr, 1, ws);
 }
 
 void trsv_forward_serial(const Factorization& f, std::span<value_t> x) {
@@ -139,20 +101,10 @@ void trsv_backward_serial(const Factorization& f, std::span<value_t> x) {
   }
 }
 
-ExecStatus ilu_apply_status(const Factorization& f, std::span<const value_t> r,
-                            std::span<value_t> z, SolveWorkspace& ws) {
-  detail::check_panel(f, 1, {r.size(), z.size()}, "ilu_apply");
-  FaultSite vetoed = FaultSite::kForwardRow;
-  return apply_status(f, r.data(), z.data(), 1, ws, vetoed);
-}
-
 void ilu_apply(const Factorization& f, std::span<const value_t> r,
                std::span<value_t> z, SolveWorkspace& ws) {
-  const ExecStatus st = ilu_apply_status(f, r, z, ws);
-  if (!st.ok()) {
-    throw AbortError("triangular sweep aborted at permuted row " +
-                     std::to_string(st.row) + " (fault injection)");
-  }
+  detail::check_panel(f, 1, {r.size(), z.size()}, "ilu_apply");
+  apply(f, r.data(), z.data(), 1, ws);
 }
 
 void ilu_apply(const Factorization& f, std::span<const value_t> r,
@@ -164,16 +116,7 @@ void ilu_apply(const Factorization& f, std::span<const value_t> r,
 void ilu_apply_panel(const Factorization& f, std::span<const value_t> r,
                      std::span<value_t> z, index_t k, SolveWorkspace& ws) {
   detail::check_panel(f, k, {r.size(), z.size()}, "ilu_apply_panel");
-  FaultSite vetoed = FaultSite::kForwardRow;
-  const ExecStatus st = apply_status(f, r.data(), z.data(), k, ws, vetoed);
-  // Converted OUTSIDE the parallel region: the abort itself drained
-  // cooperatively; the throw is what exercises caller RAII (leases).
-  if (!st.ok()) {
-    throw AbortError(std::string("panel ") +
-                     (vetoed == FaultSite::kForwardRow ? "forward" : "backward") +
-                     " sweep aborted at permuted row " +
-                     std::to_string(st.row) + " (fault injection)");
-  }
+  apply(f, r.data(), z.data(), k, ws);
 }
 
 void ilu_apply_serial(const Factorization& f, std::span<const value_t> r,

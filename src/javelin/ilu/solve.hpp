@@ -66,17 +66,15 @@ struct SolveWorkspace {
 
 /// In-place P2P forward sweep on the permuted factor: on entry x is the
 /// permuted rhs, on exit L x' = x (unit diagonal implicit). Every row runs
-/// in one region under f.fwd. Returns kAborted only when the factor's
-/// fault-injection hook vetoed a row (tests); the hook-free path is
-/// unguarded and always kOk. Throws Error when x is shorter than n.
-ExecStatus trsv_forward(const Factorization& f, std::span<value_t> x,
-                        SolveWorkspace& ws);
+/// in one region under f.fwd. Throws Error when x is shorter than n.
+void trsv_forward(const Factorization& f, std::span<value_t> x,
+                  SolveWorkspace& ws);
 
 /// In-place P2P backward sweep: x := U^{-1} x, diagonal divide fused. Shares
-/// ws.progress with the forward sweep (the sweeps never overlap). Same
-/// abort semantics as trsv_forward.
-ExecStatus trsv_backward(const Factorization& f, std::span<value_t> x,
-                         SolveWorkspace& ws);
+/// ws.progress with the forward sweep (the sweeps never overlap). Throws
+/// Error when x is shorter than n.
+void trsv_backward(const Factorization& f, std::span<value_t> x,
+                   SolveWorkspace& ws);
 
 /// Serial in-place variants (the reference the tests check every execution
 /// against). Throw Error when x is shorter than n.
@@ -87,17 +85,10 @@ void trsv_backward_serial(const Factorization& f, std::span<value_t> x);
 /// row ordering (the plan permutation is applied on the way in and undone on
 /// the way out, so callers never see the level ordering): ilu_apply_panel at
 /// k = 1. r and z must not alias. Thread-safe across distinct workspaces.
-/// Throws Error when r or z is shorter than n, and AbortError when a
-/// fault-injection hook aborted a sweep (converted OUTSIDE the parallel
-/// region; z is untouched); use ilu_apply_status for the non-throwing form.
+/// Throws Error when r or z is shorter than n; the sweeps themselves cannot
+/// fail (only the numeric phase meets a bad pivot).
 void ilu_apply(const Factorization& f, std::span<const value_t> r,
                std::span<value_t> z, SolveWorkspace& ws);
-
-/// Non-throwing ilu_apply: reports a hook-driven abort as a status instead
-/// of AbortError. On kAborted, z is not written (a hooked apply writes z
-/// only after both sweeps finished). Still throws Error on a short span.
-ExecStatus ilu_apply_status(const Factorization& f, std::span<const value_t> r,
-                            std::span<value_t> z, SolveWorkspace& ws);
 
 /// Convenience overload with a per-call workspace (allocates; prefer the
 /// workspace overload in iterative loops).

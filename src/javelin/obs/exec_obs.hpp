@@ -1,6 +1,6 @@
 // Spin-wait telemetry for the scheduled execution regions.
 //
-// Gating follows the fault-hook pattern from exec/run.hpp: the region body
+// Gating follows the abort pattern from exec/run.hpp: the region body
 // is ONE template (detail::exec_run_impl<Obs>) instantiated either with
 // detail::NoObs — every instrumentation site is `if constexpr`-eliminated,
 // so the default build keeps the zero-polling hot loop and its bitwise

@@ -3,8 +3,8 @@
 //
 // The registry is the flat, named export of the instrumented layers:
 // regions accumulate into per-thread or per-region structures
-// (obs/exec_obs.hpp) and ExecObs / TuneReport::export_metrics copy them
-// here, and `export_json` serializes the result. The bench's
+// (obs/exec_obs.hpp), ExecObs::export_metrics copies them here, and
+// `export_json` serializes the result. The bench's
 // `stall_profile` JSON block does not go through the registry: it is
 // written from ExecStats itself. Determinism matters because exported
 // counters are compared run-to-run:

@@ -79,7 +79,7 @@ struct RobustOptions {
 
 /// What a robust solve did, end to end. Returned instead of thrown: the
 /// only exceptions out of RobustSolver::solve are structural
-/// (JAVELIN_CHECK) and test-only fault-injection aborts.
+/// (JAVELIN_CHECK).
 struct SolveReport {
   bool converged = false;
   double relative_residual = 0.0;  ///< true residual of the returned x

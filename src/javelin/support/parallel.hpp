@@ -1,5 +1,5 @@
-// Thin wrappers around OpenMP runtime queries plus small parallel loops used
-// by preprocessing (first-touch copies, counting passes).
+// Thin wrappers around the OpenMP runtime queries, a scoped thread-count
+// override, and the even split of a range into contiguous parts.
 #pragma once
 
 #include <algorithm>

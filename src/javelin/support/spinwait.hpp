@@ -137,8 +137,6 @@ class AbortFlag {
     return first_.load(std::memory_order_acquire);
   }
 
-  void reset() noexcept { first_.store(kInvalidIndex, std::memory_order_release); }
-
  private:
   alignas(kCacheLine) std::atomic<index_t> first_{kInvalidIndex};
 };

@@ -46,16 +46,6 @@ class Error : public std::runtime_error {
   explicit Error(const std::string& msg) : std::runtime_error("javelin: " + msg) {}
 };
 
-/// Thrown by throwing apply/solve wrappers when a parallel region drained
-/// through the cooperative-abort protocol (fault injection, poisoned
-/// values). The abort itself never crosses the region as an exception —
-/// exec_run returns an ExecStatus and the wrapper converts it outside the
-/// region; status-returning entry points never throw this at all.
-class AbortError : public Error {
- public:
-  explicit AbortError(const std::string& msg) : Error(msg) {}
-};
-
 #define JAVELIN_CHECK(cond, msg)            \
   do {                                      \
     if (!(cond)) throw ::javelin::Error(msg); \

@@ -77,7 +77,6 @@ const char* diag_kind_name(DiagKind k) noexcept {
     case DiagKind::kWaitMetadata: return "wait_metadata";
     case DiagKind::kDeadlock: return "deadlock";
     case DiagKind::kUncoveredDependency: return "uncovered_dependency";
-    case DiagKind::kRetargetMismatch: return "retarget_mismatch";
     case DiagKind::kStatsMismatch: return "stats_mismatch";
     case DiagKind::kRunLayout: return "run_layout";
   }
@@ -773,44 +772,6 @@ void verify_tail_or_throw(const ExecSchedule& s, const DepsFn& deps,
     throw Error(std::string("tail verification failed (") + what +
                 "): " + rep.summary());
   }
-}
-
-VerifyReport verify_retarget(const ExecSchedule& s, const DepsFn& deps,
-                             int threads, index_t max_diagnostics) {
-  // A schedule with no retained level structure cannot be retargeted;
-  // verifying it as-is reports whatever is wrong with it.
-  if (s.level_ptr.empty()) return verify_schedule(s, deps, max_diagnostics);
-
-  const ExecSchedule fresh =
-      build_exec_schedule(s.n_total, s.level_ptr, s.serial_order, deps,
-                          threads, s.chunk_rows);
-  const ExecSchedule rt = retarget(s, deps, threads);
-  VerifyReport rep = verify_schedule(rt, deps, max_diagnostics);
-  Sink sink(rep, max_diagnostics);
-  auto mismatch = [&](const char* field) {
-    sink.add(DiagKind::kRetargetMismatch, kInvalidIndex, kInvalidIndex, -1,
-             -1, kInvalidIndex, kInvalidIndex,
-             std::string("retargeted schedule differs from a fresh build: ") +
-                 field);
-  };
-  if (rt.threads != fresh.threads) mismatch("threads");
-  if (rt.n_total != fresh.n_total) mismatch("n_total");
-  if (rt.chunk_rows != fresh.chunk_rows) mismatch("chunk_rows");
-  if (rt.thread_ptr != fresh.thread_ptr) mismatch("thread_ptr");
-  if (rt.item_ptr != fresh.item_ptr) mismatch("item_ptr");
-  if (rt.rows != fresh.rows) mismatch("rows");
-  if (rt.item_level != fresh.item_level) mismatch("item_level");
-  if (rt.wait_ptr != fresh.wait_ptr) mismatch("wait_ptr");
-  if (rt.wait_thread != fresh.wait_thread) mismatch("wait_thread");
-  if (rt.wait_count != fresh.wait_count) mismatch("wait_count");
-  if (rt.thread_run_ptr != fresh.thread_run_ptr) mismatch("thread_run_ptr");
-  if (rt.run_ptr != fresh.run_ptr) mismatch("run_ptr");
-  if (rt.level_ptr != fresh.level_ptr) mismatch("level_ptr");
-  if (rt.serial_order != fresh.serial_order) mismatch("serial_order");
-  if (rt.deps_total != fresh.deps_total) mismatch("deps_total");
-  if (rt.deps_kept != fresh.deps_kept) mismatch("deps_kept");
-  if (rt.num_levels != fresh.num_levels) mismatch("num_levels");
-  return rep;
 }
 
 void verify_schedule_or_throw(const ExecSchedule& s, const DepsFn& deps,

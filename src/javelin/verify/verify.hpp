@@ -67,7 +67,6 @@ enum class DiagKind {
   kWaitMetadata,         ///< wait names self / bad thread / unsatisfiable count
   kDeadlock,             ///< cycle in program-order + wait-edge item graph
   kUncoveredDependency,  ///< cross-thread RAW dep with no happens-before edge
-  kRetargetMismatch,     ///< retarget(s, deps, T) differs from a fresh build
   kStatsMismatch,        ///< stored deps_total/deps_kept/num_levels stale
   kRunLayout,            ///< run layer does not match the items and waits
 };
@@ -121,13 +120,6 @@ struct VerifyReport {
 /// O(deps); findings beyond it are counted in `suppressed`.
 VerifyReport verify_schedule(const ExecSchedule& s, const DepsFn& deps,
                              index_t max_diagnostics = 64);
-
-/// Prove retargeting correct for team size `threads`: retarget(s, deps,
-/// threads) must be field-for-field identical to a fresh build from the
-/// retained level structure (kRetargetMismatch otherwise), and the
-/// retargeted schedule must itself verify clean.
-VerifyReport verify_retarget(const ExecSchedule& s, const DepsFn& deps,
-                             int threads, index_t max_diagnostics = 64);
 
 /// Assertion form used by the build/retarget paths when
 /// IluOptions::verify_schedules is set: throws javelin::Error carrying the

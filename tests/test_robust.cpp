@@ -1,21 +1,21 @@
-// Breakdown-safety properties: cooperative abort of the exec backends under
-// fault injection (bounded termination, structured status, no throw from
-// inside a parallel region — for middle and last-level rows alike, with a
-// non-vetoing hook seeing each row once per region, and with every row
-// failing, the row the status names), the shifted-ILU retry
-// ladder and preconditioner fallback chain of RobustSolver, the Krylov
-// breakdown/non-finite/stagnation guards, and WorkspacePool lease
-// exception-safety when an abort unwinds through the batched apply path.
+// Breakdown-safety properties: cooperative abort of the numeric phase, the
+// only region that can fail on values, under fault injection on both exec
+// backends (bounded termination, structured status, no throw from inside a
+// parallel region — for middle and last-level rows alike, with a
+// non-vetoing hook seeing each row once per numeric phase and never during
+// an apply, and with every row failing, the row the status names), the
+// shifted-ILU retry ladder and preconditioner fallback chain of
+// RobustSolver, the Krylov breakdown/non-finite/stagnation guards, and
+// WorkspacePool lease exception-safety when an Error unwinds through the
+// batched apply path.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "javelin/gen/generators.hpp"
 #include "javelin/ilu/batch.hpp"
-#include "javelin/ilu/fused.hpp"
 #include "javelin/ilu/solve.hpp"
 #include "javelin/solver/batch.hpp"
 #include "javelin/solver/krylov.hpp"
@@ -42,10 +42,10 @@ const char* backend_name(ExecBackend b) {
   return b == ExecBackend::kP2P ? "p2p" : "barrier";
 }
 
-/// A hook poisoning exactly one (site, permuted row). Only that row can win
-/// the abort CAS, so the reported row is deterministic at any thread count.
-FaultHook poison(FaultSite site, index_t row) {
-  return [site, row](FaultSite s, index_t r) { return !(s == site && r == row); };
+/// A hook poisoning exactly one permuted row. Only that row can win the
+/// abort CAS, so the reported row is deterministic at any thread count.
+FaultHook poison(index_t row) {
+  return [row](index_t r) { return r != row; };
 }
 
 // --- fault injection: factorization ---------------------------------------
@@ -56,7 +56,7 @@ void check_factor_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
   ThreadCountGuard guard(threads);
   for (const index_t target : {a.rows() / 2, a.rows() - 1}) {
     IluOptions opts = pinned_opts(backend, threads);
-    opts.fault_hook = poison(FaultSite::kFactorRow, target);
+    opts.fault_hook = poison(target);
 
     Factorization f = ilu_prepare(a, opts);
     const FactorStatus st = ilu_factor_numeric_status(f);
@@ -86,7 +86,7 @@ void check_all_rows_vetoed(const char* name, const CsrMatrix& a) {
     for (int threads : {1, 2, 4}) {
       ThreadCountGuard guard(threads);
       IluOptions opts = pinned_opts(backend, threads);
-      opts.fault_hook = [](FaultSite, index_t) { return false; };
+      opts.fault_hook = [](index_t) { return false; };
       Factorization f = ilu_prepare(a, opts);
       const auto first = f.fwd.serial_order.begin();
       const auto first_end = first + f.fwd.level_ptr[1];
@@ -102,179 +102,44 @@ void check_all_rows_vetoed(const char* name, const CsrMatrix& a) {
   }
 }
 
-/// A hook that never vetoes sees every row of each region exactly once: a
-/// numeric phase fires kFactorRow once per row, and a scalar apply fires
-/// kForwardRow and kBackwardRow once per row. The hook runs on every team
-/// thread.
+/// A hook that never vetoes sees every row of a numeric phase exactly once
+/// and no row of an apply: the sweeps cannot fail, so they never consult
+/// it. The hook is called from every team thread.
 void check_hook_counts(const CsrMatrix& a, ExecBackend backend, int threads) {
   ThreadCountGuard guard(threads);
   const std::size_t un = static_cast<std::size_t>(a.rows());
-  std::vector<std::atomic<int>> seen(3 * un);
+  std::vector<std::atomic<int>> seen(un);
   IluOptions opts = pinned_opts(backend, threads);
-  opts.fault_hook = [&seen, un](FaultSite site, index_t r) {
-    seen[static_cast<std::size_t>(site) * un + static_cast<std::size_t>(r)]
-        .fetch_add(1, std::memory_order_relaxed);
+  opts.fault_hook = [&seen](index_t r) {
+    seen[static_cast<std::size_t>(r)].fetch_add(1, std::memory_order_relaxed);
     return true;
   };
-  // Checks and clears the counts: every row seen `want` times at `site`.
-  const auto expect = [&](const char* what, FaultSite site, int want) {
+  // Checks and clears the counts: every row seen `want` times.
+  const auto expect = [&](const char* what, int want) {
     index_t bad = 0;
     for (std::size_t r = 0; r < un; ++r) {
-      if (seen[static_cast<std::size_t>(site) * un + r].exchange(0) != want) {
-        ++bad;
-      }
+      if (seen[r].exchange(0) != want) ++bad;
     }
-    CHECK_MSG(bad == 0, "%s: %lld rows not seen %d time(s) at site %d "
-              "(%s, t=%d)", what, static_cast<long long>(bad), want,
-              static_cast<int>(site), backend_name(backend), threads);
+    CHECK_MSG(bad == 0, "%s: %lld rows not seen %d time(s) (%s, t=%d)", what,
+              static_cast<long long>(bad), want, backend_name(backend),
+              threads);
   };
 
   Factorization f = ilu_prepare(a, opts);
   CHECK(ilu_factor_numeric_status(f).ok());
-  expect("numeric", FaultSite::kFactorRow, 1);
-  expect("numeric", FaultSite::kForwardRow, 0);
-  expect("numeric", FaultSite::kBackwardRow, 0);
+  expect("numeric", 1);
 
   const auto r = random_vector(f.n(), 0xC0C0);
   std::vector<value_t> z(un);
   SolveWorkspace ws;
   ilu_apply(f, r, z, ws);
-  expect("apply", FaultSite::kFactorRow, 0);
-  expect("apply", FaultSite::kForwardRow, 1);
-  expect("apply", FaultSite::kBackwardRow, 1);
-}
-
-// --- fault injection: triangular sweeps (plain, fused, panel) --------------
-
-/// Poisons a middle row (n/3) and the last row, which sits in the plan's
-/// last level, at each sweep site, through every apply entry point.
-void check_sweep_abort(const CsrMatrix& a, ExecBackend backend, int threads) {
-  ThreadCountGuard guard(threads);
-  Factorization f = ilu_factor(a, pinned_opts(backend, threads));
-  const FusedApplySpmv fs = build_fused_apply_spmv(f, a);
-  const index_t n = f.n();
-  const std::size_t un = static_cast<std::size_t>(n);
-  const auto r = random_vector(n, 0xB0B);
-  std::vector<value_t> z(un), t(un);
-  SolveWorkspace ws;
-  // The text every AbortError names its row with.
-  const auto row_text = [](index_t row) {
-    return "aborted at permuted row " + std::to_string(row) + " ";
-  };
-  // An aborted apply leaves its output as the caller filled it.
-  const value_t sentinel = -7.25;
-  const auto untouched = [sentinel](const std::vector<value_t>& v) {
-    return std::all_of(v.begin(), v.end(),
-                       [sentinel](value_t x) { return x == sentinel; });
-  };
-
-  for (const index_t target : {n / 3, n - 1}) {
-    for (FaultSite site : {FaultSite::kForwardRow, FaultSite::kBackwardRow}) {
-      f.opts.fault_hook = poison(site, target);
-
-      // Non-throwing form: structured status with the poisoned row, and z
-      // not written.
-      std::fill(z.begin(), z.end(), sentinel);
-      const ExecStatus st = ilu_apply_status(f, r, z, ws);
-      CHECK_MSG(!st.ok() && st.row == target,
-                "sweep abort row %lld != %lld (site=%d, %s, t=%d)",
-                static_cast<long long>(st.row),
-                static_cast<long long>(target), static_cast<int>(site),
-                backend_name(backend), threads);
-      CHECK_MSG(untouched(z),
-                "aborted ilu_apply_status wrote z (site=%d, %s, t=%d)",
-                static_cast<int>(site), backend_name(backend), threads);
-
-      // Throwing forms: AbortError AFTER the region drained (never from a
-      // worker thread — a thrown exception inside the region would
-      // terminate), with z not written. The fused apply+SpMV must also
-      // drain the SpMV chunk waits.
-      std::string what;
-      try {
-        ilu_apply(f, r, z, ws);
-      } catch (const AbortError& e) {
-        what = e.what();
-      }
-      CHECK_MSG(what.find(row_text(target)) != std::string::npos,
-                "ilu_apply abort '%s' (target %lld, site=%d, %s, t=%d)",
-                what.c_str(), static_cast<long long>(target),
-                static_cast<int>(site), backend_name(backend), threads);
-      CHECK_MSG(untouched(z), "aborted ilu_apply wrote z (site=%d, %s, t=%d)",
-                static_cast<int>(site), backend_name(backend), threads);
-      what.clear();
-      try {
-        ilu_apply_spmv(f, a, fs, r, z, t, ws);
-      } catch (const AbortError& e) {
-        what = e.what();
-      }
-      CHECK_MSG(what.find(row_text(target)) != std::string::npos,
-                "fused apply abort '%s' (target %lld, site=%d, %s, t=%d)",
-                what.c_str(), static_cast<long long>(target),
-                static_cast<int>(site), backend_name(backend), threads);
-    }
-
-    // Panel path, both sites, both branches: k = 4 runs the column split
-    // at teams 1, 2 and 4 and the scheduled sweep at team 8; k = 2 also
-    // runs the scheduled sweep at team 4. The error names the vetoed sweep
-    // and row, and z is left untouched.
-    for (const index_t k : {index_t{2}, index_t{4}}) {
-      const auto rp = random_vector(n * k, 0xB0B ^ 1);
-      std::vector<value_t> zp(un * static_cast<std::size_t>(k), sentinel);
-      for (FaultSite site :
-           {FaultSite::kForwardRow, FaultSite::kBackwardRow}) {
-        f.opts.fault_hook = poison(site, target);
-        std::string what;
-        try {
-          ilu_apply_panel(f, rp, zp, k, ws);
-        } catch (const AbortError& e) {
-          what = e.what();
-        }
-        const std::string expect =
-            std::string("panel ") +
-            (site == FaultSite::kForwardRow ? "forward" : "backward") +
-            " sweep " + row_text(target);
-        CHECK_MSG(what.find(expect) != std::string::npos,
-                  "panel abort '%s' (k=%d, site=%d, %s, t=%d)", what.c_str(),
-                  static_cast<int>(k), static_cast<int>(site),
-                  backend_name(backend), threads);
-        CHECK_MSG(untouched(zp),
-                  "aborted panel apply wrote z (k=%d, site=%d, %s, t=%d)",
-                  static_cast<int>(k), static_cast<int>(site),
-                  backend_name(backend), threads);
-      }
-    }
-  }
-
-  // Clearing the hook restores the unguarded paths bitwise.
-  f.opts.fault_hook = nullptr;
-  std::vector<value_t> z_ref(un);
-  SolveWorkspace ws_ref;
-  ilu_apply_serial(f, r, z_ref, ws_ref);
-  ilu_apply(f, r, z, ws);
-  CHECK_MSG(bitwise_equal(z, z_ref), "post-abort apply diverged (%s, t=%d)",
-            backend_name(backend), threads);
-
-  // A hook that never vetoes leaves the guarded panel applies bitwise equal
-  // to the hook-free ones.
-  for (const index_t k : {index_t{2}, index_t{4}}) {
-    const auto rp = random_vector(n * k, 0xB0B ^ 2);
-    std::vector<value_t> zp(un * static_cast<std::size_t>(k)),
-        zp_ref(zp.size());
-    f.opts.fault_hook = nullptr;
-    ilu_apply_panel(f, rp, zp_ref, k, ws_ref);
-    f.opts.fault_hook = [](FaultSite, index_t) { return true; };
-    ilu_apply_panel(f, rp, zp, k, ws);
-    CHECK_MSG(bitwise_equal(zp, zp_ref),
-              "hooked panel apply diverged (k=%d, %s, t=%d)",
-              static_cast<int>(k), backend_name(backend), threads);
-  }
-  f.opts.fault_hook = nullptr;
+  expect("apply", 0);
 }
 
 // --- WorkspacePool lease exception-safety ----------------------------------
 
-/// At team 4, k = 3 unwinds through the scheduled panel sweep and k = 4
-/// through the column split.
+/// An Error thrown by ilu_apply_panel (a panel span one entry short of
+/// n×k) must return the lease's workspace to the pool, at k = 3 and k = 4.
 void check_lease_safety(const CsrMatrix& a, index_t k) {
   ThreadCountGuard guard(4);
   Factorization f = ilu_factor(a, pinned_opts(ExecBackend::kP2P, 4));
@@ -290,23 +155,21 @@ void check_lease_safety(const CsrMatrix& a, index_t k) {
   precond(r, z, k);
   CHECK(pool.idle() == 1);
 
-  // An abort mid-lease must release the workspace back to the pool (RAII
-  // unwinding through ilu_apply_panel's AbortError).
-  f.opts.fault_hook = poison(FaultSite::kBackwardRow, n / 2);
+  // An Error mid-lease must release the workspace back to the pool (RAII
+  // unwinding through ilu_apply_panel's span check).
   bool threw = false;
   try {
-    precond(r, z, k);
-  } catch (const AbortError&) {
+    precond(r, std::span<value_t>(z).first(need - 1), k);
+  } catch (const Error&) {
     threw = true;
   }
-  CHECK_MSG(threw, "panel preconditioner did not abort (k=%d)",
+  CHECK_MSG(threw, "short panel span did not throw (k=%d)",
             static_cast<int>(k));
-  CHECK_MSG(pool.idle() == 1, "aborted lease leaked: %zu idle (k=%d)",
+  CHECK_MSG(pool.idle() == 1, "unwound lease leaked: %zu idle (k=%d)",
             pool.idle(), static_cast<int>(k));
 
   // The pool stays usable, including by overlapping leases (two concurrent
   // streams = two distinct workspaces, returned independently).
-  f.opts.fault_hook = nullptr;
   {
     WorkspacePool::Lease l1 = pool.acquire();
     WorkspacePool::Lease l2 = pool.acquire();
@@ -486,9 +349,7 @@ void check_robust_report_contract() {
   RobustOptions opts;
   opts.allow_jacobi = false;
   opts.allow_identity = false;
-  opts.ilu.fault_hook = [](FaultSite s, index_t) {
-    return s != FaultSite::kFactorRow;
-  };
+  opts.ilu.fault_hook = [](index_t) { return false; };
   std::fill(x.begin(), x.end(), 0.0);
   const SolveReport dead = solve_robust(a, bb, x, opts);
   CHECK(!dead.converged);
@@ -511,8 +372,6 @@ int main() {
     for (int threads : {1, 2, 4, 8}) {
       check_factor_abort(grid, backend, threads);
       check_factor_abort(fem, backend, threads);
-      check_sweep_abort(grid, backend, threads);
-      check_sweep_abort(fem, backend, threads);
       check_hook_counts(grid, backend, threads);
       check_hook_counts(fem, backend, threads);
     }

@@ -14,15 +14,28 @@
 // bitwise parity; flagged mutants are never executed (they may deadlock —
 // that is the point).
 //
+// Each trial also builds a random tail phase behind its schedule (chunks
+// reading random rows, waits sparsified against the producer positions as
+// the fused solve's companion builds them), proves it with verify_tail, and
+// runs it under both backends: every chunk checks that each row it reads is
+// final. Then, under both backends and with and without the tail, a
+// bool-returning row function vetoes one random row: the region must drain
+// (a hang trips the ctest timeout) and report kAborted naming that row.
+//
 // Trials are seeded and, on failure, shrunk: the matrix generator draws
 // each row's dependencies from a per-row stream keyed on (seed, row), so a
 // size-n' prefix of the size-n matrix is itself a valid test case and the
 // shrink loop just re-runs smaller n until the failure disappears, then
 // prints the minimal reproducing (seed, n, T, chunk, backend).
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <limits>
+#include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -100,6 +113,85 @@ void eval_row(const CsrMatrix& m, std::vector<value_t>& x, index_t r) {
   x[uz(r)] = acc;
 }
 
+/// A random tail phase behind schedule `s`: each thread runs 0-3 chunks,
+/// and chunk c reads rows reads[read_ptr[c] .. read_ptr[c+1]) of the
+/// schedule (1-6 random rows). Its waits are built as the fused companion
+/// builds its own (ilu/fused.cpp): sparsified against s's producer
+/// positions, seeded with the waits each thread already performed in its
+/// own items.
+struct RandomTail {
+  std::vector<index_t> thread_ptr, read_ptr{0}, reads;
+  std::vector<index_t> wait_ptr, wait_thread, wait_count;
+  index_t deps_total = 0, deps_kept = 0;
+
+  ExecTail view() const {
+    return {thread_ptr, wait_ptr, wait_thread, wait_count};
+  }
+  TailDepsFn deps() const {
+    return [this](index_t c,
+                  const std::function<void(index_t, index_t)>& yield) {
+      for (index_t k = read_ptr[uz(c)]; k < read_ptr[uz(c) + 1]; ++k) {
+        yield(c, reads[uz(k)]);
+      }
+    };
+  }
+  /// Reads of chunk c whose row does not hold its final value in x.
+  index_t stale_reads(index_t c, const std::vector<value_t>& x,
+                      const std::vector<value_t>& ref) const {
+    index_t stale = 0;
+    for (index_t k = read_ptr[uz(c)]; k < read_ptr[uz(c) + 1]; ++k) {
+      const std::size_t r = uz(reads[uz(k)]);
+      if (std::bit_cast<std::uint64_t>(x[r]) !=
+          std::bit_cast<std::uint64_t>(ref[r])) {
+        ++stale;
+      }
+    }
+    return stale;
+  }
+};
+
+RandomTail make_tail(const ExecSchedule& s, std::uint64_t seed) {
+  RandomTail tl;
+  std::uint64_t st = seed ^ 0x7A11C0DEULL;
+  tl.thread_ptr.assign(uz(s.threads) + 1, 0);
+  for (int t = 0; t < s.threads; ++t) {
+    for (std::uint64_t c = splitmix(st) % 4; c > 0; --c) {
+      for (std::uint64_t k = 1 + splitmix(st) % 6; k > 0; --k) {
+        tl.reads.push_back(
+            static_cast<index_t>(splitmix(st) % uz(s.num_rows())));
+      }
+      tl.read_ptr.push_back(static_cast<index_t>(tl.reads.size()));
+    }
+    tl.thread_ptr[uz(t) + 1] = static_cast<index_t>(tl.read_ptr.size()) - 1;
+  }
+  std::vector<index_t> owner, item_of;
+  s.producer_positions(owner, item_of);
+  build_sparsified_waits(
+      s.threads, tl.thread_ptr,
+      [&s](int t, std::span<index_t> last_wait) {
+        for (index_t w = s.wait_ptr[uz(s.thread_ptr[uz(t)])];
+             w < s.wait_ptr[uz(s.thread_ptr[uz(t) + 1])]; ++w) {
+          index_t& lw = last_wait[uz(s.wait_thread[uz(w)])];
+          lw = std::max(lw, s.wait_count[uz(w)]);
+        }
+      },
+      [&](int t, index_t c,
+          const std::function<void(index_t, index_t)>& yield) {
+        for (index_t k = tl.read_ptr[uz(c)]; k < tl.read_ptr[uz(c) + 1];
+             ++k) {
+          const std::size_t r = uz(tl.reads[uz(k)]);
+          if (owner[r] != t) yield(owner[r], item_of[r] + 1);
+        }
+      },
+      tl.wait_ptr, tl.wait_thread, tl.wait_count, tl.deps_total,
+      tl.deps_kept);
+  return tl;
+}
+
+/// Tail waits kept across all trials: zero would mean the tails never
+/// synchronized and tested nothing.
+index_t tail_waits_kept = 0;
+
 struct Trial {
   std::uint64_t seed = 0;
   index_t n = 0;
@@ -137,6 +229,60 @@ std::string run_trial(const Trial& tr) {
   }
   if (!javelin::test::bitwise_equal(x, ref)) {
     return "scheduled execution diverged from the serial reference";
+  }
+
+  // The random tail, proven and then run behind the sweep; then the
+  // one-row veto, with and without it. Both under both backends.
+  const RandomTail tail = make_tail(s, tr.seed);
+  const verify::VerifyReport trep =
+      verify::verify_tail(s, deps, tail.view(), tail.deps());
+  if (!trep.ok()) return "verifier flagged a correct tail: " + trep.summary();
+  tail_waits_kept += tail.deps_kept;
+  std::uint64_t vst = tr.seed ^ 0x0AB0127ULL;
+  const auto veto = static_cast<index_t>(splitmix(vst) % uz(tr.n));
+  for (const ExecBackend backend : {ExecBackend::kP2P, ExecBackend::kBarrier}) {
+    const std::string under =
+        std::string(" under ") + exec_backend_name(backend);
+    std::vector<index_t> stale(uz(tail.read_ptr.size()) - 1, 0);
+    const auto chunk = [&](index_t c, int) {
+      stale[uz(c)] += tail.stale_reads(c, x, ref);
+    };
+    const auto stale_total = [&stale] {
+      return std::accumulate(stale.begin(), stale.end(), index_t{0});
+    };
+    ThreadCountGuard guard(tr.threads);
+    ProgressCounters progress;
+    std::fill(x.begin(), x.end(), nan);
+    exec_run(s, backend, [&](index_t r, int) { eval_row(m, x, r); },
+             tail.view(), chunk, progress);
+    if (!javelin::test::bitwise_equal(x, ref)) {
+      return "execution with a tail diverged" + under;
+    }
+    if (stale_total() != 0) {
+      return "a tail chunk read a row before it was final" + under;
+    }
+    // The vetoed row is evaluated, then poisons the region. Chunks that
+    // pass their waits still read only final rows.
+    const auto vetoing = [&](index_t r, int) {
+      eval_row(m, x, r);
+      return r != veto;
+    };
+    for (const bool with_tail : {false, true}) {
+      std::fill(x.begin(), x.end(), nan);
+      const ExecStatus st =
+          with_tail
+              ? exec_run(s, backend, vetoing, tail.view(), chunk, progress)
+              : exec_run(s, backend, vetoing, progress);
+      if (st.ok() || st.row != veto) {
+        return "veto of row " + std::to_string(veto) + " reported " +
+               (st.ok() ? std::string("kOk") : std::to_string(st.row)) +
+               (with_tail ? " with a tail" : "") + under;
+      }
+      if (stale_total() != 0) {
+        return "an aborted region's tail read a row before it was final" +
+               under;
+      }
+    }
   }
 
   // Mutation soundness: a mutant the verifier CLEARS must still execute to
@@ -211,5 +357,8 @@ int main() {
       break;  // one minimal repro is worth more than a wall of failures
     }
   }
+  std::printf("%d trials: %lld tail waits kept\n", kTrials,
+              static_cast<long long>(tail_waits_kept));
+  CHECK(tail_waits_kept > 0);
   return javelin::test::finish("test_schedprop");
 }

@@ -2,9 +2,8 @@
 //
 //   * the verifier is CLEAN on every suite + degenerate matrix, forward and
 //     backward schedules, and on retargeted schedules for every T in
-//     {1..16} (verify_retarget also proves the retarget bitwise-equivalent
-//     to a fresh build) — far beyond the thread counts bitwise-parity tests
-//     can afford to execute;
+//     {1..16} — far beyond the thread counts bitwise-parity tests can
+//     afford to execute;
 //   * coverage accounting is exact: waits_total == deps_kept, the
 //     direct/transitive split sums to deps_total, nothing uncovered;
 //   * the mutation self-test: every seeded single-defect mutation
@@ -97,8 +96,10 @@ void check_matrix_clean(const std::string& name) {
             name.c_str());
 
   for (int T = 1; T <= 16; ++T) {
-    const VerifyReport rf = verify::verify_retarget(f.fwd, low, T);
-    const VerifyReport rb = verify::verify_retarget(f.bwd, up, T);
+    const VerifyReport rf =
+        verify::verify_schedule(retarget(f.fwd, low, T), low);
+    const VerifyReport rb =
+        verify::verify_schedule(retarget(f.bwd, up, T), up);
     CHECK_MSG(rf.ok(), "%s fwd retarget T=%d: %s", name.c_str(), T,
               rf.summary().c_str());
     CHECK_MSG(rb.ok(), "%s bwd retarget T=%d: %s", name.c_str(), T,
